@@ -3,8 +3,11 @@
 // the kernel library, exported as counters.
 #include <benchmark/benchmark.h>
 
+#include "asyncsim/gpu_hogwild.hpp"
 #include "common/rng.hpp"
+#include "data/generator.hpp"
 #include "gpusim/kernels.hpp"
+#include "models/linear.hpp"
 
 namespace parsgd::gpusim {
 namespace {
@@ -64,6 +67,35 @@ BENCHMARK(BM_SimTranspose)
     ->Args({128, 1})
     ->Args({128, 0})
     ->Args({256, 1});
+
+// First epoch of a fresh GpuHogwild on news at the quick benches' scale:
+// the warp replay of the Hogwild kernel (coalescing, intra-warp atomic
+// conflicts) plus one functional epoch — the host cost a Table III GPU
+// LR row pays once per engine.
+void BM_GpuHogwildInstrument(benchmark::State& state) {
+  const Dataset ds =
+      generate_dataset("news", GeneratorOptions{.seed = 42, .scale = 400.0});
+  TrainData data;
+  data.sparse = &ds.x;
+  data.y = ds.y;
+  const LogisticRegression lr(ds.d());
+  const std::vector<real_t> w0 = lr.init_params(1);
+  CostBreakdown cost;
+  for (auto _ : state) {
+    Device dev(paper_gpu());
+    GpuHogwild hog(lr, data, dev, GpuHogwildOptions{});
+    std::vector<real_t> w = w0;
+    Rng rng(7);
+    cost = hog.run_epoch(w, real_t(0.01), rng);
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ds.n()));
+  state.counters["modeled_cycles"] = benchmark::Counter(cost.gpu_cycles);
+  state.counters["atomic_conflicts"] =
+      benchmark::Counter(cost.write_conflicts);
+}
+BENCHMARK(BM_GpuHogwildInstrument)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace parsgd::gpusim

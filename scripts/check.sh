@@ -98,17 +98,24 @@ rm -rf "$obs_tmp"
 # recorder joins both lanes too: its seqlock ring is raw index math over
 # a flat buffer (ASan) read concurrently with the writer (TSan), and
 # the telemetry exporters render snapshots while instruments are live.
+# The conflict accounting runs under ASan too: the asyncsim/replication
+# conflict ledger indexes flat per-line arrays by model coordinate, and
+# the gpusim warp instructions fill fixed per-lane arrays.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
     --target test_supervisor --target test_clustersim \
-    --target test_flight_recorder --target test_telemetry
+    --target test_flight_recorder --target test_telemetry \
+    --target test_asyncsim --target test_gpusim --target test_replication
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
 "$ASAN_BUILD_DIR/tests/test_supervisor"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
 "$ASAN_BUILD_DIR/tests/test_flight_recorder"
 "$ASAN_BUILD_DIR/tests/test_telemetry"
+"$ASAN_BUILD_DIR/tests/test_asyncsim"
+"$ASAN_BUILD_DIR/tests/test_gpusim"
+"$ASAN_BUILD_DIR/tests/test_replication"
 
 # The executor's concurrency (work-stealing deques, park/wake protocol,
 # atomic in-degree release) under ThreadSanitizer, plus the fault
@@ -136,5 +143,6 @@ echo "check.sh: tier-1 (simd + scalar) + fault sweep" \
      "+ cluster smoke + observability lane (overhead gate, recorder," \
      "status schema, --attribute)" \
      "+ ASan kernels/graph/supervisor/cluster/recorder/telemetry" \
+     "/asyncsim/gpusim/replication" \
      "+ TSan graph/pool/faults/supervisor/cluster/recorder/telemetry" \
      "+ regression smoke OK"

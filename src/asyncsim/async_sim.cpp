@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -13,53 +12,6 @@
 namespace parsgd {
 
 namespace {
-
-/// Per-window conflict ledger. Callers record, per *unit of work*
-/// (example or mini-batch), the distinct cache lines that unit wrote. A
-/// line written by >= 2 distinct workers within the window ping-pongs:
-/// between two consecutive units of one worker, other workers have
-/// reclaimed the line, so every unit's touch of a contended line costs one
-/// ownership transfer. conflicts() therefore returns the number of
-/// unit-line write events on multi-writer lines. (Touches within one unit
-/// are deduplicated by the caller — they hit an already-owned line.)
-class ConflictWindow {
- public:
-  void record(int worker, std::uint32_t line) {
-    auto& e = lines_[line];
-    if (e.last_worker != worker) {
-      if (e.last_worker != -1) e.multi_writer = true;
-      e.last_worker = worker;
-    }
-    ++e.events;
-  }
-
-  double conflicts() const {
-    double total = 0;
-    for (const auto& [line, e] : lines_) {
-      if (e.multi_writer) total += e.events;
-    }
-    return total;
-  }
-
-  void clear() { lines_.clear(); }
-
- private:
-  struct Entry {
-    int last_worker = -1;
-    bool multi_writer = false;
-    double events = 0;
-  };
-  std::unordered_map<std::uint32_t, Entry> lines_;
-};
-
-/// Distinct model lines touched by one unit's updates.
-void touched_lines(const std::vector<index_t>& touched,
-                   std::vector<std::uint32_t>& lines) {
-  lines.clear();
-  for (const index_t j : touched) lines.push_back(model_line(j));
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-}
 
 /// Contiguous per-worker partitions with a per-epoch shuffled visit order.
 struct Partition {
@@ -113,7 +65,7 @@ double example_bytes(const TrainData& data, std::size_t i,
 
 AsyncSim::AsyncSim(const Model& model, const TrainData& data,
                    const AsyncSimOptions& opts)
-    : model_(model), data_(data), opts_(opts) {
+    : model_(model), data_(data), opts_(opts), ledger_(model.dim()) {
   PARSGD_CHECK(opts_.workers >= 1);
   PARSGD_CHECK(opts_.batch >= 1);
   PARSGD_CHECK(opts_.window_units >= 1);
@@ -154,9 +106,7 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
   const int workers = std::min<int>(opts_.workers, std::max<std::size_t>(units, 1));
   Partition part(units, workers, rng);
 
-  ConflictWindow window;
   std::vector<index_t> touched;
-  std::vector<std::uint32_t> lines_scratch;
   // Scratch target for dropped updates: the work is computed (and costed)
   // but the result never reaches the shared model.
   std::vector<real_t> lost;
@@ -173,7 +123,7 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
     }
   }
   while (!part.exhausted()) {
-    window.clear();
+    ledger_.clear();
     for (int t = 0; t < workers; ++t) {
       for (std::size_t u = 0; u < opts_.window_units; ++u) {
         if (part.cursor[t] >= part.order[t].size()) break;
@@ -193,8 +143,7 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
           } else {
             model_.example_step(x, data_.y[begin], alpha, w, w, &touched);
           }
-          touched_lines(touched, lines_scratch);
-          for (const std::uint32_t ln : lines_scratch) window.record(t, ln);
+          if (workers > 1) ledger_.record(t, touched);
           const std::size_t k = x.touched();
           cost.flops += model_.step_flops(k) + kLoopFlopsPerExample +
                         kLoopFlopsPerNnz * static_cast<double>(k);
@@ -222,15 +171,12 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
           cost.model_reads += dim;
           cost.model_writes += dim;
           cost.bytes_random += 2.0 * dim * sizeof(real_t);
-          for (std::uint32_t line = 0; line <= model_line(static_cast<index_t>(
-                                           model_.dim() - 1)); ++line) {
-            window.record(t, line);
-          }
+          if (workers > 1) ledger_.record_all(t);
         }
         if (faults != nullptr) faults->after_update(w);
       }
     }
-    if (workers > 1) cost.write_conflicts += window.conflicts();
+    if (workers > 1) cost.write_conflicts += ledger_.conflicts();
   }
   return cost;
 }
@@ -270,9 +216,8 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
   std::size_t ring_pos = 0, ring_filled = 0;
   std::vector<real_t> view(dim), delta(dim, 0);
 
-  ConflictWindow window;
+  ledger_.clear();
   std::vector<index_t> touched;
-  std::vector<std::uint32_t> lines_scratch;
   std::size_t units_in_window = 0;
   // Hogbatch step path: one task graph reused per unit (DESIGN.md §15).
   ThreadPool& pool =
@@ -321,8 +266,7 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
         const ExampleView x = data_.example(begin, opts_.prefer_dense);
         model_.example_step(x, data_.y[begin], alpha, view, delta,
                             &touched);
-        touched_lines(touched, lines_scratch);
-        for (const std::uint32_t ln : lines_scratch) window.record(t, ln);
+        if (workers > 1) ledger_.record(t, touched);
         const std::size_t k = x.touched();
         cost.flops += model_.step_flops(k) + kLoopFlopsPerExample +
                       kLoopFlopsPerNnz * static_cast<double>(k);
@@ -348,10 +292,7 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
         cost.model_writes += static_cast<double>(dim);
         cost.bytes_random += 2.0 * static_cast<double>(dim) *
                              sizeof(real_t);
-        for (std::uint32_t line = 0;
-             line <= model_line(static_cast<index_t>(dim - 1)); ++line) {
-          window.record(t, line);
-        }
+        if (workers > 1) ledger_.record_all(t);
       }
 
       // A dropped update is computed (and costed) but never applied; the
@@ -380,13 +321,13 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
 
       // Conflict windows: one per tau+1 consecutive units.
       if (++units_in_window > tau) {
-        if (workers > 1) cost.write_conflicts += window.conflicts();
-        window.clear();
+        if (workers > 1) cost.write_conflicts += ledger_.conflicts();
+        ledger_.clear();
         units_in_window = 0;
       }
     }
   }
-  if (workers > 1) cost.write_conflicts += window.conflicts();
+  if (workers > 1) cost.write_conflicts += ledger_.conflicts();
   return cost;
 }
 

@@ -23,9 +23,9 @@
 // the quantity the CPU cost model converts into coherency stall time.
 #pragma once
 
-#include <cstdint>
 #include <span>
 
+#include "asyncsim/conflict_ledger.hpp"
 #include "common/rng.hpp"
 #include "hwmodel/cost.hpp"
 #include "models/model.hpp"
@@ -99,11 +99,8 @@ class AsyncSim {
   /// Sum of actual per-unit delays of the last epoch (snapshot mode);
   /// run_epoch folds it into async.stale_units.
   double last_stale_units_ = 0;
+  /// Write-conflict windows, reused across epochs.
+  ConflictLedger ledger_;
 };
-
-/// Cache-line id of a model coordinate (64 B lines of real_t).
-inline std::uint32_t model_line(index_t coordinate) {
-  return coordinate / (64 / sizeof(real_t));
-}
 
 }  // namespace parsgd

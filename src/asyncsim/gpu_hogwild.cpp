@@ -1,7 +1,7 @@
 #include "asyncsim/gpu_hogwild.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 #include <vector>
 
 #include "common/check.hpp"
@@ -113,10 +113,15 @@ void GpuHogwild::instrument(std::span<const real_t> w) {
             Lanes<std::uint32_t> widx{};
             Lanes<real_t> zero{};
             LaneMask distinct = 0;
-            std::unordered_set<std::uint32_t> seen;
             for (int l = 0; l < kWarpSize; ++l) {
               if (!gpusim::lane_active(mask, l)) continue;
-              if (seen.insert(cols[l]).second) {
+              // First lane holding this index: no earlier distinct lane
+              // (every earlier active lane's index has one) matches it.
+              bool first = true;
+              for (LaneMask m = distinct; m != 0 && first; m &= m - 1) {
+                first = cols[std::countr_zero(m)] != cols[l];
+              }
+              if (first) {
                 widx[l] = cols[l];
                 distinct |= LaneMask(1) << l;
               }

@@ -1,8 +1,8 @@
 #include "asyncsim/replication.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "asyncsim/conflict_ledger.hpp"
 #include "common/check.hpp"
 
 namespace parsgd {
@@ -27,8 +27,6 @@ constexpr double kLoopFlopsPerNnz = 16.0;
 // coherency model charges). Expressed as a conflict-count discount so the
 // downstream CpuModel conversion keeps a single penalty constant.
 constexpr double kIntraSocketDiscount = 0.35;
-
-std::uint32_t line_of(index_t j) { return j / (64 / sizeof(real_t)); }
 
 }  // namespace
 
@@ -91,14 +89,18 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
   for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
   rng.shuffle(order);
 
-  struct LineEntry {
-    int last_worker = -1;
-    bool multi = false;
-    double events = 0;
+  // PerCore replicas have a single writer each and never conflict, so
+  // they keep no ledger.
+  std::vector<ConflictLedger> ledgers(
+      opts_.strategy == Replication::kPerCore ? 0 : replicas_,
+      ConflictLedger(dim));
+  auto flush_conflicts = [&] {
+    for (ConflictLedger& ledger : ledgers) {
+      cost.write_conflicts += ledger.conflicts();
+      ledger.clear();
+    }
   };
-  std::vector<std::unordered_map<std::uint32_t, LineEntry>> lines(replicas_);
   std::vector<index_t> touched;
-  std::vector<std::uint32_t> line_scratch;
 
   std::size_t since_sync = 0;
   double averagings = 0;
@@ -108,21 +110,7 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
     const ExampleView x = data_.example(order[i], opts_.prefer_dense);
     model_.example_step(x, data_.y[order[i]], alpha, views[r], views[r],
                         &touched);
-
-    line_scratch.clear();
-    for (const index_t j : touched) line_scratch.push_back(line_of(j));
-    std::sort(line_scratch.begin(), line_scratch.end());
-    line_scratch.erase(
-        std::unique(line_scratch.begin(), line_scratch.end()),
-        line_scratch.end());
-    for (const std::uint32_t ln : line_scratch) {
-      auto& e = lines[r][ln];
-      if (e.last_worker != worker) {
-        if (e.last_worker != -1) e.multi = true;
-        e.last_worker = worker;
-      }
-      ++e.events;
-    }
+    if (!ledgers.empty()) ledgers[r].record(worker, touched);
 
     const std::size_t k = x.touched();
     cost.flops += model_.step_flops(k) + kLoopFlopsPerExample +
@@ -138,12 +126,7 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
       since_sync = 0;
       // Conflict windows flush on the same cadence for every strategy so
       // the counts are comparable.
-      for (auto& m : lines) {
-        for (const auto& [ln, e] : m) {
-          if (e.multi) cost.write_conflicts += e.events;
-        }
-        m.clear();
-      }
+      flush_conflicts();
       if (replicas_ > 1) {
         average_into(w, views);
         averagings += 1;
@@ -155,12 +138,7 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
     }
   }
 
-  for (auto& m : lines) {
-    for (const auto& [ln, e] : m) {
-      if (e.multi) cost.write_conflicts += e.events;
-    }
-    m.clear();
-  }
+  flush_conflicts();
   if (opts_.strategy == Replication::kPerNode) {
     cost.write_conflicts *= kIntraSocketDiscount;
   }

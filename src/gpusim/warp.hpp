@@ -20,12 +20,12 @@
 //    throttle GPU Hogwild.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/check.hpp"
 #include "gpusim/device.hpp"
@@ -160,22 +160,21 @@ class WarpCtx {
   void atomic_add(DeviceBuffer<T>& buf, const Lanes<std::uint32_t>& idx,
                   const Lanes<T>& v, LaneMask mask) {
     cost_.issue_cycles += spec_->cycles_arith;
-    std::unordered_map<std::uint32_t, int> multiplicity;
-    int max_mult = 0, active = 0;
+    Lanes<std::uint32_t> addrs{};
+    int active = 0;
     for (int l = 0; l < lanes_; ++l) {
       if (!lane_active(mask, l)) continue;
       PARSGD_DCHECK(idx[l] < buf.size());
       buf.raw()[idx[l]] += v[l];
-      const int m = ++multiplicity[idx[l]];
-      max_mult = std::max(max_mult, m);
-      ++active;
+      addrs[active++] = idx[l];
     }
     if (active == 0) return;
+    const DistinctCount c = count_distinct(addrs, active);
     cost_.atomic_ops += active;
-    cost_.atomic_conflicts += active - static_cast<int>(multiplicity.size());
+    cost_.atomic_conflicts += active - c.distinct;
     // The warp's atomic instruction replays once per worst-case address
     // multiplicity; also touches memory segments like a scatter.
-    cost_.atomic_cycles += spec_->cycles_atomic * max_mult;
+    cost_.atomic_cycles += spec_->cycles_atomic * c.max_multiplicity;
     charge_memory(reinterpret_cast<std::uintptr_t>(buf.raw()), idx, mask,
                   sizeof(T), buf.bytes());
   }
@@ -239,6 +238,29 @@ class WarpCtx {
   WarpCost& mutable_cost() { return cost_; }
 
  private:
+  /// Distinct values among v[0, n) and their largest multiplicity. Sorts
+  /// that prefix in place; at most 32 values, so no allocation.
+  struct DistinctCount {
+    int distinct = 0;
+    int max_multiplicity = 0;
+  };
+  template <typename T>
+  static DistinctCount count_distinct(Lanes<T>& v, int n) {
+    if (!std::is_sorted(v.begin(), v.begin() + n)) {
+      std::sort(v.begin(), v.begin() + n);
+    }
+    DistinctCount c;
+    int run = 0;
+    for (int i = 0; i < n; ++i) {
+      if (i == 0 || v[i] != v[i - 1]) {
+        ++c.distinct;
+        run = 0;
+      }
+      c.max_multiplicity = std::max(c.max_multiplicity, ++run);
+    }
+    return c;
+  }
+
   void charge_memory(std::uintptr_t /*base*/, const Lanes<std::uint32_t>& idx,
                      LaneMask mask, std::size_t elem_bytes,
                      std::size_t buf_bytes) {
@@ -246,13 +268,15 @@ class WarpCtx {
     // Segments are computed from element offsets within the buffer:
     // cudaMalloc guarantees >=256 B alignment, so buffer starts coincide
     // with transaction-segment boundaries.
-    std::unordered_set<std::uintptr_t> segments;
+    Lanes<std::uintptr_t> segments{};
+    int active = 0;
     for (int l = 0; l < lanes_; ++l) {
       if (!lane_active(mask, l)) continue;
-      segments.insert(std::uintptr_t(idx[l]) * elem_bytes /
-                      spec_->transaction_bytes);
+      segments[active++] =
+          std::uintptr_t(idx[l]) * elem_bytes / spec_->transaction_bytes;
     }
-    const auto n = static_cast<double>(segments.size());
+    const auto n =
+        static_cast<double>(count_distinct(segments, active).distinct);
     // L2 residency: buffers that fit in L2 (e.g. a small model vector)
     // hit there after first touch. For larger buffers, gathers still hit
     // partially — real workloads gather with skewed (Zipf-like) segment
@@ -276,17 +300,20 @@ class WarpCtx {
     cost_.issue_cycles += spec_->cycles_arith;
     // Bank of a 4B word; wider T occupies multiple words (we model the
     // first word's bank, adequate for float/int32 which is all we use).
-    std::array<std::unordered_set<std::uint32_t>, 32> words_per_bank;
+    // A bank holding k distinct words replays k - 1 times, so the replays
+    // sum to distinct words minus banks touched.
+    Lanes<std::uint32_t> words{};
+    std::uint32_t banks = 0;
+    int active = 0;
     for (int l = 0; l < lanes_; ++l) {
       if (!lane_active(mask, l)) continue;
       const std::uint32_t word =
           static_cast<std::uint32_t>(idx[l] * elem_bytes / 4);
-      words_per_bank[word % 32].insert(word);
+      words[active++] = word;
+      banks |= std::uint32_t(1) << (word % 32);
     }
-    double replays = 0;
-    for (const auto& words : words_per_bank) {
-      if (words.size() > 1) replays += static_cast<double>(words.size() - 1);
-    }
+    const double replays = static_cast<double>(
+        count_distinct(words, active).distinct - std::popcount(banks));
     cost_.shared_accesses += 1 + replays;
     cost_.bank_conflict_replays += replays;
     cost_.shared_cycles += (1 + replays) * spec_->cycles_shared_access;

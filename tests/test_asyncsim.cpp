@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "asyncsim/conflict_ledger.hpp"
 #include "asyncsim/gpu_hogwild.hpp"
 #include "common/rng.hpp"
 #include "hwmodel/cpu_model.hpp"
@@ -214,6 +216,71 @@ TEST(ModelLine, LineGranularity) {
   EXPECT_EQ(model_line(15), 0u);
   EXPECT_EQ(model_line(16), 1u);   // 64 B / 4 B = 16 floats per line
   EXPECT_EQ(model_line(53), 3u);   // covtype model spans 4 lines
+}
+
+// ---- ConflictLedger ----
+
+TEST(ConflictLedger, SizedToModelLines) {
+  EXPECT_EQ(ConflictLedger(54).lines(), 4u);
+  EXPECT_EQ(ConflictLedger(16).lines(), 1u);
+  EXPECT_EQ(ConflictLedger(17).lines(), 2u);
+}
+
+TEST(ConflictLedger, SingleWriterNeverConflicts) {
+  ConflictLedger ledger(64);
+  const std::vector<index_t> touched = {0, 17, 40};
+  for (int u = 0; u < 10; ++u) ledger.record(3, touched);
+  ledger.record_all(3);
+  EXPECT_EQ(ledger.conflicts(), 0.0);
+}
+
+TEST(ConflictLedger, AlternatingWorkersCountEveryEvent) {
+  // Workers 0 and 1 alternate on line 0 (coordinates 1 and 2): all 6
+  // unit-line events ping-pong. Line 2 (coordinate 33) is worker 0's
+  // alone and costs nothing.
+  ConflictLedger ledger(64);
+  for (int u = 0; u < 3; ++u) {
+    ledger.record(0, std::vector<index_t>{1, 33});
+    ledger.record(1, std::vector<index_t>{2});
+  }
+  EXPECT_EQ(ledger.conflicts(), 6.0);
+  // A dense unit of worker 1 adds one event on each of the 4 lines; only
+  // lines 0 and 2 have two writers.
+  ledger.record_all(1);
+  EXPECT_EQ(ledger.conflicts(), 7.0 + 4.0);
+}
+
+TEST(ConflictLedger, LineTouchedTwiceInOneUnitCountsOnce) {
+  ConflictLedger ledger(64);
+  ledger.record(0, std::vector<index_t>{0, 5, 15, 5});  // all line 0
+  ledger.record(1, std::vector<index_t>{3, 3});
+  EXPECT_EQ(ledger.conflicts(), 2.0);
+}
+
+TEST(ConflictLedger, ClearStartsAFreshWindowAcrossStampWraps) {
+  // More windows (and units) than a 16-bit stamp holds. In window w both
+  // workers write line w % kCycle, so from window kCycle on every window
+  // reuses a line last written one full stamp cycle earlier. An entry
+  // that stale mistaken for live would skip the window's line list and
+  // drop the window's 2 conflicts.
+  constexpr int kCycle = (1 << 16) - 1;
+  ConflictLedger ledger(std::size_t(16) * kCycle);
+  for (int window = 0; window < kCycle + 300; ++window) {
+    ledger.clear();
+    const std::vector<index_t> line = {
+        static_cast<index_t>(16 * (window % kCycle))};
+    ledger.record(0, line);
+    ledger.record(1, line);
+    ASSERT_EQ(ledger.conflicts(), 2.0) << "window " << window;
+  }
+  // One window spanning a full unit-stamp cycle: the second writer of
+  // line 0, kCycle units after the first, is a new unit and still counts.
+  ledger.clear();
+  ledger.record(0, std::vector<index_t>{0});
+  const std::vector<index_t> other = {16};
+  for (int unit = 1; unit < kCycle; ++unit) ledger.record(0, other);
+  ledger.record(1, std::vector<index_t>{0});
+  EXPECT_EQ(ledger.conflicts(), 2.0);
 }
 
 // ---- GPU async ----

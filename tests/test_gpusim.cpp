@@ -146,6 +146,99 @@ TEST(Warp, AtomicAddConflictFree) {
   EXPECT_EQ(buf.host_at(3), 2.0f);
 }
 
+TEST(Warp, AtomicAddLanePairsReplayTwice) {
+  // Lanes 2k and 2k+1 share address k: 16 addresses, each hit twice.
+  Device dev(spec());
+  DeviceBuffer<float> buf(dev, 64);
+  buf.fill(0);
+  WarpCtx warp(dev.spec(), 0, 0, kWarpSize);
+  Lanes<std::uint32_t> idx{};
+  Lanes<float> vals{};
+  for (int i = 0; i < kWarpSize; ++i) {
+    idx[i] = static_cast<std::uint32_t>(i / 2);
+    vals[i] = 1.0f;
+  }
+  warp.atomic_add(buf, idx, vals, kFullMask);
+  EXPECT_DOUBLE_EQ(warp.cost().atomic_ops, 32.0);
+  EXPECT_DOUBLE_EQ(warp.cost().atomic_conflicts, 16.0);
+  EXPECT_DOUBLE_EQ(warp.cost().atomic_cycles, 2 * spec().cycles_atomic);
+  EXPECT_EQ(buf.host_at(15), 2.0f);
+  // 16 floats = 64 B: one segment.
+  EXPECT_DOUBLE_EQ(warp.cost().l2_transactions, 1.0);
+}
+
+TEST(Warp, PartialMaskDuplicatesShareASegment) {
+  // Active lanes 3, 9, 17, 30 hit floats {5, 5, 7, 31}: all in the first
+  // 128 B segment. Inactive lanes point far away and must not count.
+  Device dev(spec());
+  DeviceBuffer<float> buf(dev, 32 * 64);
+  buf.fill(0);
+  Lanes<std::uint32_t> idx = iota_lanes(0, 64);
+  idx[3] = 5;
+  idx[9] = 5;
+  idx[17] = 7;
+  idx[30] = 31;
+  const LaneMask mask = (1u << 3) | (1u << 9) | (1u << 17) | (1u << 30);
+  WarpCtx loader(dev.spec(), 0, 0, kWarpSize);
+  (void)loader.load(buf, idx, mask);
+  EXPECT_DOUBLE_EQ(loader.cost().l2_transactions, 1.0);
+
+  WarpCtx atomics(dev.spec(), 0, 0, kWarpSize);
+  Lanes<float> ones{};
+  ones.fill(1.0f);
+  atomics.atomic_add(buf, idx, ones, mask);
+  EXPECT_DOUBLE_EQ(atomics.cost().atomic_ops, 4.0);
+  EXPECT_DOUBLE_EQ(atomics.cost().atomic_conflicts, 1.0);  // lanes 3 and 9
+  EXPECT_DOUBLE_EQ(atomics.cost().atomic_cycles, 2 * spec().cycles_atomic);
+  EXPECT_DOUBLE_EQ(atomics.cost().l2_transactions, 1.0);
+  EXPECT_EQ(buf.host_at(5), 2.0f);
+  EXPECT_EQ(buf.host_at(64), 0.0f);  // lane 1's target, masked off
+}
+
+TEST(Warp, PartialWarpIgnoresMissingLanes) {
+  // A 20-lane warp under the full mask: lanes 20-31 do not exist, so
+  // their (scattered, colliding) indices never count.
+  Device dev(spec());
+  DeviceBuffer<float> buf(dev, 32 * 64);
+  buf.fill(0);
+  Lanes<std::uint32_t> idx = iota_lanes();
+  for (int i = 20; i < kWarpSize; ++i) idx[i] = 64u * i;
+  WarpCtx warp(dev.spec(), 0, 0, 20);
+  (void)warp.load(buf, idx, kFullMask);
+  EXPECT_DOUBLE_EQ(warp.cost().l2_transactions, 1.0);
+
+  Lanes<std::uint32_t> same{};  // lanes 20-31 would all collide on 0
+  for (int i = 0; i < 20; ++i) same[i] = static_cast<std::uint32_t>(i + 1);
+  Lanes<float> ones{};
+  ones.fill(1.0f);
+  warp.atomic_add(buf, same, ones, kFullMask);
+  EXPECT_DOUBLE_EQ(warp.cost().atomic_ops, 20.0);
+  EXPECT_DOUBLE_EQ(warp.cost().atomic_conflicts, 0.0);
+  EXPECT_DOUBLE_EQ(warp.cost().atomic_cycles, spec().cycles_atomic);
+  EXPECT_EQ(buf.host_at(0), 0.0f);
+
+  SharedArray<float> arr(1024);
+  (void)warp.shared_load(arr, iota_lanes(0, 32), kFullMask);
+  EXPECT_DOUBLE_EQ(warp.cost().bank_conflict_replays, 19.0);  // not 31
+}
+
+TEST(Warp, BroadcastPlusBankConflictReplaysOnce) {
+  // Lanes 0-29 broadcast word 0; lanes 30 and 31 read words 32 and 1.
+  // Bank 0 holds two distinct words (0 and 32) -> exactly one replay;
+  // bank 1 holds one word.
+  Device dev(spec());
+  WarpCtx warp(dev.spec(), 0, 0, kWarpSize);
+  SharedArray<float> arr(64);
+  Lanes<std::uint32_t> idx{};
+  idx[30] = 32;
+  idx[31] = 1;
+  (void)warp.shared_load(arr, idx, kFullMask);
+  EXPECT_DOUBLE_EQ(warp.cost().bank_conflict_replays, 1.0);
+  EXPECT_DOUBLE_EQ(warp.cost().shared_accesses, 2.0);
+  EXPECT_DOUBLE_EQ(warp.cost().shared_cycles,
+                   2 * spec().cycles_shared_access);
+}
+
 TEST(Warp, SharedMemoryBankConflicts) {
   Device dev(spec());
   WarpCtx warp(dev.spec(), 0, 0, kWarpSize);
