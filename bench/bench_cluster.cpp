@@ -22,7 +22,7 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/timer.hpp"
-#include "core/report.hpp"
+#include "core/table.hpp"
 #include "data/generator.hpp"
 #include "models/linear.hpp"
 #include "report/report.hpp"

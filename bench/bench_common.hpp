@@ -14,8 +14,8 @@
 #include "common/cli.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
-#include "core/report.hpp"
 #include "core/study.hpp"
+#include "core/table.hpp"
 #include "report/report.hpp"
 
 namespace parsgd::benchutil {

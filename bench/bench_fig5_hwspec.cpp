@@ -6,7 +6,7 @@
 
 #include "common/cli.hpp"
 #include "common/format.hpp"
-#include "core/report.hpp"
+#include "core/table.hpp"
 #include "hwmodel/cpu_model.hpp"
 #include "hwmodel/spec.hpp"
 #include "report/report.hpp"

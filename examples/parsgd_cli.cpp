@@ -8,6 +8,7 @@
 //
 // --engine takes a full spec string (see DESIGN.md §10); the legacy
 // --update/--arch pair is still accepted and assembled into a spec.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -20,11 +21,11 @@
 #include "common/format.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
-#include "core/export.hpp"
 #include "data/generator.hpp"
 #include "data/mlp_view.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
+#include "report/chrome_trace.hpp"
 #include "report/report.hpp"
 #include "sgd/checkpoint.hpp"
 #include "sgd/cluster_engine.hpp"
@@ -50,9 +51,7 @@ namespace {
                "       [--checkpoint=<path>] [--checkpoint-every=N|Ts]"
                " [--resume=<path>]\n"
                "       [--telemetry=off|metrics|trace]"
-               " [--trace-out=trace.json]\n"
-               "       [--metrics-out=metrics.csv] [--prom-out=<path>]"
-               " [--verbose]\n"
+               " [--trace-out=trace.json] [--verbose]\n"
                "       [--report-out=<path>] [--heartbeat=<secs>]\n"
                "       [--record=off|<N>ms] [--status-file=<path>]"
                " [--attribute]\n"
@@ -102,8 +101,12 @@ int run(int argc, char** argv) {
   const std::string dataset = cli.get("dataset", "covtype");
   const std::string engine_arg = cli.get("engine", "");
   const double alpha = cli.get_double("alpha", 0.1);
-  const auto epochs = static_cast<std::size_t>(cli.get_int("epochs", 60));
-  const int threads = static_cast<int>(cli.get_int("threads", 56));
+  const std::int64_t epochs_arg = cli.get_int("epochs", 60);
+  const std::int64_t threads_arg = cli.get_int("threads", 56);
+  if (epochs_arg <= 0) usage("--epochs needs a positive count");
+  if (threads_arg <= 0) usage("--threads needs a positive count");
+  const auto epochs = static_cast<std::size_t>(epochs_arg);
+  const int threads = static_cast<int>(threads_arg);
   const bool verbose = cli.get_bool("verbose", false);
   const std::string telemetry_arg = cli.get("telemetry", "");
 
@@ -166,6 +169,13 @@ int run(int argc, char** argv) {
              "' (expected off, metrics or trace)").c_str());
     }
     spec.telemetry = *mode;
+  }
+  // The metrics snapshot reaches disk only through the run report.
+  const std::string report_out = cli.get("report-out", "");
+  if (spec.telemetry == telemetry::TelemetryMode::kMetrics &&
+      report_out.empty()) {
+    usage("telemetry=metrics needs --report-out=<path> (the metrics "
+          "snapshot is written only there)");
   }
   if (verbose) {
     // Grammar round-trip: reparse what we print — a mismatch here means
@@ -333,32 +343,19 @@ int run(int argc, char** argv) {
                 cluster->sim() != nullptr ? cluster->sim()->tau() : 0);
   }
 
-  if (session != nullptr) {
-    const std::string metrics_out = cli.get("metrics-out", "metrics.csv");
-    write_file(metrics_out, "metrics CSV", [&](std::ostream& os) {
-      write_metrics_csv(os, session->snapshot());
+  if (session != nullptr && session->trace_enabled()) {
+    const std::string trace_out = cli.get("trace-out", "trace.json");
+    write_file(trace_out, "Chrome trace", [&](std::ostream& os) {
+      report::write_chrome_trace(os, *session);
     });
-    const std::string prom_out = cli.get("prom-out", "");
-    if (!prom_out.empty()) {
-      write_file(prom_out, "Prometheus metrics", [&](std::ostream& os) {
-        write_metrics_prometheus(os, session->snapshot());
-      });
-    }
-    if (session->trace_enabled()) {
-      const std::string trace_out = cli.get("trace-out", "trace.json");
-      write_file(trace_out, "Chrome trace", [&](std::ostream& os) {
-        write_chrome_trace(os, *session);
-      });
-      if (session->trace().dropped() > 0) {
-        std::printf("  (trace buffer full: %zu events dropped)\n",
-                    static_cast<std::size_t>(session->trace().dropped()));
-      }
+    if (session->trace().dropped() > 0) {
+      std::printf("  (trace buffer full: %zu events dropped)\n",
+                  static_cast<std::size_t>(session->trace().dropped()));
     }
   }
 
   // --report-out: drop the full provenance + three-axis + telemetry
   // manifest next to the console summary (DESIGN.md §13).
-  const std::string report_out = cli.get("report-out", "");
   if (!report_out.empty()) {
     report::RunReport rep("cli");
     rep.engine_spec = format_spec(spec);
@@ -411,6 +408,9 @@ int run(int argc, char** argv) {
               p1.epochs);
   std::printf("  time to convergence : %s\n",
               format_seconds(p1.seconds).c_str());
+  std::printf("  write conflicts     : %s / epoch\n",
+              format_count(static_cast<std::uint64_t>(
+                  engine->last_cost().write_conflicts)).c_str());
   return run.diverged ? 1 : 0;
 }
 

@@ -16,6 +16,9 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Numeric reads throw CheckError naming the flag and its value unless
+  /// the whole value parses (so `--epochs=10x`, `--epochs=` and a bare
+  /// `--epochs` are all rejected); an absent flag yields `fallback`.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

@@ -1,7 +1,6 @@
 // Minimal JSON document model + recursive-descent parser for the run-report
-// subsystem (DESIGN.md §13). Hand-rolled like core/export's writers — the
-// container ships no JSON dependency — but unlike those one-way writers
-// this one round-trips: parse(dump(v)) == v, and numbers are printed with
+// subsystem (DESIGN.md §13), hand-rolled with no external dependency. It
+// round-trips: parse(dump(v)) == v, and numbers are printed with
 // max_digits10 precision so every finite double survives bit-exactly.
 //
 // Scope: exactly what report files need. Objects preserve insertion order
@@ -78,6 +77,10 @@ class Json {
 /// Parses one JSON document (rejects trailing garbage). Throws CheckError
 /// with byte offset and context on malformed input.
 Json parse_json(const std::string& text);
+
+/// Escapes a string for embedding in a JSON document (quotes, backslashes
+/// and control characters; everything else passes through as UTF-8).
+std::string json_escape(const std::string& s);
 
 /// Formats a double so it parses back to the identical bit pattern
 /// (%.17g; "inf"/"nan" are not valid JSON and are clamped to null by

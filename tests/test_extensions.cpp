@@ -1,13 +1,11 @@
-// Tests for the library-surface extensions: step-size schedules, the
-// streaming stats accumulator, and the CSV/JSON result exporters.
+// Tests for the library-surface extensions: step-size schedules and the
+// streaming stats accumulator.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "core/export.hpp"
 #include "data/generator.hpp"
 #include "models/linear.hpp"
 #include "sgd/async_engine.hpp"
@@ -142,70 +140,6 @@ TEST(StreamingStatsTest, MergeEqualsCombined) {
   EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
   EXPECT_DOUBLE_EQ(a.percentile(0.5), all.percentile(0.5));
-}
-
-// ---- export ----
-
-ExportRow sample_row() {
-  ExportRow r;
-  r.task = "LR";
-  r.dataset = "rcv,1\"x";  // exercise escaping
-  r.update = "async";
-  r.arch = "cpu-par";
-  r.alpha = 0.1;
-  r.sec_per_epoch = 0.071;
-  r.ttc_1 = 4.64;
-  r.epochs_1 = 65;
-  return r;
-}
-
-TEST(Export, CsvEscaping) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("q\"q"), "\"q\"\"q\"");
-}
-
-TEST(Export, JsonEscaping) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-}
-
-TEST(Export, CsvRoundShape) {
-  std::ostringstream os;
-  write_csv(os, {sample_row()});
-  const std::string out = os.str();
-  // Header + one row.
-  EXPECT_NE(out.find("task,dataset,update,arch"), std::string::npos);
-  EXPECT_NE(out.find("\"rcv,1\"\"x\""), std::string::npos);
-  EXPECT_NE(out.find("4.64"), std::string::npos);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-}
-
-TEST(Export, JsonWellFormedEnough) {
-  std::ostringstream os;
-  write_json(os, {sample_row(), sample_row()});
-  const std::string out = os.str();
-  EXPECT_EQ(out.front(), '[');
-  EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
-            std::count(out.begin(), out.end(), '}') );
-  EXPECT_NE(out.find("\"epochs_1pct\":65"), std::string::npos);
-  EXPECT_NE(out.find("\"diverged\":false"), std::string::npos);
-}
-
-TEST(Export, FromConfigResult) {
-  ConfigResult r;
-  r.alpha = 0.5;
-  r.sec_per_epoch = 0.25;
-  r.ttc[0].reached = true;
-  r.ttc[0].seconds = 1.5;
-  r.ttc[3].reached = false;
-  const ExportRow row =
-      ExportRow::from(Task::kSvm, "news", Update::kSync, Arch::kGpu, r);
-  EXPECT_EQ(row.task, "SVM");
-  EXPECT_EQ(row.arch, "gpu");
-  EXPECT_DOUBLE_EQ(row.ttc_10, 1.5);
-  EXPECT_DOUBLE_EQ(row.ttc_1, -1.0);
-  EXPECT_DOUBLE_EQ(row.epochs_1, -1.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tier-1 coverage of the run-report subsystem (DESIGN.md §13): JSON
-// round-trip bit-stability, the three-axis math against a hand-computed
+// escaping and round-trip bit-stability, the three-axis math against a hand-computed
 // trajectory, the regression comparator's tolerance gates, schema-version
 // rejection, and the contract that reporting/heartbeat never perturbs a
 // training trajectory.
@@ -149,6 +149,31 @@ TEST(ReportJson, RoundTripIsBitStable) {
   EXPECT_EQ(b.metrics[1].count, 10u);
   ASSERT_EQ(b.kernels.size(), 1u);
   EXPECT_DOUBLE_EQ(b.kernels[0].atomic_cycles, 300.0);
+}
+
+TEST(ReportJson, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(report::json_escape("plain"), "plain");
+  EXPECT_EQ(report::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(report::json_escape("\t\r\x01"), "\\t\\r\\u0001");
+}
+
+TEST(ReportJson, UnobservedHistogramRoundTripsWithZeroQuantiles) {
+  telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
+  session.metrics().histogram("pool.queue_wait_ns");  // never observed
+  RunReport a("unit");
+  a.add_metrics(&session);
+  std::istringstream is(dump(a));
+  const RunReport b = report::read_report(is);
+  ASSERT_EQ(b.metrics.size(), 1u);
+  const telemetry::MetricSample& h = b.metrics[0];
+  EXPECT_EQ(h.name, "pool.queue_wait_ns");
+  EXPECT_EQ(h.kind, telemetry::MetricKind::kHistogram);
+  EXPECT_EQ(h.count, 0u);
+  EXPECT_EQ(h.value, 0.0);
+  EXPECT_EQ(h.p50, 0.0);
+  EXPECT_EQ(h.p90, 0.0);
+  EXPECT_EQ(h.p99, 0.0);
+  EXPECT_EQ(h.max, 0.0);
 }
 
 TEST(ReportJson, SeriesRoundTripsAndAbsenceStaysEmpty) {

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/report.hpp"
+#include "core/table.hpp"
 
 namespace parsgd {
 namespace {

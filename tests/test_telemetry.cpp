@@ -9,10 +9,11 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "core/export.hpp"
 #include "data/generator.hpp"
 #include "models/linear.hpp"
 #include "parallel/thread_pool.hpp"
+#include "report/chrome_trace.hpp"
+#include "report/report.hpp"
 #include "sgd/convergence.hpp"
 #include "sgd/spec.hpp"
 #include "telemetry/session.hpp"
@@ -221,7 +222,7 @@ TEST(TelemetryExport, ChromeTraceParsesBack) {
   session.trace().instant("watchdog.rollback", {{"epoch", 3.0}});
 
   std::ostringstream os;
-  write_chrome_trace(os, session);
+  report::write_chrome_trace(os, session);
   const std::string json = os.str();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   // Per-worker chunk spans, the epoch lane and the instant all survive.
@@ -230,28 +231,6 @@ TEST(TelemetryExport, ChromeTraceParsesBack) {
   EXPECT_NE(json.find("watchdog.rollback"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-}
-
-TEST(TelemetryExport, MetricsCsvAndPrometheus) {
-  TelemetrySession session(TelemetryMode::kMetrics);
-  session.metrics().counter("async.updates").add(7);
-  session.metrics().histogram("pool.queue_wait_ns").record(100.0);
-  const telemetry::MetricsSnapshot snap = session.metrics().snapshot();
-
-  std::ostringstream csv;
-  write_metrics_csv(csv, snap);
-  EXPECT_NE(csv.str().find("metric,kind,value,count,p50,p90,p99,max"),
-            std::string::npos);
-  EXPECT_NE(csv.str().find("async.updates,counter,7"), std::string::npos);
-  EXPECT_NE(csv.str().find("pool.queue_wait_ns,histogram"),
-            std::string::npos);
-
-  std::ostringstream prom;
-  write_metrics_prometheus(prom, snap);
-  EXPECT_NE(prom.str().find("# TYPE parsgd_async_updates counter"),
-            std::string::npos);
-  EXPECT_NE(prom.str().find("parsgd_pool_queue_wait_ns_count 1"),
-            std::string::npos);
 }
 
 // ---- spec grammar ---------------------------------------------------------
@@ -341,39 +320,15 @@ TEST(TelemetryTrajectory, EngineRunsFeedTheRegistry) {
   ASSERT_NE(snap.find("async.write_conflicts"), nullptr);
 }
 
-// ---- exporter golden files + concurrency ---------------------------------
-
-TEST(TelemetryExport, EmptyRegistryGoldenFiles) {
-  TelemetrySession session(TelemetryMode::kMetrics);
-  std::ostringstream csv;
-  write_metrics_csv(csv, session.snapshot());
-  EXPECT_EQ(csv.str(), "metric,kind,value,count,p50,p90,p99,max\n");
-  std::ostringstream prom;
-  write_metrics_prometheus(prom, session.snapshot());
-  EXPECT_EQ(prom.str(), "");
-}
-
-TEST(TelemetryExport, SingleSampleGoldenFiles) {
-  TelemetrySession session(TelemetryMode::kMetrics);
-  session.metrics().counter("epochs.completed").add(3);
-  std::ostringstream csv;
-  write_metrics_csv(csv, session.snapshot());
-  EXPECT_EQ(csv.str(),
-            "metric,kind,value,count,p50,p90,p99,max\n"
-            "epochs.completed,counter,3,0,0,0,0,0\n");
-  std::ostringstream prom;
-  write_metrics_prometheus(prom, session.snapshot());
-  EXPECT_EQ(prom.str(),
-            "# TYPE parsgd_epochs_completed counter\n"
-            "parsgd_epochs_completed 3\n");
-}
+// ---- exporter concurrency -------------------------------------------------
 
 TEST(TelemetryExport, ExportersSafeUnderConcurrentWriters) {
-  // Writers hammer every instrument kind while the main thread snapshots
-  // and renders all three exporters mid-flight. Values are racy lower
-  // bounds by design; the contract under test is that export never tears
-  // or crashes (run under TSan via scripts/check.sh).
-  TelemetrySession session(TelemetryMode::kMetrics);
+  // Writers hammer every instrument kind and the trace while the main
+  // thread snapshots and renders both channels mid-flight: the Chrome
+  // trace and a RunReport metrics section. Values are racy lower bounds
+  // by design; the contract under test is that export never tears or
+  // crashes (run under TSan via scripts/check.sh).
+  TelemetrySession session(TelemetryMode::kTrace);
   telemetry::Counter& c = session.metrics().counter("stress.count");
   telemetry::Gauge& g = session.metrics().gauge("stress.gauge");
   telemetry::Histogram& h = session.metrics().histogram("stress.hist");
@@ -386,16 +341,21 @@ TEST(TelemetryExport, ExportersSafeUnderConcurrentWriters) {
         c.inc();
         g.set(static_cast<double>(t));
         h.record(static_cast<double>(i % 1024));
+        if (i < 256) session.trace().instant("stress.mark");
         ++i;
       } while (!stop.load(std::memory_order_acquire));
     });
   }
   for (int round = 0; round < 50; ++round) {
-    std::ostringstream csv, prom;
-    write_metrics_csv(csv, session.snapshot());
-    write_metrics_prometheus(prom, session.snapshot());
-    EXPECT_NE(csv.str().find("stress.count"), std::string::npos);
-    EXPECT_NE(prom.str().find("parsgd_stress_hist"), std::string::npos);
+    std::ostringstream trace;
+    report::write_chrome_trace(trace, session);
+    EXPECT_TRUE(JsonChecker(trace.str()).valid());
+    report::RunReport rep("stress");
+    rep.add_metrics(&session);
+    std::ostringstream doc;
+    report::write_report(doc, rep);
+    EXPECT_NE(doc.str().find("\"stress.count\""), std::string::npos);
+    EXPECT_NE(doc.str().find("\"stress.hist\""), std::string::npos);
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : writers) t.join();
@@ -423,7 +383,7 @@ TEST(TelemetryExport, DroppedSpansSurfaceInSnapshotAndTrace) {
   EXPECT_EQ(dropped->value, 5.0);
 
   std::ostringstream os;
-  write_chrome_trace(os, session);
+  report::write_chrome_trace(os, session);
   EXPECT_NE(os.str().find("\"trace.dropped_spans\""), std::string::npos);
   EXPECT_NE(os.str().find("\"dropped\":5"), std::string::npos);
 }
@@ -433,7 +393,7 @@ TEST(TelemetryExport, CleanSessionOmitsDroppedSpansSample) {
   session.trace().instant("one");
   EXPECT_EQ(session.snapshot().find("trace.dropped_spans"), nullptr);
   std::ostringstream os;
-  write_chrome_trace(os, session);
+  report::write_chrome_trace(os, session);
   EXPECT_EQ(os.str().find("trace.dropped_spans"), std::string::npos);
 }
 
