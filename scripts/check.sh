@@ -120,11 +120,14 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 # The executor's concurrency (work-stealing deques, park/wake protocol,
 # atomic in-degree release) under ThreadSanitizer, plus the fault
 # injector's atomic counters and the supervisor's cross-worker gate.
+# The engine suite joins it: concurrent step search runs whole training
+# runs at once over one shared Model/TrainData, each on a private
+# executor with its metric log.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
     --target test_faults --target test_supervisor --target test_clustersim \
-    --target test_flight_recorder --target test_telemetry
+    --target test_flight_recorder --target test_telemetry --target test_engines
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
 "$TSAN_BUILD_DIR/tests/test_faults"
@@ -132,6 +135,7 @@ cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread
 "$TSAN_BUILD_DIR/tests/test_clustersim"
 "$TSAN_BUILD_DIR/tests/test_flight_recorder"
 "$TSAN_BUILD_DIR/tests/test_telemetry"
+"$TSAN_BUILD_DIR/tests/test_engines"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -145,4 +149,5 @@ echo "check.sh: tier-1 (simd + scalar) + fault sweep" \
      "+ ASan kernels/graph/supervisor/cluster/recorder/telemetry" \
      "/asyncsim/gpusim/replication" \
      "+ TSan graph/pool/faults/supervisor/cluster/recorder/telemetry" \
+     "/engines" \
      "+ regression smoke OK"

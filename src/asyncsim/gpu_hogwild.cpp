@@ -166,6 +166,7 @@ CostBreakdown GpuHogwild::run_epoch(std::span<real_t> w, real_t alpha,
       static_cast<std::size_t>(opts_.concurrency_warps) * kWarpSize;
   if (round_delta_.size() != model_.dim()) {
     round_delta_.assign(model_.dim(), 0);
+    round_seen_.assign(model_.dim(), false);
     round_touched_.clear();
     round_filled_ = 0;
   }
@@ -178,17 +179,20 @@ CostBreakdown GpuHogwild::run_epoch(std::span<real_t> w, real_t alpha,
     // base accumulates exactly the update).
     model_.example_step(x, data_.y[order[i]], alpha, w, round_delta_,
                         &touched);
-    round_touched_.insert(round_touched_.end(), touched.begin(),
-                          touched.end());
+    for (const index_t j : touched) {
+      if (!round_seen_[j]) {
+        round_seen_[j] = true;
+        round_touched_.push_back(j);
+      }
+    }
     if (++round_filled_ >= round) {
-      // atomicAdd semantics: all updates apply (summed), none lost.
-      std::sort(round_touched_.begin(), round_touched_.end());
-      round_touched_.erase(
-          std::unique(round_touched_.begin(), round_touched_.end()),
-          round_touched_.end());
+      // atomicAdd semantics: all updates apply (summed), none lost. Each
+      // coordinate is independent, so applying the distinct set in any
+      // order is bit-identical to a sorted sweep.
       for (const index_t j : round_touched_) {
         w[j] += round_delta_[j];
         round_delta_[j] = 0;
+        round_seen_[j] = false;
       }
       round_touched_.clear();
       round_filled_ = 0;

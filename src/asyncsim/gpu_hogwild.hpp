@@ -63,8 +63,11 @@ class GpuHogwild {
   std::optional<gpusim::KernelStats> epoch_stats_;
   // Round state persists across epochs: a device-wide round of
   // concurrency x 32 in-flight examples may span several scaled epochs.
+  // The touched set is kept distinct as it fills (a d-bit seen-mask), so
+  // a round costs O(distinct indices) however many examples it spans.
   std::vector<real_t> round_delta_;
-  std::vector<index_t> round_touched_;
+  std::vector<index_t> round_touched_;  ///< distinct, in first-touch order
+  std::vector<bool> round_seen_;        ///< bit j: j is in round_touched_
   std::size_t round_filled_ = 0;
 };
 

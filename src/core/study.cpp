@@ -8,6 +8,7 @@
 #include "data/mlp_view.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 
@@ -205,13 +206,24 @@ ConfigResult Study::config_result(Task task, const std::string& name,
       make_search_options(opts_, task, g.dense, full_epochs);
 
   // One step search per spec: every engine comes out of the factory.
+  // Async searches run their probes and candidates concurrently on the
+  // pool: asyncsim and the warp replay are serial by design, so the pool
+  // is otherwise idle. Sync engines are data-parallel inside each epoch
+  // and already use it, so their searches stay serial (and keep one
+  // engine's buffers live at a time).
   auto search = [&](const EngineSpec& spec) {
     StepSearchOptions so = sopts;
     so.label = format_spec(spec);  // names the cell in diagnostics
-    auto make_run = [&](double alpha, std::size_t epochs) {
+    if (spec.update == Update::kAsync) {
+      so.pool = opts_.pool != nullptr ? opts_.pool : &ThreadPool::global();
+    }
+    auto make_run = [&](double alpha, std::size_t epochs,
+                        ThreadPool* executor) {
       TrainOptions t = so.train;
       t.max_epochs = epochs;
-      const std::unique_ptr<Engine> engine = make_engine(spec, g.ctx);
+      EngineContext ctx = g.ctx;
+      if (executor != nullptr) ctx.pool = executor;
+      const std::unique_ptr<Engine> engine = make_engine(spec, ctx);
       return run_training(*engine, *g.model, g.train, g.w0,
                           static_cast<real_t>(alpha), t);
     };

@@ -32,12 +32,19 @@ inline void chunk_range(std::size_t n, std::size_t chunks, std::size_t c,
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  start_workers(threads == 0
+                    ? std::max(1u, std::thread::hardware_concurrency())
+                    : threads);
+}
+
+ThreadPool::ThreadPool(NoWorkers) { start_workers(0); }
+
+void ThreadPool::start_workers(std::size_t threads) {
   // Spinning only pays off when another hardware thread can make progress
-  // while we spin; on a 1-core host park immediately instead.
-  spin_iters_ = std::thread::hardware_concurrency() > 1 ? 4096 : 0;
+  // while we spin; on a 1-core host (or with no workers to wait for) park
+  // immediately instead.
+  spin_iters_ =
+      threads > 0 && std::thread::hardware_concurrency() > 1 ? 4096 : 0;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -219,8 +226,10 @@ void ThreadPool::finish_job() {
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t chunks =
-      std::min(n, workers_.size() * kChunksPerWorker);
+  // A NoWorkers pool keeps a one-worker grid so its chunk hook and
+  // telemetry still see chunks; the caller drains them all.
+  const std::size_t chunks = std::min(
+      n, std::max<std::size_t>(workers_.size(), 1) * kChunksPerWorker);
   if (chunks <= 1) {
     fn(0, n);
     return;

@@ -17,6 +17,12 @@
 //  * Exceptions from chunk bodies propagate to the caller (first one
 //    wins) after every chunk has run, exactly like the original
 //    queue-based pool.
+//  * A pool built with NoWorkers has the calling thread as its only
+//    participant: every job runs on the caller, with the same chunk
+//    grid, hooks and telemetry as a one-worker pool. It is the private
+//    executor of a run that itself executes on another pool's thread
+//    (concurrent step search, DESIGN.md §5), where the shared pool's
+//    non-reentrant jobs and live-job CHECKs would otherwise trip.
 //
 // The pool is honest parallel code: it spawns real std::threads, so on a
 // many-core host it scales; on the 4-core reproduction host it still runs
@@ -42,6 +48,10 @@ class ThreadPool {
  public:
   /// Creates `threads` workers. 0 means hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
+  /// Tag for a pool without workers: size() is 0 and every job runs on
+  /// the calling thread.
+  struct NoWorkers {};
+  explicit ThreadPool(NoWorkers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -57,7 +67,8 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Runs fn(worker_index) once on each of size() workers and blocks.
+  /// Runs fn(worker_index) once on each of size() workers and blocks
+  /// (nothing runs on a NoWorkers pool).
   void run_on_all(const std::function<void(std::size_t)>& fn);
 
   /// run_on_all with the calling thread enlisted too: fn runs on every
@@ -92,6 +103,7 @@ class ThreadPool {
  private:
   enum class JobKind { kParallelFor, kRunOnAll };
 
+  void start_workers(std::size_t threads);
   void worker_loop(std::size_t index);
   void drain_chunks();
   void publish_job(JobKind kind,

@@ -1,16 +1,65 @@
 #include "sgd/stepsize.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "parallel/thread_pool.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace parsgd {
 
-StepSearchResult search_step_size(
-    const std::function<RunResult(double, std::size_t)>& make_run,
-    const StepSearchOptions& opts) {
+namespace {
+
+/// One phase of the search: make_run(alphas[i], epochs) for every i, in
+/// index order. With a pool the runs execute concurrently (see
+/// StepSearchOptions::pool) and the results are the serial ones.
+std::vector<RunResult> run_phase(const StepRunFn& make_run,
+                                 const std::vector<double>& alphas,
+                                 std::size_t epochs, ThreadPool* pool) {
+  const std::size_t n = alphas.size();
+  std::vector<RunResult> runs(n);
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      runs[i] = make_run(alphas[i], epochs, nullptr);
+    }
+    return runs;
+  }
+  std::vector<telemetry::MetricLog> logs(n);
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> first_failed{n};
+  pool->run_on_all_with_caller([&](std::size_t) {
+    // Runs are claimed in index order, so every run below a failing one
+    // has already been claimed and finishes; later ones are not started.
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      if (i > first_failed.load()) break;
+      ThreadPool executor{ThreadPool::NoWorkers{}};
+      const telemetry::MetricLog::Scope scope(logs[i]);
+      try {
+        runs[i] = make_run(alphas[i], epochs, &executor);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        std::size_t cur = first_failed.load();
+        while (i < cur && !first_failed.compare_exchange_weak(cur, i)) {
+        }
+      }
+    }
+  });
+  // Replay up to (and including) the serial search's failure point.
+  const std::size_t failed = first_failed.load();
+  for (std::size_t i = 0; i < n && i <= failed; ++i) logs[i].replay();
+  if (failed < n) std::rethrow_exception(errors[failed]);
+  return runs;
+}
+
+}  // namespace
+
+StepSearchResult search_step_size(const StepRunFn& make_run,
+                                  const StepSearchOptions& opts) {
   PARSGD_CHECK(!opts.grid.empty());
 
   // Phase 1: short probes; rank by best loss achieved.
@@ -20,8 +69,11 @@ StepSearchResult search_step_size(
   };
   std::vector<Probe> probes;
   StepSearchResult result;
-  for (const double alpha : opts.grid) {
-    const RunResult r = make_run(alpha, opts.probe_epochs);
+  const std::vector<RunResult> probe_runs =
+      run_phase(make_run, opts.grid, opts.probe_epochs, opts.pool);
+  for (std::size_t i = 0; i < opts.grid.size(); ++i) {
+    const double alpha = opts.grid[i];
+    const RunResult& r = probe_runs[i];
     result.probed.push_back(alpha);
     if (r.diverged && r.losses.size() <= 2) {  // hopeless
       result.diverged_probes.push_back(alpha);
@@ -48,19 +100,11 @@ StepSearchResult search_step_size(
   probes.resize(std::min(probes.size(), opts.keep_candidates));
 
   // Phase 2: full runs of the candidates.
-  struct Candidate {
-    double alpha;
-    RunResult run;
-  };
-  std::vector<Candidate> full;
-  for (const auto& p : probes) {
-    full.push_back({p.alpha, make_run(p.alpha, opts.full_epochs)});
-  }
-
-  std::vector<RunResult> runs;
-  runs.reserve(full.size());
-  for (auto& c : full) runs.push_back(c.run);
-  const double optimum = optimal_loss(runs);
+  std::vector<double> alphas;
+  for (const auto& p : probes) alphas.push_back(p.alpha);
+  std::vector<RunResult> full =
+      run_phase(make_run, alphas, opts.full_epochs, opts.pool);
+  const double optimum = optimal_loss(full);
   result.optimum = optimum;
 
   // Pick: fewest epochs to within target_fraction of the optimum; if none
@@ -71,20 +115,20 @@ StepSearchResult search_step_size(
   bool any_reached = false;
   for (std::size_t i = 0; i < full.size(); ++i) {
     const ConvergencePoint p =
-        convergence_point(full[i].run, optimum, opts.target_fraction);
+        convergence_point(full[i], optimum, opts.target_fraction);
     if (p.reached) {
       if (!any_reached || p.epochs < best_epochs) {
         any_reached = true;
         best_epochs = p.epochs;
         best_idx = i;
       }
-    } else if (!any_reached && full[i].run.best_loss() < best_loss_val) {
-      best_loss_val = full[i].run.best_loss();
+    } else if (!any_reached && full[i].best_loss() < best_loss_val) {
+      best_loss_val = full[i].best_loss();
       best_idx = i;
     }
   }
-  result.alpha = full[best_idx].alpha;
-  result.run = std::move(full[best_idx].run);
+  result.alpha = alphas[best_idx];
+  result.run = std::move(full[best_idx]);
   return result;
 }
 

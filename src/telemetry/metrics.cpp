@@ -15,6 +15,32 @@ std::size_t thread_slot() {
   return slot;
 }
 
+namespace detail {
+
+constinit thread_local MetricLog* t_metric_log = nullptr;
+
+void defer(MetricKind kind, void* instrument, double v) {
+  t_metric_log->ops_.push_back({kind, instrument, v});
+}
+
+}  // namespace detail
+
+void MetricLog::replay() const {
+  for (const Op& op : ops_) {
+    switch (op.kind) {
+      case MetricKind::kCounter:
+        static_cast<Counter*>(op.instrument)->add(op.v);
+        break;
+      case MetricKind::kGauge:
+        static_cast<Gauge*>(op.instrument)->set(op.v);
+        break;
+      case MetricKind::kHistogram:
+        static_cast<Histogram*>(op.instrument)->record(op.v);
+        break;
+    }
+  }
+}
+
 namespace {
 
 /// Bucket of a non-negative sample: 0 for v < 1, else 1 + floor(log2 v),
@@ -41,6 +67,10 @@ double bucket_floor(std::size_t b) {
 }  // namespace
 
 void Histogram::record(double v) {
+  if (detail::t_metric_log != nullptr) [[unlikely]] {
+    detail::defer(MetricKind::kHistogram, this, v);
+    return;
+  }
   if (std::isnan(v)) return;
   if (v < 0) v = 0;
   Slot& s = slots_[thread_slot()];

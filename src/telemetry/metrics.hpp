@@ -13,6 +13,12 @@
 //  * Handles are stable: the registry owns instruments behind unique_ptr,
 //    so a Counter* fetched once stays valid for the registry's lifetime
 //    and can be cached in hot structures (ThreadPool does this).
+//  * Deferrable: while a MetricLog is installed on a thread, that
+//    thread's updates are appended to the log instead of applied, and
+//    MetricLog::replay() applies them later in recorded order. Runs that
+//    execute concurrently replay their logs in run order, so every
+//    aggregate (including order-sensitive fractional sums) equals the
+//    serial one. The extra hot-path cost is one thread-local test.
 #pragma once
 
 #include <array>
@@ -33,10 +39,26 @@ namespace parsgd::telemetry {
 inline constexpr std::size_t kMaxThreadSlots = 64;
 std::size_t thread_slot();
 
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+const char* to_string(MetricKind k);
+
+class MetricLog;
+
+namespace detail {
+/// The calling thread's installed log (MetricLog::Scope); null when
+/// updates apply directly.
+extern constinit thread_local MetricLog* t_metric_log;
+void defer(MetricKind kind, void* instrument, double v);
+}  // namespace detail
+
 /// Monotonically increasing sum, sharded per thread.
 class Counter {
  public:
   void add(double v) {
+    if (detail::t_metric_log != nullptr) [[unlikely]] {
+      detail::defer(MetricKind::kCounter, this, v);
+      return;
+    }
     slots_[thread_slot()].v.fetch_add(v, std::memory_order_relaxed);
   }
   void inc() { add(1.0); }
@@ -63,7 +85,13 @@ class Counter {
 /// sets are rare (per job / per epoch), never per update.
 class Gauge {
  public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
+  void set(double v) {
+    if (detail::t_metric_log != nullptr) [[unlikely]] {
+      detail::defer(MetricKind::kGauge, this, v);
+      return;
+    }
+    v_.store(v, std::memory_order_relaxed);
+  }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -99,8 +127,40 @@ class Histogram {
   std::array<Slot, kMaxThreadSlots> slots_;
 };
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
-const char* to_string(MetricKind k);
+/// Instrument updates recorded for later, in order (see the header
+/// comment). Install one on a thread with Scope; replay() on the thread
+/// that should own the updates. The instruments must outlive the log's
+/// replay.
+class MetricLog {
+ public:
+  /// Routes the calling thread's updates into `log` for the scope's
+  /// lifetime, restoring the previously installed log (if any) after.
+  class Scope {
+   public:
+    explicit Scope(MetricLog& log) : prev_(detail::t_metric_log) {
+      detail::t_metric_log = &log;
+    }
+    ~Scope() { detail::t_metric_log = prev_; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    MetricLog* prev_;
+  };
+
+  /// Applies every recorded update in order on the calling thread (into
+  /// its installed log, if it has one).
+  void replay() const;
+
+ private:
+  friend void detail::defer(MetricKind, void*, double);
+  struct Op {
+    MetricKind kind;
+    void* instrument;
+    double v;
+  };
+  std::vector<Op> ops_;
+};
 
 /// One aggregated instrument, ready for export. Counters/gauges fill
 /// `value`; histograms fill count/sum/quantiles (`value` = sum).

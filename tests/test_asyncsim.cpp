@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -330,6 +331,88 @@ TEST(GpuHogwild, RoundStalenessHurtsDenseData) {
 
   EXPECT_LE(lr.dataset_loss(data, w_seq, false),
             lr.dataset_loss(data, w_gpu, false) * 1.05);
+}
+
+/// The round semantics spelled out naively: every touched index of a
+/// round is collected, then sorted and deduplicated at the round's end.
+std::vector<real_t> naive_hogwild_rounds(const Model& model,
+                                         const TrainData& data,
+                                         std::size_t round,
+                                         std::size_t epochs, real_t alpha,
+                                         std::vector<real_t> w, Rng& rng) {
+  std::vector<real_t> delta(model.dim(), 0);
+  std::vector<index_t> pending, touched;
+  std::size_t filled = 0;
+  for (std::size_t e = 0; e < epochs; ++e) {
+    std::vector<std::uint32_t> order(data.n());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<std::uint32_t>(i);
+    }
+    rng.shuffle(order);
+    for (const std::uint32_t i : order) {
+      model.example_step(data.example(i, false), data.y[i], alpha, w, delta,
+                         &touched);
+      pending.insert(pending.end(), touched.begin(), touched.end());
+      if (++filled >= round) {
+        std::sort(pending.begin(), pending.end());
+        pending.erase(std::unique(pending.begin(), pending.end()),
+                      pending.end());
+        for (const index_t j : pending) {
+          w[j] += delta[j];
+          delta[j] = 0;
+        }
+        pending.clear();
+        filled = 0;
+      }
+    }
+  }
+  return w;
+}
+
+TEST(GpuHogwild, DistinctRoundSetMatchesSortUniqueReference) {
+  // 37 examples over 12 features: every feature is touched by many
+  // examples of a round and again in the next round. Rounds of 32 and 96
+  // examples straddle epoch boundaries (and span several epochs).
+  const std::size_t n = 37, d = 12;
+  Rng gen(5);
+  CsrMatrix::Builder b(d);
+  std::vector<real_t> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<index_t> idx;
+    std::vector<real_t> val;
+    for (index_t j = 0; j < d; ++j) {
+      if (gen.uniform() < 0.4) {
+        idx.push_back(j);
+        val.push_back(static_cast<real_t>(gen.normal(0.0, 1.0)));
+      }
+    }
+    b.add_row(idx, val);
+    y[i] = gen.uniform() < 0.5 ? real_t(-1) : real_t(1);
+  }
+  const CsrMatrix x = std::move(b).build();
+  TrainData data;
+  data.sparse = &x;
+  data.y = y;
+  LogisticRegression lr(d);
+  for (const int warps : {1, 3}) {
+    SCOPED_TRACE(warps);
+    gpusim::Device dev(paper_gpu());
+    GpuHogwildOptions opts;
+    opts.instrument_warps = 2;
+    opts.concurrency_warps = warps;
+    GpuHogwild hog(lr, data, dev, opts);
+    std::vector<real_t> w = lr.init_params(3);
+    const std::vector<real_t> w0 = w;
+    Rng rng(11);
+    const std::size_t epochs = 7;
+    for (std::size_t e = 0; e < epochs; ++e) hog.run_epoch(w, real_t(0.3), rng);
+    Rng ref_rng(11);
+    const std::vector<real_t> ref = naive_hogwild_rounds(
+        lr, data, static_cast<std::size_t>(warps) * 32, epochs, real_t(0.3),
+        w0, ref_rng);
+    EXPECT_EQ(w, ref);
+    EXPECT_NE(w, w0);
+  }
 }
 
 TEST(GpuHogwild, RejectsDenseUpdateModels) {

@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "data/generator.hpp"
 #include "data/mlp_view.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sgd/async_engine.hpp"
 #include "sgd/convergence.hpp"
+#include "sgd/spec.hpp"
 #include "sgd/stepsize.hpp"
 #include "sgd/sync_engine.hpp"
+#include "telemetry/session.hpp"
 
 namespace parsgd {
 namespace {
@@ -212,7 +221,7 @@ TEST(Convergence, OptimalLossAcrossRuns) {
 TEST(StepSearch, PicksKnownBestAlpha) {
   // Synthetic engine: loss decays geometrically with rate depending on
   // alpha; alpha=0.01 is fastest; larger alphas diverge.
-  auto make_run = [](double alpha, std::size_t epochs) {
+  auto make_run = [](double alpha, std::size_t epochs, ThreadPool*) {
     RunResult r;
     r.initial_loss = 100;
     double loss = 100;
@@ -241,7 +250,7 @@ TEST(StepSearch, PicksKnownBestAlpha) {
 }
 
 TEST(StepSearch, AllDivergentReportsFailure) {
-  auto make_run = [](double, std::size_t) {
+  auto make_run = [](double, std::size_t, ThreadPool*) {
     RunResult r;
     r.initial_loss = 1;
     r.losses = {1e9};
@@ -256,6 +265,157 @@ TEST(StepSearch, AllDivergentReportsFailure) {
   EXPECT_TRUE(res.run.diverged);
   EXPECT_TRUE(std::isinf(res.optimum));
   EXPECT_EQ(res.diverged_probes, (std::vector<double>{1.0, 10.0}));
+}
+
+TEST(StepSearch, ConcurrentSearchMatchesSerialOnRealEngines) {
+  // Hogbatch task graphs (cpu-par) and the warp-synchronous rounds (gpu)
+  // run on each run's private executor; the search result and every
+  // simulated counter must be the serial search's, bit for bit.
+  Fixture f("w8a");
+  for (const char* text :
+       {"async/cpu-par/sparse:batch=16", "async/gpu/sparse"}) {
+    SCOPED_TRACE(text);
+    const EngineSpec spec = parse_spec(text);
+    auto search = [&](ThreadPool* pool) {
+      EngineContext base = make_engine_context(f.ds, f.lr, Layout::kSparse);
+      base.telemetry = std::make_shared<telemetry::TelemetrySession>(
+          telemetry::TelemetryMode::kMetrics);
+      auto make_run = [&](double alpha, std::size_t epochs,
+                          ThreadPool* executor) {
+        EngineContext ctx = base;
+        if (executor != nullptr) ctx.pool = executor;
+        const std::unique_ptr<Engine> engine = make_engine(spec, ctx);
+        TrainOptions t;
+        t.max_epochs = epochs;
+        return run_training(*engine, f.lr, f.data, f.w0,
+                            static_cast<real_t>(alpha), t);
+      };
+      StepSearchOptions opts;
+      opts.grid = {1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0};
+      opts.probe_epochs = 3;
+      opts.full_epochs = 8;
+      opts.pool = pool;
+      return std::make_pair(search_step_size(make_run, opts),
+                            base.telemetry->snapshot());
+    };
+    const auto [serial, serial_metrics] = search(nullptr);
+    ThreadPool pool(3);
+    const auto [concurrent, concurrent_metrics] = search(&pool);
+    EXPECT_EQ(concurrent.alpha, serial.alpha);
+    EXPECT_EQ(concurrent.probed, serial.probed);
+    EXPECT_EQ(concurrent.diverged_probes, serial.diverged_probes);
+    EXPECT_EQ(concurrent.failed, serial.failed);
+    EXPECT_EQ(concurrent.optimum, serial.optimum);
+    EXPECT_EQ(concurrent.run.initial_loss, serial.run.initial_loss);
+    EXPECT_EQ(concurrent.run.losses, serial.run.losses);
+    EXPECT_EQ(concurrent.run.epoch_seconds, serial.run.epoch_seconds);
+    for (const telemetry::MetricSample& m : serial_metrics.samples) {
+      if (m.name.rfind("async.", 0) != 0 && m.name.rfind("gpu.", 0) != 0) {
+        continue;
+      }
+      const telemetry::MetricSample* c = concurrent_metrics.find(m.name);
+      ASSERT_NE(c, nullptr) << m.name;
+      EXPECT_EQ(c->value, m.value) << m.name;
+    }
+  }
+}
+
+/// Blocks until `n` runs have entered (or 10 s passed), so the runs of a
+/// concurrent phase are forced onto distinct pool participants.
+void rendezvous(std::atomic<std::size_t>& entered, std::size_t n) {
+  entered.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (entered.load() < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+RunResult flat_run(std::size_t epochs) {
+  RunResult r;
+  r.initial_loss = 1;
+  r.losses.assign(epochs, 0.5);
+  r.epoch_seconds.assign(epochs, 1.0);
+  return r;
+}
+
+TEST(StepSearch, ConcurrentMetricsReplayInRunOrder) {
+  // Run 0 adds 1e16; every later run adds 1.0 twice. In run order each
+  // 1.0 is absorbed by round-half-to-even (1e16 + 1 == 1e16), so the
+  // serial counter reads exactly 1e16. Summed per thread instead, the
+  // ones meet first and the counter reads 1e16 + 6. Only replaying each
+  // run's updates in run order reproduces the serial bits.
+  const std::vector<double> grid = {1e-3, 1e-2, 1e-1, 1.0};
+  auto counter_after_search = [&](ThreadPool* pool) {
+    telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
+    telemetry::Counter& c = session.metrics().counter("test.order");
+    std::atomic<std::size_t> entered{0};
+    auto make_run = [&](double alpha, std::size_t epochs,
+                        ThreadPool* executor) {
+      if (epochs == 2) {  // the probes
+        if (executor != nullptr) rendezvous(entered, grid.size());
+        if (alpha == grid[0]) {
+          c.add(1e16);
+        } else {
+          c.add(1.0);
+          c.add(1.0);
+        }
+      }
+      return flat_run(epochs);
+    };
+    StepSearchOptions opts;
+    opts.grid = grid;
+    opts.probe_epochs = 2;
+    opts.full_epochs = 3;
+    opts.pool = pool;
+    search_step_size(make_run, opts);
+    return c.value();
+  };
+  const double serial = counter_after_search(nullptr);
+  EXPECT_EQ(serial, 1e16);
+  ThreadPool pool(3);  // four participants: one probe each
+  EXPECT_EQ(counter_after_search(&pool), serial);
+}
+
+TEST(StepSearch, ConcurrentFailureRethrowsLowestIndexAfterInFlightRuns) {
+  // Grid indices 2 and 5 throw. A serial search dies at index 2; so must
+  // the concurrent one, whichever failure happens first in wall time,
+  // and only after every run it started has returned. Metrics of the
+  // runs a serial search would have reached (0..2) are kept.
+  const std::vector<double> grid = {1e-4, 1e-3, 1e-2, 1e-1,
+                                    1.0,  10.0, 100.0};
+  for (const bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "concurrent" : "serial");
+    telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
+    telemetry::Counter& runs = session.metrics().counter("test.runs");
+    std::atomic<int> started{0}, finished{0};
+    auto make_run = [&](double alpha, std::size_t epochs, ThreadPool*) {
+      ++started;
+      runs.inc();
+      const std::size_t i = static_cast<std::size_t>(
+          std::find(grid.begin(), grid.end(), alpha) - grid.begin());
+      // Later failures finish first in wall time.
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 2 ? 30 : 2));
+      ++finished;
+      if (i == 2 || i == 5) {
+        throw std::runtime_error("run " + std::to_string(i));
+      }
+      return flat_run(epochs);
+    };
+    ThreadPool pool(3);
+    StepSearchOptions opts;
+    opts.grid = grid;
+    opts.probe_epochs = 2;
+    opts.pool = concurrent ? &pool : nullptr;
+    try {
+      search_step_size(make_run, opts);
+      ADD_FAILURE() << "search did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "run 2");
+    }
+    EXPECT_EQ(started.load(), finished.load());
+    EXPECT_EQ(runs.value(), 3.0);
+  }
 }
 
 TEST(RunTraining, PlateauStopsEarly) {

@@ -242,6 +242,29 @@ TEST(TaskGraph, SingleWorkerPoolStillDrains) {
   EXPECT_EQ(sum.load(), 33);
 }
 
+TEST(TaskGraph, NoWorkersPoolDrainsEverythingOnCaller) {
+  // One lane, the caller's: a multi-task graph still honours every edge.
+  ThreadPool pool{ThreadPool::NoWorkers{}};
+  TaskGraph g(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  std::vector<TaskGraph::TaskId> layer;
+  for (int i = 0; i < 8; ++i) {
+    layer.push_back(g.add([&, i] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    }));
+  }
+  g.add([&] { order.push_back(99); },
+        std::span<const TaskGraph::TaskId>(layer));
+  g.run();
+  ASSERT_EQ(order.size(), 9u);
+  EXPECT_EQ(order.back(), 99);
+  std::vector<int> roots(order.begin(), order.end() - 1);
+  std::sort(roots.begin(), roots.end());
+  EXPECT_EQ(roots, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 // ---- step-path determinism contract ----------------------------------
 
 /// Synthetic sparse LR problem, large enough that kGraphMinBatch-sized

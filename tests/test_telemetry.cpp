@@ -169,6 +169,40 @@ TEST(TelemetryMetrics, CounterAggregatesAcrossPoolSizes) {
   }
 }
 
+TEST(TelemetryMetrics, MetricLogDefersUpdatesAndReplaysInOrder) {
+  TelemetrySession session(TelemetryMode::kMetrics);
+  telemetry::MetricsRegistry& reg = session.metrics();
+  telemetry::Counter& c = reg.counter("test.sum");
+  telemetry::Gauge& g = reg.gauge("test.level");
+  telemetry::Histogram& h = reg.histogram("test.sizes");
+  telemetry::MetricLog outer, inner;
+  {
+    const telemetry::MetricLog::Scope scope(outer);
+    c.add(1e16);
+    g.set(2.0);
+    {
+      const telemetry::MetricLog::Scope nested(inner);
+      h.record(8.0);
+    }
+    c.add(1.0);  // the outer log is back in place
+    g.set(3.0);
+  }
+  // Nothing applied yet.
+  EXPECT_EQ(c.value(), 0.0);
+  EXPECT_EQ(g.value(), 0.0);
+  EXPECT_EQ(h.count(), 0u);
+
+  c.add(1.0);  // applied directly: no log installed here
+  outer.replay();
+  inner.replay();
+  // In recorded order each 1.0 meets 1e16 alone and rounds away (half to
+  // even); had the two ones met first, the sum would read 1e16 + 2.
+  EXPECT_EQ(c.value(), 1e16);
+  EXPECT_EQ(g.value(), 3.0);  // last set wins
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.sum(), 8.0);
+}
+
 TEST(TelemetryMetrics, HistogramQuantilesInterpolateInTerminalBucket) {
   telemetry::Histogram h;
   for (int i = 0; i < 100; ++i) h.record(3.0);  // bucket [2, 4)

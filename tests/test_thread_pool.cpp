@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <numeric>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "telemetry/session.hpp"
 
 namespace parsgd {
 namespace {
@@ -236,6 +238,65 @@ TEST(ThreadPool, ChunksAreDisjointAndOrdered) {
     expect = hi;
   }
   EXPECT_EQ(expect, 103u);
+}
+
+// ---- worker-less pools: every job runs on the calling thread ----------
+
+TEST(ThreadPool, NoWorkersPoolRunsParallelForOnCaller) {
+  ThreadPool pool{ThreadPool::NoWorkers{}};
+  EXPECT_EQ(pool.size(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(103, 0);  // no atomics: one thread only
+  std::size_t calls = 0;
+  pool.parallel_for(hits.size(), [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_EQ(calls, ThreadPool::kChunksPerWorker);  // a one-worker grid
+}
+
+TEST(ThreadPool, NoWorkersPoolRunOnAllWithCallerRunsOnlyTheCaller) {
+  ThreadPool pool{ThreadPool::NoWorkers{}};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> seen;
+  pool.run_on_all_with_caller([&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    seen.push_back(i);
+  });
+  EXPECT_EQ(seen, std::vector<std::size_t>{0});
+  EXPECT_THROW(pool.run_on_all_with_caller(
+                   [](std::size_t) { throw std::runtime_error("caller"); }),
+               std::runtime_error);
+}
+
+TEST(ThreadPool, NoWorkersPoolTakesChunkHookAndTelemetry) {
+  // The live-job CHECKs of set_chunk_hook / set_telemetry pass between
+  // jobs, and both seams see every chunk, drained by the caller.
+  ThreadPool pool{ThreadPool::NoWorkers{}};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> hooked;
+  pool.set_chunk_hook([&](std::size_t c) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    hooked.push_back(c);
+  });
+  telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
+  {
+    PoolTelemetryGuard guard(pool, &session);
+    pool.parallel_for(50, [](std::size_t, std::size_t) {});
+  }
+  pool.set_chunk_hook(nullptr);
+  EXPECT_EQ(hooked, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(session.metrics().counter("pool.jobs").value(), 1.0);
+  EXPECT_EQ(session.metrics().counter("pool.chunks").value(), 4.0);
+  EXPECT_EQ(session.metrics().counter("pool.wakeups").value(), 0.0);
+}
+
+TEST(ThreadPool, SizedConstructorsKeepTheirWorkerCounts) {
+  EXPECT_EQ(ThreadPool(3).size(), 3u);
+  EXPECT_EQ(ThreadPool(0).size(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace
