@@ -53,7 +53,6 @@ report::ClusterSlice slice_of(const Engine& engine) {
   s.net_bytes = ce->last_cost().net_bytes;
   s.net_seconds = ce->last_net_seconds();
   s.stale_units = ce->last_stats().stale_units;
-  s.node_recoveries = static_cast<double>(ce->last_stats().node_recoveries);
   return s;
 }
 

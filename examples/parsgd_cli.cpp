@@ -47,7 +47,7 @@ namespace {
                " --arch=cpu-seq|cpu-par|gpu)\n"
                "       [--alpha=0.1] [--epochs=60] [--threads=56]\n"
                "       [--scale=200] [--seed=42]\n"
-               "       [--watchdog] [--resilience=off|watchdog|full]\n"
+               "       [--watchdog]\n"
                "       [--checkpoint=<path>] [--checkpoint-every=N|Ts]"
                " [--resume=<path>]\n"
                "       [--telemetry=off|metrics|trace]"
@@ -207,57 +207,42 @@ int run(int argc, char** argv) {
       static_cast<int>(log_level()) > static_cast<int>(LogLevel::kInfo)) {
     set_log_level(LogLevel::kInfo);  // heartbeats log at INFO
   }
-  // --watchdog is an alias for resilience=watchdog; --resilience
-  // overrides both it and a resilience= key in the spec string. The
-  // resolved mode becomes the supervisor policy (DESIGN.md §16).
-  if (cli.get_bool("watchdog", false) &&
-      spec.resilience == ResilienceMode::kOff) {
-    spec.resilience = ResilienceMode::kWatchdog;
+  // --watchdog is an alias for a resilience=watchdog key in the spec
+  // string (DESIGN.md §11). The removed --resilience flag fails loudly
+  // rather than silently training without the policy it asked for.
+  if (cli.has("resilience")) {
+    usage("--resilience was removed; use --watchdog or a "
+          "resilience=watchdog spec key");
   }
-  if (const std::string res_arg = cli.get("resilience", "");
-      !res_arg.empty()) {
-    const std::optional<ResilienceMode> mode =
-        parse_resilience_mode(res_arg);
-    if (!mode) {
-      usage(("unknown --resilience mode '" + res_arg +
-             "' (expected off, watchdog or full)").c_str());
-    }
-    spec.resilience = *mode;
-  }
-  t.supervisor = supervisor_options_for(spec.resilience);
+  if (cli.get_bool("watchdog", false)) spec.watchdog = true;
+  t.watchdog = spec.watchdog;
   // Flight recorder + attribution (DESIGN.md §18): the record= spec key
-  // seeds the cadence, --record overrides it (like --telemetry).
-  t.record_ms = spec.record_ms;
+  // seeds the cadence, --record overrides it (like --telemetry) and
+  // shares the spec grammar's record= parser.
   if (const std::string rec_arg = cli.get("record", ""); !rec_arg.empty()) {
-    if (rec_arg == "off") {
-      t.record_ms = 0;
-      spec.record_ms = 0;
-    } else {
-      std::string ms = rec_arg;
-      if (ms.size() > 2 && ms.compare(ms.size() - 2, 2, "ms") == 0) {
-        ms.resize(ms.size() - 2);
-      }
-      const double cadence = std::atof(ms.c_str());
-      if (cadence <= 0) usage("--record needs 'off' or a positive ms value");
-      t.record_ms = cadence;
-      spec.record_ms = cadence;
-    }
+    const std::optional<double> ms = parse_record_ms(rec_arg);
+    if (!ms) usage("--record needs 'off' or a positive ms value");
+    spec.record_ms = *ms;
   }
+  t.record_ms = spec.record_ms;
   t.status_path = cli.get("status-file", "");
   t.attribute = cli.get_bool("attribute", false);
   t.checkpoint_path = cli.get("checkpoint", "");
-  // --checkpoint-every=N (epochs) or =Ts (host seconds, e.g. "2.5s").
+  // --checkpoint-every=N (epochs) or =Ts (host seconds, e.g. "2.5s");
+  // the number must be the whole value, like every other numeric flag.
   if (const std::string ck_every = cli.get("checkpoint-every", "");
       !ck_every.empty()) {
     if (ck_every.back() == 's') {
-      t.checkpoint_every_seconds =
-          std::atof(ck_every.substr(0, ck_every.size() - 1).c_str());
-      if (t.checkpoint_every_seconds <= 0) {
+      if (!parse_double_value(ck_every.substr(0, ck_every.size() - 1),
+                              &t.checkpoint_every_seconds) ||
+          !(t.checkpoint_every_seconds > 0)) {
         usage("--checkpoint-every=Ts needs a positive duration");
       }
     } else {
-      const long n = std::atol(ck_every.c_str());
-      if (n <= 0) usage("--checkpoint-every=N needs a positive epoch count");
+      std::int64_t n = 0;
+      if (!parse_int_value(ck_every, &n) || n <= 0) {
+        usage("--checkpoint-every=N needs a positive epoch count");
+      }
       t.checkpoint_every = static_cast<std::size_t>(n);
     }
   }
@@ -289,22 +274,14 @@ int run(int argc, char** argv) {
     switch (ev.reason) {
       case RecoveryReason::kNonFinite: why = "non-finite loss"; break;
       case RecoveryReason::kLossSpike: why = "loss spike"; break;
-      case RecoveryReason::kDeadline: why = "epoch deadline"; break;
-      case RecoveryReason::kBadWeights: why = "non-finite weights"; break;
     }
     std::printf("  recovery: rolled back epoch %zu (%s, loss %.4g), "
                 "alpha scale now %g\n",
                 ev.epoch + 1, why, ev.bad_loss, ev.alpha_scale_after);
   }
   if (run.resilience.any()) {
-    const ResilienceStats& rs = run.resilience;
-    std::printf("  resilience: %zu recoveries, %zu backup wins "
-                "(%zu deadline misses, %.0fus straggle clipped), "
-                "%zu quarantined, ladder %zu down / %zu up (final %s), "
-                "%zu checkpoints\n",
-                rs.recoveries, rs.backup_wins, rs.deadline_misses,
-                rs.saved_straggle_us, rs.quarantined, rs.ladder_down,
-                rs.ladder_up, to_string(rs.final_level), rs.checkpoints);
+    std::printf("  resilience: %zu recoveries, %zu checkpoints\n",
+                run.resilience.recoveries, run.resilience.checkpoints);
   }
 
   if (!run.attribution.empty()) {
@@ -385,8 +362,6 @@ int run(int argc, char** argv) {
       e.cluster.net_bytes = cluster->last_cost().net_bytes;
       e.cluster.net_seconds = cluster->last_net_seconds();
       e.cluster.stale_units = cluster->last_stats().stale_units;
-      e.cluster.node_recoveries =
-          static_cast<double>(run.resilience.node_recoveries);
     }
     rep.add_entry(std::move(e));
     rep.add_metrics(session.get());

@@ -24,21 +24,23 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 PARSGD_FORCE_SCALAR=1 \
     ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 
-# Fault-sweep lane: drive the resilience supervisor (DESIGN.md §16)
-# against each injected fault class at tier-1 speed. Every run must
-# converge cleanly — the supervisor absorbs the faults — and the
-# straggler sweep doubles as the §16 acceptance check that speculation
-# keeps a faulty sync run on the fault-free trajectory.
+# Fault-sweep lane: drive the divergence watchdog (DESIGN.md §11)
+# against the injected fault classes at tier-1 speed. Every run must
+# finish undiverged (parsgd_cli exits nonzero on divergence): the
+# straggler and drop runs converge through their faults, and the nan@3
+# run must be rolled back and recovered by the watchdog.
 for spec in \
     "sync/cpu-par/sparse:batch=64,straggler=0.2@8" \
-    "sync/cpu-seq/sparse:batch=64,poison=0.01" \
-    "sync/cpu-par/sparse:batch=64,faults=hang@3:100"; do
+    "async/cpu-par/sparse:drop=0.1"; do
   "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
-      --engine="$spec" --alpha=0.5 --epochs=8 --resilience=full >/dev/null
+      --engine="$spec" --alpha=0.5 --epochs=8 --watchdog >/dev/null
 done
+"$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
+    --engine="sync/cpu-seq/sparse:faults=nan@3" --alpha=0.5 --epochs=8 \
+    --watchdog | grep "recovery: rolled back epoch 4" >/dev/null
 
 # Cluster lane (DESIGN.md §17): smoke both update strategies through the
-# CLI at nodes=4 — with a nodedown + speculation pass riding along — then
+# CLI at nodes=4 — with a PS nodedown pass riding along — then
 # self-diff a cluster run report through parsgd_compare (the cluster
 # slice must survive write/read/compare untouched).
 for spec in \
@@ -46,7 +48,7 @@ for spec in \
     "sync/cluster/sparse:nodes=4,batch=64,link=50us:1gbps" \
     "async/cluster/sparse:nodes=4,batch=64,faults=nodedown@2:1"; do
   "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
-      --engine="$spec" --alpha=0.5 --epochs=8 --resilience=full >/dev/null
+      --engine="$spec" --alpha=0.5 --epochs=8 >/dev/null
 done
 cluster_tmp="$(mktemp -d)"
 "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
@@ -90,11 +92,10 @@ rm -rf "$obs_tmp"
 
 # Kernel-equivalence suite under ASan+UBSan (separate build tree so the
 # main gate binaries stay uninstrumented). The task-graph executor runs
-# there too (lifetime/overflow bugs in lane queues and scratch buffers),
-# and the supervisor suite joins it (EWMA gate + ladder state touched
-# from every pool worker). The cluster simulator joins both sanitizer
-# lanes: its delay ring and sharding cursors are fresh memory-layout
-# code, and its batched units run task graphs across worker threads. The flight
+# there too (lifetime/overflow bugs in lane queues and scratch buffers).
+# The cluster simulator joins both sanitizer lanes: its delay ring and
+# sharding cursors are fresh memory-layout code, and its batched units
+# run task graphs across worker threads. The flight
 # recorder joins both lanes too: its seqlock ring is raw index math over
 # a flat buffer (ASan) read concurrently with the writer (TSan), and
 # the telemetry exporters render snapshots while instruments are live.
@@ -104,12 +105,11 @@ rm -rf "$obs_tmp"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
-    --target test_supervisor --target test_clustersim \
+    --target test_clustersim \
     --target test_flight_recorder --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
-"$ASAN_BUILD_DIR/tests/test_supervisor"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
 "$ASAN_BUILD_DIR/tests/test_flight_recorder"
 "$ASAN_BUILD_DIR/tests/test_telemetry"
@@ -119,19 +119,18 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 
 # The executor's concurrency (work-stealing deques, park/wake protocol,
 # atomic in-degree release) under ThreadSanitizer, plus the fault
-# injector's atomic counters and the supervisor's cross-worker gate.
+# injector's atomic counters bumped from pool workers.
 # The engine suite joins it: concurrent step search runs whole training
 # runs at once over one shared Model/TrainData, each on a private
 # executor with its metric log.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
-    --target test_faults --target test_supervisor --target test_clustersim \
+    --target test_faults --target test_clustersim \
     --target test_flight_recorder --target test_telemetry --target test_engines
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
 "$TSAN_BUILD_DIR/tests/test_faults"
-"$TSAN_BUILD_DIR/tests/test_supervisor"
 "$TSAN_BUILD_DIR/tests/test_clustersim"
 "$TSAN_BUILD_DIR/tests/test_flight_recorder"
 "$TSAN_BUILD_DIR/tests/test_telemetry"
@@ -143,11 +142,10 @@ trap 'rm -rf "$tmp"' EXIT
 "$BUILD_DIR/examples/parsgd_compare" \
     "$tmp/BENCH_fig5_hwspec.json" "$tmp/BENCH_fig5_hwspec.json" \
     --require-same-sha
-echo "check.sh: tier-1 (simd + scalar) + fault sweep" \
+echo "check.sh: tier-1 (simd + scalar) + watchdog fault sweep" \
      "+ cluster smoke + observability lane (overhead gate, recorder," \
      "status schema, --attribute)" \
-     "+ ASan kernels/graph/supervisor/cluster/recorder/telemetry" \
+     "+ ASan kernels/graph/cluster/recorder/telemetry" \
      "/asyncsim/gpusim/replication" \
-     "+ TSan graph/pool/faults/supervisor/cluster/recorder/telemetry" \
-     "/engines" \
+     "+ TSan graph/pool/faults/cluster/recorder/telemetry/engines" \
      "+ regression smoke OK"

@@ -83,8 +83,7 @@ ClusterSim::ClusterSim(const Model& model, const TrainData& data,
 CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
                                     Rng& rng, FaultInjector* faults,
                                     telemetry::TelemetrySession* telemetry,
-                                    std::size_t down_node,
-                                    bool recover_down) {
+                                    std::size_t down_node) {
   PARSGD_CHECK(w.size() == model_.dim());
   if (faults != nullptr && !faults->active()) faults = nullptr;
   stats_ = ClusterEpochStats{};
@@ -99,26 +98,10 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
   if (down_node != kNoNode && down_node < nodes_eff_) {
     stats_.node_downs = 1;
     stats_.down_node = down_node;
+    // The shard's updates are simply lost this epoch.
     const std::size_t len = shard.order[down_node].size();
-    const std::size_t ex_begin = shard.begin[down_node] * opts_.batch;
-    const std::size_t ex_end =
-        std::min(n, (shard.begin[down_node] + len) * opts_.batch);
-    if (recover_down) {
-      // Supervisor speculation: survivors re-execute the lost shard in
-      // the same global slot order, so every rng draw and every update
-      // lands exactly as in the fault-free epoch — the trajectory is
-      // bit-identical. The cluster pays for it in wall-clock (engine-side
-      // compute inflation) and in re-shard traffic, ledgered here.
-      stats_.node_recoveries = 1;
-      for (std::size_t i = ex_begin; i < ex_end; ++i) {
-        cost.net_bytes += example_bytes(data_, i, opts_.prefer_dense);
-      }
-      cost.net_messages += static_cast<double>(len);
-    } else {
-      // No speculation: the shard's updates are simply lost this epoch.
-      shard.cursor[down_node] = len;
-      stats_.lost_units = static_cast<double>(len);
-    }
+    shard.cursor[down_node] = len;
+    stats_.lost_units = static_cast<double>(len);
   }
 
   // Ring buffer of the last tau applied deltas; each unit's actual delay
@@ -252,10 +235,6 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
     reg.counter("cluster.stale_units").add(stats_.stale_units);
     reg.counter("cluster.net_messages").add(cost.net_messages);
     reg.counter("cluster.net_bytes").add(cost.net_bytes);
-    if (stats_.node_recoveries > 0) {
-      reg.counter("cluster.node_recoveries")
-          .add(static_cast<double>(stats_.node_recoveries));
-    }
   }
   return cost;
 }

@@ -73,9 +73,8 @@ struct ClusterSimOptions {
 /// Per-epoch cluster event ledger (beyond the CostBreakdown).
 struct ClusterEpochStats {
   double stale_units = 0;       ///< sum of actual per-unit delays
-  double lost_units = 0;        ///< units dropped by an unrecovered nodedown
+  double lost_units = 0;        ///< units dropped by a nodedown
   std::size_t node_downs = 0;   ///< nodedown events this epoch
-  std::size_t node_recoveries = 0;  ///< speculatively re-executed nodedowns
   /// Per-node ledger, index = node id, sized nodes_eff() by run_epoch
   /// (DESIGN.md §18: the aggregate net ledger split per node for the
   /// status surface's node table).
@@ -96,19 +95,15 @@ class ClusterSim {
              const ClusterSimOptions& opts);
 
   /// Runs one epoch in place on `w`. `down_node`, when not kNoNode, takes
-  /// that node down for this epoch: with `recover_down` (supervisor
-  /// speculation) stand-in nodes re-execute its shard in the same global
-  /// slot order — the trajectory is bit-identical to the fault-free run
-  /// and the ledger gains the re-shard traffic; without it the shard's
-  /// units are lost for the epoch (fewer updates, counted in
-  /// last_stats().lost_units). `faults` injects per-unit drop/straggle/
-  /// corruption exactly as in asyncsim. `telemetry` accumulates the
-  /// epoch's cluster.* counters once per epoch from the ledger.
+  /// that node down for this epoch: the shard's units are lost for the
+  /// epoch (fewer updates, counted in last_stats().lost_units). `faults`
+  /// injects per-unit drop/straggle/corruption exactly as in asyncsim.
+  /// `telemetry` accumulates the epoch's cluster.* counters once per
+  /// epoch from the ledger.
   CostBreakdown run_epoch(std::span<real_t> w, real_t alpha, Rng& rng,
                           FaultInjector* faults = nullptr,
                           telemetry::TelemetrySession* telemetry = nullptr,
-                          std::size_t down_node = kNoNode,
-                          bool recover_down = false);
+                          std::size_t down_node = kNoNode);
 
   const ClusterEpochStats& last_stats() const { return stats_; }
 

@@ -48,11 +48,6 @@ class NetModel {
   /// Payload bytes per second (bandwidth_gbps is bits).
   double bytes_per_second() const { return link_.bandwidth_gbps * 1e9 / 8.0; }
 
-  /// One message: latency plus serialization of `bytes`.
-  double message_seconds(double bytes) const {
-    return latency_seconds() + bytes / bytes_per_second();
-  }
-
   /// Parameter-server epoch: `total_bytes` of push/pull payload serialize
   /// on the server link; `messages` individual latencies pipeline
   /// `nodes * queue_depth` deep (the bounded-delay queue keeps that many

@@ -44,16 +44,31 @@ namespace {
 
 }  // namespace
 
+bool parse_int_value(const std::string& text, std::int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_double_value(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  const std::string& text = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE) {
-    bad_number(name, text, "an integer");
+  std::int64_t v = 0;
+  if (!parse_int_value(it->second, &v)) {
+    bad_number(name, it->second, "an integer");
   }
   return v;
 }
@@ -61,12 +76,9 @@ std::int64_t Cli::get_int(const std::string& name,
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  const std::string& text = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || errno == ERANGE) {
-    bad_number(name, text, "a number in double range");
+  double v = 0;
+  if (!parse_double_value(it->second, &v)) {
+    bad_number(name, it->second, "a number in double range");
   }
   return v;
 }

@@ -9,6 +9,12 @@
 
 namespace parsgd {
 
+/// The whole-value numeric rule behind Cli::get_int/get_double, for
+/// callers that split a flag value themselves (e.g. a unit suffix): true
+/// only when all of `text` parses and is in range.
+bool parse_int_value(const std::string& text, std::int64_t* out);
+bool parse_double_value(const std::string& text, double* out);
+
 /// Parsed command line: flags plus positional arguments.
 class Cli {
  public:

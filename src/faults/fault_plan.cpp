@@ -12,9 +12,8 @@ CrashFault::CrashFault(std::size_t epoch)
 
 bool FaultPlan::any() const {
   return corrupt != Corrupt::kNone || flip_epoch != kNever ||
-         crash_epoch != kNever || hang_epoch != kNever ||
-         nodedown_epoch != kNever || straggler_prob > 0 || drop_prob > 0 ||
-         poison_prob > 0;
+         crash_epoch != kNever || nodedown_epoch != kNever ||
+         straggler_prob > 0 || drop_prob > 0;
 }
 
 namespace {
@@ -73,21 +72,6 @@ bool parse_fault_atom(const std::string& atom, FaultPlan* plan) {
   if (kind == "crash") {
     return parse_size(arg, &plan->crash_epoch) &&
            plan->crash_epoch != FaultPlan::kNever;
-  }
-  if (kind == "hang") {
-    // hang@E[:MS]
-    const std::vector<std::string> parts = split(arg, ':');
-    if (parts.empty() || parts.size() > 2) return false;
-    if (!parse_size(parts[0], &plan->hang_epoch) ||
-        plan->hang_epoch == FaultPlan::kNever) {
-      return false;
-    }
-    if (parts.size() == 2) {
-      if (!parse_size(parts[1], &plan->hang_ms) || plan->hang_ms == 0) {
-        return false;
-      }
-    }
-    return true;
   }
   if (kind == "nodedown") {
     // nodedown@E[:K]
@@ -154,11 +138,6 @@ FaultKeyParse parse_fault_key(const std::string& key,
     return parse_prob(value, &plan->drop_prob) ? FaultKeyParse::kParsed
                                                : FaultKeyParse::kMalformed;
   }
-  if (key == "poison") {
-    return parse_prob(value, &plan->poison_prob)
-               ? FaultKeyParse::kParsed
-               : FaultKeyParse::kMalformed;
-  }
   return FaultKeyParse::kNotFault;
 }
 
@@ -194,15 +173,6 @@ std::vector<std::string> format_fault_options(const FaultPlan& plan) {
     a += std::to_string(plan.crash_epoch);
     atoms.push_back(std::move(a));
   }
-  if (plan.hang_epoch != FaultPlan::kNever) {
-    std::string a = "hang@";
-    a += std::to_string(plan.hang_epoch);
-    if (plan.hang_ms != 250) {
-      a += ':';
-      a += std::to_string(plan.hang_ms);
-    }
-    atoms.push_back(std::move(a));
-  }
   if (plan.nodedown_epoch != FaultPlan::kNever) {
     std::string a = "nodedown@";
     a += std::to_string(plan.nodedown_epoch);
@@ -219,11 +189,6 @@ std::vector<std::string> format_fault_options(const FaultPlan& plan) {
       joined += atoms[i];
     }
     out.push_back(joined);
-  }
-  if (plan.poison_prob > 0) {
-    std::string p = "poison=";
-    p += format_prob(plan.poison_prob);
-    out.push_back(std::move(p));
   }
   if (plan.straggler_prob > 0) {
     std::string s = "straggler=";

@@ -18,23 +18,15 @@
 //                   weight C (default 0) at the start of epoch E,
 //   crash@E         throw CrashFault at the start of epoch E (simulated
 //                   process kill; pair with checkpoint/resume),
-//   hang@E[:MS]     stall for MS milliseconds (default 250) at the start
-//                   of epoch E (hung worker; wall-clock only, detected by
-//                   the supervisor's epoch deadline, DESIGN.md §16),
 //   nodedown@E[:K]  node K (default 0) of a simulated cluster goes down
-//                   for epoch E (DESIGN.md §17). With supervisor
-//                   speculation the shard is re-executed by survivors
-//                   (trajectory preserved, node recovery counted);
-//                   without it the shard's updates are lost (PS) or an
-//                   operator-restart stall is charged (all-reduce).
+//                   for epoch E (DESIGN.md §17): the shard's updates are
+//                   lost (PS) or an operator-restart stall is charged
+//                   (all-reduce).
 // Continuous faults are their own keys:
 //   straggler=P[@U] each async unit straggles with probability P, adding
 //                   a staleness delay uniform on [1, U] units (default 4),
 //   drop=P          each async update is computed but dropped (lost
-//                   update) with probability P,
-//   poison=P        each update is poisoned (NaN gradient from a bad
-//                   example) with probability P; with sanitization on the
-//                   update is quarantined instead of applied.
+//                   update) with probability P.
 #pragma once
 
 #include <cstddef>
@@ -74,10 +66,6 @@ struct FaultPlan {
   /// Simulated process kill at the start of epoch `crash_epoch`.
   std::size_t crash_epoch = kNever;
 
-  /// One-shot hung worker: sleep `hang_ms` at the start of `hang_epoch`.
-  std::size_t hang_epoch = kNever;
-  std::size_t hang_ms = 250;
-
   /// One-shot cluster node failure: node `nodedown_node` is down for
   /// epoch `nodedown_epoch`. Cluster engines only; a no-op elsewhere.
   std::size_t nodedown_epoch = kNever;
@@ -90,11 +78,6 @@ struct FaultPlan {
   /// Lost async updates: computed, then discarded, with this probability.
   double drop_prob = 0;
 
-  /// Poisoned examples: each update yields a NaN gradient with this
-  /// probability. Sanitization (DESIGN.md §16) turns the poisoned update
-  /// into a quarantined no-op; without it the weights go NaN.
-  double poison_prob = 0;
-
   bool any() const;
   bool operator==(const FaultPlan&) const = default;
 };
@@ -105,7 +88,7 @@ struct FaultPlan {
 enum class FaultKeyParse { kNotFault, kParsed, kMalformed };
 
 /// Parses one spec option into `plan`. Recognized keys: "faults",
-/// "straggler", "drop", "poison". Never throws — malformed values are
+/// "straggler", "drop". Never throws — malformed values are
 /// reported so try_parse_spec can reject the whole spec.
 FaultKeyParse parse_fault_key(const std::string& key,
                               const std::string& value, FaultPlan* plan);

@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "common/clock.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace parsgd {
@@ -25,18 +24,13 @@ void FaultInjector::install(const FaultPlan& plan, std::uint64_t seed) {
   corrupt_fired_ = false;
   flip_fired_ = false;
   crash_fired_ = false;
-  hang_fired_ = false;
   nodedown_fired_ = false;
   corruptions_.store(0, kRelaxed);
   bitflips_.store(0, kRelaxed);
   dropped_.store(0, kRelaxed);
-  poisoned_.store(0, kRelaxed);
-  quarantined_.store(0, kRelaxed);
-  hangs_.store(0, kRelaxed);
   stragglers_.store(0, kRelaxed);
   straggle_us_.store(0, kRelaxed);
   node_downs_.store(0, kRelaxed);
-  node_recoveries_.store(0, kRelaxed);
 }
 
 void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
@@ -47,11 +41,7 @@ void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
     c_corruptions_ = &reg.counter("faults.corruptions");
     c_dropped_ = &reg.counter("faults.dropped");
     c_stragglers_ = &reg.counter("faults.stragglers");
-    c_poisoned_ = &reg.counter("faults.poisoned");
-    c_quarantined_ = &reg.counter("faults.quarantined");
-    c_hangs_ = &reg.counter("faults.hangs");
     c_node_downs_ = &reg.counter("faults.node_downs");
-    c_node_recoveries_ = &reg.counter("faults.node_recoveries");
     trace_ = session->trace_enabled() ? &session->trace() : nullptr;
   } else {
     c_crashes_ = nullptr;
@@ -59,11 +49,7 @@ void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
     c_corruptions_ = nullptr;
     c_dropped_ = nullptr;
     c_stragglers_ = nullptr;
-    c_poisoned_ = nullptr;
-    c_quarantined_ = nullptr;
-    c_hangs_ = nullptr;
     c_node_downs_ = nullptr;
-    c_node_recoveries_ = nullptr;
     trace_ = nullptr;
   }
 }
@@ -74,11 +60,7 @@ FaultCounters FaultInjector::counters() const {
   c.bitflips = bitflips_.load(kRelaxed);
   c.stragglers = stragglers_.load(kRelaxed);
   c.dropped = dropped_.load(kRelaxed);
-  c.poisoned = poisoned_.load(kRelaxed);
-  c.quarantined = quarantined_.load(kRelaxed);
-  c.hangs = hangs_.load(kRelaxed);
   c.node_downs = node_downs_.load(kRelaxed);
-  c.node_recoveries = node_recoveries_.load(kRelaxed);
   return c;
 }
 
@@ -111,20 +93,6 @@ void FaultInjector::begin_epoch(std::span<real_t> w) {
       }
     }
   }
-  if (!hang_fired_ && e == plan_.hang_epoch) {
-    // Hung worker: a pure wall-clock stall. The supervisor notices the
-    // blown epoch deadline after the fact and retries the (numerically
-    // clean, deterministic) epoch, so the trajectory is unchanged.
-    hang_fired_ = true;
-    hangs_.fetch_add(1, kRelaxed);
-    if (c_hangs_ != nullptr) c_hangs_->inc();
-    if (trace_ != nullptr) {
-      trace_->instant("fault.hang",
-                      {{"epoch", static_cast<double>(e)},
-                       {"ms", static_cast<double>(plan_.hang_ms)}});
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(plan_.hang_ms));
-  }
 }
 
 std::size_t FaultInjector::node_down_this_epoch() {
@@ -142,31 +110,10 @@ std::size_t FaultInjector::node_down_this_epoch() {
   return plan_.nodedown_node;
 }
 
-void FaultInjector::note_node_recovered() {
-  node_recoveries_.fetch_add(1, kRelaxed);
-  if (c_node_recoveries_ != nullptr) c_node_recoveries_->inc();
-  if (trace_ != nullptr) trace_->instant("fault.node_recovered", {});
-}
-
 void FaultInjector::after_updates(std::size_t steps, std::span<real_t> w) {
   if (!active()) return;
   const std::size_t before = step_;
   step_ += steps;
-  if (plan_.poison_prob > 0 && !sanitize_) {
-    // Unsanitized poisoned examples reach the weights: one draw per
-    // applied step, NaN on a hit. (Sanitized runs draw in drop_update()
-    // instead — the poisoned update is caught before it is applied.)
-    for (std::size_t i = 0; i < steps; ++i) {
-      if (!rng_.bernoulli(plan_.poison_prob)) continue;
-      for (real_t& x : w) x = std::numeric_limits<real_t>::quiet_NaN();
-      poisoned_.fetch_add(1, kRelaxed);
-      if (c_poisoned_ != nullptr) c_poisoned_->inc();
-      if (trace_ != nullptr) {
-        trace_->instant("fault.poison",
-                        {{"step", static_cast<double>(before + i)}});
-      }
-    }
-  }
   if (corrupt_fired_ || plan_.corrupt == FaultPlan::Corrupt::kNone) return;
   if (before <= plan_.corrupt_step && plan_.corrupt_step < step_) {
     corrupt_fired_ = true;
@@ -185,19 +132,12 @@ void FaultInjector::after_updates(std::size_t steps, std::span<real_t> w) {
 
 bool FaultInjector::drop_update() {
   if (!active()) return false;
-  if (plan_.drop_prob > 0 && rng_.bernoulli(plan_.drop_prob)) {
-    dropped_.fetch_add(1, kRelaxed);
-    if (c_dropped_ != nullptr) c_dropped_->inc();
-    return true;
+  if (plan_.drop_prob <= 0 || !rng_.bernoulli(plan_.drop_prob)) {
+    return false;
   }
-  if (sanitize_ && plan_.poison_prob > 0 &&
-      rng_.bernoulli(plan_.poison_prob)) {
-    quarantined_.fetch_add(1, kRelaxed);
-    if (c_quarantined_ != nullptr) c_quarantined_->inc();
-    if (trace_ != nullptr) trace_->instant("fault.quarantine", {});
-    return true;
-  }
-  return false;
+  dropped_.fetch_add(1, kRelaxed);
+  if (c_dropped_ != nullptr) c_dropped_->inc();
+  return true;
 }
 
 std::size_t FaultInjector::straggle_units() {
@@ -216,18 +156,6 @@ bool FaultInjector::chunk_straggles(std::size_t chunk) const {
 }
 
 void FaultInjector::chunk_hook(std::size_t chunk) {
-  StraggleGate* const gate = gate_;
-  if (gate != nullptr) {
-    // Per-worker inter-arrival gaps feed the supervisor's EWMA of typical
-    // chunk time; its outlier rejection discards gaps inflated by a prior
-    // straggle sleep or an epoch boundary.
-    const double now_us = monotonic_seconds() * 1e6;
-    thread_local double last_us = 0;
-    if (last_us > 0 && now_us > last_us) {
-      gate->observe_chunk_us(now_us - last_us);
-    }
-    last_us = now_us;
-  }
   if (!chunk_straggles(chunk)) return;
   note_chunk_straggled();
   if (c_stragglers_ != nullptr) c_stragglers_->inc();
@@ -235,13 +163,10 @@ void FaultInjector::chunk_hook(std::size_t chunk) {
     trace_->instant("fault.straggle",
                     {{"chunk", static_cast<double>(chunk)}});
   }
-  double delay_us = 50.0 * static_cast<double>(plan_.straggler_units);
-  if (gate != nullptr) delay_us = gate->gate_straggle_us(delay_us);
-  if (delay_us > 0) {
-    straggle_us_.fetch_add(delay_us, std::memory_order_relaxed);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::micro>(delay_us));
-  }
+  const double delay_us = 50.0 * static_cast<double>(plan_.straggler_units);
+  straggle_us_.fetch_add(delay_us, kRelaxed);
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::micro>(delay_us));
 }
 
 ChunkHookGuard::ChunkHookGuard(ThreadPool& pool, FaultInjector& faults) {

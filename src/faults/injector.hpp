@@ -30,28 +30,7 @@ struct FaultCounters {
   std::size_t bitflips = 0;     ///< weight bit flips
   std::size_t stragglers = 0;   ///< straggler delays applied
   std::size_t dropped = 0;      ///< updates computed then discarded
-  std::size_t poisoned = 0;     ///< poisoned updates applied (NaN weights)
-  std::size_t quarantined = 0;  ///< poisoned updates caught and discarded
-  std::size_t hangs = 0;        ///< hung-worker stalls
   std::size_t node_downs = 0;   ///< cluster node failures served
-  std::size_t node_recoveries = 0;  ///< node shards speculatively re-run
-};
-
-/// Observation/arbitration seam between the injector's straggler sleeps
-/// and the training supervisor (sgd/supervisor.hpp). The injector reports
-/// chunk inter-arrival gaps from pool workers and offers every planned
-/// straggle delay for gating; the gate caps the delay at its deadline —
-/// modeling a deterministic backup task that finishes in typical time and
-/// wins the fixed arbitration race (DESIGN.md §16). Wall-clock only: the
-/// chunk's result is unchanged either way, so trajectories are too.
-class StraggleGate {
- public:
-  virtual ~StraggleGate() = default;
-  /// One observed chunk inter-arrival gap, called from any pool worker.
-  virtual void observe_chunk_us(double us) = 0;
-  /// Offers a planned straggle delay; returns the delay to actually apply
-  /// (< planned when the backup wins).
-  virtual double gate_straggle_us(double planned_us) = 0;
 };
 
 class FaultInjector {
@@ -73,28 +52,17 @@ class FaultInjector {
   /// forwards here; the session must outlive the injector's hooks.
   void set_telemetry(telemetry::TelemetrySession* session);
 
-  /// Attaches/detaches (null) the supervisor's straggle gate. Written
-  /// while no epoch is running, like set_telemetry.
-  void set_straggle_gate(StraggleGate* gate) { gate_ = gate; }
-
-  /// Turns on gradient sanitization: poisoned updates are quarantined in
-  /// drop_update() (computed, caught, discarded) instead of reaching the
-  /// weights through after_updates(). Written while no epoch is running.
-  void set_sanitize(bool on) { sanitize_ = on; }
-
   /// Repositions the epoch clock (run start, rollback, resume). Fired
   /// one-shot flags stay latched: a fault is transient, not replayed.
   void seek_epoch(std::size_t epoch);
 
-  /// Epoch-start hook: throws CrashFault at the planned crash epoch,
-  /// applies the one-shot weight bit flip, and serves the one-shot hung
-  /// worker stall. Advances the epoch clock.
+  /// Epoch-start hook: throws CrashFault at the planned crash epoch and
+  /// applies the one-shot weight bit flip. Advances the epoch clock.
   void begin_epoch(std::span<real_t> w);
 
   /// Update-step hooks: advance the run-global step counter by 1 / `steps`
   /// and, when the counter crosses the planned corruption step, poison all
-  /// of `w` with NaN/Inf (one-shot). Unsanitized example poisoning also
-  /// fires here, one bernoulli draw per step.
+  /// of `w` with NaN/Inf (one-shot).
   void after_update(std::span<real_t> w) { after_updates(1, w); }
   void after_updates(std::size_t steps, std::span<real_t> w);
 
@@ -105,14 +73,11 @@ class FaultInjector {
   /// node's index when the epoch that begin_epoch just started is the
   /// planned one, kNoNode otherwise. Shares the epoch clock with
   /// begin_epoch — cluster engines call it right after begin_epoch, once
-  /// per epoch. The caller decides recovery semantics and reports back
-  /// via note_node_recovered().
+  /// per epoch.
   std::size_t node_down_this_epoch();
-  void note_node_recovered();
 
   /// True when this update should be computed but discarded: a lost
-  /// update (drop=P), or — with sanitization on — a quarantined poisoned
-  /// example (poison=P).
+  /// update (drop=P).
   bool drop_update();
 
   /// Extra staleness (in units) for the next async unit; 0 = on time.
@@ -129,7 +94,7 @@ class FaultInjector {
   /// so the trajectory is unchanged; only wall time and counters move).
   void chunk_hook(std::size_t chunk);
 
-  /// Straggle delay actually applied (post-gating), in microseconds,
+  /// Straggle delay actually applied, in microseconds,
   /// accumulated across all chunk hooks since install/reset. The
   /// attribution ledger reads per-epoch deltas of this for its host
   /// stall bucket.
@@ -149,9 +114,7 @@ class FaultInjector {
   bool corrupt_fired_ = false;
   bool flip_fired_ = false;
   bool crash_fired_ = false;
-  bool hang_fired_ = false;
   bool nodedown_fired_ = false;
-  bool sanitize_ = false;
 
   // All counters are atomic: graph-mode tasks and pool chunk hooks can
   // bump or read them from worker threads while the driving thread reads
@@ -159,15 +122,9 @@ class FaultInjector {
   std::atomic<std::size_t> corruptions_{0};
   std::atomic<std::size_t> bitflips_{0};
   std::atomic<std::size_t> dropped_{0};
-  std::atomic<std::size_t> poisoned_{0};
-  std::atomic<std::size_t> quarantined_{0};
-  std::atomic<std::size_t> hangs_{0};
   std::atomic<std::size_t> stragglers_{0};  ///< bumped from pool workers
   std::atomic<double> straggle_us_{0};      ///< applied straggle (pool workers)
   std::atomic<std::size_t> node_downs_{0};
-  std::atomic<std::size_t> node_recoveries_{0};
-
-  StraggleGate* gate_ = nullptr;  ///< supervisor seam; null when detached
 
   /// Telemetry mirror, cached on set_telemetry (called while no epoch is
   /// running; pool workers see the write via the chunk-hook install's
@@ -178,11 +135,7 @@ class FaultInjector {
   telemetry::Counter* c_corruptions_ = nullptr;
   telemetry::Counter* c_dropped_ = nullptr;
   telemetry::Counter* c_stragglers_ = nullptr;
-  telemetry::Counter* c_poisoned_ = nullptr;
-  telemetry::Counter* c_quarantined_ = nullptr;
-  telemetry::Counter* c_hangs_ = nullptr;
   telemetry::Counter* c_node_downs_ = nullptr;
-  telemetry::Counter* c_node_recoveries_ = nullptr;
 };
 
 /// RAII installer of the straggler chunk hook on a pool for the duration

@@ -80,15 +80,11 @@ void gemm_block_rows(const kernel::Kernels& kn, const real_t* ap,
 
 }  // namespace
 
-CpuBackend::CpuBackend(const CpuBackendOptions& opts) : opts_(opts) {
+CpuBackend::CpuBackend(const CpuBackendOptions& opts)
+    : opts_(opts),
+      simd_(&kernel::active_kernels()),
+      reduce_(opts.deterministic ? &kernel::scalar_kernels() : simd_) {
   PARSGD_CHECK(opts_.threads >= 1);
-  set_force_scalar(false);
-}
-
-void CpuBackend::set_force_scalar(bool on) {
-  force_scalar_ = on;
-  simd_ = on ? &kernel::scalar_kernels() : &kernel::active_kernels();
-  reduce_ = (on || opts_.deterministic) ? &kernel::scalar_kernels() : simd_;
 }
 
 std::string CpuBackend::name() const {

@@ -101,14 +101,6 @@ class CpuBackend final : public Backend {
   /// the backend's lifetime.
   double gemm_serial_flops() const { return gemm_serial_flops_; }
 
-  /// Pins every microkernel to the scalar reference table (the training
-  /// supervisor's last degradation rung, DESIGN.md §16) or restores the
-  /// construction-time dispatch. Bit-identical under deterministic mode —
-  /// the non-reducing kernels are bit-exact vs scalar by contract and the
-  /// reductions are already scalar. Call between epochs only.
-  void set_force_scalar(bool on);
-  bool force_scalar() const { return force_scalar_; }
-
  private:
   ThreadPool& pool() {
     return opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
@@ -120,7 +112,6 @@ class CpuBackend final : public Backend {
   // order-sensitive reductions (== scalar table when deterministic).
   const kernel::Kernels* simd_ = nullptr;
   const kernel::Kernels* reduce_ = nullptr;
-  bool force_scalar_ = false;
   bool last_gemm_parallel_ = false;
   double gemm_serial_flops_ = 0;
   // Scratch reused across calls (grow-only): packed transposed operands

@@ -103,8 +103,7 @@ TaskGraph::TaskId LinearModel::batch_step_graph(
           : std::min({(nb + kGraphGrain - 1) / kGraphGrain,
                       kGraphMaxChunks, dim_cap});
   if (chunks <= 1) {
-    // Small batch: one sequential task, bit-identical to batch_step (and
-    // therefore to the supervisor's sequential rung).
+    // Small batch: one sequential task, bit-identical to batch_step.
     return Model::batch_step_graph(graph, scratch, data, begin, end,
                                    prefer_dense, alpha, w_read, w_write,
                                    after);

@@ -134,17 +134,7 @@ KernelReport KernelReport::from(const std::string& name,
 ResilienceSlice ResilienceSlice::from(const ResilienceStats& s) {
   ResilienceSlice out;
   out.recoveries = static_cast<double>(s.recoveries);
-  out.deadline_misses = static_cast<double>(s.deadline_misses);
-  out.backup_wins = static_cast<double>(s.backup_wins);
-  out.ladder_down = static_cast<double>(s.ladder_down);
-  out.ladder_up = static_cast<double>(s.ladder_up);
-  out.quarantined = static_cast<double>(s.quarantined);
   out.checkpoints = static_cast<double>(s.checkpoints);
-  out.saved_straggle_us = s.saved_straggle_us;
-  out.node_recoveries = static_cast<double>(s.node_recoveries);
-  if (s.final_level != DegradeLevel::kNone) {
-    out.final_level = to_string(s.final_level);
-  }
   return out;
 }
 
@@ -260,17 +250,7 @@ void write_report(std::ostream& os, const RunReport& report) {
       const ResilienceSlice& rs = e.resilience;
       Json res{JsonMembers{}};
       res.set("recoveries", num(rs.recoveries));
-      res.set("deadline_misses", num(rs.deadline_misses));
-      res.set("backup_wins", num(rs.backup_wins));
-      res.set("ladder_down", num(rs.ladder_down));
-      res.set("ladder_up", num(rs.ladder_up));
-      res.set("quarantined", num(rs.quarantined));
       res.set("checkpoints", num(rs.checkpoints));
-      res.set("saved_straggle_us", num(rs.saved_straggle_us));
-      if (rs.node_recoveries > 0) {
-        res.set("node_recoveries", num(rs.node_recoveries));
-      }
-      if (!rs.final_level.empty()) res.set("final_level", rs.final_level);
       o.set("resilience", std::move(res));
     }
     if (e.cluster.any()) {
@@ -284,9 +264,6 @@ void write_report(std::ostream& os, const RunReport& report) {
       cl.set("net_bytes", num(cs.net_bytes));
       cl.set("net_seconds", num(cs.net_seconds));
       cl.set("stale_units", num(cs.stale_units));
-      if (cs.node_recoveries > 0) {
-        cl.set("node_recoveries", num(cs.node_recoveries));
-      }
       o.set("cluster", std::move(cl));
     }
     if (e.attribution.any()) {
@@ -427,16 +404,7 @@ RunReport read_report(std::istream& is) {
       // Absent in pre-resilience reports (additive-field policy).
       if (const Json* res = o.find("resilience")) {
         e.resilience.recoveries = get_num(*res, "recoveries", 0);
-        e.resilience.deadline_misses = get_num(*res, "deadline_misses", 0);
-        e.resilience.backup_wins = get_num(*res, "backup_wins", 0);
-        e.resilience.ladder_down = get_num(*res, "ladder_down", 0);
-        e.resilience.ladder_up = get_num(*res, "ladder_up", 0);
-        e.resilience.quarantined = get_num(*res, "quarantined", 0);
         e.resilience.checkpoints = get_num(*res, "checkpoints", 0);
-        e.resilience.saved_straggle_us =
-            get_num(*res, "saved_straggle_us", 0);
-        e.resilience.node_recoveries = get_num(*res, "node_recoveries", 0);
-        e.resilience.final_level = get_str(*res, "final_level");
       }
       // Absent in pre-cluster reports (additive-field policy).
       if (const Json* cl = o.find("cluster")) {
@@ -449,7 +417,6 @@ RunReport read_report(std::istream& is) {
         e.cluster.net_bytes = get_num(*cl, "net_bytes", 0);
         e.cluster.net_seconds = get_num(*cl, "net_seconds", 0);
         e.cluster.stale_units = get_num(*cl, "stale_units", 0);
-        e.cluster.node_recoveries = get_num(*cl, "node_recoveries", 0);
       }
       // Absent in pre-attribution reports (additive-field policy).
       if (const Json* at = o.find("attribution")) {

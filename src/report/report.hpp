@@ -84,30 +84,18 @@ struct Axes {
 };
 
 /// Per-entry fault-tolerance snapshot (schema v2 slice, additive; the
-/// supervisor's ResilienceStats flattened to report scalars, DESIGN.md
-/// §16). All-zero = absent (the "resilience" object is omitted from the
+/// watchdog's ResilienceStats flattened to report scalars, DESIGN.md
+/// §11). All-zero = absent (the "resilience" object is omitted from the
 /// JSON and old readers never see it). Round-trips through
-/// write_report/read_report; compare_reports ignores it entirely — the
-/// slice is provenance for explaining a run's recovery behavior, not a
-/// regression axis.
+/// write_report/read_report; keys from older writers (backup_wins,
+/// ladder_*, final_level, ...) are ignored on read. compare_reports
+/// ignores the slice entirely — it is provenance for explaining a run's
+/// recovery behavior, not a regression axis.
 struct ResilienceSlice {
-  double recoveries = 0;        ///< rollback + retry events
-  double deadline_misses = 0;   ///< chunks past the speculation deadline
-  double backup_wins = 0;       ///< speculative backups that beat a straggler
-  double ladder_down = 0;       ///< degradation steps taken
-  double ladder_up = 0;         ///< re-promotions after clean streaks
-  double quarantined = 0;       ///< poisoned updates sanitized away
-  double checkpoints = 0;       ///< auto-checkpoints written
-  double saved_straggle_us = 0; ///< injected delay clipped by backups
-  double node_recoveries = 0;   ///< cluster shards speculatively re-run
-  std::string final_level;      ///< ladder rung at run end ("" when kNone)
+  double recoveries = 0;   ///< rollback + retry events
+  double checkpoints = 0;  ///< checkpoints written
 
-  bool any() const {
-    return recoveries > 0 || deadline_misses > 0 || backup_wins > 0 ||
-           ladder_down > 0 || ladder_up > 0 || quarantined > 0 ||
-           checkpoints > 0 || saved_straggle_us > 0 ||
-           node_recoveries > 0 || !final_level.empty();
-  }
+  bool any() const { return recoveries > 0 || checkpoints > 0; }
   static ResilienceSlice from(const ResilienceStats& s);
 };
 
@@ -127,7 +115,6 @@ struct ClusterSlice {
   double net_bytes = 0;            ///< wire payload bytes per epoch
   double net_seconds = 0;          ///< modeled network seconds per epoch
   double stale_units = 0;          ///< summed PS staleness draws per epoch
-  double node_recoveries = 0;      ///< speculatively re-executed nodedowns
 
   bool any() const { return nodes > 0; }
 };
@@ -149,7 +136,7 @@ struct AttributionSlice {
   double h_queue_s = 0;       ///< host pool queue-wait share
   double h_ready_s = 0;       ///< host graph ready-wait share
   double h_stall_s = 0;       ///< host injected-straggle stall
-  double h_recovery_s = 0;    ///< host supervisor recovery/backoff
+  double h_recovery_s = 0;    ///< host watchdog rollback time
   double h_checkpoint_s = 0;  ///< host checkpoint I/O
 
   bool any() const { return epochs > 0; }

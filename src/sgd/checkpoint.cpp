@@ -125,11 +125,13 @@ TrainCheckpoint load_checkpoint(const std::string& path) {
     ev.bad_loss = get<double>(is, path);
     ev.alpha_scale_after = get<double>(is, path);
     const auto reason = get<std::uint8_t>(is, path);
-    // 0..3: the RecoveryReason range (kNonFinite..kBadWeights). Same
-    // format version — old checkpoints only ever wrote 0/1, new readers
-    // accept the two supervisor reasons on top.
-    PARSGD_CHECK(reason <= 3, "bad recovery reason in checkpoint '" << path
-                                                                    << "'");
+    // 0..1: the RecoveryReason range (kNonFinite, kLossSpike). Older
+    // full-resilience runs could also write 2 (deadline) or 3 (bad
+    // weights); those reasons no longer exist, so such files are
+    // rejected rather than loaded into an out-of-range enum.
+    PARSGD_CHECK(reason <= 1, "bad recovery reason "
+                                  << static_cast<int>(reason)
+                                  << " in checkpoint '" << path << "'");
     ev.reason = static_cast<RecoveryReason>(reason);
   }
   if (version >= 2) {

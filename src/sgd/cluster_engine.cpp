@@ -11,10 +11,10 @@ namespace parsgd {
 
 namespace {
 
-/// Operator-restart stall charged when a node dies and nobody speculates:
-/// the PS shard re-registers / the collective blocks until the node is
-/// back. One second is the deterministic stand-in for a health-check plus
-/// respawn cycle.
+/// Operator-restart stall charged when a node dies under all-reduce (or
+/// on a one-node cluster): the epoch blocks until the node is back. One
+/// second is the deterministic stand-in for a health-check plus respawn
+/// cycle.
 constexpr double kNodeRestartStallSeconds = 1.0;
 
 /// Updates applied cluster-wide during one push+pull round trip, from
@@ -124,20 +124,13 @@ double ClusterEngine::run_epoch(std::span<real_t> w, real_t alpha,
 double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
   faults_.begin_epoch(w);
   std::size_t down = faults_.node_down_this_epoch();
-  const bool speculate =
-      supervisor_ != nullptr && supervisor_->speculates();
   const std::size_t n_eff = sim_->nodes_eff();
   double stall = 0;
-  bool recover = false;
-  if (down != ClusterSim::kNoNode) {
-    if (n_eff <= 1) {
-      // A one-node cluster has no survivors to speculate on: the node
-      // restarts and reruns its own epoch behind an operator stall.
-      down = ClusterSim::kNoNode;
-      stall = kNodeRestartStallSeconds;
-    } else if (speculate) {
-      recover = true;
-    }
+  if (down != ClusterSim::kNoNode && n_eff <= 1) {
+    // A one-node cluster has no survivors to carry the epoch: the node
+    // restarts and reruns its own epoch behind an operator stall.
+    down = ClusterSim::kNoNode;
+    stall = kNodeRestartStallSeconds;
   }
   ThreadPool& pool =
       opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
@@ -146,12 +139,10 @@ double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
   if (telemetry_ != nullptr) tel_guard.emplace(pool, telemetry_.get());
   const CostBreakdown cost = sim_->run_epoch(
       w, alpha, rng, faults_.active() ? &faults_ : nullptr,
-      telemetry_.get(), down, recover);
+      telemetry_.get(), down);
   stats_ = sim_->last_stats();
-  if (stats_.node_recoveries > 0) faults_.note_node_recovered();
   cost_paper_ = cost.scaled(scale_.n_scale);
-  // Survivors carry the epoch when a node is down (with speculation they
-  // also re-execute its shard, which the ledger already includes).
+  // Survivors carry the epoch when a node is down.
   const std::size_t active =
       down != ClusterSim::kNoNode ? n_eff - 1 : n_eff;
   const double compute =
@@ -176,18 +167,14 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
                                       Rng& rng) {
   faults_.begin_epoch(w);
   const std::size_t down = faults_.node_down_this_epoch();
-  const bool speculate =
-      supervisor_ != nullptr && supervisor_->speculates();
   stats_ = ClusterEpochStats{};
-  // The inner engine's own injector is empty (make_engine installs faults
-  // only on this engine), but the supervisor's scalar pin / degradation
-  // ladder must reach the trajectory path.
-  sync_->set_supervisor(supervisor_);
+  // The inner engine's own injector is empty: make_engine installs faults
+  // only on this engine.
   ThreadPool& pool =
       opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
   ChunkHookGuard straggle_guard(pool, faults_);
   const double machine_secs = sync_->run_epoch(w, alpha, rng);
-  // Step-indexed faults (nan@K, poison) fire on the outer injector; the
+  // Step-indexed faults (nan@K) fire on the outer injector; the
   // trajectory made this many model updates.
   const std::size_t upd_run =
       opts_.batch == 0
@@ -200,26 +187,14 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
           ? 1.0
           : std::ceil(scale_.paper_n /
                       static_cast<double>(opts_.batch));
-  double net =
+  const double net =
       upd_paper * net_.allreduce_seconds(nodes_, scale_.model_bytes);
   double stall = 0;
-  std::size_t active = nodes_;
   if (down != ClusterSim::kNoNode) {
     stats_.node_downs = 1;
     stats_.down_node = down;
-    if (speculate && nodes_ > 1) {
-      // Speculative re-execution: survivors rerun the lost shard (the
-      // global gradient is unchanged — sharding is a cost concept here)
-      // and re-fetch its data.
-      stats_.node_recoveries = 1;
-      faults_.note_node_recovered();
-      active = nodes_ - 1;
-      net += net_.message_seconds(scale_.working_set_bytes /
-                                  static_cast<double>(nodes_));
-    } else {
-      // The collective blocks until an operator restarts the node.
-      stall = kNodeRestartStallSeconds;
-    }
+    // The collective blocks until an operator restarts the node.
+    stall = kNodeRestartStallSeconds;
   }
   cost_paper_ = sync_->last_cost();
   if (nodes_ > 1) {
@@ -237,8 +212,7 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
   // the full wire time is exposed for attribution.
   last_split_.net_s = net;
   last_split_.stall_s = stall;
-  return machine_secs / static_cast<double>(std::max<std::size_t>(active, 1)) +
-         net + stall;
+  return machine_secs / static_cast<double>(nodes_) + net + stall;
 }
 
 std::vector<telemetry::NodeStatus> ClusterEngine::last_node_status() const {

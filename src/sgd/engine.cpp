@@ -89,28 +89,23 @@ RunResult run_training(Engine& engine, const Model& model,
 
   engine.fault_injector().seek_epoch(start_epoch);
 
-  // The resilience policy (DESIGN.md §16).
-  SupervisorOptions sup_opts = opts.supervisor;
-  sup_opts.seed ^= opts.seed * 0x9E3779B97F4A7C15ULL;
-  TrainingSupervisor supervisor(sup_opts, engine.telemetry());
-  // RAII detach: the engine (and its injector's gate pointer) outlives
-  // this call, the supervisor does not — even on a CrashFault unwind.
-  struct SupervisorGuard {
-    Engine* eng = nullptr;
-    ~SupervisorGuard() {
-      if (eng != nullptr) eng->set_supervisor(nullptr);
-    }
-  } sup_guard;
-  if (supervisor.active()) {
-    engine.set_supervisor(&supervisor);
-    sup_guard.eng = &engine;
-  }
+  telemetry::TelemetrySession* tel = engine.telemetry();
 
-  // Last known-good state for supervisor rollbacks. Maintained only when
-  // resilience is on: with it off, the loop below degenerates to the plain
-  // epoch loop with bit-identical trajectories (alpha_scale stays exactly
-  // 1.0, and multiplying by 1.0 is IEEE-exact).
-  const bool guard = supervisor.active();
+  // Divergence watchdog state (DESIGN.md §11): the last known-good
+  // snapshot for rollbacks and the run's counters. Maintained only when
+  // the watchdog is on: with it off, the loop below degenerates to the
+  // plain epoch loop with bit-identical trajectories (alpha_scale stays
+  // exactly 1.0, and multiplying by 1.0 is IEEE-exact).
+  const bool guard = opts.watchdog;
+  ResilienceStats stats;
+  telemetry::Counter* c_recoveries = nullptr;
+  telemetry::Counter* c_checkpoints = nullptr;
+  telemetry::TraceRecorder* trace = nullptr;
+  if (guard && tel != nullptr && tel->metrics_enabled()) {
+    c_recoveries = &tel->metrics().counter("resilience.recoveries");
+    c_checkpoints = &tel->metrics().counter("resilience.checkpoints");
+    trace = tel->trace_enabled() ? &tel->trace() : nullptr;
+  }
   struct Snapshot {
     std::vector<real_t> w;
     RngState rng;
@@ -124,8 +119,6 @@ RunResult run_training(Engine& engine, const Model& model,
     good.epoch = start_epoch;
     good.n_losses = res.losses.size();
   }
-
-  telemetry::TelemetrySession* tel = engine.telemetry();
 
   // Heartbeat bookkeeping (host wall time; see TrainOptions). Counts only
   // epochs finished in *this* call so the ETA stays honest on resume.
@@ -179,12 +172,9 @@ RunResult run_training(Engine& engine, const Model& model,
       st.eta_s = per_epoch * static_cast<double>(
                                  opts.max_epochs - res.losses.size());
     }
-    if (supervisor.active()) {
-      const ResilienceStats rs = supervisor.stats();
+    if (guard) {
       st.has_resilience = true;
-      st.recoveries = rs.recoveries;
-      st.backup_wins = rs.backup_wins;
-      st.ladder = to_string(rs.final_level);
+      st.recoveries = stats.recoveries;
     }
     if (recorder != nullptr) {
       st.record_ms = opts.record_ms;
@@ -255,50 +245,26 @@ RunResult run_training(Engine& engine, const Model& model,
     }
 
     const bool nonfinite = !std::isfinite(loss);
-    bool bad_weights = false;
-    if (supervisor.full() && !nonfinite) {
-      // A poisoned update can leave NaN weight coordinates behind a loss
-      // that is still finite on this dataset slice — scan for them.
-      for (const real_t x : w) {
-        if (!std::isfinite(x)) {
-          bad_weights = true;
-          break;
-        }
-      }
-    }
-    const bool numeric_bad =
-        nonfinite || bad_weights ||
+    const bool bad =
+        nonfinite ||
         loss > opts.divergence_factor * std::max(res.initial_loss, 1e-12);
-    // Deadline check (full mode only): a numerically clean epoch that
-    // blew the host-time deadline (hung worker) is rolled back and
-    // retried with alpha unchanged — the retry is deterministic, so the
-    // trajectory is bit-identical whether or not the deadline fired.
-    // Past the recovery budget the epoch is simply accepted (its math is
-    // valid); bad epochs never feed the EWMA.
-    bool deadline_bad = false;
-    if (supervisor.full() && !numeric_bad) {
-      if (recoveries_used < sup_opts.recovery_budget &&
-          supervisor.epoch_deadline_exceeded(host_s)) {
-        deadline_bad = true;
-      } else {
-        supervisor.observe_epoch_seconds(host_s);
-      }
-    }
-    const bool bad = numeric_bad || deadline_bad;
 
-    if (guard && bad && recoveries_used < sup_opts.recovery_budget) {
-      // The whole rollback (snapshot restore + supervisor backoff sleep)
-      // plus the rejected epoch itself is recovery time: it bought no
-      // trajectory progress. Charged to the next accepted epoch's record.
+    if (guard && bad && recoveries_used < kWatchdogBudget) {
+      // The whole rollback plus the rejected epoch itself is recovery
+      // time: it bought no trajectory progress. Charged to the next
+      // accepted epoch's record.
       const double rec_t0 = ledger_on ? monotonic_seconds() - host_s : 0;
       ++recoveries_used;
-      alpha_scale *= supervisor.on_epoch_failed(numeric_bad, e);
-      const RecoveryReason reason =
-          nonfinite      ? RecoveryReason::kNonFinite
-          : bad_weights  ? RecoveryReason::kBadWeights
-          : deadline_bad ? RecoveryReason::kDeadline
-                         : RecoveryReason::kLossSpike;
-      res.recoveries.push_back({e, loss, alpha_scale, reason});
+      ++stats.recoveries;
+      if (c_recoveries != nullptr) c_recoveries->inc();
+      if (trace != nullptr) {
+        trace->instant("resilience.recover",
+                       {{"epoch", static_cast<double>(e)}});
+      }
+      alpha_scale *= kWatchdogBackoff;
+      res.recoveries.push_back({e, loss, alpha_scale,
+                                nonfinite ? RecoveryReason::kNonFinite
+                                          : RecoveryReason::kLossSpike});
       w = good.w;
       rng.set_state(good.rng);
       res.losses.resize(good.n_losses);
@@ -363,7 +329,6 @@ RunResult run_training(Engine& engine, const Model& model,
       good.rng = rng.state();
       good.epoch = e + 1;
       good.n_losses = res.losses.size();
-      supervisor.on_epoch_clean();
     }
     if (!opts.checkpoint_path.empty()) {
       bool due;
@@ -387,7 +352,10 @@ RunResult run_training(Engine& engine, const Model& model,
         // works even after a crash@E fault kills the process.
         if (recorder != nullptr) ck.flight = recorder->window();
         save_checkpoint(opts.checkpoint_path, ck);
-        if (supervisor.active()) supervisor.note_checkpoint();
+        if (guard) {
+          ++stats.checkpoints;
+          if (c_checkpoints != nullptr) c_checkpoints->inc();
+        }
         if (ledger_on) pending_checkpoint_s += monotonic_seconds() - ck_t0;
       }
     }
@@ -413,15 +381,7 @@ RunResult run_training(Engine& engine, const Model& model,
       emit_status(build_status(loss_now, monotonic_seconds()));
     }
   }
-  if (supervisor.active()) {
-    // ResilienceStats are per-call, not checkpointed: a resumed run
-    // restarts its counters (documented in DESIGN.md §16).
-    res.resilience = supervisor.stats();
-    res.resilience.quarantined =
-        engine.fault_injector().counters().quarantined;
-    res.resilience.node_recoveries =
-        engine.fault_injector().counters().node_recoveries;
-  }
+  res.resilience = stats;
   return res;
 }
 

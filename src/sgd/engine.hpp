@@ -17,7 +17,6 @@
 #include "faults/injector.hpp"
 #include "models/model.hpp"
 #include "sgd/schedule.hpp"
-#include "sgd/supervisor.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/session.hpp"
@@ -101,35 +100,27 @@ class Engine {
   /// Reports harvest the per-kernel stats breakdown through this.
   virtual const gpusim::Device* device() const { return nullptr; }
 
-  /// Attaches/detaches (null) the run's training supervisor (DESIGN.md
-  /// §16). run_training does this for the duration of one run; engines
-  /// consult it at epoch start for the degradation ladder, and the fault
-  /// injector gets its straggle gate / sanitization policy from it.
-  void set_supervisor(TrainingSupervisor* supervisor) {
-    supervisor_ = supervisor;
-    faults_.set_straggle_gate(
-        supervisor != nullptr && supervisor->speculates() ? supervisor
-                                                          : nullptr);
-    faults_.set_sanitize(supervisor != nullptr &&
-                         supervisor->sanitize_updates());
-  }
-  TrainingSupervisor* supervisor() const { return supervisor_; }
-
  protected:
   /// Engines call the hooks of this injector from their run_epoch paths.
   FaultInjector faults_;
   /// Shared with EngineContext (or standalone); null when telemetry=off.
   std::shared_ptr<telemetry::TelemetrySession> telemetry_;
-  /// Owned by run_training for the duration of one run; null outside it.
-  TrainingSupervisor* supervisor_ = nullptr;
 };
 
-/// Why the supervisor (or the legacy watchdog) rejected an epoch.
+/// Why the divergence watchdog rejected an epoch.
 enum class RecoveryReason : std::uint8_t {
-  kNonFinite = 0,   ///< loss went NaN/Inf
-  kLossSpike = 1,   ///< loss exceeded the divergence threshold
-  kDeadline = 2,    ///< epoch host time blew the supervisor deadline
-  kBadWeights = 3,  ///< finite loss but non-finite weight coordinates
+  kNonFinite = 0,  ///< loss went NaN/Inf
+  kLossSpike = 1,  ///< loss exceeded the divergence threshold
+};
+
+/// Watchdog counters for one run_training call (all zero when the
+/// watchdog is off); surfaced on RunResult and the RunReport
+/// `resilience` slice. Not checkpointed: a resumed run restarts them.
+struct ResilienceStats {
+  std::size_t recoveries = 0;   ///< rollback+retry events
+  std::size_t checkpoints = 0;  ///< checkpoints written
+
+  bool any() const { return recoveries > 0 || checkpoints > 0; }
 };
 
 /// One watchdog rollback: epoch `epoch` produced `bad_loss`, the run was
@@ -153,7 +144,7 @@ struct RunResult {
   std::vector<RecoveryEvent> recoveries;
   /// Final step-size scale after watchdog backoffs (1.0 = untouched).
   double alpha_scale = 1.0;
-  /// Supervisor counters for the run (all zero when resilience=off).
+  /// Watchdog counters for the run (all zero when the watchdog is off).
   ResilienceStats resilience;
   /// Per-epoch time-budget ledger (DESIGN.md §18). Empty unless
   /// attribution was engaged (TrainOptions::attribute / record_ms /
@@ -187,15 +178,14 @@ struct TrainOptions {
   /// constant alpha passed to run_training (which then seeds nothing).
   /// Must outlive the run. The paper's protocol is a constant step.
   const StepSchedule* schedule = nullptr;
-  /// Resilience policy (DESIGN.md §16). Off by default: run_training is
-  /// then bit-identical to the plain loop. supervisor_options_for(
-  /// ResilienceMode::kWatchdog) is the divergence watchdog (§11): an epoch
-  /// whose loss is non-finite or exceeds the divergence threshold is
-  /// rolled back to the last good snapshot (weights + RNG + trajectory)
-  /// and retried with the step size scaled by `alpha_backoff`, up to
-  /// `recovery_budget` times; every rollback is recorded in
-  /// RunResult::recoveries.
-  SupervisorOptions supervisor;
+  /// Divergence watchdog (DESIGN.md §11, spec key resilience=watchdog).
+  /// Off by default: run_training is then the plain epoch loop. When on,
+  /// an epoch whose loss is non-finite or exceeds the divergence
+  /// threshold is rolled back to the last good snapshot (weights + RNG +
+  /// trajectory) and retried with the step size scaled by
+  /// kWatchdogBackoff, up to kWatchdogBudget times; every rollback is
+  /// recorded in RunResult::recoveries.
+  bool watchdog = false;
   /// When non-empty, a TrainCheckpoint is written (atomically) to this
   /// path after every `checkpoint_every`-th completed epoch — or, when
   /// `checkpoint_every_seconds` > 0, whenever that much host time has
@@ -223,6 +213,10 @@ struct TrainOptions {
   /// heartbeat_seconds is 0 the status cadence defaults to 0.5s.
   std::string status_path;
 };
+
+/// The watchdog's fixed step-size backoff and rollback budget.
+inline constexpr double kWatchdogBackoff = 0.1;
+inline constexpr std::size_t kWatchdogBudget = 3;
 
 /// Runs `engine` from a copy of `w0`, recording the loss after every
 /// epoch. Loss evaluation is excluded from the modeled time (paper §IV-A).

@@ -72,16 +72,11 @@ void HeterogeneousEngine::set_telemetry(
 double HeterogeneousEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                       Rng& rng) {
   if (!epoch_seconds_) instrument(w);
-  if (supervisor_ != nullptr && supervisor_->active()) {
-    // Last ladder rung (DESIGN.md §16); bit-identical under det=on.
-    traj_backend_.set_force_scalar(supervisor_->level() >=
-                                   DegradeLevel::kScalar);
-  }
   faults_.begin_epoch(w);
   if (opts_.minibatch == 0) {
     // The combined gradient equals the single-device batch gradient, so
     // the functional trajectory is the plain synchronous epoch. Like the
-    // sync engine, the epoch's one update can be dropped or quarantined.
+    // sync engine, the epoch's one update can be dropped.
     if (faults_.drop_update()) {
       faults_.after_update(w);
       return *epoch_seconds_;
@@ -104,7 +99,6 @@ double HeterogeneousEngine::run_epoch(std::span<real_t> w, real_t alpha,
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
     mo.pool = opts_.pool;
-    mo.supervisor = supervisor_;
     run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
                         telemetry_.get(), mo);
   }

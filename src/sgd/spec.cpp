@@ -241,29 +241,20 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
                                        "' (expected phi in [0, 1])");
         }
       } else if (key == "record") {
-        if (val == "off") {
-          s.record_ms = 0;
-        } else {
-          std::string ms = val;
-          if (ms.size() > 2 && ms.compare(ms.size() - 2, 2, "ms") == 0) {
-            ms.resize(ms.size() - 2);
-          }
-          if (!parse_double(ms, &s.record_ms) || s.record_ms <= 0) {
-            return parse_fail(error,
-                              "bad value in '" + kv +
-                                  "' (expected off or a positive cadence "
-                                  "in ms, e.g. record=100ms)");
-          }
-        }
-      } else if (key == "resilience") {
-        const std::optional<ResilienceMode> mode =
-            parse_resilience_mode(val);
-        if (!mode.has_value()) {
+        const std::optional<double> ms = parse_record_ms(val);
+        if (!ms.has_value()) {
           return parse_fail(error,
                             "bad value in '" + kv +
-                                "' (expected off, watchdog or full)");
+                                "' (expected off or a positive cadence "
+                                "in ms, e.g. record=100ms)");
         }
-        s.resilience = *mode;
+        s.record_ms = *ms;
+      } else if (key == "resilience") {
+        if (val != "off" && val != "watchdog") {
+          return parse_fail(error, "bad value in '" + kv +
+                                       "' (expected off or watchdog)");
+        }
+        s.watchdog = val == "watchdog";
       } else if (key == "telemetry") {
         const std::optional<telemetry::TelemetryMode> mode =
             telemetry::parse_telemetry_mode(val);
@@ -290,6 +281,17 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
 
 std::optional<EngineSpec> try_parse_spec(const std::string& text) {
   return try_parse_spec(text, nullptr);
+}
+
+std::optional<double> parse_record_ms(const std::string& text) {
+  if (text == "off") return 0.0;
+  std::string ms = text;
+  if (ms.size() > 2 && ms.compare(ms.size() - 2, 2, "ms") == 0) {
+    ms.resize(ms.size() - 2);
+  }
+  double out = 0;
+  if (!parse_double(ms, &out) || !(out > 0)) return std::nullopt;
+  return out;
 }
 
 EngineSpec parse_spec(const std::string& text) {
@@ -330,9 +332,7 @@ std::string format_spec(const EngineSpec& spec) {
   if (spec.record_ms > 0) {
     kv.push_back("record=" + format_double(spec.record_ms) + "ms");
   }
-  if (spec.resilience != ResilienceMode::kOff) {
-    kv.push_back(std::string("resilience=") + to_string(spec.resilience));
-  }
+  if (spec.watchdog) kv.push_back("resilience=watchdog");
   if (spec.threads != 0) {
     kv.push_back("threads=" + std::to_string(spec.threads));
   }

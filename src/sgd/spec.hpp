@@ -79,7 +79,7 @@ struct EngineSpec {
   /// Cluster interconnect (arch=cluster; spec key link=LAT:BW, canonical
   /// form e.g. link=10us:10gbps). Ignored elsewhere.
   LinkSpec link;
-  /// Injected faults (faults=/straggler=/drop=/poison= spec keys,
+  /// Injected faults (faults=/straggler=/drop= spec keys,
   /// DESIGN.md §11). Empty by default; overrides EngineContext::faults
   /// when non-empty.
   FaultPlan faults;
@@ -88,10 +88,10 @@ struct EngineSpec {
   /// never constructs a recorder — one untaken branch, bit-identical
   /// trajectories; canonical non-off form is e.g. record=100ms.
   double record_ms = 0;
-  /// resilience=off|watchdog|full (DESIGN.md §16): the training
-  /// supervisor policy run_training applies to runs of this spec. Default
-  /// off — bit-identical to the pre-supervisor seed; format_spec omits it.
-  ResilienceMode resilience = ResilienceMode::kOff;
+  /// resilience=off|watchdog (DESIGN.md §11): whether runs of this spec
+  /// train under the divergence watchdog (TrainOptions::watchdog).
+  /// Default off — the plain epoch loop; format_spec omits it.
+  bool watchdog = false;
   /// Telemetry mode (telemetry= spec key, DESIGN.md §12). When the
   /// context has no session and this is not kOff, make_engine creates a
   /// standalone session owned by the engine (Engine::telemetry()).
@@ -120,6 +120,11 @@ EngineSpec parse_spec(const std::string& text);
 std::optional<EngineSpec> try_parse_spec(const std::string& text);
 std::optional<EngineSpec> try_parse_spec(const std::string& text,
                                          std::string* error);
+
+/// Parses a record= cadence ("off", "N" or "Nms"; N > 0) into
+/// milliseconds, 0 for off; nullopt on anything else, trailing garbage
+/// included. parsgd_cli's --record shares it with the spec grammar.
+std::optional<double> parse_record_ms(const std::string& text);
 
 /// Canonical string form (defaults omitted, options in fixed order).
 std::string format_spec(const EngineSpec& spec);

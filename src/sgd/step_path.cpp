@@ -7,7 +7,6 @@
 #include "common/check.hpp"
 #include "parallel/task_graph.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sgd/supervisor.hpp"
 
 namespace parsgd {
 
@@ -30,34 +29,11 @@ void run_minibatch_epoch(const Model& model, const TrainData& data,
           : nullptr;
   ThreadPool& pool =
       opts.pool != nullptr ? *opts.pool : ThreadPool::global();
-  const DegradeLevel level =
-      opts.supervisor != nullptr && opts.supervisor->active()
-          ? opts.supervisor->level()
-          : DegradeLevel::kNone;
 
-  if (level >= DegradeLevel::kSequential) {
-    // Degraded rung (DESIGN.md §16): plain sequential batch_step loop, no
-    // pool and no graph on the step path. Bit-identical to the graph path
-    // below the decomposition floor, same injector draw order.
-    for (const std::uint32_t b : order) {
-      if (faults.drop_update()) {
-        faults.after_update(w);
-        continue;
-      }
-      const std::size_t begin =
-          static_cast<std::size_t>(b) * opts.minibatch;
-      const std::size_t end = std::min(n, begin + opts.minibatch);
-      model.batch_step(data, begin, end, opts.use_dense, alpha, w, w);
-      faults.after_update(w);
-      if (c_updates != nullptr) c_updates->inc();
-    }
-    return;
-  }
-
-  // Graph path: build the whole epoch as one dependency graph, then drain
-  // it once. Drop decisions are drawn at build time in batch order — the
-  // same injector-RNG sequence as the sequential rung (drop_update is the
-  // only injector RNG consumer on this path; after_update draws nothing).
+  // Build the whole epoch as one dependency graph, then drain it once.
+  // Drop decisions are drawn at build time in batch order (drop_update is
+  // the only injector RNG consumer on this path; after_update draws
+  // nothing).
   TaskGraph graph(pool, telemetry);
   if (faults.active() && faults.plan().straggler_prob > 0) {
     // Execution-only straggler seam, mirroring ChunkHookGuard: the hashed

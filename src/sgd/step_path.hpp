@@ -6,15 +6,13 @@
 // chunks. No per-batch barrier; independent work from consecutive batches
 // overlaps. Trajectories are bit-identical across worker counts (fixed
 // decomposition grid) and run-to-run; below the decomposition floor each
-// batch is one batch_step task, bit-identical to the supervisor's
-// sequential rung (a plain batch_step loop).
+// batch is one batch_step task, bit-identical to a plain batch_step loop.
 //
-// Fault-injection semantics are the same on the graph and the sequential
-// rung: dropped updates draw from the injector RNG once per batch in
-// shuffled batch order (on the graph the draw happens at build time — the
-// injector RNG sequence is identical because drop_update is its only
-// consumer here), straggler delays are execution-only (graph task hook),
-// and after_update runs once per batch in batch order.
+// Fault-injection semantics: dropped updates draw from the injector RNG
+// once per batch in shuffled batch order (at graph build time —
+// drop_update is the injector RNG's only consumer here), straggler delays
+// are execution-only (graph task hook), and after_update runs once per
+// batch in batch order.
 //
 // SyncEngine and HeterogeneousEngine both run their minibatch epochs
 // through this.
@@ -31,18 +29,12 @@
 namespace parsgd {
 
 class ThreadPool;
-class TrainingSupervisor;
 
 struct MinibatchEpochOptions {
   std::size_t minibatch = 0;  ///< examples per update (must be > 0)
   bool use_dense = false;
   /// Execution pool; nullptr = the process-global pool.
   ThreadPool* pool = nullptr;
-  /// The run's supervisor (null outside run_training / resilience=off).
-  /// Its degradation ladder (DESIGN.md §16) can demote this epoch to the
-  /// plain-sequential loop; every rung follows the same batch order and
-  /// injector draw sequence.
-  const TrainingSupervisor* supervisor = nullptr;
 };
 
 /// Runs one synchronized mini-batch epoch in place on `w`: every example

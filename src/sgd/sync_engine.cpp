@@ -116,13 +116,6 @@ void SyncEngine::set_telemetry(
 
 double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
   const double secs = epoch_seconds(w);
-  if (supervisor_ != nullptr && supervisor_->active()) {
-    // Last ladder rung (DESIGN.md §16): pin the trajectory backend to the
-    // scalar kernel table. Bit-identical under det=on, so stepping down
-    // (or back up) never perturbs the trajectory.
-    traj_backend_.set_force_scalar(supervisor_->level() >=
-                                   DegradeLevel::kScalar);
-  }
   faults_.begin_epoch(w);
   ThreadPool& epoch_pool =
       opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
@@ -139,9 +132,8 @@ double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
         telemetry_ != nullptr && telemetry_->metrics_enabled()
             ? &telemetry_->metrics().counter("sync.updates")
             : nullptr;
-    // The epoch's single update can be a lost update (drop=) or a
-    // quarantined poisoned one (poison= under sanitization); plans
-    // without either draw nothing here, keeping baselines bit-identical.
+    // The epoch's single update can be a lost update (drop=); plans
+    // without one draw nothing here, keeping baselines bit-identical.
     if (faults_.drop_update()) {
       faults_.after_update(w);
     } else {
@@ -158,7 +150,6 @@ double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
     mo.pool = opts_.pool;
-    mo.supervisor = supervisor_;
     run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
                         telemetry_.get(), mo);
   }

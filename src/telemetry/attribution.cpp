@@ -150,10 +150,7 @@ std::string format_status_line(const RunStatus& s) {
   os << s.engine << " epoch " << s.epoch << "/" << s.epochs_total
      << " loss=" << s.loss;
   if (s.eta_s >= 0) os << " eta=" << s.eta_s << "s";
-  if (s.has_resilience) {
-    os << " rec=" << s.recoveries << " backup=" << s.backup_wins
-       << " ladder=" << s.ladder;
-  }
+  if (s.has_resilience) os << " rec=" << s.recoveries;
   if (s.record_ms > 0) os << " frames=" << s.flight_frames;
   if (s.has_attribution && s.mean.host_s > 0) {
     // Top steady-state host buckets as percentages — the same numbers the
@@ -182,9 +179,7 @@ std::string status_json(const RunStatus& s) {
      << ",\"epoch\":" << s.epoch << ",\"epochs\":" << s.epochs_total
      << ",\"loss\":" << num(s.loss) << ",\"eta_s\":" << num(s.eta_s);
   if (s.has_resilience) {
-    os << ",\"resilience\":{\"recoveries\":" << s.recoveries
-       << ",\"backup_wins\":" << s.backup_wins << ",\"ladder\":\""
-       << escape(s.ladder) << "\"}";
+    os << ",\"resilience\":{\"recoveries\":" << s.recoveries << "}";
   }
   if (s.record_ms > 0) {
     os << ",\"record\":{\"cadence_ms\":" << num(s.record_ms)

@@ -24,7 +24,7 @@
 //
 // RunStatus is the single source for *both* the heartbeat log line
 // (format_status_line) and the --status-file JSON (write_status_file), so
-// rec=/ladder=/bucket fields can never drift between the two surfaces.
+// rec=/bucket fields can never drift between the two surfaces.
 //
 // This header is sgd/report-free on purpose (telemetry links only
 // parsgd_common): run_training fills the records; parsgd_top and the
@@ -57,7 +57,7 @@ struct EpochAttribution {
   double h_queue_s = 0;      ///< pool queue-wait (per-worker share)
   double h_ready_s = 0;      ///< task-graph ready-wait (per-worker share)
   double h_stall_s = 0;      ///< injected straggle actually applied
-  double h_recovery_s = 0;   ///< supervisor rollback/backoff before epoch
+  double h_recovery_s = 0;   ///< watchdog rollbacks before epoch
   double h_checkpoint_s = 0; ///< checkpoint write after the epoch
 };
 
@@ -113,10 +113,8 @@ struct RunStatus {
   double loss = 0;
   double eta_s = -1;     ///< host-seconds to completion; < 0 = unknown
 
-  bool has_resilience = false;  ///< gates rec=/backup=/ladder= fields
+  bool has_resilience = false;  ///< gates the rec= field (watchdog on)
   std::uint64_t recoveries = 0;
-  std::uint64_t backup_wins = 0;
-  std::string ladder;    ///< degradation-ladder level name
 
   double record_ms = 0;             ///< flight-recorder cadence; 0 = off
   std::uint64_t flight_frames = 0;  ///< frames recorded so far
@@ -130,8 +128,8 @@ struct RunStatus {
   std::vector<NodeStatus> nodes;  ///< empty for non-cluster runs
 };
 
-/// The heartbeat log line. Base fields always; " rec=.. backup=..
-/// ladder=.." when has_resilience; " frames=N" when recording; a
+/// The heartbeat log line. Base fields always; " rec=N" when
+/// has_resilience; " frames=N" when recording; a
 /// " split=bucket:NN%|..." suffix (top host buckets of the steady-state
 /// split) when has_attribution.
 std::string format_status_line(const RunStatus& s);

@@ -45,7 +45,7 @@ struct FlightSample {
   double h_stall_s = 0;
   double h_recovery_s = 0;
   double h_checkpoint_s = 0;
-  double recoveries = 0;  ///< supervisor rollbacks so far
+  double recoveries = 0;  ///< watchdog rollbacks so far
 
   std::array<double, kFields> to_array() const {
     return {t_s,      epoch,    loss,      modeled_s,    host_s,

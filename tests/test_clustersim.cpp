@@ -152,10 +152,9 @@ TEST(ClusterDeterminism, SingleNodeAllReduceMatchesSyncEngine) {
 struct NodedownRun {
   std::vector<double> losses;
   std::size_t node_downs = 0;
-  std::size_t node_recoveries = 0;
 };
 
-NodedownRun nodedown_run(const std::string& spec_text, bool speculate) {
+NodedownRun nodedown_run(const std::string& spec_text) {
   const Dataset ds = tiny("w8a");
   LogisticRegression lr(ds.d());
   EngineContext ctx = make_engine_context(ds, lr, Layout::kSparse);
@@ -163,46 +162,31 @@ NodedownRun nodedown_run(const std::string& spec_text, bool speculate) {
       make_engine(parse_spec(spec_text), ctx);
   TrainOptions t;
   t.max_epochs = 3;
-  if (speculate) t.supervisor.mode = ResilienceMode::kFull;
   const std::vector<real_t> w0 = lr.init_params(5);
   NodedownRun out;
   out.losses =
       run_training(*engine, lr, ctx.data, w0, real_t(0.1), t).losses;
   out.node_downs = engine->fault_injector().counters().node_downs;
-  out.node_recoveries =
-      engine->fault_injector().counters().node_recoveries;
   return out;
 }
 
-TEST(ClusterNodedown, SpeculationRecoversTheExactTrajectory) {
+TEST(ClusterNodedown, ParameterServerLosesTheShardsUpdates) {
   const std::string clean = "async/cluster/sparse:nodes=4,batch=8";
-  const std::string faulty = clean + ",faults=nodedown@1:2";
   const std::vector<double> reference = cluster_losses(clean, 4);
-
-  // With a speculating supervisor the survivors re-execute the lost shard
-  // in the same global slot order: bit-identical losses, one recovery.
-  const NodedownRun recovered = nodedown_run(faulty, /*speculate=*/true);
-  EXPECT_EQ(recovered.losses, reference);
-  EXPECT_EQ(recovered.node_downs, 1u);
-  EXPECT_EQ(recovered.node_recoveries, 1u);
-
-  // Without one, the down node's updates are lost for the epoch.
-  const NodedownRun lost = nodedown_run(faulty, /*speculate=*/false);
+  // The down node's updates are lost for the epoch.
+  const NodedownRun lost = nodedown_run(clean + ",faults=nodedown@1:2");
   EXPECT_EQ(lost.node_downs, 1u);
-  EXPECT_EQ(lost.node_recoveries, 0u);
   EXPECT_NE(lost.losses, reference);
 }
 
-TEST(ClusterNodedown, AllReduceSpeculationKeepsTrajectoryAndCounts) {
+TEST(ClusterNodedown, AllReduceKeepsTrajectoryAndCounts) {
   const std::string clean = "sync/cluster/sparse:nodes=4,batch=8";
-  const std::string faulty = clean + ",faults=nodedown@1";
   const std::vector<double> reference = cluster_losses(clean, 4);
-  // Sharding is a cost concept under all-reduce: the trajectory survives
-  // the fault either way, the ledger records the recovery.
-  const NodedownRun recovered = nodedown_run(faulty, /*speculate=*/true);
-  EXPECT_EQ(recovered.losses, reference);
-  EXPECT_EQ(recovered.node_downs, 1u);
-  EXPECT_EQ(recovered.node_recoveries, 1u);
+  // Sharding is a cost concept under all-reduce: the collective stalls
+  // until the node is back, and the trajectory survives the fault.
+  const NodedownRun down = nodedown_run(clean + ",faults=nodedown@1");
+  EXPECT_EQ(down.losses, reference);
+  EXPECT_EQ(down.node_downs, 1u);
 }
 
 // ---- cost model shape ----------------------------------------------------

@@ -1,16 +1,20 @@
 // Fault injection + resilient training runtime (DESIGN.md §11): the spec
-// fault grammar, the injector hooks, the divergence watchdog, and
-// checkpoint/resume. The load-bearing guarantees tested here:
+// fault grammar, the injector hooks, the divergence watchdog
+// (resilience=watchdog), and checkpoint/resume. The load-bearing
+// guarantees tested here:
 //   * an empty plan / disabled watchdog leaves trajectories bit-identical,
 //   * an injected fault is detected at the exact epoch it lands,
 //   * crash + checkpoint + resume reproduces the uninterrupted run exactly,
+//     on every cadence and on the task-graph step path,
 //   * a fully-diverged step grid degrades a Study sweep, never aborts it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "core/study.hpp"
@@ -22,7 +26,6 @@
 #include "sgd/checkpoint.hpp"
 #include "sgd/convergence.hpp"
 #include "sgd/spec.hpp"
-#include "sgd/supervisor.hpp"
 
 namespace parsgd {
 namespace {
@@ -61,10 +64,9 @@ TrainOptions epochs(std::size_t n) {
   return t;
 }
 
-/// The divergence watchdog is the supervisor's kWatchdog preset.
 TrainOptions watchdog_epochs(std::size_t n) {
   TrainOptions t = epochs(n);
-  t.supervisor = supervisor_options_for(ResilienceMode::kWatchdog);
+  t.watchdog = true;
   return t;
 }
 
@@ -84,18 +86,6 @@ TEST(FaultSpec, ParsesAllKeys) {
   EXPECT_TRUE(s.faults.any());
 }
 
-TEST(FaultSpec, ParsesPoisonAndHang) {
-  const EngineSpec s = parse_spec(
-      "sync/cpu-seq/sparse:faults=hang@4:300,poison=0.02");
-  EXPECT_EQ(s.faults.hang_epoch, 4u);
-  EXPECT_EQ(s.faults.hang_ms, 300u);
-  EXPECT_DOUBLE_EQ(s.faults.poison_prob, 0.02);
-  EXPECT_TRUE(s.faults.any());
-  // The :MS suffix is optional and defaults to 250 ms.
-  EXPECT_EQ(parse_spec("sync/cpu-seq/sparse:faults=hang@2").faults.hang_ms,
-            250u);
-}
-
 TEST(FaultSpec, ParsesFlipWithCoordAndBit) {
   const EngineSpec s =
       parse_spec("sync/cpu-seq/sparse:faults=flip@3:7:22");
@@ -110,8 +100,7 @@ TEST(FaultSpec, FormatRoundTrips) {
            "sync/cpu-seq/sparse:batch=32,faults=crash@5+flip@3:7:22",
            "async/cpu-seq/sparse:drop=0.25,faults=inf@9,straggler=0.5@2",
            "async/gpu/sparse:faults=flip@4",
-           "sync/cpu-seq/sparse:faults=hang@3,poison=0.01",
-           "sync/cpu-par/sparse:batch=64,faults=hang@5:100,straggler=0.2@8",
+           "sync/cpu-par/sparse:batch=64,faults=crash@5,straggler=0.2@8",
        }) {
     const EngineSpec s = parse_spec(text);
     EXPECT_EQ(parse_spec(format_spec(s)), s) << text << " via "
@@ -133,10 +122,6 @@ TEST(FaultSpec, RejectsMalformedPlans) {
            "async/cpu-par/sparse:straggler=0.1@0",    // zero max delay
            "async/cpu-par/sparse:drop=-0.1",          // prob < 0
            "async/cpu-par/sparse:drop=",              // empty value
-           "async/cpu-par/sparse:faults=hang",        // missing @epoch
-           "async/cpu-par/sparse:faults=hang@2:0",    // zero hang duration
-           "async/cpu-par/sparse:faults=hang@2:5:9",  // too many fields
-           "async/cpu-par/sparse:poison=1.5",         // prob > 1
        }) {
     EXPECT_FALSE(try_parse_spec(text).has_value()) << text;
   }
@@ -299,16 +284,59 @@ TEST(Watchdog, RecoversFromBitFlip) {
 }
 
 TEST(Watchdog, BudgetExhaustedStillReportsDivergence) {
-  // A persistently-diverging step size: the watchdog spends its budget,
-  // then the run is reported diverged exactly like the unguarded loop.
+  // A persistently-diverging step size: the watchdog spends its budget of
+  // kWatchdogBudget (3) rollbacks, then the run is reported diverged
+  // exactly like the unguarded loop.
   Fixture f("covtype");
-  TrainOptions t = watchdog_epochs(20);
-  t.supervisor.recovery_budget = 2;
   const RunResult r =
-      f.run("sync/cpu-seq/sparse", real_t(1e12), t);
+      f.run("sync/cpu-seq/sparse", real_t(1e12), watchdog_epochs(20));
   EXPECT_TRUE(r.diverged);
-  EXPECT_EQ(r.recoveries.size(), 2u);
-  EXPECT_DOUBLE_EQ(r.alpha_scale, 0.01);
+  ASSERT_EQ(kWatchdogBudget, 3u);
+  EXPECT_EQ(r.recoveries.size(), 3u);
+  EXPECT_EQ(r.resilience.recoveries, 3u);
+  EXPECT_DOUBLE_EQ(r.alpha_scale, 1e-3);
+}
+
+TEST(Watchdog, RollsBackWithFixedBackoffAndCountsMetrics) {
+  Fixture f;
+  const std::unique_ptr<Engine> engine = make_engine(
+      parse_spec("sync/cpu-seq/sparse:faults=nan@3,telemetry=metrics"),
+      f.ctx);
+  const RunResult r = run_training(*engine, f.lr, f.ctx.data, f.w0,
+                                   real_t(0.5), watchdog_epochs(10));
+  EXPECT_FALSE(r.diverged);
+  ASSERT_EQ(r.recoveries.size(), 1u);
+  EXPECT_EQ(r.recoveries[0].epoch, 3u);
+  EXPECT_DOUBLE_EQ(r.alpha_scale, 0.1);  // the fixed watchdog backoff
+  EXPECT_EQ(r.resilience.recoveries, 1u);
+  ASSERT_NE(engine->telemetry(), nullptr);
+  EXPECT_EQ(
+      engine->telemetry()->metrics().counter("resilience.recoveries").value(),
+      1.0);
+}
+
+TEST(Watchdog, SpecKeyParsesFormatsAndDefaultsOff) {
+  const EngineSpec s = parse_spec("sync/cpu-seq/sparse:resilience=watchdog");
+  EXPECT_TRUE(s.watchdog);
+  EXPECT_EQ(parse_spec(format_spec(s)), s);
+  EXPECT_FALSE(parse_spec("sync/cpu-seq/sparse:resilience=off").watchdog);
+  // Default off and omitted from the canonical form.
+  const EngineSpec plain = parse_spec("sync/cpu-seq/sparse");
+  EXPECT_FALSE(plain.watchdog);
+  EXPECT_EQ(format_spec(plain).find("resilience"), std::string::npos);
+  // The removed full mode and its fault classes are rejected with an
+  // error that names the offending token.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"sync/cpu-seq/sparse:resilience=full", "resilience=full"},
+      {"sync/cpu-seq/sparse:resilience=bogus", "resilience=bogus"},
+      {"sync/cpu-seq/sparse:poison=0.1", "poison"},
+      {"sync/cpu-seq/sparse:faults=hang@3", "faults=hang@3"},
+  };
+  for (const auto& [text, token] : rejected) {
+    std::string error;
+    EXPECT_FALSE(try_parse_spec(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(token), std::string::npos) << text << ": " << error;
+  }
 }
 
 // ----------------------------------------------------- checkpoint/resume
@@ -354,6 +382,24 @@ TEST(Checkpoint, LoadRejectsMissingAndCorruptFiles) {
   const std::string path = testing::TempDir() + "/parsgd_ck_corrupt.bin";
   std::ofstream(path, std::ios::binary) << "not a checkpoint";
   EXPECT_THROW(load_checkpoint(path), CheckError);
+  // Recovery reasons 2 and 3 (the deadline and bad-weights reasons of the
+  // removed full resilience mode) must fail loudly, naming the file.
+  for (const std::uint8_t reason : {std::uint8_t{2}, std::uint8_t{3}}) {
+    TrainCheckpoint ck;
+    ck.w = {real_t(1)};
+    ck.partial.recoveries.push_back(
+        {1, 1e9, 0.1, static_cast<RecoveryReason>(reason)});
+    const std::string old_path =
+        testing::TempDir() + "/parsgd_ck_old_reason.bin";
+    save_checkpoint(old_path, ck);
+    try {
+      load_checkpoint(old_path);
+      ADD_FAILURE() << "reason " << int{reason} << " loaded";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(old_path), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 void expect_crash_resume_bit_identical(const Fixture& f,
@@ -408,6 +454,39 @@ TEST(Checkpoint, CrashAndResumeBitIdenticalSyncGraph) {
   expect_crash_resume_bit_identical(
       f, "sync/cpu-par/sparse:batch=32",
       "sync/cpu-par/sparse:batch=32,faults=crash@6", "graph.bin");
+}
+
+TEST(Checkpoint, TimedAutoCheckpointCrashResumesOnGraphPath) {
+  // crash@E + a time-cadence checkpoint + resume on the task-graph step
+  // path reproduces the uninterrupted trajectory exactly.
+  Fixture f;
+  ThreadPool pool(4);
+  f.ctx.pool = &pool;
+  const std::string spec = "sync/cpu-par/sparse:batch=32";
+  const real_t alpha = real_t(0.1);
+
+  // Baseline with a time cadence so aggressive it checkpoints after
+  // every epoch; the watchdog counts each write.
+  TrainOptions base_opts = watchdog_epochs(10);
+  base_opts.checkpoint_path = testing::TempDir() + "/parsgd_ck_timed_base";
+  base_opts.checkpoint_every_seconds = 1e-9;
+  const RunResult base = f.run(spec, alpha, base_opts);
+  EXPECT_GE(base.resilience.checkpoints, 10u);
+
+  const std::string ckpath = testing::TempDir() + "/parsgd_ck_timed";
+  TrainOptions crashing = watchdog_epochs(10);
+  crashing.checkpoint_path = ckpath;
+  crashing.checkpoint_every_seconds = 1e-9;
+  EXPECT_THROW(f.run(spec + ",faults=crash@6", alpha, crashing), CrashFault);
+
+  const TrainCheckpoint ck = load_checkpoint(ckpath);
+  EXPECT_EQ(ck.next_epoch, 6u);
+  TrainOptions resuming = watchdog_epochs(10);
+  resuming.resume = &ck;
+  const RunResult resumed = f.run(spec, alpha, resuming);
+  EXPECT_EQ(resumed.losses, base.losses);
+  EXPECT_EQ(resumed.epoch_seconds, base.epoch_seconds);
+  EXPECT_FALSE(resumed.diverged);
 }
 
 // ----------------------------------------------- divergence bookkeeping

@@ -256,11 +256,8 @@ TEST(RunStatus, StatusLineMatchesLegacyHeartbeatFormat) {
             "async/cpu-par/hogwild epoch 3/10 loss=0.5 eta=2s");
   s.has_resilience = true;
   s.recoveries = 1;
-  s.backup_wins = 2;
-  s.ladder = "full";
   EXPECT_EQ(telemetry::format_status_line(s),
-            "async/cpu-par/hogwild epoch 3/10 loss=0.5 eta=2s"
-            " rec=1 backup=2 ladder=full");
+            "async/cpu-par/hogwild epoch 3/10 loss=0.5 eta=2s rec=1");
 }
 
 TEST(RunStatus, StatusLineAppendsFramesAndTopBuckets) {
@@ -353,6 +350,7 @@ TEST(RecordSpec, RejectsNonPositiveCadence) {
   EXPECT_THROW(parse_spec("async/cpu-par/sparse:record=0ms"), CheckError);
   EXPECT_THROW(parse_spec("async/cpu-par/sparse:record=-5ms"), CheckError);
   EXPECT_THROW(parse_spec("async/cpu-par/sparse:record=abc"), CheckError);
+  EXPECT_THROW(parse_spec("async/cpu-par/sparse:record=nanms"), CheckError);
 }
 
 // ------------------------------------------- run_training integration

@@ -2,14 +2,14 @@
 // draining, reuse, telemetry, the caller-only one-task run — plus the
 // determinism contract of the mini-batch step path built on it:
 // trajectories are bit-identical across pool sizes, and the graph path
-// collapses to the supervisor's sequential rung below the decomposition
-// floor.
+// collapses to a plain batch_step loop below the decomposition floor.
 #include "parallel/task_graph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <span>
@@ -23,7 +23,6 @@
 #include "models/linear.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sgd/step_path.hpp"
-#include "sgd/supervisor.hpp"
 #include "sgd/sync_engine.hpp"
 #include "telemetry/session.hpp"
 
@@ -307,25 +306,41 @@ struct StepPathFixture {
     data.y = y;
   }
 
-  /// Runs `epochs` mini-batch epochs; `level` other than kNone pins the
-  /// supervisor's degradation ladder to that rung.
+  /// Runs `epochs` mini-batch epochs through the step path.
   std::vector<real_t> run(std::size_t batch, std::size_t pool_size,
-                          DegradeLevel level = DegradeLevel::kNone,
                           int epochs = 3) const {
     ThreadPool pool(pool_size);
     FaultInjector faults;
-    TrainingSupervisor sup(supervisor_options_for(ResilienceMode::kFull),
-                           nullptr);
-    sup.force_level(level);
     MinibatchEpochOptions opts;
     opts.minibatch = batch;
     opts.pool = &pool;
-    opts.supervisor = &sup;
     std::vector<real_t> w = model.init_params(5);
     Rng rng(7);
     for (int e = 0; e < epochs; ++e) {
       run_minibatch_epoch(model, data, real_t(0.1), w, rng, faults,
                           nullptr, opts);
+    }
+    return w;
+  }
+
+  /// The same epochs as a plain batch_step loop: shuffled batch order,
+  /// one in-place update per batch, no pool and no graph.
+  std::vector<real_t> run_plain(std::size_t batch, int epochs = 3) const {
+    const std::size_t n = data.n();
+    const std::size_t nb = (n + batch - 1) / batch;
+    std::vector<real_t> w = model.init_params(5);
+    Rng rng(7);
+    for (int e = 0; e < epochs; ++e) {
+      std::vector<std::uint32_t> order(nb);
+      for (std::size_t b = 0; b < nb; ++b) {
+        order[b] = static_cast<std::uint32_t>(b);
+      }
+      rng.shuffle(order);
+      for (const std::uint32_t b : order) {
+        const std::size_t begin = static_cast<std::size_t>(b) * batch;
+        const std::size_t end = std::min(n, begin + batch);
+        model.batch_step(data, begin, end, false, real_t(0.1), w, w);
+      }
     }
     return w;
   }
@@ -349,11 +364,11 @@ TEST(StepPathDeterminism, GraphIsRunToRunStable) {
 
 TEST(StepPathDeterminism, GraphMatchesSequentialRungBelowDecompositionFloor) {
   // Batches under kGraphMinBatch stay a single batch_step task, so the
-  // graph path is bit-identical to the supervisor's sequential rung —
-  // which is what keeps small-batch fault tests and hogbatch trajectories
-  // unchanged when the ladder degrades.
+  // graph path is bit-identical to a plain sequential batch_step loop —
+  // which is what keeps small-batch fault tests and hogbatch
+  // trajectories unchanged.
   const StepPathFixture f;
-  EXPECT_EQ(f.run(256, 4), f.run(256, 4, DegradeLevel::kSequential));
+  EXPECT_EQ(f.run(256, 4), f.run_plain(256));
 }
 
 TEST(StepPathDeterminism, SyncEngineTrajectoryInvariantAcrossPools) {

@@ -110,9 +110,8 @@ void render(const Json& doc) {
   std::printf("\n");
 
   if (const Json* res = doc.find("resilience")) {
-    std::printf("  resilience: %.0f recoveries, %.0f backup wins, ladder %s\n",
-                get_num(*res, "recoveries"), get_num(*res, "backup_wins"),
-                res->at("ladder").as_string().c_str());
+    std::printf("  resilience: %.0f recoveries\n",
+                get_num(*res, "recoveries"));
   }
   if (const Json* rec = doc.find("record")) {
     std::printf("  flight recorder: %.0f frame(s) @ %gms cadence\n",
