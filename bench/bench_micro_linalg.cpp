@@ -15,10 +15,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 
 #include "common/rng.hpp"
+#include "data/generator.hpp"
 #include "faults/injector.hpp"
 #include "gpusim/device.hpp"
 #include "hwmodel/calibration.hpp"
@@ -284,6 +286,83 @@ void BM_FastPathSpmvTransposeNaive(benchmark::State& state) {
                           static_cast<std::int64_t>(a.nnz()));
 }
 BENCHMARK(BM_FastPathSpmvTransposeNaive)->Unit(benchmark::kMillisecond);
+
+// ---- news-shaped sparse sync epoch ----
+// news at 1/400 scale: N = 512, d = 1,355,191, about 233k nonzeros over
+// |J| = 70k touched columns. Arg(0) is the pool's worker count (0 = a
+// worker-less pool, 3 = the nproc-1 pool of a 4-core host).
+//   ./bench/bench_micro_linalg --benchmark_filter=News
+
+const Dataset& news_at_400() {
+  static const Dataset ds =
+      generate_dataset("news", GeneratorOptions{.seed = 1, .scale = 400.0});
+  return ds;
+}
+
+std::unique_ptr<ThreadPool> bench_pool(std::int64_t workers) {
+  return workers == 0 ? std::make_unique<ThreadPool>(ThreadPool::NoWorkers{})
+                      : std::make_unique<ThreadPool>(
+                            static_cast<std::size_t>(workers));
+}
+
+/// The gradient update w += a * A^T coef: fused (Arg(1) = 1, writes only
+/// J) or as the two calls it replaces (Arg(1) = 0: spmv^T into a d-vector,
+/// then a d-length axpy).
+void BM_NewsSparseUpdate(benchmark::State& state) {
+  const CsrMatrix& a = news_at_400().x;
+  const auto pool = bench_pool(state.range(0));
+  const bool fused = state.range(1) != 0;
+  CpuBackend be(CpuBackendOptions{.pool = pool.get()});
+  CostBreakdown cost;
+  be.set_sink(&cost);
+  Rng rng(9);
+  std::vector<real_t> coef(a.rows()), w(a.cols(), 0), g(a.cols());
+  for (auto& v : coef) v = static_cast<real_t>(rng.normal());
+  for (auto _ : state) {
+    if (fused) {
+      be.spmv_t_axpy(real_t(-1e-3), a, coef, w);
+    } else {
+      be.spmv(a, coef, g, /*transpose=*/true);
+      be.axpy(real_t(-1e-3), g, w);
+    }
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(a.nnz()));
+}
+BENCHMARK(BM_NewsSparseUpdate)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({3, 0})
+    ->Args({3, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// One run_training epoch of LR on news: the sync epoch plus the loss
+/// evaluated on the same pool.
+void BM_NewsSyncEpoch(benchmark::State& state) {
+  const Dataset& ds = news_at_400();
+  const auto pool = bench_pool(state.range(0));
+  CpuBackend be(CpuBackendOptions{.pool = pool.get()});
+  CostBreakdown cost;
+  be.set_sink(&cost);
+  const LogisticRegression lr(ds.d());
+  TrainData data;
+  data.sparse = &ds.x;
+  data.y = ds.y;
+  std::vector<real_t> w = lr.init_params(1);
+  for (auto _ : state) {
+    cost.reset();
+    lr.sync_epoch(be, data, false, real_t(1e-3), w);
+    benchmark::DoNotOptimize(lr.dataset_loss(data, w, false, pool.get()));
+  }
+}
+BENCHMARK(BM_NewsSyncEpoch)
+    ->Arg(0)
+    ->Arg(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---- SIMD microkernel variants ----
 // Every kernel of the dispatch table, each compiled variant vs the scalar

@@ -101,13 +101,17 @@ rm -rf "$obs_tmp"
 # the telemetry exporters render snapshots while instruments are live.
 # The conflict accounting runs under ASan too: the asyncsim/replication
 # conflict ledger indexes flat per-line arrays by model coordinate, and
-# the gpusim warp instructions fill fixed per-lane arrays.
+# the gpusim warp instructions fill fixed per-lane arrays. The linalg
+# suite joins both lanes: the transposed spmv indexes through the lazily
+# built column index of a CSR matrix, which threads may request at once.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
     --target test_clustersim \
     --target test_flight_recorder --target test_telemetry \
-    --target test_asyncsim --target test_gpusim --target test_replication
+    --target test_asyncsim --target test_gpusim --target test_replication \
+    --target test_linalg
+"$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
@@ -127,7 +131,9 @@ TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
     --target test_faults --target test_clustersim \
-    --target test_flight_recorder --target test_telemetry --target test_engines
+    --target test_flight_recorder --target test_telemetry --target test_engines \
+    --target test_linalg
+"$TSAN_BUILD_DIR/tests/test_linalg"
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
 "$TSAN_BUILD_DIR/tests/test_faults"
@@ -145,7 +151,7 @@ trap 'rm -rf "$tmp"' EXIT
 echo "check.sh: tier-1 (simd + scalar) + watchdog fault sweep" \
      "+ cluster smoke + observability lane (overhead gate, recorder," \
      "status schema, --attribute)" \
-     "+ ASan kernels/graph/cluster/recorder/telemetry" \
+     "+ ASan linalg/kernels/graph/cluster/recorder/telemetry" \
      "/asyncsim/gpusim/replication" \
-     "+ TSan graph/pool/faults/cluster/recorder/telemetry/engines" \
+     "+ TSan linalg/graph/pool/faults/cluster/recorder/telemetry/engines" \
      "+ regression smoke OK"

@@ -37,9 +37,15 @@ class Backend {
   /// y = A x, or y = A^T x when transpose. A is dense row-major.
   virtual void gemv(const DenseMatrix& a, std::span<const real_t> x,
                     std::span<real_t> y, bool transpose) = 0;
-  /// y = A x (CSR), or y = A^T x when transpose (scatter form).
+  /// y = A x (CSR), or y = A^T x when transpose.
   virtual void spmv(const CsrMatrix& a, std::span<const real_t> x,
                     std::span<real_t> y, bool transpose) = 0;
+  /// y += alpha A^T x (CSR): the sparse gradient update of a full-batch
+  /// epoch. Bit-identical to spmv(a, x, g, true) then axpy(alpha, g, y),
+  /// and charged exactly as those two calls.
+  virtual void spmv_t_axpy(real_t alpha, const CsrMatrix& a,
+                           std::span<const real_t> x,
+                           std::span<real_t> y) = 0;
 
   // ---- matrix-matrix (MLP layers) ----
   /// c = op(A) op(B); shapes must agree.

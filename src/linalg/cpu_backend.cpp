@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
@@ -13,15 +14,68 @@ namespace {
 inline double sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
 
 // ---- transposed-spmv reduction grid ----
-// The per-chunk accumulators of the transposed spmv are laid out on a grid
-// that depends only on the matrix shape (never on the pool size), so the
-// merge order — and therefore every rounding decision — is identical
-// whether 1, 2 or 56 workers execute it.
+// Each column of the transposed spmv folds its rows into one accumulator
+// per chunk of a row grid that depends only on the matrix shape (never on
+// the pool size), then folds the accumulators in chunk order, so every
+// rounding decision is identical whether 1, 2 or 56 workers execute it.
 constexpr std::size_t kSpmvChunkRows = 64;
 constexpr std::size_t kSpmvMaxChunks = 8;
 
 inline std::size_t spmv_reduce_chunks(std::size_t m) {
   return std::clamp<std::size_t>(m / kSpmvChunkRows, 1, kSpmvMaxChunks);
+}
+
+/// The row grid of an m-row matrix, as each row's chunk index: an even
+/// split into spmv_reduce_chunks(m) chunks, the first m % chunks of them
+/// one row longer.
+std::vector<std::uint8_t> spmv_row_chunks(std::size_t m) {
+  const std::size_t chunks = spmv_reduce_chunks(m);
+  const std::size_t base = m / chunks, extra = m % chunks;
+  std::vector<std::uint8_t> chunk_of(m);
+  for (std::size_t c = 0, r = 0; c < chunks; ++c) {
+    const std::size_t hi = r + base + (c < extra ? 1 : 0);
+    std::fill(chunk_of.begin() + r, chunk_of.begin() + hi,
+              static_cast<std::uint8_t>(c));
+    r = hi;
+  }
+  return chunk_of;
+}
+
+/// (A^T x)[ci.cols[p]]. The column's rows, in increasing order and
+/// skipping x[r] == 0, fold into a +0-started float accumulator per chunk
+/// of the row grid; the accumulators then fold in chunk order 0..C-1,
+/// the untouched (+0) ones included. That is exactly the arithmetic of
+/// scattering each chunk's rows into its own zeroed buffer and merging
+/// the buffers in chunk order, so the result keeps that form's roundings
+/// bit for bit. (Adding +0 in place of a skipped row's term is exact too:
+/// an accumulator that starts at +0 can never become -0.)
+inline real_t fold_column(const CsrColumnIndex& ci, std::size_t p,
+                          const real_t* x, const std::uint8_t* chunk_of,
+                          std::size_t chunks) {
+  real_t acc[kSpmvMaxChunks] = {};
+  for (offset_t k = ci.col_ptr[p]; k < ci.col_ptr[p + 1]; ++k) {
+    const index_t r = ci.rows[k];
+    const real_t s = x[r];
+    acc[chunk_of[r]] += s != real_t(0) ? s * ci.vals[k] : real_t(0);
+  }
+  real_t y = acc[0];
+  for (std::size_t c = 1; c < chunks; ++c) y += acc[c];
+  return y;
+}
+
+/// Calls fn(j, (A^T x)[j]) for every touched column j of A, in parallel
+/// over the column index (each column on exactly one task).
+template <class Fn>
+void fold_touched_columns(ThreadPool& pool, const CsrMatrix& a,
+                          std::span<const real_t> x, Fn&& fn) {
+  const CsrColumnIndex& ci = a.column_index();
+  const std::vector<std::uint8_t> chunk_of = spmv_row_chunks(a.rows());
+  const std::size_t chunks = spmv_reduce_chunks(a.rows());
+  pool.parallel_for(ci.cols.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t p = lo; p < hi; ++p) {
+      fn(ci.cols[p], fold_column(ci, p, x.data(), chunk_of.data(), chunks));
+    }
+  });
 }
 
 // ---- blocked GEMM ----
@@ -136,58 +190,54 @@ void CpuBackend::spmv(const CsrMatrix& a, std::span<const real_t> x,
                               x.data()));
       }
     });
-    // Gathers from x are random at the granularity of the column pattern.
-    sink().bytes_random +=
-        static_cast<double>(a.nnz()) * sizeof(real_t);
   } else {
     PARSGD_CHECK(x.size() == m && y.size() == n);
-    // Scatter form, parallelized with per-chunk accumulator buffers over
-    // a fixed row grid (shape-dependent only, see spmv_reduce_chunks).
-    // Chunk 0 scatters straight into y; the remaining chunks scatter into
-    // scratch buffers merged below in chunk order, so the reduction tree
-    // is deterministic for every pool size and across repeated runs.
-    const std::size_t chunks = spmv_reduce_chunks(m);
-    auto scatter_rows = [&](std::size_t rlo, std::size_t rhi, real_t* out) {
-      for (std::size_t r = rlo; r < rhi; ++r) {
-        const real_t s = x[r];
-        if (s == real_t(0)) continue;
-        const auto rv = a.row(r);
-        for (std::size_t k = 0; k < rv.nnz(); ++k)
-          out[rv.idx[k]] += s * rv.val[k];
-      }
-    };
-    if (chunks == 1) {
-      std::fill(y.begin(), y.end(), real_t(0));
-      scatter_rows(0, m, y.data());
-    } else {
-      reduce_buf_.resize((chunks - 1) * n);
-      const std::size_t base = m / chunks, extra = m % chunks;
-      pool().parallel_for(chunks, [&](std::size_t clo, std::size_t chi) {
-        for (std::size_t c = clo; c < chi; ++c) {
-          const std::size_t rlo = c * base + std::min(c, extra);
-          const std::size_t rhi = rlo + base + (c < extra ? 1 : 0);
-          real_t* out =
-              c == 0 ? y.data() : reduce_buf_.data() + (c - 1) * n;
-          std::fill(out, out + n, real_t(0));
-          scatter_rows(rlo, rhi, out);
-        }
-      });
-      // Merge the partials into y, buffers outermost so each column's
-      // fold runs in chunk order 0, 1, ... (deterministic) while the
-      // inner loop streams contiguously.
-      pool().parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t c = 1; c < chunks; ++c) {
-          const real_t* buf = reduce_buf_.data() + (c - 1) * n;
-          for (std::size_t j = lo; j < hi; ++j) y[j] += buf[j];
-        }
-      });
-    }
-    // Scatters into y are random.
-    sink().bytes_random +=
-        static_cast<double>(a.nnz()) * sizeof(real_t);
+    // Column-major fold over the touched columns J; every other column of
+    // A^T x is exactly +0.
+    std::fill(y.begin(), y.end(), real_t(0));
+    fold_touched_columns(pool(), a, x, [&](index_t j, real_t g) { y[j] = g; });
   }
+  // Gathers from x (or, charged as the scatter form the transposed fold
+  // reproduces, scatters into y) are random at the granularity of the
+  // column pattern.
+  sink().bytes_random += static_cast<double>(a.nnz()) * sizeof(real_t);
   sink().flops += 2.0 * static_cast<double>(a.nnz());
   sink().bytes_streamed += static_cast<double>(a.bytes());
+}
+
+void CpuBackend::spmv_t_axpy(real_t alpha, const CsrMatrix& a,
+                             std::span<const real_t> x,
+                             std::span<real_t> y) {
+  const std::size_t m = a.rows(), n = a.cols();
+  PARSGD_CHECK(x.size() == m && y.size() == n);
+  // y[j] += alpha * g[j] with g = A^T x folded per column (the axpy
+  // kernel's float mul-then-add), written only on the touched columns J.
+  fold_touched_columns(pool(), a, x,
+                       [&](index_t j, real_t g) { y[j] += alpha * g; });
+  // Outside J, g[j] is +0. For a negative finite alpha (every gradient
+  // step) alpha * +0 is -0, and y + -0 == y bit for bit, -0 and NaN
+  // included. Any other alpha turns -0 into +0 (or y into NaN), so apply
+  // the zero term to the untouched columns too.
+  if (!(std::signbit(alpha) && std::isfinite(alpha))) {
+    const real_t zero_term = alpha * real_t(0);
+    std::size_t j = 0;
+    for (const index_t touched : a.column_index().cols) {
+      for (; j < touched; ++j) y[j] += zero_term;
+      j = touched + std::size_t{1};
+    }
+    for (; j < n; ++j) y[j] += zero_term;
+  }
+  // Charged analytically from the dense shape, field by field in the
+  // order of spmv(transpose) followed by a d-length axpy, so modeled
+  // costs match the two-call form exactly.
+  CostBreakdown& c = sink();
+  c.kernel_launches += 1;
+  c.bytes_random += static_cast<double>(a.nnz()) * sizeof(real_t);
+  c.flops += 2.0 * static_cast<double>(a.nnz());
+  c.bytes_streamed += static_cast<double>(a.bytes());
+  c.kernel_launches += 1;
+  c.flops += 2.0 * static_cast<double>(n);
+  c.bytes_streamed += 3.0 * static_cast<double>(n) * sizeof(real_t);
 }
 
 void CpuBackend::gemm(const DenseMatrix& a, const DenseMatrix& b,

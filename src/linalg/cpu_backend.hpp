@@ -9,6 +9,8 @@
 // cache-blocked GEMM over operands resolved once per call, and
 // parallelized transposed gemv/spmv whose reduction grids depend only on
 // the problem shape, so results are bit-identical for every pool size.
+// The transposed spmv folds column by column over the matrix's touched
+// columns (CsrMatrix::column_index), and spmv_t_axpy writes only those.
 // The innermost loops of those paths route through the dispatched SIMD
 // microkernel table (src/kernel/, DESIGN.md §14) selected once at startup
 // from CPUID. The CostBreakdown accounting is byte-for-byte the same as
@@ -57,6 +59,8 @@ class CpuBackend final : public Backend {
             std::span<real_t> y, bool transpose) override;
   void spmv(const CsrMatrix& a, std::span<const real_t> x,
             std::span<real_t> y, bool transpose) override;
+  void spmv_t_axpy(real_t alpha, const CsrMatrix& a,
+                   std::span<const real_t> x, std::span<real_t> y) override;
   void gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c,
             bool trans_a, bool trans_b) override;
   void spmm(const CsrMatrix& a, const DenseMatrix& b,
@@ -115,13 +119,11 @@ class CpuBackend final : public Backend {
   bool last_gemm_parallel_ = false;
   double gemm_serial_flops_ = 0;
   // Scratch reused across calls (grow-only): packed transposed operands
-  // for the blocked GEMM and the per-chunk accumulators of the
-  // deterministic transposed-spmv reduction. A backend instance is used
-  // from one thread at a time (the pool workers it fans out to write
-  // disjoint regions), matching the existing sink() contract.
+  // for the blocked GEMM. A backend instance is used from one thread at a
+  // time (the pool workers it fans out to write disjoint regions),
+  // matching the existing sink() contract.
   std::vector<real_t> pack_a_;
   std::vector<real_t> pack_b_;
-  std::vector<real_t> reduce_buf_;
 };
 
 }  // namespace parsgd::linalg

@@ -270,6 +270,15 @@ void GpuBackend::spmm_at_b(const CsrMatrix& a, const DenseMatrix& b,
   charge(gpusim::launch_analytic(device_, ak));
 }
 
+void GpuBackend::spmv_t_axpy(real_t alpha, const CsrMatrix& a,
+                             std::span<const real_t> x,
+                             std::span<real_t> y) {
+  // The device runs the two kernels: the atomic scatter, then the axpy.
+  spmv_t_buf_.resize(a.cols());
+  spmv(a, x, spmv_t_buf_, /*transpose=*/true);
+  axpy(alpha, spmv_t_buf_, y);
+}
+
 void GpuBackend::axpy(real_t alpha, std::span<const real_t> x,
                       std::span<real_t> y) {
   PARSGD_CHECK(x.size() == y.size());

@@ -10,6 +10,8 @@
 // (DESIGN.md §3).
 #pragma once
 
+#include <vector>
+
 #include "gpusim/device.hpp"
 #include "gpusim/launch.hpp"
 #include "linalg/backend.hpp"
@@ -33,6 +35,8 @@ class GpuBackend final : public Backend {
             std::span<real_t> y, bool transpose) override;
   void spmv(const CsrMatrix& a, std::span<const real_t> x,
             std::span<real_t> y, bool transpose) override;
+  void spmv_t_axpy(real_t alpha, const CsrMatrix& a,
+                   std::span<const real_t> x, std::span<real_t> y) override;
   void gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c,
             bool trans_a, bool trans_b) override;
   void spmm(const CsrMatrix& a, const DenseMatrix& b,
@@ -78,6 +82,7 @@ class GpuBackend final : public Backend {
 
   gpusim::Device& device_;
   GpuBackendOptions opts_;
+  std::vector<real_t> spmv_t_buf_;  ///< A^T x of spmv_t_axpy (grow-only)
 };
 
 }  // namespace parsgd::linalg

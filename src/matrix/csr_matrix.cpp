@@ -18,6 +18,41 @@ DenseMatrix CsrMatrix::to_dense(std::size_t max_bytes) const {
   return out;
 }
 
+const CsrColumnIndex& CsrMatrix::column_index() const {
+  return column_index_.get(*this);
+}
+
+const CsrColumnIndex& CsrMatrix::ColumnIndexSlot::get(
+    const CsrMatrix& m) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (index_ != nullptr) return *index_;
+  // Counting sort by column. `slot` first counts each column's entries,
+  // then maps a touched column to its next free position; rows are
+  // visited in increasing order, so each column's entries stay row-sorted.
+  auto ci = std::make_unique<CsrColumnIndex>();
+  std::vector<offset_t> slot(m.cols_, 0);
+  for (const index_t j : m.col_idx_) ++slot[j];
+  ci->col_ptr.push_back(0);
+  for (std::size_t j = 0; j < m.cols_; ++j) {
+    if (slot[j] == 0) continue;
+    const offset_t begin = ci->col_ptr.back();
+    ci->cols.push_back(static_cast<index_t>(j));
+    ci->col_ptr.push_back(begin + slot[j]);
+    slot[j] = begin;
+  }
+  ci->rows.resize(m.nnz());
+  ci->vals.resize(m.nnz());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (offset_t k = m.row_ptr_[r]; k < m.row_ptr_[r + 1]; ++k) {
+      const offset_t dst = slot[m.col_idx_[k]]++;
+      ci->rows[dst] = static_cast<index_t>(r);
+      ci->vals[dst] = m.values_[k];
+    }
+  }
+  index_ = std::move(ci);
+  return *index_;
+}
+
 CsrMatrix CsrMatrix::from_dense(const DenseMatrix& m) {
   Builder b(m.cols());
   for (std::size_t r = 0; r < m.rows(); ++r) b.add_dense_row(m.row(r));

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -17,6 +19,20 @@ struct SparseRowView {
   std::span<const index_t> idx;
   std::span<const real_t> val;
   std::size_t nnz() const { return idx.size(); }
+};
+
+/// Column-major index of a CSR matrix over its touched columns J (the
+/// columns holding at least one stored entry), in increasing column
+/// order. Entry k of touched column `cols[p]` lives at positions
+/// [col_ptr[p], col_ptr[p+1]) of `rows`/`vals`, in increasing row order.
+/// Its size is O(nnz + |J|), independent of cols(): the transposed
+/// products of high-dimensional sparse data (news: d = 1.35M, |J| = 70k
+/// at 1/400 scale) fold over J instead of touching all d columns.
+struct CsrColumnIndex {
+  std::vector<index_t> cols;
+  std::vector<offset_t> col_ptr;
+  std::vector<index_t> rows;
+  std::vector<real_t> vals;
 };
 
 class CsrMatrix {
@@ -62,6 +78,11 @@ class CsrMatrix {
   /// Builds a CSR from a dense matrix, dropping zeros.
   static CsrMatrix from_dense(const DenseMatrix& m);
 
+  /// The column-major index, built on first use and cached with the
+  /// matrix. Safe to request from several threads at once. Not part of
+  /// the value (operator==); a copy or assignment starts without one.
+  const CsrColumnIndex& column_index() const;
+
   bool operator==(const CsrMatrix& o) const {
     return cols_ == o.cols_ && row_ptr_ == o.row_ptr_ &&
            col_idx_ == o.col_idx_ && values_ == o.values_;
@@ -91,10 +112,30 @@ class CsrMatrix {
   };
 
  private:
+  /// Lazily built, once-only slot for column_index(). Copying a matrix
+  /// copies its arrays but not the slot, so the cache never outlives or
+  /// mismatches the contents it was built from.
+  class ColumnIndexSlot {
+   public:
+    ColumnIndexSlot() = default;
+    ColumnIndexSlot(const ColumnIndexSlot&) noexcept {}
+    ColumnIndexSlot& operator=(const ColumnIndexSlot&) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      index_.reset();
+      return *this;
+    }
+    const CsrColumnIndex& get(const CsrMatrix& m) const;
+
+   private:
+    mutable std::mutex mu_;  ///< guards index_
+    mutable std::unique_ptr<const CsrColumnIndex> index_;
+  };
+
   std::size_t cols_ = 0;
   std::vector<offset_t> row_ptr_;
   std::vector<index_t> col_idx_;
   std::vector<real_t> values_;
+  ColumnIndexSlot column_index_;
 };
 
 }  // namespace parsgd

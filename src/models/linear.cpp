@@ -177,25 +177,27 @@ double LinearModel::sync_epoch(linalg::Backend& backend,
                                const TrainData& data, bool use_dense,
                                real_t alpha, std::span<real_t> w) const {
   const std::size_t n = data.n();
-  std::vector<real_t> z(n), coef(n), grad(dim(), 0);
+  const bool dense = use_dense && data.has_dense();
+  std::vector<real_t> z(n), coef(n);
 
   // z = X w
-  if (use_dense && data.has_dense()) {
+  if (dense) {
     backend.gemv(*data.dense, w, z, /*transpose=*/false);
   } else {
     backend.spmv(*data.sparse, w, z, /*transpose=*/false);
   }
   // coef_i = dloss/dz_i; loss as by-product
   const double loss = coefficients(backend, z, data.y, coef);
-  // g = X^T coef
-  if (use_dense && data.has_dense()) {
+  // w -= alpha/n * X^T coef  (mean gradient, matching batch_step)
+  const auto step = static_cast<real_t>(-alpha / static_cast<double>(n));
+  if (dense) {
+    std::vector<real_t> grad(dim());
     backend.gemv(*data.dense, coef, grad, /*transpose=*/true);
+    backend.axpy(step, grad, w);
   } else {
-    backend.spmv(*data.sparse, coef, grad, /*transpose=*/true);
+    // Fused: touches only the columns the data touches.
+    backend.spmv_t_axpy(step, *data.sparse, coef, w);
   }
-  // w -= alpha/n * g  (mean gradient, matching batch_step)
-  backend.axpy(static_cast<real_t>(-alpha / static_cast<double>(n)), grad,
-               w);
   return loss;
 }
 

@@ -69,9 +69,12 @@ class Model {
                               std::span<const real_t> w) const = 0;
 
   /// Total loss over the dataset (double accumulation; not timed —
-  /// the paper excludes loss evaluation from iteration time).
+  /// the paper excludes loss evaluation from iteration time). With a
+  /// pool that has workers, the per-example losses are evaluated on it
+  /// and then summed in index order, so the total is bit-identical to
+  /// the serial sum; otherwise it runs serially on the caller.
   double dataset_loss(const TrainData& data, std::span<const real_t> w,
-                      bool prefer_dense) const;
+                      bool prefer_dense, ThreadPool* pool = nullptr) const;
 
   /// Incremental SGD step: reads the model from `w_read`, writes the
   /// updated entries into `w_write` (the two may alias for plain

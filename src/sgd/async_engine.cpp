@@ -32,11 +32,14 @@ std::string AsyncCpuEngine::name() const {
          (opts_.batch > 1 ? "/hogbatch" : "/hogwild");
 }
 
+ThreadPool* AsyncCpuEngine::pool() const {
+  return opts_.pool != nullptr ? opts_.pool : &ThreadPool::global();
+}
+
 double AsyncCpuEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                  Rng& rng) {
   faults_.begin_epoch(w);
-  ThreadPool& epoch_pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
+  ThreadPool& epoch_pool = *pool();
   ChunkHookGuard straggle_guard(epoch_pool, faults_);
   std::optional<PoolTelemetryGuard> tel_guard;
   if (telemetry_ != nullptr) tel_guard.emplace(epoch_pool, telemetry_.get());

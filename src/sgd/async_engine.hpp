@@ -49,6 +49,7 @@ class AsyncCpuEngine final : public Engine {
   Update update() const override { return Update::kAsync; }
   double run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) override;
   const CostBreakdown& last_cost() const override { return cost_paper_; }
+  ThreadPool* pool() const override;
 
   const AsyncSim& sim() const { return sim_; }
 

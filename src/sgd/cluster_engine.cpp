@@ -104,6 +104,10 @@ ClusterEngine::ClusterEngine(const Model& model, const TrainData& data,
 
 ClusterEngine::~ClusterEngine() = default;
 
+ThreadPool* ClusterEngine::pool() const {
+  return opts_.pool != nullptr ? opts_.pool : &ThreadPool::global();
+}
+
 std::string ClusterEngine::name() const {
   return std::string(to_string(update())) + "/cluster/" +
          to_string(opts_.sync) + "/n" + std::to_string(nodes_);
@@ -132,11 +136,10 @@ double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
     down = ClusterSim::kNoNode;
     stall = kNodeRestartStallSeconds;
   }
-  ThreadPool& pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  ChunkHookGuard straggle_guard(pool, faults_);
+  ThreadPool& epoch_pool = *pool();
+  ChunkHookGuard straggle_guard(epoch_pool, faults_);
   std::optional<PoolTelemetryGuard> tel_guard;
-  if (telemetry_ != nullptr) tel_guard.emplace(pool, telemetry_.get());
+  if (telemetry_ != nullptr) tel_guard.emplace(epoch_pool, telemetry_.get());
   const CostBreakdown cost = sim_->run_epoch(
       w, alpha, rng, faults_.active() ? &faults_ : nullptr,
       telemetry_.get(), down);
@@ -170,9 +173,7 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
   stats_ = ClusterEpochStats{};
   // The inner engine's own injector is empty: make_engine installs faults
   // only on this engine.
-  ThreadPool& pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  ChunkHookGuard straggle_guard(pool, faults_);
+  ChunkHookGuard straggle_guard(*pool(), faults_);
   const double machine_secs = sync_->run_epoch(w, alpha, rng);
   // Step-indexed faults (nan@K) fire on the outer injector; the
   // trajectory made this many model updates.

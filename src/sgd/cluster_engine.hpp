@@ -85,6 +85,7 @@ class ClusterEngine final : public Engine {
   /// Attribution seams (DESIGN.md §18): the exposed network/stall share
   /// of the last epoch's modeled seconds, and the per-node health table.
   EpochSplit last_epoch_split() const override { return last_split_; }
+  ThreadPool* pool() const override;
   std::vector<telemetry::NodeStatus> last_node_status() const override;
 
  private:

@@ -64,6 +64,7 @@ RunResult run_training(Engine& engine, const Model& model,
   PARSGD_CHECK(w0.size() == model.dim());
   std::vector<real_t> w(w0.begin(), w0.end());
   Rng rng(opts.seed);
+  ThreadPool* const pool = engine.pool();  // null: the engine runs serially
 
   RunResult res;
   std::size_t start_epoch = 0;
@@ -82,7 +83,7 @@ RunResult run_training(Engine& engine, const Model& model,
     alpha_scale = opts.resume->alpha_scale;
     recoveries_used = opts.resume->recoveries_used;
   } else {
-    res.initial_loss = model.dataset_loss(data, w, opts.prefer_dense);
+    res.initial_loss = model.dataset_loss(data, w, opts.prefer_dense, pool);
   }
   res.losses.reserve(opts.max_epochs);
   res.epoch_seconds.reserve(opts.max_epochs);
@@ -150,10 +151,10 @@ RunResult run_training(Engine& engine, const Model& model,
     h_ready = &tel->metrics().histogram("graph.ready_wait_ns");
   }
   // Wait histograms sum *per-worker* waits that overlap in wall time; the
-  // per-epoch delta is divided by the worker count to approximate the
-  // serial (critical-path) share.
+  // per-epoch delta is divided by the worker count of the engine's pool
+  // to approximate the serial (critical-path) share.
   const double workers = static_cast<double>(
-      std::max<std::size_t>(ThreadPool::global().size(), 1));
+      std::max<std::size_t>(pool != nullptr ? pool->size() : 0, 1));
   double pending_recovery_s = 0;    // rollback/backoff time -> next epoch
   double pending_checkpoint_s = 0;  // checkpoint I/O -> next epoch
   bool status_warned = false;
@@ -238,7 +239,7 @@ RunResult run_training(Engine& engine, const Model& model,
       span.arg("epoch", static_cast<double>(e));
       const double host_t0 = monotonic_seconds();
       secs = engine.run_epoch(w, epoch_alpha, rng);
-      loss = model.dataset_loss(data, w, opts.prefer_dense);
+      loss = model.dataset_loss(data, w, opts.prefer_dense, pool);
       host_s = monotonic_seconds() - host_t0;
       span.arg("loss", loss);
       span.arg("modeled_s", secs);

@@ -27,6 +27,8 @@ namespace gpusim {
 class Device;
 }
 
+class ThreadPool;
+
 struct TrainCheckpoint;
 
 enum class Arch { kCpuSeq, kCpuPar, kGpu, kCluster };
@@ -95,6 +97,11 @@ class Engine {
     faults_.set_telemetry(telemetry_.get());
   }
   telemetry::TelemetrySession* telemetry() const { return telemetry_.get(); }
+
+  /// The pool this engine's epochs execute on (its options' pool, else
+  /// the process-global one), or null for an engine that runs serially
+  /// on the calling thread. run_training evaluates the loss there too.
+  virtual ThreadPool* pool() const { return nullptr; }
 
   /// The simulated GPU this engine runs on, or null for CPU engines.
   /// Reports harvest the per-kernel stats breakdown through this.

@@ -88,8 +88,7 @@ double HeterogeneousEngine::run_epoch(std::span<real_t> w, real_t alpha,
     // Mini-batch schedule: same trajectory as the sync engine's minibatch
     // path (the split only changes where gradient work executes), run
     // through the shared step-path runner (DESIGN.md §15).
-    ThreadPool& epoch_pool =
-        opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
+    ThreadPool& epoch_pool = *pool();
     ChunkHookGuard straggle_guard(epoch_pool, faults_);
     std::optional<PoolTelemetryGuard> tel_guard;
     if (telemetry_ != nullptr) {

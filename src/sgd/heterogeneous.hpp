@@ -62,6 +62,8 @@ class HeterogeneousEngine final : public Engine {
   /// The modeled seconds per epoch (instrumented lazily; alpha-independent).
   double epoch_seconds(std::span<const real_t> w_sample) override;
 
+  ThreadPool* pool() const override { return cpu_engine_.pool(); }
+
   /// Forwards to both inner device engines so their GPU/pool counters
   /// land in the same session.
   void set_telemetry(

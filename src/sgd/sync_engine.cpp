@@ -114,11 +114,14 @@ void SyncEngine::set_telemetry(
   if (device_ != nullptr) device_->set_telemetry(telemetry_.get());
 }
 
+ThreadPool* SyncEngine::pool() const {
+  return opts_.pool != nullptr ? opts_.pool : &ThreadPool::global();
+}
+
 double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
   const double secs = epoch_seconds(w);
   faults_.begin_epoch(w);
-  ThreadPool& epoch_pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
+  ThreadPool& epoch_pool = *pool();
   ChunkHookGuard straggle_guard(epoch_pool, faults_);
   // Session attached per epoch so per-worker chunk spans and pool.*
   // counters flow while this engine runs; detached (off) runs never

@@ -105,6 +105,8 @@ class SyncEngine final : public Engine {
   void set_telemetry(
       std::shared_ptr<telemetry::TelemetrySession> s) override;
 
+  ThreadPool* pool() const override;
+
   const gpusim::Device* device() const override { return device_.get(); }
 
  private:

@@ -97,6 +97,75 @@ TEST(SyncEngine, DivergenceDetected) {
   EXPECT_LT(r.epochs(), 50u);
 }
 
+/// LR whose sparse sync epoch is the two-call form the fused
+/// spmv_t_axpy replaced: A^T coef into a d-vector, then a d-length axpy.
+class TwoCallLr final : public Model {
+ public:
+  explicit TwoCallLr(std::size_t d) : lr_(d) {}
+  std::string name() const override { return "LR"; }
+  std::size_t dim() const override { return lr_.dim(); }
+  std::vector<real_t> init_params(std::uint64_t seed) const override {
+    return lr_.init_params(seed);
+  }
+  double example_loss(const ExampleView& x, real_t y,
+                      std::span<const real_t> w) const override {
+    return lr_.example_loss(x, y, w);
+  }
+  void example_step(const ExampleView& x, real_t y, real_t alpha,
+                    std::span<const real_t> w_read, std::span<real_t> w_write,
+                    std::vector<index_t>* touched) const override {
+    lr_.example_step(x, y, alpha, w_read, w_write, touched);
+  }
+  bool sparse_updates() const override { return true; }
+  void batch_step(const TrainData& data, std::size_t begin, std::size_t end,
+                  bool prefer_dense, real_t alpha,
+                  std::span<const real_t> w_read,
+                  std::span<real_t> w_write) const override {
+    lr_.batch_step(data, begin, end, prefer_dense, alpha, w_read, w_write);
+  }
+  double sync_epoch(linalg::Backend& backend, const TrainData& data,
+                    bool use_dense, real_t alpha,
+                    std::span<real_t> w) const override {
+    PARSGD_CHECK(!use_dense);
+    std::vector<real_t> z(data.n()), coef(data.n()), grad(dim());
+    backend.spmv(*data.sparse, w, z, /*transpose=*/false);
+    const double loss = backend.lr_loss_coefficients(z, data.y, coef);
+    backend.spmv(*data.sparse, coef, grad, /*transpose=*/true);
+    backend.axpy(static_cast<real_t>(-alpha / static_cast<double>(data.n())),
+                 grad, w);
+    return loss;
+  }
+  double step_flops(std::size_t touched) const override {
+    return lr_.step_flops(touched);
+  }
+
+ private:
+  LogisticRegression lr_;
+};
+
+TEST(SyncEngine, FusedSparseUpdateKeepsModeledCost) {
+  // Modeled seconds and the paper-scale ledger of a sparse epoch are the
+  // two-call form's exactly, on every architecture.
+  Fixture f("rcv1");
+  const TwoCallLr two_call(f.ds.d());
+  for (const Arch arch : {Arch::kCpuSeq, Arch::kCpuPar, Arch::kGpu}) {
+    SyncEngineOptions opts;
+    opts.arch = arch;
+    SyncEngine fused(f.lr, f.data, f.scale, opts);
+    SyncEngine reference(two_call, f.data, f.scale, opts);
+    EXPECT_EQ(fused.epoch_seconds(f.w0), reference.epoch_seconds(f.w0))
+        << to_string(arch);
+    const CostBreakdown& a = fused.last_cost();
+    const CostBreakdown& b = reference.last_cost();
+    EXPECT_EQ(a.flops, b.flops) << to_string(arch);
+    EXPECT_EQ(a.bytes_streamed, b.bytes_streamed) << to_string(arch);
+    EXPECT_EQ(a.bytes_random, b.bytes_random) << to_string(arch);
+    EXPECT_EQ(a.kernel_launches, b.kernel_launches) << to_string(arch);
+    EXPECT_EQ(a.gpu_cycles, b.gpu_cycles) << to_string(arch);
+    EXPECT_EQ(a.write_conflicts, b.write_conflicts) << to_string(arch);
+  }
+}
+
 TEST(AsyncCpuEngine, SeqMatchesPlainSgdTrajectory) {
   Fixture f("w8a");
   AsyncCpuOptions opts;

@@ -21,6 +21,7 @@
 #include "data/generator.hpp"
 #include "faults/fault_plan.hpp"
 #include "models/linear.hpp"
+#include "parallel/thread_pool.hpp"
 #include "report/json.hpp"
 #include "sgd/checkpoint.hpp"
 #include "sgd/spec.hpp"
@@ -392,6 +393,37 @@ TEST(Attribution, BucketsSumToEpochTimeOnSyncAndAsync) {
   t.attribute = true;
   expect_exact_sums(f.run("sync/cpu-par/sparse:batch=64", t), 4);
   expect_exact_sums(f.run("async/cpu-par/sparse", t), 4);
+}
+
+TEST(Attribution, QueueWaitIsSharedOverTheEnginesPoolWorkers) {
+  // Per-worker queue waits overlap in wall time, so the ledger divides
+  // them by the worker count of the pool the engine runs on — here an
+  // injected 2-worker pool, whatever the process-global pool's size.
+  // On a loaded host the caller can drain every job before a worker
+  // wakes (no wait is recorded then), so runs repeat until one waits.
+  Fixture f;
+  ThreadPool pool(2);
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    EngineContext ctx = f.ctx;
+    ctx.pool = &pool;
+    ctx.telemetry = std::make_shared<telemetry::TelemetrySession>(
+        telemetry::TelemetryMode::kMetrics);
+    const std::unique_ptr<Engine> engine =
+        make_engine(parse_spec("sync/cpu-par/sparse"), ctx);
+    TrainOptions t = epochs(6);
+    t.attribute = true;
+    const RunResult r = run_training(*engine, f.lr, ctx.data, f.w0, 0.1f, t);
+    ASSERT_EQ(r.attribution.size(), 6u);
+    const double waited_s =
+        ctx.telemetry->metrics().histogram("pool.queue_wait_ns").sum() *
+        1e-9;
+    if (waited_s == 0) continue;
+    double ledger_s = 0;
+    for (const EpochAttribution& e : r.attribution) ledger_s += e.h_queue_s;
+    EXPECT_NEAR(ledger_s * 2.0, waited_s, 1e-9 * waited_s);
+    return;
+  }
+  FAIL() << "no pool worker ever waited for a job";
 }
 
 TEST(Attribution, ClusterRunsExposeNetworkBuckets) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -8,6 +11,7 @@
 #include "linalg/cpu_backend.hpp"
 #include "linalg/gpu_backend.hpp"
 #include "parallel/thread_pool.hpp"
+#include "spmv_t_reference.hpp"
 
 namespace parsgd::linalg {
 namespace {
@@ -373,6 +377,169 @@ TEST(CpuBackendDeterminism, SpmvTransposeChunkedMatchesDense) {
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_NEAR(y[i], ref[i], 1e-3);
   }
+}
+
+// ---- column-major transposed spmv and the fused update ----
+// Row counts 100 / 200 / 600 give 1 / 3 / 8 reduction chunks; every case
+// runs on a worker-less pool and on pools of 1 and 3 workers.
+
+std::unique_ptr<ThreadPool> make_pool(std::size_t workers) {
+  return workers == 0 ? std::make_unique<ThreadPool>(ThreadPool::NoWorkers{})
+                      : std::make_unique<ThreadPool>(workers);
+}
+
+/// x with exact zeros (skipped rows, like SVM's zero coefficients) and a
+/// few -0 entries among normal values.
+std::vector<real_t> coefficients_like(std::size_t n, Rng& rng) {
+  std::vector<real_t> x = random_vec(n, rng);
+  for (std::size_t i = 0; i < n; i += 5) x[i] = real_t(0);
+  for (std::size_t i = 2; i < n; i += 11) x[i] = -real_t(0);
+  return x;
+}
+
+TEST(CpuSpmvTranspose, ColumnFoldBitIdenticalToScatterForm) {
+  Rng rng(31);
+  for (const std::size_t rows : {100u, 200u, 600u}) {
+    const CsrMatrix a = testing_ref::sparse_with_gaps(rows, 90, 0.1, rng);
+    const auto x = coefficients_like(rows, rng);
+    const auto ref = testing_ref::bits(testing_ref::scatter_spmv_t(a, x));
+    for (const std::size_t workers : {0u, 1u, 3u}) {
+      const auto pool = make_pool(workers);
+      CpuBackend be = pooled_backend(*pool);
+      CostBreakdown cost;
+      be.set_sink(&cost);
+      std::vector<real_t> y(90, real_t(7));  // overwritten entirely
+      be.spmv(a, x, y, /*transpose=*/true);
+      EXPECT_EQ(testing_ref::bits(y), ref)
+          << rows << " rows, " << workers << " workers";
+    }
+  }
+}
+
+TEST(CpuSpmvTranspose, FusedUpdateBitIdenticalToTwoCallForm) {
+  Rng rng(32);
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (const std::size_t rows : {100u, 200u, 600u}) {
+    const CsrMatrix a = testing_ref::sparse_with_gaps(rows, 90, 0.1, rng);
+    const auto x = coefficients_like(rows, rng);
+    const auto g = testing_ref::scatter_spmv_t(a, x);
+    auto w0 = random_vec(90, rng);
+    // Untouched columns (j % 3 == 0) hold -0 and NaN: only an exact
+    // w + alpha * (+0) leaves them as they are.
+    for (std::size_t j = 0; j < 90; j += 3) {
+      w0[j] = j % 2 == 0 ? -real_t(0) : nan;
+    }
+    // Negative and -0 steps are what training uses; +0 and positive ones
+    // must still match the two-call form (which turns -0 into +0).
+    for (const real_t alpha :
+         {real_t(-0.37), -real_t(0), real_t(0), real_t(0.25)}) {
+      std::vector<real_t> want = w0;
+      testing_ref::axpy(alpha, g, want);
+      for (const std::size_t workers : {0u, 1u, 3u}) {
+        const auto pool = make_pool(workers);
+        CpuBackend be = pooled_backend(*pool);
+        CostBreakdown cost;
+        be.set_sink(&cost);
+        std::vector<real_t> w = w0;
+        be.spmv_t_axpy(alpha, a, x, w);
+        EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(want))
+            << rows << " rows, alpha " << alpha << ", " << workers
+            << " workers";
+        if (std::signbit(alpha)) {
+          for (std::size_t j = 0; j < 90; j += 3) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(w[j]),
+                      std::bit_cast<std::uint32_t>(w0[j]))
+                << "untouched column " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+void expect_same_cost(const CostBreakdown& a, const CostBreakdown& b) {
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.bytes_streamed, b.bytes_streamed);
+  EXPECT_EQ(a.bytes_random, b.bytes_random);
+  EXPECT_EQ(a.model_reads, b.model_reads);
+  EXPECT_EQ(a.model_writes, b.model_writes);
+  EXPECT_EQ(a.write_conflicts, b.write_conflicts);
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
+  EXPECT_EQ(a.gpu_cycles, b.gpu_cycles);
+  EXPECT_EQ(a.net_messages, b.net_messages);
+  EXPECT_EQ(a.net_bytes, b.net_bytes);
+}
+
+TEST(CpuSpmvTranspose, FusedUpdateChargesTheTwoCallCost) {
+  Rng rng(33);
+  const CsrMatrix a = testing_ref::sparse_with_gaps(200, 5000, 0.01, rng);
+  const auto x = random_vec(200, rng);
+  // A non-round starting ledger, so the charges must be the same adds in
+  // the same order (not just the same totals).
+  CostBreakdown start;
+  start.flops = 0.1;
+  start.bytes_streamed = 0.3;
+  start.bytes_random = 0.7;
+  start.kernel_launches = 5;
+  ThreadPool pool(2);
+  CostBreakdown fused = start, two_call = start;
+  CpuBackend be = pooled_backend(pool);
+  std::vector<real_t> w(5000, real_t(1)), g(5000);
+  be.set_sink(&fused);
+  be.spmv_t_axpy(real_t(-0.5), a, x, w);
+  be.set_sink(&two_call);
+  be.spmv(a, x, g, /*transpose=*/true);
+  be.axpy(real_t(-0.5), g, w);
+  expect_same_cost(fused, two_call);
+}
+
+TEST(CsrColumnIndex, IndexesTouchedColumnsInRowOrder) {
+  Rng rng(34);
+  const CsrMatrix a = testing_ref::sparse_with_gaps(40, 30, 0.3, rng);
+  const DenseMatrix ad = a.to_dense();
+  const CsrColumnIndex& ci = a.column_index();
+  ASSERT_EQ(ci.col_ptr.size(), ci.cols.size() + 1);
+  EXPECT_EQ(ci.col_ptr.back(), a.nnz());
+  for (std::size_t p = 0; p < ci.cols.size(); ++p) {
+    EXPECT_NE(ci.cols[p] % 3, 0u);
+    if (p > 0) {
+      EXPECT_LT(ci.cols[p - 1], ci.cols[p]);
+    }
+    EXPECT_LT(ci.col_ptr[p], ci.col_ptr[p + 1]) << "empty listed column";
+    for (offset_t k = ci.col_ptr[p]; k < ci.col_ptr[p + 1]; ++k) {
+      if (k > ci.col_ptr[p]) {
+        EXPECT_LT(ci.rows[k - 1], ci.rows[k]);
+      }
+      EXPECT_EQ(ci.vals[k], ad.at(ci.rows[k], ci.cols[p]));
+    }
+  }
+  // A copy has equal contents and builds its own index.
+  const CsrMatrix b = a;
+  EXPECT_NE(&b.column_index(), &ci);
+  EXPECT_EQ(b.column_index().rows, ci.rows);
+  EXPECT_TRUE(b == a);
+}
+
+TEST(CsrColumnIndex, ConcurrentFirstRequestsShareOneIndex) {
+  // Lazily built on first use: two threads racing for it must both get
+  // the one fully built index (the TSan lane runs this case).
+  Rng rng(35);
+  const CsrMatrix a = random_csr(300, 200, 0.05, rng);
+  const CsrColumnIndex* seen[2] = {nullptr, nullptr};
+  std::size_t entries[2] = {0, 0};
+  std::thread t0([&] {
+    seen[0] = &a.column_index();
+    entries[0] = seen[0]->rows.size();
+  });
+  std::thread t1([&] {
+    seen[1] = &a.column_index();
+    entries[1] = seen[1]->rows.size();
+  });
+  t0.join();
+  t1.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(entries[0], a.nnz());
+  EXPECT_EQ(entries[1], a.nnz());
 }
 
 TEST(CpuBackendDeterminism, GemmBlockedBitIdenticalToNaive) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "data/generator.hpp"
@@ -8,6 +11,8 @@
 #include "models/gradcheck.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
+#include "parallel/thread_pool.hpp"
+#include "spmv_t_reference.hpp"
 
 namespace parsgd {
 namespace {
@@ -209,6 +214,109 @@ TEST(Mlp, SyncEpochSparseInputMatchesDense) {
   mlp.sync_epoch(be, data, false, real_t(0.1), ws);
   for (std::size_t j = 0; j < mlp.dim(); ++j) {
     EXPECT_NEAR(wd[j], ws[j], 5e-4);
+  }
+}
+
+// ---- sparse sync epoch: bit-identical to the scatter form ----
+
+/// The sparse full-batch epoch as it ran before the column-major fold:
+/// forward spmv and the fused loss kernel on `be`, then the scatter-form
+/// A^T coef into a d-vector and a d-length axpy.
+double scatter_form_epoch(const Model& model, linalg::CpuBackend& be,
+                          const TrainData& data, real_t alpha,
+                          std::span<real_t> w) {
+  const std::size_t n = data.n();
+  std::vector<real_t> z(n), coef(n);
+  be.spmv(*data.sparse, w, z, /*transpose=*/false);
+  const double loss = model.name() == "LR"
+                          ? be.lr_loss_coefficients(z, data.y, coef)
+                          : be.svm_loss_coefficients(z, data.y, coef);
+  testing_ref::axpy(static_cast<real_t>(-alpha / static_cast<double>(n)),
+                    testing_ref::scatter_spmv_t(*data.sparse, coef), w);
+  return loss;
+}
+
+std::unique_ptr<ThreadPool> make_pool(std::size_t workers) {
+  return workers == 0 ? std::make_unique<ThreadPool>(ThreadPool::NoWorkers{})
+                      : std::make_unique<ThreadPool>(workers);
+}
+
+TEST(SparseSyncEpoch, BitIdenticalToScatterFormOverManyEpochs) {
+  // 100 / 200 / 600 rows give 1 / 3 / 8 reduction chunks. SVM reaches
+  // margins >= 1 within a few epochs, so its zero-coefficient rows are
+  // exercised; untouched weights (j % 3 == 0) start as -0 and NaN.
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (const std::size_t rows : {100u, 200u, 600u}) {
+    Rng rng(40 + rows);
+    const CsrMatrix x = testing_ref::sparse_with_gaps(rows, 150, 0.08, rng);
+    std::vector<real_t> y(rows);
+    for (auto& v : y) v = rng.bernoulli(0.5) ? real_t(1) : real_t(-1);
+    TrainData data;
+    data.sparse = &x;
+    data.y = y;
+    const LogisticRegression lr(x.cols());
+    const LinearSvm svm(x.cols());
+    for (const Model* m : {static_cast<const Model*>(&lr),
+                           static_cast<const Model*>(&svm)}) {
+      std::vector<real_t> w0 = m->init_params(3);
+      for (std::size_t j = 0; j < w0.size(); j += 3) {
+        w0[j] = j % 2 == 0 ? -real_t(0) : nan;
+      }
+      std::vector<real_t> w_ref = w0;
+      linalg::CpuBackend ref_be;
+      CostBreakdown ref_cost;
+      ref_be.set_sink(&ref_cost);
+      std::vector<double> ref_losses;
+      for (int e = 0; e < 60; ++e) {
+        ref_losses.push_back(
+            scatter_form_epoch(*m, ref_be, data, real_t(2.0), w_ref));
+      }
+      for (const std::size_t workers : {0u, 1u, 3u}) {
+        const auto pool = make_pool(workers);
+        linalg::CpuBackend be(linalg::CpuBackendOptions{.pool = pool.get()});
+        CostBreakdown cost;
+        be.set_sink(&cost);
+        std::vector<real_t> w = w0;
+        for (int e = 0; e < 60; ++e) {
+          ASSERT_EQ(m->sync_epoch(be, data, false, real_t(2.0), w),
+                    ref_losses[static_cast<std::size_t>(e)])
+              << m->name() << ", " << rows << " rows, " << workers
+              << " workers, epoch " << e;
+        }
+        EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(w_ref))
+            << m->name() << ", " << rows << " rows, " << workers
+            << " workers";
+        for (std::size_t j = 0; j < w.size(); j += 3) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(w[j]),
+                    std::bit_cast<std::uint32_t>(w0[j]));
+        }
+      }
+      if (m == &svm) {
+        // The zero-coefficient branch really was taken.
+        std::vector<real_t> z(rows), coef(rows);
+        ref_be.spmv(x, w_ref, z, false);
+        ref_be.svm_loss_coefficients(z, y, coef);
+        EXPECT_NE(std::count(coef.begin(), coef.end(), real_t(0)), 0);
+      }
+    }
+  }
+}
+
+TEST(DatasetLoss, PooledSumIsBitIdenticalToSerial) {
+  for (const char* name : {"w8a", "covtype"}) {
+    const Dataset ds = tiny(name);
+    const TrainData data = train_of(ds);
+    LogisticRegression lr(ds.d());
+    const auto w = lr.init_params(13);
+    for (const bool dense : {false, true}) {
+      if (dense && !data.has_dense()) continue;
+      const double serial = lr.dataset_loss(data, w, dense);
+      for (const std::size_t workers : {0u, 1u, 3u}) {
+        const auto pool = make_pool(workers);
+        EXPECT_EQ(lr.dataset_loss(data, w, dense, pool.get()), serial)
+            << name << ", dense " << dense << ", " << workers << " workers";
+      }
+    }
   }
 }
 
