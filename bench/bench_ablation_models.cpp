@@ -1,4 +1,5 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for the two cost-model design choices DESIGN.md calls
+// out:
 //
 //  1. Calibration on/off — how much of each Table II cell comes from the
 //     mechanistic hardware model vs the empirical ViennaCL-overhead
@@ -6,8 +7,6 @@
 //     survive switching calibration off; absolute times should not.
 //  2. The ViennaCL GEMM parallel threshold — Fig. 6's mechanism, isolated:
 //     the same MLP epoch with the threshold at 5000 vs 0.
-//  3. The Buckwild low-precision extension — statistical cost and model
-//     shrinkage of int8/int16 Hogwild-style training (paper future work).
 //
 //   ./bench_ablation_models [--scale=150]
 #include <iostream>
@@ -16,7 +15,6 @@
 #include "data/mlp_view.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
-#include "models/quantized.hpp"
 #include "sgd/spec.hpp"
 
 using namespace parsgd;
@@ -24,22 +22,11 @@ using namespace parsgd::benchutil;
 
 namespace {
 
-struct Fixture {
-  Dataset ds;
-  TrainData data;
-
-  Fixture(const std::string& name, double scale, bool mlp_view)
-      : ds(mlp_view
-               ? make_mlp_dataset(generate_dataset(
-                     name, GeneratorOptions{.seed = 42, .scale = scale}))
-               : generate_dataset(name,
-                                  GeneratorOptions{.seed = 42,
-                                                   .scale = scale})) {
-    data.sparse = &ds.x;
-    data.dense = ds.x_dense ? &*ds.x_dense : nullptr;
-    data.y = ds.y;
-  }
-};
+Dataset fixture(const std::string& name, double scale, bool mlp_view) {
+  Dataset ds =
+      generate_dataset(name, GeneratorOptions{.seed = 42, .scale = scale});
+  return mlp_view ? make_mlp_dataset(ds) : ds;
+}
 
 }  // namespace
 
@@ -53,11 +40,11 @@ int main(int argc, char** argv) {
     TableWriter t({"dataset", "calib", "tpi seq (ms)", "tpi par (ms)",
                    "tpi gpu (ms)", "seq/par", "par/gpu"});
     for (const std::string name : {"covtype", "rcv1"}) {
-      Fixture f(name, scale, false);
-      LogisticRegression lr(f.ds.d());
-      const bool dense = f.ds.profile.dense && f.ds.x_dense.has_value();
+      const Dataset ds = fixture(name, scale, false);
+      LogisticRegression lr(ds.d());
+      const bool dense = ds.profile.dense && ds.x_dense.has_value();
       const Layout layout = dense ? Layout::kDense : Layout::kSparse;
-      const EngineContext ctx = make_engine_context(f.ds, lr, layout);
+      const EngineContext ctx = make_engine_context(ds, lr, layout);
       const auto w0 = lr.init_params(1);
       for (const bool calibrated : {true, false}) {
         auto secs = [&](Arch a) {
@@ -86,17 +73,17 @@ int main(int argc, char** argv) {
   {
     // Two nets on real-sim: the paper's 50-10-5-2 (dW results < 5000:
     // affected) and a wide 1000-500-200-2 (dW >= 5000: immune).
-    Fixture f("real-sim", scale, true);
+    const Dataset ds = fixture("real-sim", scale, true);
     TableWriter t({"architecture", "threshold", "tpi cpu-par (ms)",
                    "dW serial cost (ms)"});
     for (const std::vector<std::size_t>& arch :
          {std::vector<std::size_t>{50, 10, 5, 2},
           std::vector<std::size_t>{50, 200, 100, 2}}) {
       Dataset grouped;
-      grouped.profile = f.ds.profile;
-      grouped.x = f.ds.x;
-      grouped.x_dense = f.ds.x_dense;
-      grouped.y = f.ds.y;
+      grouped.profile = ds.profile;
+      grouped.x = ds.x;
+      grouped.x_dense = ds.x_dense;
+      grouped.y = ds.y;
       Mlp mlp(arch);
       const EngineContext ctx = make_engine_context(grouped, mlp,
                                                     Layout::kDense);
@@ -125,40 +112,7 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout);
     std::cout << "(the 5000 threshold serializes the small net's dW GEMMs "
-                 "— Fig. 6's mechanism — while wide layers are immune)\n\n";
-  }
-
-  // ---- 3. Low-precision (Buckwild) extension ----
-  std::cout << "=== ablation 3: low-precision Hogwild-style training ===\n\n";
-  {
-    Fixture f("w8a", scale, false);
-    LogisticRegression lr(f.ds.d());
-    TableWriter t({"precision", "model bytes", "loss after 20 epochs"});
-
-    std::vector<real_t> w(f.ds.d(), 0);
-    Rng rf(7);
-    for (int e = 0; e < 20; ++e) {
-      std::vector<std::uint32_t> order(f.ds.n());
-      for (std::uint32_t i = 0; i < f.ds.n(); ++i) order[i] = i;
-      rf.shuffle(order);
-      for (const auto i : order) {
-        lr.example_step(f.data.example(i, false), f.ds.y[i], real_t(0.5), w,
-                        w, nullptr);
-      }
-    }
-    t.add_row({"float32",
-               std::to_string(f.ds.d() * sizeof(real_t)),
-               fmt_sig3(lr.dataset_loss(f.data, w, false))});
-    for (const Precision p : {Precision::kInt16, Precision::kInt8}) {
-      QuantizedLinearModel q(lr, p);
-      Rng rq(7);
-      for (int e = 0; e < 20; ++e) q.epoch(f.data, false, real_t(0.5), rq);
-      t.add_row({to_string(p), std::to_string(q.model_bytes()),
-                 fmt_sig3(q.loss(f.data, false))});
-    }
-    t.print(std::cout);
-    std::cout << "(int16 tracks float closely at half the Hogwild working "
-                 "set; int8 trades accuracy for a 4x smaller model)\n";
+                 "— Fig. 6's mechanism — while wide layers are immune)\n";
   }
   return 0;
 }

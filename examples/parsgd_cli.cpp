@@ -57,8 +57,7 @@ namespace {
                " [--attribute]\n"
                "       [--version] [--build-info]\n"
                "engine spec examples: async/cpu-par/sparse,\n"
-               "  sync/gpu/dense:calib=mlp,batch=64,"
-               " sync/cpu+gpu/dense:phi=0.6,\n"
+               "  sync/gpu/dense:calib=mlp,batch=64,\n"
                "  async/cluster/sparse:nodes=8,link=10us:10gbps"
                " (PS), sync/cluster/sparse:nodes=4 (all-reduce)\n",
                msg);

@@ -104,14 +104,17 @@ rm -rf "$obs_tmp"
 # the gpusim warp instructions fill fixed per-lane arrays. The linalg
 # suite joins both lanes: the transposed spmv indexes through the lazily
 # built column index of a CSR matrix, which threads may request at once.
+# The engine-spec suite joins the ASan lane for its seeded mutation run:
+# thousands of malformed spec strings through the parse and format paths.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
     --target test_clustersim \
     --target test_flight_recorder --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication \
-    --target test_linalg
+    --target test_linalg --target test_engine_spec
 "$ASAN_BUILD_DIR/tests/test_linalg"
+"$ASAN_BUILD_DIR/tests/test_engine_spec"
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
@@ -152,6 +155,6 @@ echo "check.sh: tier-1 (simd + scalar) + watchdog fault sweep" \
      "+ cluster smoke + observability lane (overhead gate, recorder," \
      "status schema, --attribute)" \
      "+ ASan linalg/kernels/graph/cluster/recorder/telemetry" \
-     "/asyncsim/gpusim/replication" \
+     "/asyncsim/gpusim/replication/engine-spec" \
      "+ TSan linalg/graph/pool/faults/cluster/recorder/telemetry/engines" \
      "+ regression smoke OK"

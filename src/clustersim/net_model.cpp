@@ -1,70 +1,63 @@
 #include "clustersim/net_model.hpp"
 
-#include <cstdlib>
-#include <sstream>
-#include <vector>
+#include <cmath>
+#include <initializer_list>
+#include <string_view>
+#include <utility>
+
+#include "common/cli.hpp"
 
 namespace parsgd {
 
 namespace {
 
-/// Leading strtod number; returns false unless something was consumed and
-/// `*rest` receives the remaining suffix.
-bool parse_number_prefix(const std::string& v, double* out,
-                         std::string* rest) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str()) return false;
-  *out = d;
-  *rest = std::string(end);
-  return true;
-}
-
-std::string format_double(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+/// "<number><unit>" for one of `units` ({suffix, scale} pairs, longest
+/// suffix first): the whole-value parsed number times the unit's scale.
+/// False on an unknown unit, a malformed number, or a scaled value that is
+/// neither zero nor a normal double (so format_link_spec reads back).
+bool parse_with_unit(
+    const std::string& v,
+    std::initializer_list<std::pair<std::string_view, double>> units,
+    double* out) {
+  for (const auto& [suffix, scale] : units) {
+    if (v.size() <= suffix.size() ||
+        v.compare(v.size() - suffix.size(), suffix.size(), suffix) != 0) {
+      continue;
+    }
+    double x = 0;
+    if (!parse_double_value(v.substr(0, v.size() - suffix.size()), &x)) {
+      return false;
+    }
+    *out = x * scale;
+    return *out == 0 || std::isnormal(*out);
+  }
+  return false;
 }
 
 }  // namespace
 
 std::optional<LinkSpec> parse_link_spec(const std::string& text) {
   const std::size_t colon = text.find(':');
-  if (colon == std::string::npos || colon + 1 >= text.size()) {
-    return std::nullopt;
-  }
-  const std::string lat = text.substr(0, colon);
-  const std::string bw = text.substr(colon + 1);
-
+  if (colon == std::string::npos) return std::nullopt;
   LinkSpec link;
-  double v = 0;
-  std::string unit;
-  if (!parse_number_prefix(lat, &v, &unit) || v < 0) return std::nullopt;
-  if (unit == "us") {
-    link.latency_us = v;
-  } else if (unit == "ms") {
-    link.latency_us = v * 1e3;
-  } else if (unit == "s") {
-    link.latency_us = v * 1e6;
-  } else {
+  if (!parse_with_unit(text.substr(0, colon),
+                       {{"us", 1.0}, {"ms", 1e3}, {"s", 1e6}},
+                       &link.latency_us) ||
+      !(link.latency_us >= 0)) {
     return std::nullopt;
   }
-  if (!parse_number_prefix(bw, &v, &unit) || v <= 0) return std::nullopt;
-  if (unit == "gbps") {
-    link.bandwidth_gbps = v;
-  } else if (unit == "mbps") {
-    link.bandwidth_gbps = v * 1e-3;
-  } else {
+  if (!parse_with_unit(text.substr(colon + 1),
+                       {{"gbps", 1.0}, {"mbps", 1e-3}},
+                       &link.bandwidth_gbps) ||
+      !(link.bandwidth_gbps > 0)) {
     return std::nullopt;
   }
   return link;
 }
 
 std::string format_link_spec(const LinkSpec& link) {
-  return format_double(link.latency_us) + "us:" +
-         format_double(link.bandwidth_gbps) + "gbps";
+  return format_double_value(link.latency_us) + "us:" +
+         format_double_value(link.bandwidth_gbps) + "gbps";
 }
 
 double NetModel::ps_epoch_seconds(std::size_t nodes, double total_bytes,

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -48,7 +49,9 @@ bool parse_int_value(const std::string& text, std::int64_t* out) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE) return false;
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) {
+    return false;
+  }
   *out = v;
   return true;
 }
@@ -57,9 +60,29 @@ bool parse_double_value(const std::string& text, double* out) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || errno == ERANGE) return false;
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) {
+    return false;
+  }
   *out = v;
   return true;
+}
+
+bool parse_count_value(const std::string& text, std::size_t* out) {
+  std::int64_t v = 0;
+  if (!parse_int_value(text, &v) || v < 0) return false;
+  *out = static_cast<std::size_t>(v);
+  return true;
+}
+
+std::string format_double_value(double v) {
+  char buf[32];
+  for (int precision = 12; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    double back = 0;
+    if (parse_double_value(buf, &back) && back == v) return buf;
+  }
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
 std::int64_t Cli::get_int(const std::string& name,

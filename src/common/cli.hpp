@@ -2,6 +2,7 @@
 // Supports --name=value, --name value, and boolean --name forms.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -14,6 +15,15 @@ namespace parsgd {
 /// only when all of `text` parses and is in range.
 bool parse_int_value(const std::string& text, std::int64_t* out);
 bool parse_double_value(const std::string& text, double* out);
+/// parse_int_value restricted to non-negative values: the counts of the
+/// engine-spec and fault-plan grammars (`batch=-1` is rejected, not
+/// wrapped to 2^64 - 1).
+bool parse_count_value(const std::string& text, std::size_t* out);
+
+/// The canonical text of a double in the spec grammars: "%.12g" when that
+/// reads back through parse_double_value to exactly `v`, else the first of
+/// "%.13g" ... "%.17g" that does, so every formatted value round-trips.
+std::string format_double_value(double v);
 
 /// Parsed command line: flags plus positional arguments.
 class Cli {

@@ -305,7 +305,7 @@ double Study::optimum(Task task, const std::string& name, Update update) {
   // registered async configuration inside the convergence reference.
   double best = std::numeric_limits<double>::infinity();
   for (const EngineSpec& s : registered_specs()) {
-    if (s.update != Update::kAsync || s.heterogeneous) continue;
+    if (s.update != Update::kAsync) continue;
     // Cluster configurations are their own axis (bench_cluster), not part
     // of the paper's single-machine convergence reference — including
     // them here would shift every stored Table II/III baseline.

@@ -1,7 +1,6 @@
 #include "faults/fault_plan.hpp"
 
-#include <cstdlib>
-#include <sstream>
+#include "common/cli.hpp"
 
 namespace parsgd {
 
@@ -30,30 +29,12 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-bool parse_size(const std::string& v, std::size_t* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) return false;
-  *out = static_cast<std::size_t>(u);
-  return true;
-}
-
+/// A probability in [0, 1] (NaN rejected).
 bool parse_prob(const std::string& v, double* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size()) return false;
-  if (d < 0 || d > 1) return false;
+  double d = 0;
+  if (!parse_double_value(v, &d) || !(d >= 0 && d <= 1)) return false;
   *out = d;
   return true;
-}
-
-std::string format_prob(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
 }
 
 /// One '+'-joined atom of the `faults=` value.
@@ -64,25 +45,25 @@ bool parse_fault_atom(const std::string& atom, FaultPlan* plan) {
   const std::string arg = atom.substr(at + 1);
   if (kind == "nan" || kind == "inf") {
     if (plan->corrupt != FaultPlan::Corrupt::kNone) return false;
-    if (!parse_size(arg, &plan->corrupt_step)) return false;
+    if (!parse_count_value(arg, &plan->corrupt_step)) return false;
     plan->corrupt = kind == "nan" ? FaultPlan::Corrupt::kNan
                                   : FaultPlan::Corrupt::kInf;
     return true;
   }
   if (kind == "crash") {
-    return parse_size(arg, &plan->crash_epoch) &&
+    return parse_count_value(arg, &plan->crash_epoch) &&
            plan->crash_epoch != FaultPlan::kNever;
   }
   if (kind == "nodedown") {
     // nodedown@E[:K]
     const std::vector<std::string> parts = split(arg, ':');
     if (parts.empty() || parts.size() > 2) return false;
-    if (!parse_size(parts[0], &plan->nodedown_epoch) ||
+    if (!parse_count_value(parts[0], &plan->nodedown_epoch) ||
         plan->nodedown_epoch == FaultPlan::kNever) {
       return false;
     }
     if (parts.size() == 2 &&
-        !parse_size(parts[1], &plan->nodedown_node)) {
+        !parse_count_value(parts[1], &plan->nodedown_node)) {
       return false;
     }
     return true;
@@ -91,16 +72,17 @@ bool parse_fault_atom(const std::string& atom, FaultPlan* plan) {
     // flip@E[:C[:B]]
     const std::vector<std::string> parts = split(arg, ':');
     if (parts.empty() || parts.size() > 3) return false;
-    if (!parse_size(parts[0], &plan->flip_epoch) ||
+    if (!parse_count_value(parts[0], &plan->flip_epoch) ||
         plan->flip_epoch == FaultPlan::kNever) {
       return false;
     }
-    if (parts.size() >= 2 && !parse_size(parts[1], &plan->flip_coord)) {
+    if (parts.size() >= 2 &&
+        !parse_count_value(parts[1], &plan->flip_coord)) {
       return false;
     }
     if (parts.size() == 3) {
       std::size_t bit = 0;
-      if (!parse_size(parts[2], &bit) || bit >= 32) return false;
+      if (!parse_count_value(parts[2], &bit) || bit >= 32) return false;
       plan->flip_bit = static_cast<unsigned>(bit);
     }
     return true;
@@ -127,7 +109,7 @@ FaultKeyParse parse_fault_key(const std::string& key,
       return FaultKeyParse::kMalformed;
     }
     if (at != std::string::npos) {
-      if (!parse_size(value.substr(at + 1), &plan->straggler_units) ||
+      if (!parse_count_value(value.substr(at + 1), &plan->straggler_units) ||
           plan->straggler_units == 0) {
         return FaultKeyParse::kMalformed;
       }
@@ -145,7 +127,7 @@ std::vector<std::string> format_fault_options(const FaultPlan& plan) {
   std::vector<std::string> out;
   if (plan.drop_prob > 0) {
     std::string d = "drop=";
-    d += format_prob(plan.drop_prob);
+    d += format_double_value(plan.drop_prob);
     out.push_back(std::move(d));
   }
   std::vector<std::string> atoms;
@@ -190,9 +172,11 @@ std::vector<std::string> format_fault_options(const FaultPlan& plan) {
     }
     out.push_back(joined);
   }
-  if (plan.straggler_prob > 0) {
+  // A non-default delay bound is kept even at P = 0 (straggler=0@8), so
+  // the option list round-trips through parse_fault_key.
+  if (plan.straggler_prob > 0 || plan.straggler_units != 4) {
     std::string s = "straggler=";
-    s += format_prob(plan.straggler_prob);
+    s += format_double_value(plan.straggler_prob);
     if (plan.straggler_units != 4) {
       s += '@';
       s += std::to_string(plan.straggler_units);

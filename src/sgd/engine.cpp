@@ -221,9 +221,8 @@ RunResult run_training(Engine& engine, const Model& model,
 
   std::size_t e = start_epoch;
   while (e < opts.max_epochs) {
-    const real_t epoch_alpha = static_cast<real_t>(
-        (opts.schedule ? opts.schedule->at(e) : static_cast<double>(alpha)) *
-        alpha_scale);
+    const real_t epoch_alpha =
+        static_cast<real_t>(static_cast<double>(alpha) * alpha_scale);
     double secs, loss;
     double host_s = 0;
     double q0 = 0, r0 = 0, strag0 = 0;

@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "faults/injector.hpp"
 #include "models/model.hpp"
-#include "sgd/schedule.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/session.hpp"
@@ -181,10 +180,6 @@ struct TrainOptions {
   double plateau_rtol = 1e-5;
   std::uint64_t seed = 7;
   bool prefer_dense = false;  ///< loss evaluation layout
-  /// Optional per-epoch step-size schedule; when set it overrides the
-  /// constant alpha passed to run_training (which then seeds nothing).
-  /// Must outlive the run. The paper's protocol is a constant step.
-  const StepSchedule* schedule = nullptr;
   /// Divergence watchdog (DESIGN.md §11, spec key resilience=watchdog).
   /// Off by default: run_training is then the plain epoch loop. When on,
   /// an epoch whose loss is non-finite or exceeds the divergence

@@ -1,14 +1,13 @@
 #include "sgd/spec.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <map>
-#include <sstream>
 
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "sgd/async_engine.hpp"
 #include "sgd/cluster_engine.hpp"
-#include "sgd/heterogeneous.hpp"
 #include "sgd/sync_engine.hpp"
 
 namespace parsgd {
@@ -27,8 +26,7 @@ const char* to_string(Calibration c) {
 }
 
 std::string EngineSpec::family() const {
-  return std::string(to_string(update)) + "/" +
-         (heterogeneous ? "cpu+gpu" : to_string(arch));
+  return std::string(to_string(update)) + "/" + to_string(arch);
 }
 
 // ---- parse / format ------------------------------------------------------
@@ -48,35 +46,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
   return out;
 }
-
-bool parse_size(const std::string& v, std::size_t* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) return false;
-  *out = static_cast<std::size_t>(u);
-  return true;
-}
-
-bool parse_double(const std::string& v, double* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size()) return false;
-  *out = d;
-  return true;
-}
-
-std::string format_double(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
-namespace {
 
 /// Sets *error (when non-null) and returns nullopt, so every parse
 /// failure names the offending token.
@@ -115,17 +84,10 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
     s.arch = Arch::kGpu;
   } else if (parts[1] == "cluster") {
     s.arch = Arch::kCluster;
-  } else if (parts[1] == "cpu+gpu") {
-    // The heterogeneous engine reports kGpu as its device, mirror that.
-    if (s.update != Update::kSync) {
-      return parse_fail(error, "'cpu+gpu' requires the sync update");
-    }
-    s.heterogeneous = true;
-    s.arch = Arch::kGpu;
   } else {
-    return parse_fail(
-        error, "unknown arch '" + parts[1] +
-                   "' (expected cpu-seq, cpu-par, gpu, cluster or cpu+gpu)");
+    return parse_fail(error, "unknown arch '" + parts[1] +
+                                 "' (expected cpu-seq, cpu-par, gpu or "
+                                 "cluster)");
   }
 
   if (parts[2] == "sparse") {
@@ -148,12 +110,12 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
       const std::string key = kv.substr(0, eq);
       const std::string val = kv.substr(eq + 1);
       if (key == "batch") {
-        if (!parse_size(val, &s.batch)) {
+        if (!parse_count_value(val, &s.batch)) {
           return parse_fail(error, "bad value in '" + kv + "'");
         }
       } else if (key == "threads") {
         std::size_t t = 0;
-        if (!parse_size(val, &t) || t > 100000) {
+        if (!parse_count_value(val, &t) || t > 100000) {
           return parse_fail(error, "bad value in '" + kv + "'");
         }
         s.threads = static_cast<int>(t);
@@ -166,7 +128,7 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
                                        "' (expected linear, mlp or none)");
         }
       } else if (key == "delay") {
-        if (!parse_size(val, &s.delay_units)) {
+        if (!parse_count_value(val, &s.delay_units)) {
           return parse_fail(error, "bad value in '" + kv + "'");
         }
       } else if (key == "det") {
@@ -177,7 +139,7 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
                                        "' (expected on or off)");
         }
       } else if (key == "gemmth") {
-        if (!parse_size(val, &s.gemm_parallel_threshold)) {
+        if (!parse_count_value(val, &s.gemm_parallel_threshold)) {
           return parse_fail(error, "bad value in '" + kv + "'");
         }
       } else if (key == "nodes") {
@@ -185,7 +147,8 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
           return parse_fail(error,
                             "'nodes=' only applies to arch=cluster");
         }
-        if (!parse_size(val, &s.nodes) || s.nodes == 0 || s.nodes > 1024) {
+        if (!parse_count_value(val, &s.nodes) || s.nodes == 0 ||
+            s.nodes > 1024) {
           return parse_fail(error, "bad value in '" + kv +
                                        "' (expected nodes in [1, 1024])");
         }
@@ -229,16 +192,6 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
           return parse_fail(error,
                             "bad value in '" + kv +
                                 "' (only data sharding is implemented)");
-        }
-      } else if (key == "phi") {
-        if (!s.heterogeneous) {
-          return parse_fail(error,
-                            "'phi=' only applies to cpu+gpu engines");
-        }
-        if (!parse_double(val, &s.gpu_fraction) || s.gpu_fraction < 0 ||
-            s.gpu_fraction > 1) {
-          return parse_fail(error, "bad value in '" + kv +
-                                       "' (expected phi in [0, 1])");
         }
       } else if (key == "record") {
         const std::optional<double> ms = parse_record_ms(val);
@@ -290,7 +243,9 @@ std::optional<double> parse_record_ms(const std::string& text) {
     ms.resize(ms.size() - 2);
   }
   double out = 0;
-  if (!parse_double(ms, &out) || !(out > 0)) return std::nullopt;
+  if (!parse_double_value(ms, &out) || !(out > 0) || !std::isfinite(out)) {
+    return std::nullopt;
+  }
   return out;
 }
 
@@ -302,7 +257,7 @@ EngineSpec parse_spec(const std::string& text) {
                    << text << "': " << error
                    << " (expected update/arch/layout[:key=value,...], "
                       "e.g. async/cpu-par/sparse or "
-                      "sync/cpu+gpu/dense:phi=0.6)");
+                      "sync/gpu/dense:batch=64,calib=mlp)");
   return *s;
 }
 
@@ -326,11 +281,8 @@ std::string format_spec(const EngineSpec& spec) {
     }
     if (spec.nodes != 0) kv.push_back("nodes=" + std::to_string(spec.nodes));
   }
-  if (spec.heterogeneous && spec.gpu_fraction >= 0) {
-    kv.push_back("phi=" + format_double(spec.gpu_fraction));
-  }
   if (spec.record_ms > 0) {
-    kv.push_back("record=" + format_double(spec.record_ms) + "ms");
+    kv.push_back("record=" + format_double_value(spec.record_ms) + "ms");
   }
   if (spec.watchdog) kv.push_back("resilience=watchdog");
   if (spec.threads != 0) {
@@ -367,7 +319,7 @@ EngineContext make_engine_context(const Dataset& ds, const Model& model,
 namespace {
 
 int resolved_threads(const EngineSpec& spec, const EngineContext& ctx) {
-  if (spec.arch == Arch::kCpuSeq && !spec.heterogeneous) return 1;
+  if (spec.arch == Arch::kCpuSeq) return 1;
   return spec.threads > 0 ? spec.threads : ctx.cpu_threads;
 }
 
@@ -429,20 +381,6 @@ std::unique_ptr<Engine> make_async_gpu(const EngineSpec& spec,
                                           o);
 }
 
-std::unique_ptr<Engine> make_heterogeneous(const EngineSpec& spec,
-                                           const EngineContext& ctx) {
-  HeterogeneousOptions o;
-  o.use_dense = spec.layout == Layout::kDense;
-  o.cpu_threads = resolved_threads(spec, ctx);
-  o.calibration = sync_calibration(spec.calibration);
-  o.gpu_fraction = spec.gpu_fraction;
-  o.pool = ctx.pool;
-  o.deterministic = spec.deterministic;
-  o.minibatch = spec.batch;
-  return std::make_unique<HeterogeneousEngine>(*ctx.model, ctx.data,
-                                               ctx.scale, o);
-}
-
 std::unique_ptr<Engine> make_cluster(const EngineSpec& spec,
                                      const EngineContext& ctx) {
   ClusterEngineOptions o;
@@ -466,11 +404,10 @@ struct Registration {
   EngineFactory factory;
 };
 
-EngineSpec canonical_spec(Update update, Arch arch, bool heterogeneous) {
+EngineSpec canonical_spec(Update update, Arch arch) {
   EngineSpec s;
   s.update = update;
   s.arch = arch;
-  s.heterogeneous = heterogeneous;
   return s;
 }
 
@@ -480,19 +417,14 @@ std::map<std::string, Registration>& registry() {
     auto add = [&r](const EngineSpec& canonical, EngineFactory f) {
       r[canonical.family()] = {canonical, std::move(f)};
     };
-    add(canonical_spec(Update::kSync, Arch::kCpuSeq, false), make_sync);
-    add(canonical_spec(Update::kSync, Arch::kCpuPar, false), make_sync);
-    add(canonical_spec(Update::kSync, Arch::kGpu, false), make_sync);
-    add(canonical_spec(Update::kAsync, Arch::kCpuSeq, false),
-        make_async_cpu);
-    add(canonical_spec(Update::kAsync, Arch::kCpuPar, false),
-        make_async_cpu);
-    add(canonical_spec(Update::kAsync, Arch::kGpu, false), make_async_gpu);
-    add(canonical_spec(Update::kSync, Arch::kGpu, true),
-        make_heterogeneous);
-    add(canonical_spec(Update::kSync, Arch::kCluster, false), make_cluster);
-    add(canonical_spec(Update::kAsync, Arch::kCluster, false),
-        make_cluster);
+    add(canonical_spec(Update::kSync, Arch::kCpuSeq), make_sync);
+    add(canonical_spec(Update::kSync, Arch::kCpuPar), make_sync);
+    add(canonical_spec(Update::kSync, Arch::kGpu), make_sync);
+    add(canonical_spec(Update::kAsync, Arch::kCpuSeq), make_async_cpu);
+    add(canonical_spec(Update::kAsync, Arch::kCpuPar), make_async_cpu);
+    add(canonical_spec(Update::kAsync, Arch::kGpu), make_async_gpu);
+    add(canonical_spec(Update::kSync, Arch::kCluster), make_cluster);
+    add(canonical_spec(Update::kAsync, Arch::kCluster), make_cluster);
     return r;
   }();
   return reg;

@@ -1,20 +1,21 @@
 // EngineSpec — one declarative descriptor for every configuration of the
-// paper's Fig. 1 cube (and the future-work extensions on top of it):
-// update strategy x architecture x data layout x batching x thread count x
-// calibration preset, plus the heterogeneous CPU+GPU split.
+// paper's Fig. 1 cube and the simulated cluster axis: update strategy x
+// architecture x data layout x batching x thread count x calibration
+// preset, plus the fault, recorder, resilience and telemetry options.
 //
 // A spec has a canonical string form, e.g.
 //   async/cpu-par/sparse
 //   sync/gpu/dense:batch=64,calib=mlp
-//   sync/cpu+gpu/dense:phi=0.6
+//   async/cluster/sparse:link=10us:10gbps,nodes=4
 // and parse_spec/format_spec round-trip: for every spec s obtained from
-// parse_spec, parse_spec(format_spec(s)) == s.
+// parse_spec, parse_spec(format_spec(s)) == s. Counts are non-negative
+// integers and doubles print with the fewest digits that read back
+// exactly (common/cli.hpp), so the round trip is exact.
 //
 // make_engine(spec, ctx) constructs the engine through a registry keyed by
-// the spec's family ("sync/cpu-par", "async/gpu", "sync/cpu+gpu", ...), so
-// a new configuration — mini-batch GPU sync, a second heterogeneous
-// schedule — is one register_engine() call, not another if/else arm in
-// every driver (DESIGN.md §10).
+// the spec's family ("sync/cpu-par", "async/gpu", "sync/cluster", ...), so
+// a new configuration is one register_engine() call, not another if/else
+// arm in every driver (DESIGN.md §10).
 #pragma once
 
 #include <functional>
@@ -50,8 +51,6 @@ const char* to_string(Calibration c);
 struct EngineSpec {
   Update update = Update::kSync;
   Arch arch = Arch::kCpuSeq;
-  /// Synchronous CPU+GPU split engine (arch reports kGpu, like the engine).
-  bool heterogeneous = false;
   Layout layout = Layout::kSparse;
   /// Examples per model update. 0 = family default (sync: one full-batch
   /// update per epoch; async: incremental Hogwild). >1 = synchronized
@@ -71,8 +70,6 @@ struct EngineSpec {
   bool deterministic = true;
   /// ViennaCL GEMM parallelization threshold for sync CPU engines.
   std::size_t gemm_parallel_threshold = 5000;
-  /// Heterogeneous GPU example share; negative = auto (equalize devices).
-  double gpu_fraction = -1.0;
   /// Simulated cluster size (arch=cluster; spec key nodes=). 0 = the
   /// family default (2 nodes). Ignored elsewhere.
   std::size_t nodes = 0;
@@ -97,7 +94,7 @@ struct EngineSpec {
   /// standalone session owned by the engine (Engine::telemetry()).
   telemetry::TelemetryMode telemetry = telemetry::TelemetryMode::kOff;
 
-  /// Registry key: update/arch, e.g. "sync/cpu-par" or "sync/cpu+gpu".
+  /// Registry key: update/arch, e.g. "sync/cpu-par" or "async/cluster".
   std::string family() const;
 
   /// Cluster update strategy (DESIGN.md §17), tied to the update head:
@@ -121,7 +118,7 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text);
 std::optional<EngineSpec> try_parse_spec(const std::string& text,
                                          std::string* error);
 
-/// Parses a record= cadence ("off", "N" or "Nms"; N > 0) into
+/// Parses a record= cadence ("off", "N" or "Nms"; finite N > 0) into
 /// milliseconds, 0 for off; nullopt on anything else, trailing garbage
 /// included. parsgd_cli's --record shares it with the spec grammar.
 std::optional<double> parse_record_ms(const std::string& text);
@@ -174,7 +171,8 @@ void register_engine(const EngineSpec& canonical, EngineFactory factory);
 
 /// One canonical spec per registered family, sorted by family key. The
 /// built-in registrations cover the full cube:
-///   sync/{cpu-seq,cpu-par,gpu}, async/{cpu-seq,cpu-par,gpu}, sync/cpu+gpu.
+///   sync/{cpu-seq,cpu-par,gpu}, async/{cpu-seq,cpu-par,gpu}, plus
+///   {sync,async}/cluster.
 std::vector<EngineSpec> registered_specs();
 
 }  // namespace parsgd

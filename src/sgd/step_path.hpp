@@ -14,8 +14,8 @@
 // are execution-only (graph task hook), and after_update runs once per
 // batch in batch order.
 //
-// SyncEngine and HeterogeneousEngine both run their minibatch epochs
-// through this.
+// SyncEngine (and through it the sync ClusterEngine) runs its minibatch
+// epochs through this.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "data/generator.hpp"
 #include "models/linear.hpp"
 #include "parallel/thread_pool.hpp"
@@ -28,7 +29,7 @@ struct Fixture {
 
 TEST(EngineSpec, RegisteredSpecsRoundTrip) {
   const std::vector<EngineSpec> specs = registered_specs();
-  ASSERT_GE(specs.size(), 7u);  // the full Fig. 1 cube + cpu+gpu
+  ASSERT_GE(specs.size(), 6u);  // the full Fig. 1 cube
   for (const EngineSpec& s : specs) {
     EXPECT_EQ(parse_spec(format_spec(s)), s) << format_spec(s);
   }
@@ -44,8 +45,12 @@ TEST(EngineSpec, CanonicalStringsRoundTrip) {
            "async/cpu-par/sparse:threads=28",
            "async/gpu/dense:batch=512,calib=mlp",
            "sync/cpu-par/dense:calib=none,gemmth=0",
-           "sync/cpu+gpu/dense:phi=0.6",
-           "sync/cpu+gpu/sparse",
+           // Doubles print with the fewest digits (at least 12) that
+           // read back exactly.
+           "async/cpu-par/sparse:record=0.1234567890123ms",
+           "async/cpu-par/sparse:straggler=0.1234567890123@8",
+           // A delay bound without a probability is still an option.
+           "async/cpu-par/sparse:straggler=0@8",
        }) {
     EXPECT_EQ(format_spec(parse_spec(text)), text);
   }
@@ -61,14 +66,6 @@ TEST(EngineSpec, OptionFieldsParse) {
   EXPECT_EQ(s.calibration, Calibration::kMlp);
   EXPECT_EQ(s.delay_units, 7u);
   EXPECT_EQ(s.threads, 16);
-  EXPECT_FALSE(s.heterogeneous);
-
-  const EngineSpec h = parse_spec("sync/cpu+gpu/dense:phi=0.25");
-  EXPECT_TRUE(h.heterogeneous);
-  EXPECT_EQ(h.arch, Arch::kGpu);  // the engine's reported device
-  EXPECT_EQ(h.update, Update::kSync);
-  EXPECT_DOUBLE_EQ(h.gpu_fraction, 0.25);
-  EXPECT_EQ(h.family(), "sync/cpu+gpu");
 }
 
 TEST(EngineSpec, GraphKeyIsRejected) {
@@ -89,20 +86,109 @@ TEST(EngineSpec, MalformedSpecsRejected) {
            "frob/cpu-par/sparse",
            "sync/tpu/sparse",
            "sync/cpu-par/ragged",
-           "async/cpu+gpu/sparse",           // hetero is sync-only
-           "sync/cpu-par/sparse:phi=0.5",    // phi needs cpu+gpu
-           "sync/cpu+gpu/sparse:phi=1.5",    // phi out of [0,1]
-           "sync/cpu+gpu/sparse:phi=nope",
            "sync/cpu-par/sparse:batch=abc",
            "sync/cpu-par/sparse:batch=",
            "sync/cpu-par/sparse:frob=1",
            "sync/cpu-par/sparse:",
            "sync/cpu-par/sparse:batch",
            "sync/cpu-par/sparse:calib=magic",
+           // Counts are non-negative and in range, not wrapped modulo 2^64.
+           "sync/cpu-par/sparse:batch=-1",
+           "async/cpu-par/sparse:delay=-3",
+           "sync/cpu-par/sparse:gemmth=-1",
+           "sync/cpu-par/sparse:threads=-1",
+           "sync/cpu-par/sparse:batch=99999999999999999999999",
+           "async/cpu-par/sparse:faults=nan@-1",
+           "async/cpu-par/sparse:record=1e400ms",  // overflows a double
+           // Non-finite values would not survive the round trip.
+           "async/cpu-par/sparse:record=infms",
+           "async/cpu-par/sparse:straggler=nan",
+           "async/cluster/sparse:link=nanus:10gbps",
+           "sync/cpu+gpu/sparse",
+           "sync/gpu/sparse:phi=0.5",
        }) {
     EXPECT_FALSE(try_parse_spec(text).has_value()) << text;
     EXPECT_THROW(parse_spec(text), CheckError) << text;
   }
+  // No CPU+GPU split engine exists: its arch and its phi= key are errors
+  // that name the offending token.
+  for (const auto& [text, token] :
+       {std::pair{"sync/cpu+gpu/sparse", "cpu+gpu"},
+        std::pair{"sync/gpu/sparse:phi=0.5", "phi"}}) {
+    std::string err;
+    EXPECT_FALSE(try_parse_spec(text, &err).has_value());
+    EXPECT_NE(err.find(token), std::string::npos) << err;
+  }
+}
+
+TEST(EngineSpec, SeededMutantsAreRejectedOrRoundTrip) {
+  // Seeded mutation run over try_parse_spec: every mutant of a canonical
+  // or registered spec string is either rejected with a reason or accepted
+  // with parse(format(s)) == s. Replacing a digit with a 15-digit run
+  // probes the exactness of the double formatting and the count ranges.
+  std::vector<std::string> seeds = {
+      "sync/gpu/dense:batch=64,calib=mlp",
+      "async/cpu-seq/sparse:batch=64,calib=mlp,delay=3,threads=8",
+      "sync/cpu-par/dense:calib=none,gemmth=0,det=off",
+      "async/cpu-par/sparse:record=100ms,resilience=watchdog",
+      "async/cpu-par/sparse:telemetry=metrics,record=0.25ms",
+      "async/cpu-par/sparse:faults=nan@120+crash@9,straggler=0.1@8,"
+      "drop=0.05",
+      "sync/cpu-seq/sparse:faults=flip@3:7:12+crash@5",
+      "async/cluster/sparse:link=5us:40gbps,nodes=8,sync=ps",
+      "sync/cluster/dense:faults=nodedown@2:1,link=1ms:500mbps",
+  };
+  for (const EngineSpec& s : registered_specs()) {
+    seeds.push_back(format_spec(s));
+  }
+  for (const std::string& seed : seeds) {
+    ASSERT_TRUE(try_parse_spec(seed).has_value()) << seed;
+  }
+  const std::string inserts = "-+.,:=@/09e";
+  Rng rng(0x5EED5EC);
+  std::size_t accepted = 0;
+  constexpr int kMutants = 10000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string m = seeds[rng.uniform_index(seeds.size())];
+    const std::uint64_t edits = 1 + rng.uniform_index(3);
+    for (std::uint64_t k = 0; k < edits && !m.empty(); ++k) {
+      const std::size_t pos = rng.uniform_index(m.size());
+      switch (rng.uniform_index(5)) {
+        case 0:  // flip: xor the byte with a random non-zero value
+          m[pos] = static_cast<char>(m[pos] ^ (1 + rng.uniform_index(255)));
+          break;
+        case 1: m.erase(pos, 1); break;
+        case 2: m.insert(pos, 1, m[pos]); break;
+        case 3:
+          m.insert(pos, 1, inserts[rng.uniform_index(inserts.size())]);
+          break;
+        default: {  // a digit becomes a 15-digit run
+          const std::size_t d = m.find_first_of("0123456789", pos);
+          if (d == std::string::npos) break;
+          std::string run;
+          for (int j = 0; j < 15; ++j) {
+            run += static_cast<char>('0' + rng.uniform_index(10));
+          }
+          m.replace(d, 1, run);
+        }
+      }
+    }
+    std::string err;
+    const std::optional<EngineSpec> s = try_parse_spec(m, &err);
+    if (!s.has_value()) {
+      EXPECT_FALSE(err.empty()) << "rejected without a reason: " << m;
+      continue;
+    }
+    ++accepted;
+    const std::string text = format_spec(*s);
+    const std::optional<EngineSpec> back = try_parse_spec(text, &err);
+    ASSERT_TRUE(back.has_value()) << m << " -> " << text << ": " << err;
+    EXPECT_EQ(*back, *s) << m << " -> " << text;
+    EXPECT_EQ(format_spec(*back), text) << m;
+  }
+  // Both outcomes are exercised, not just the rejections.
+  EXPECT_GT(accepted, kMutants / 20);
+  EXPECT_LT(accepted, kMutants * 9 / 10);
 }
 
 TEST(EngineSpec, EveryRegisteredSpecYieldsMatchingEngine) {

@@ -1,100 +1,13 @@
-// Tests for the library-surface extensions: step-size schedules and the
-// streaming stats accumulator.
+// Tests for the streaming stats accumulator.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "data/generator.hpp"
-#include "models/linear.hpp"
-#include "sgd/async_engine.hpp"
-#include "sgd/schedule.hpp"
 
 namespace parsgd {
 namespace {
-
-// ---- schedules ----
-
-TEST(Schedules, ConstantIsConstant) {
-  ConstantSchedule s(0.5);
-  EXPECT_DOUBLE_EQ(s.at(0), 0.5);
-  EXPECT_DOUBLE_EQ(s.at(1000), 0.5);
-  EXPECT_EQ(s.name(), "constant");
-  EXPECT_THROW(ConstantSchedule(-1), CheckError);
-}
-
-TEST(Schedules, InverseTime) {
-  InverseTimeSchedule s(1.0, 0.5);
-  EXPECT_DOUBLE_EQ(s.at(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.at(2), 0.5);
-  EXPECT_DOUBLE_EQ(s.at(6), 0.25);
-}
-
-TEST(Schedules, StepDecay) {
-  StepDecaySchedule s(1.0, 0.1, 10);
-  EXPECT_DOUBLE_EQ(s.at(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.at(9), 1.0);
-  EXPECT_DOUBLE_EQ(s.at(10), 0.1);
-  EXPECT_NEAR(s.at(25), 0.01, 1e-12);
-  EXPECT_THROW(StepDecaySchedule(1.0, 1.5, 10), CheckError);
-  EXPECT_THROW(StepDecaySchedule(1.0, 0.5, 0), CheckError);
-}
-
-TEST(Schedules, Sqrt) {
-  SqrtSchedule s(2.0);
-  EXPECT_DOUBLE_EQ(s.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(s.at(3), 1.0);
-}
-
-TEST(Schedules, AllMonotoneNonIncreasing) {
-  const ConstantSchedule c(1);
-  const InverseTimeSchedule it(1, 0.1);
-  const StepDecaySchedule sd(1, 0.5, 7);
-  const SqrtSchedule sq(1);
-  for (const StepSchedule* s :
-       {static_cast<const StepSchedule*>(&c),
-        static_cast<const StepSchedule*>(&it),
-        static_cast<const StepSchedule*>(&sd),
-        static_cast<const StepSchedule*>(&sq)}) {
-    for (std::size_t e = 1; e < 50; ++e) {
-      EXPECT_LE(s->at(e), s->at(e - 1) + 1e-15) << s->name() << " @" << e;
-    }
-  }
-}
-
-TEST(Schedules, DecayingScheduleStabilizesTraining) {
-  // A decaying schedule tames a step size that diverges when constant.
-  GeneratorOptions g;
-  g.scale = 400;
-  g.seed = 19;
-  const Dataset ds = generate_dataset("covtype", g);
-  TrainData data;
-  data.sparse = &ds.x;
-  data.dense = &*ds.x_dense;
-  data.y = ds.y;
-  LogisticRegression lr(ds.d());
-  const ScaleContext ctx = make_scale_context(ds, lr, true);
-  const auto w0 = lr.init_params(3);
-
-  AsyncCpuOptions opts;
-  opts.arch = Arch::kCpuSeq;
-  opts.prefer_dense = true;
-  AsyncCpuEngine engine(lr, data, ctx, opts);
-  TrainOptions t;
-  t.max_epochs = 15;
-  t.prefer_dense = true;
-  const RunResult constant =
-      run_training(engine, lr, data, w0, real_t(50.0), t);
-  const InverseTimeSchedule decay(50.0, 5.0);
-  t.schedule = &decay;
-  const RunResult decayed =
-      run_training(engine, lr, data, w0, real_t(50.0), t);
-  EXPECT_LE(decayed.best_loss(), constant.best_loss());
-  EXPECT_FALSE(decayed.diverged);
-}
-
-// ---- streaming stats ----
 
 TEST(StreamingStatsTest, MomentsMatchClosedForm) {
   StreamingStats s;
