@@ -339,30 +339,63 @@ BENCHMARK(BM_NewsSparseUpdate)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// One run_training epoch of LR on news: the sync epoch plus the loss
-/// evaluated on the same pool.
-void BM_NewsSyncEpoch(benchmark::State& state) {
-  const Dataset& ds = news_at_400();
+/// One run_training epoch of LR: the sync epoch plus the loss of the
+/// updated model, on the same pool. Arg(1) = 1 carries the margin pass as
+/// SyncEngine does under run_training: the loss evaluation stages the next
+/// epoch's coefficients, and the epoch skips its forward pass and
+/// coefficient kernel. Arg(1) = 0 is the uncarried form: forward pass,
+/// coefficient kernel and update, then dataset_loss.
+void run_sync_epochs(benchmark::State& state, const Dataset& ds,
+                     bool dense) {
   const auto pool = bench_pool(state.range(0));
+  const bool carried = state.range(1) != 0;
   CpuBackend be(CpuBackendOptions{.pool = pool.get()});
   CostBreakdown cost;
   be.set_sink(&cost);
   const LogisticRegression lr(ds.d());
   TrainData data;
   data.sparse = &ds.x;
+  data.dense = dense ? &*ds.x_dense : nullptr;
   data.y = ds.y;
   std::vector<real_t> w = lr.init_params(1);
+  EpochCarry carry;
   for (auto _ : state) {
     cost.reset();
-    lr.sync_epoch(be, data, false, real_t(1e-3), w);
-    benchmark::DoNotOptimize(lr.dataset_loss(data, w, false, pool.get()));
+    if (carried) {
+      lr.sync_epoch(be, data, dense, real_t(1e-3), w, &carry, pool.get());
+      benchmark::DoNotOptimize(carry.loss);
+    } else {
+      lr.sync_epoch(be, data, dense, real_t(1e-3), w);
+      benchmark::DoNotOptimize(lr.dataset_loss(data, w, dense, pool.get()));
+    }
   }
 }
+
+void BM_NewsSyncEpoch(benchmark::State& state) {
+  run_sync_epochs(state, news_at_400(), /*dense=*/false);
+}
 BENCHMARK(BM_NewsSyncEpoch)
-    ->Arg(0)
-    ->Arg(3)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({3, 0})
+    ->Args({3, 1})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/// The dense twin: covtype at 1/400 scale (N = 1,452, d = 54), through
+/// the dense gemv path.
+void BM_CovtypeSyncEpoch(benchmark::State& state) {
+  static const Dataset ds = generate_dataset(
+      "covtype", GeneratorOptions{.seed = 1, .scale = 400.0});
+  run_sync_epochs(state, ds, /*dense=*/true);
+}
+BENCHMARK(BM_CovtypeSyncEpoch)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({3, 0})
+    ->Args({3, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- SIMD microkernel variants ----
 // Every kernel of the dispatch table, each compiled variant vs the scalar

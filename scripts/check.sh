@@ -106,15 +106,22 @@ rm -rf "$obs_tmp"
 # built column index of a CSR matrix, which threads may request at once.
 # The engine-spec suite joins the ASan lane for its seeded mutation run:
 # thousands of malformed spec strings through the parse and format paths.
+# The libsvm reader joins it for the same reason (seeded mutants of a
+# small corpus), and the engine suite joins it so the carried margin
+# pass of a sync epoch (DESIGN.md §9), which writes per-example
+# coefficients from pool workers, runs under both sanitizers.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
     --target test_clustersim \
     --target test_flight_recorder --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication \
-    --target test_linalg --target test_engine_spec
+    --target test_linalg --target test_engine_spec --target test_io \
+    --target test_engines
 "$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_engine_spec"
+"$ASAN_BUILD_DIR/tests/test_io"
+"$ASAN_BUILD_DIR/tests/test_engines"
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
@@ -155,6 +162,6 @@ echo "check.sh: tier-1 (simd + scalar) + watchdog fault sweep" \
      "+ cluster smoke + observability lane (overhead gate, recorder," \
      "status schema, --attribute)" \
      "+ ASan linalg/kernels/graph/cluster/recorder/telemetry" \
-     "/asyncsim/gpusim/replication/engine-spec" \
+     "/asyncsim/gpusim/replication/engine-spec/io/engines" \
      "+ TSan linalg/graph/pool/faults/cluster/recorder/telemetry/engines" \
      "+ regression smoke OK"

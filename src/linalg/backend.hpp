@@ -10,6 +10,7 @@
 // the GPU backend records simulated SIMT cycles (gpusim).
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -121,5 +122,20 @@ class Backend {
 /// Cost per transcendental (exp/log) in flop-equivalents, used uniformly by
 /// both backends so architectures are charged consistently.
 inline constexpr double kTranscendentalFlops = 10.0;
+
+/// One example's coefficient of lr_loss_coefficients from its float
+/// margin z: -y * sigmoid(-y z). Shared by the CPU kernel and the
+/// models' carried margin pass, so the two cannot drift.
+inline real_t lr_coefficient(real_t z, real_t y) {
+  const double yz = static_cast<double>(y) * z;
+  return static_cast<real_t>(-static_cast<double>(y) *
+                             (1.0 / (1.0 + std::exp(yz))));
+}
+
+/// One example's coefficient of svm_loss_coefficients: -y inside the
+/// margin (y z < 1), else 0.
+inline real_t svm_coefficient(real_t z, real_t y) {
+  return static_cast<double>(y) * z < 1.0 ? -y : real_t(0);
+}
 
 }  // namespace parsgd::linalg

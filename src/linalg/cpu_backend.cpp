@@ -460,8 +460,7 @@ double CpuBackend::lr_loss_coefficients(std::span<const real_t> z,
     // Numerically-stable log(1+exp(-yz)).
     loss += yz > 0 ? std::log1p(std::exp(-yz))
                    : -yz + std::log1p(std::exp(yz));
-    coef[i] = static_cast<real_t>(-static_cast<double>(y[i]) *
-                                  sigmoid(-yz));
+    coef[i] = lr_coefficient(z[i], y[i]);
   }
   sink().flops += 2.0 * kTranscendentalFlops * static_cast<double>(z.size());
   sink().bytes_streamed += 3.0 * static_cast<double>(z.size()) *
@@ -477,12 +476,8 @@ double CpuBackend::svm_loss_coefficients(std::span<const real_t> z,
   double loss = 0;
   for (std::size_t i = 0; i < z.size(); ++i) {
     const double yz = static_cast<double>(y[i]) * z[i];
-    if (yz < 1.0) {
-      loss += 1.0 - yz;
-      coef[i] = -y[i];
-    } else {
-      coef[i] = 0;
-    }
+    if (yz < 1.0) loss += 1.0 - yz;
+    coef[i] = svm_coefficient(z[i], y[i]);
   }
   sink().flops += 4.0 * static_cast<double>(z.size());
   sink().bytes_streamed += 3.0 * static_cast<double>(z.size()) *

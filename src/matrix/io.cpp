@@ -85,6 +85,10 @@ LabeledCsr read_libsvm(std::istream& in, std::size_t cols) {
                                      tok.c_str() + tok.size(), &v),
                    "libsvm line " << lineno << ": bad value in '" << tok
                                   << "'");
+      // Narrowing a double beyond the float range is undefined behaviour.
+      PARSGD_CHECK(std::abs(v) <= std::numeric_limits<real_t>::max(),
+                   "libsvm line " << lineno << ": value in '" << tok
+                                  << "' overflows the 32-bit float type");
       const auto idx0 = static_cast<index_t>(idx1 - 1);
       row_idx.back().push_back(idx0);
       row_val.back().push_back(static_cast<real_t>(v));

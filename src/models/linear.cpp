@@ -176,18 +176,34 @@ TaskGraph::TaskId LinearModel::batch_step_graph(
 double LinearModel::sync_epoch(linalg::Backend& backend,
                                const TrainData& data, bool use_dense,
                                real_t alpha, std::span<real_t> w) const {
+  return sync_epoch(backend, data, use_dense, alpha, w, nullptr, nullptr);
+}
+
+double LinearModel::sync_epoch(linalg::Backend& backend,
+                               const TrainData& data, bool use_dense,
+                               real_t alpha, std::span<real_t> w,
+                               EpochCarry* carry, ThreadPool* pool) const {
   const std::size_t n = data.n();
   const bool dense = use_dense && data.has_dense();
-  std::vector<real_t> z(n), coef(n);
-
-  // z = X w
-  if (dense) {
-    backend.gemv(*data.dense, w, z, /*transpose=*/false);
+  std::vector<real_t> coef;
+  double loss;
+  if (carry != nullptr && carry->matches(data, dense)) {
+    // The last epoch's loss evaluation already took these margins.
+    coef = std::move(carry->coef);
+    loss = carry->loss;
+    carry->clear();
   } else {
-    backend.spmv(*data.sparse, w, z, /*transpose=*/false);
+    std::vector<real_t> z(n);
+    coef.resize(n);
+    // z = X w
+    if (dense) {
+      backend.gemv(*data.dense, w, z, /*transpose=*/false);
+    } else {
+      backend.spmv(*data.sparse, w, z, /*transpose=*/false);
+    }
+    // coef_i = dloss/dz_i; loss as by-product
+    loss = coefficients(backend, z, data.y, coef);
   }
-  // coef_i = dloss/dz_i; loss as by-product
-  const double loss = coefficients(backend, z, data.y, coef);
   // w -= alpha/n * X^T coef  (mean gradient, matching batch_step)
   const auto step = static_cast<real_t>(-alpha / static_cast<double>(n));
   if (dense) {
@@ -197,6 +213,19 @@ double LinearModel::sync_epoch(linalg::Backend& backend,
   } else {
     // Fused: touches only the columns the data touches.
     backend.spmv_t_axpy(step, *data.sparse, coef, w);
+  }
+  if (carry != nullptr) {
+    // One margin pass over the updated w: its loss, and the next epoch's
+    // coefficients. At det=on the scalar forward kernels do ExampleView::
+    // dot's arithmetic, so float(z) is the forward pass's output bit for
+    // bit.
+    carry->loss = sum_examples(n, pool, [&](std::size_t i) {
+      return loss_and_coefficient(data.example(i, dense).dot(w), data.y[i],
+                                  coef[i]);
+    });
+    carry->coef = std::move(coef);
+    carry->sparse = dense ? nullptr : data.sparse;
+    carry->dense = dense ? data.dense : nullptr;
   }
   return loss;
 }

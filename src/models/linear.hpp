@@ -34,6 +34,18 @@ class LinearModel : public Model {
   double sync_epoch(linalg::Backend& backend, const TrainData& data,
                     bool use_dense, real_t alpha,
                     std::span<real_t> w) const override;
+  /// sync_epoch with the loss evaluation of the updated w folded in
+  /// (DESIGN.md §9). When `carry` holds the margins of this epoch's rows
+  /// and layout, its coefficients replace the forward pass and the
+  /// coefficient kernel, and its loss is returned. After the update one
+  /// margin pass over the new w, on `pool` when it has workers, restages
+  /// the carry: each example's double margin and loss with
+  /// dataset_loss's arithmetic (summed in index order), and its
+  /// coefficient from the float-rounded margin. A null carry is the
+  /// plain sync_epoch.
+  double sync_epoch(linalg::Backend& backend, const TrainData& data,
+                    bool use_dense, real_t alpha, std::span<real_t> w,
+                    EpochCarry* carry, ThreadPool* pool) const;
   double step_flops(std::size_t touched_features) const override;
 
  public:
@@ -48,6 +60,12 @@ class LinearModel : public Model {
                               std::span<const real_t> z,
                               std::span<const real_t> y,
                               std::span<real_t> coef) const = 0;
+  /// One example of the carried margin pass: returns margin_loss(z, y)
+  /// and sets `coef` to the coefficient kernel's value at float(z). One
+  /// virtual call per example: with two, the covtype pass measured 2x
+  /// slower.
+  virtual double loss_and_coefficient(double z, real_t y,
+                                      real_t& coef) const = 0;
 
  private:
   std::size_t d_;
@@ -66,6 +84,11 @@ class LogisticRegression final : public LinearModel {
   double coefficients(linalg::Backend& backend, std::span<const real_t> z,
                       std::span<const real_t> y,
                       std::span<real_t> coef) const override;
+  double loss_and_coefficient(double z, real_t y,
+                              real_t& coef) const override {
+    coef = linalg::lr_coefficient(static_cast<real_t>(z), y);
+    return margin_loss(z, y);
+  }
 };
 
 class LinearSvm final : public LinearModel {
@@ -81,6 +104,11 @@ class LinearSvm final : public LinearModel {
   double coefficients(linalg::Backend& backend, std::span<const real_t> z,
                       std::span<const real_t> y,
                       std::span<real_t> coef) const override;
+  double loss_and_coefficient(double z, real_t y,
+                              real_t& coef) const override {
+    coef = linalg::svm_coefficient(static_cast<real_t>(z), y);
+    return margin_loss(z, y);
+  }
 };
 
 }  // namespace parsgd

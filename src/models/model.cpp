@@ -1,25 +1,12 @@
 #include "models/model.hpp"
 
-#include "parallel/thread_pool.hpp"
-
 namespace parsgd {
 
 double Model::dataset_loss(const TrainData& data, std::span<const real_t> w,
                            bool prefer_dense, ThreadPool* pool) const {
-  const auto loss = [&](std::size_t i) {
+  return sum_examples(data.n(), pool, [&](std::size_t i) {
     return example_loss(data.example(i, prefer_dense), data.y[i], w);
-  };
-  double total = 0;
-  if (pool == nullptr || pool->size() == 0) {
-    for (std::size_t i = 0; i < data.n(); ++i) total += loss(i);
-    return total;
-  }
-  std::vector<double> losses(data.n());
-  pool->parallel_for(losses.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) losses[i] = loss(i);
   });
-  for (const double l : losses) total += l;
-  return total;
 }
 
 TaskGraph::TaskId Model::batch_step_graph(

@@ -21,6 +21,7 @@
 #include "linalg/backend.hpp"
 #include "matrix/example_view.hpp"
 #include "parallel/task_graph.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 
@@ -50,6 +51,33 @@ struct TrainData {
     if (prefer_dense && dense) return ExampleView::dense(dense->row(i));
     PARSGD_DCHECK(sparse != nullptr);
     return ExampleView::sparse(sparse->row(i));
+  }
+};
+
+/// The margin pass of a full-batch linear sync epoch, carried from the
+/// loss evaluation of w_{k+1} into epoch k+1 (DESIGN.md §9): the loss of
+/// w_{k+1} (dataset_loss's value) and the next epoch's per-example
+/// coefficients. run_training owns one per call and hands it to the
+/// engine; only SyncEngine's full-batch epochs of a LinearModel stage
+/// one. Empty (both matrix pointers null) after clear().
+struct EpochCarry {
+  /// The matrix the margins were read from: exactly one is non-null
+  /// while the carry is valid.
+  const CsrMatrix* sparse = nullptr;
+  const DenseMatrix* dense = nullptr;
+  double loss = 0;          ///< loss of the current w, summed in index order
+  std::vector<real_t> coef;  ///< d loss / d z_i at the current w
+
+  void clear() {
+    sparse = nullptr;
+    dense = nullptr;
+  }
+  /// True when the carry holds the margins dataset_loss(data, w,
+  /// prefer_dense) would compute: same rows, same layout.
+  bool matches(const TrainData& data, bool prefer_dense) const {
+    return prefer_dense && data.has_dense()
+               ? dense != nullptr && dense == data.dense
+               : sparse != nullptr && sparse == data.sparse;
   }
 };
 
@@ -121,8 +149,12 @@ class Model {
 
   /// One full-batch gradient-descent epoch (Algorithm 2) expressed in
   /// linalg primitives on `backend`. Returns the loss evaluated *before*
-  /// the update (free by-product of the gradient computation). `layout`
-  /// chooses dense vs sparse primitives when the data allows both.
+  /// the update, from the float margins of the forward pass (a
+  /// by-product of the coefficient kernel). `use_dense` chooses dense vs
+  /// sparse primitives when the data allows both. run_training instead
+  /// reports dataset_loss *after* the update; for linear models SyncEngine
+  /// folds that evaluation into the epoch through an EpochCarry
+  /// (LinearModel's carried overload).
   virtual double sync_epoch(linalg::Backend& backend, const TrainData& data,
                             bool use_dense, real_t alpha,
                             std::span<real_t> w) const = 0;
@@ -130,6 +162,25 @@ class Model {
   /// Approximate flops of one example_step (for async engine cost
   /// accounting; nnz-dependent terms use the supplied count).
   virtual double step_flops(std::size_t touched_features) const = 0;
+
+ protected:
+  /// Sums term(i) over the examples i in [0, n) in index order. With a
+  /// pool that has workers the terms are evaluated on it first (each i by
+  /// exactly one chunk), so the total is bit-identical to the serial loop.
+  template <class Term>
+  static double sum_examples(std::size_t n, ThreadPool* pool, Term&& term) {
+    double total = 0;
+    if (pool == nullptr || pool->size() == 0) {
+      for (std::size_t i = 0; i < n; ++i) total += term(i);
+      return total;
+    }
+    std::vector<double> terms(n);
+    pool->parallel_for(n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) terms[i] = term(i);
+    });
+    for (const double t : terms) total += t;
+    return total;
+  }
 };
 
 }  // namespace parsgd

@@ -65,6 +65,10 @@ RunResult run_training(Engine& engine, const Model& model,
   std::vector<real_t> w(w0.begin(), w0.end());
   Rng rng(opts.seed);
   ThreadPool* const pool = engine.pool();  // null: the engine runs serially
+  // The last epoch's margin pass (DESIGN.md §9): it supplies that epoch's
+  // loss and the next epoch's forward pass. Cleared whenever this loop
+  // writes w itself; a resumed run starts without one.
+  EpochCarry carry;
 
   RunResult res;
   std::size_t start_epoch = 0;
@@ -237,8 +241,10 @@ RunResult run_training(Engine& engine, const Model& model,
       PARSGD_TRACE_SPAN(span, tel, "epoch");
       span.arg("epoch", static_cast<double>(e));
       const double host_t0 = monotonic_seconds();
-      secs = engine.run_epoch(w, epoch_alpha, rng);
-      loss = model.dataset_loss(data, w, opts.prefer_dense, pool);
+      secs = engine.run_epoch_carried(w, epoch_alpha, rng, carry);
+      loss = carry.matches(data, opts.prefer_dense)
+                 ? carry.loss
+                 : model.dataset_loss(data, w, opts.prefer_dense, pool);
       host_s = monotonic_seconds() - host_t0;
       span.arg("loss", loss);
       span.arg("modeled_s", secs);
@@ -266,6 +272,7 @@ RunResult run_training(Engine& engine, const Model& model,
                                 nonfinite ? RecoveryReason::kNonFinite
                                           : RecoveryReason::kLossSpike});
       w = good.w;
+      carry.clear();
       rng.set_state(good.rng);
       res.losses.resize(good.n_losses);
       res.epoch_seconds.resize(good.n_losses);

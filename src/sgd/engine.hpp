@@ -52,6 +52,16 @@ class Engine {
   /// for the epoch at paper scale.
   virtual double run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) = 0;
 
+  /// run_epoch that may also consume and restage `carry`, the margin
+  /// pass of the updated `w` (DESIGN.md §9); run_training's epoch loop
+  /// calls this. The default clears the carry: only full-batch linear
+  /// sync epochs without a fault plan stage one.
+  virtual double run_epoch_carried(std::span<real_t> w, real_t alpha,
+                                   Rng& rng, EpochCarry& carry) {
+    carry.clear();
+    return run_epoch(w, alpha, rng);
+  }
+
   /// Modeled seconds of one epoch without advancing caller-visible state:
   /// the default runs a throwaway zero-step epoch on a copy of `w_sample`
   /// (epoch costs are parameter-value independent). Engines with a cheap

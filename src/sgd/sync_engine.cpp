@@ -13,7 +13,8 @@ namespace parsgd {
 SyncEngine::SyncEngine(const Model& model, const TrainData& data,
                        const ScaleContext& scale,
                        const SyncEngineOptions& opts)
-    : model_(model), data_(data), scale_(scale), opts_(opts),
+    : model_(model), linear_(dynamic_cast<const LinearModel*>(&model)),
+      data_(data), scale_(scale), opts_(opts),
       traj_backend_(linalg::CpuBackendOptions{
           .pool = opts.pool, .deterministic = opts.deterministic}) {
   if (opts_.arch == Arch::kGpu) {
@@ -119,6 +120,19 @@ ThreadPool* SyncEngine::pool() const {
 }
 
 double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
+  return epoch(w, alpha, rng, nullptr);
+}
+
+double SyncEngine::run_epoch_carried(std::span<real_t> w, real_t alpha,
+                                     Rng& rng, EpochCarry& carry) {
+  const bool stage =
+      opts_.minibatch == 0 && linear_ != nullptr && !faults_.active();
+  if (!stage) carry.clear();
+  return epoch(w, alpha, rng, stage ? &carry : nullptr);
+}
+
+double SyncEngine::epoch(std::span<real_t> w, real_t alpha, Rng& rng,
+                         EpochCarry* carry) {
   const double secs = epoch_seconds(w);
   faults_.begin_epoch(w);
   ThreadPool& epoch_pool = *pool();
@@ -141,7 +155,12 @@ double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
       faults_.after_update(w);
     } else {
       traj_cost_.reset();
-      model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
+      if (carry != nullptr) {
+        linear_->sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w,
+                            carry, &epoch_pool);
+      } else {
+        model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
+      }
       faults_.after_update(w);
       if (c_updates != nullptr) c_updates->inc();
     }

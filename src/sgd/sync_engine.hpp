@@ -12,6 +12,7 @@
 
 #include "gpusim/device.hpp"
 #include "linalg/cpu_backend.hpp"
+#include "models/linear.hpp"
 #include "sgd/engine.hpp"
 #include "sgd/timing.hpp"
 
@@ -96,6 +97,10 @@ class SyncEngine final : public Engine {
   Update update() const override { return Update::kSync; }
 
   double run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) override;
+  /// Stages the carry only for full-batch epochs of a LinearModel with no
+  /// fault plan (faults write w outside the epoch); clears it otherwise.
+  double run_epoch_carried(std::span<real_t> w, real_t alpha, Rng& rng,
+                           EpochCarry& carry) override;
   const CostBreakdown& last_cost() const override { return cost_paper_; }
 
   /// The modeled seconds per epoch (instrumented lazily; alpha-independent).
@@ -111,8 +116,12 @@ class SyncEngine final : public Engine {
 
  private:
   void instrument(std::span<const real_t> w_sample);
+  double epoch(std::span<real_t> w, real_t alpha, Rng& rng,
+               EpochCarry* carry);
 
   const Model& model_;
+  /// model_ when it is a LinearModel (the only kind that stages a carry).
+  const LinearModel* linear_;
   const TrainData& data_;
   ScaleContext scale_;
   SyncEngineOptions opts_;

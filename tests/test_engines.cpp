@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -14,6 +16,7 @@
 #include "models/mlp.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sgd/async_engine.hpp"
+#include "sgd/checkpoint.hpp"
 #include "sgd/convergence.hpp"
 #include "sgd/spec.hpp"
 #include "sgd/stepsize.hpp"
@@ -97,32 +100,55 @@ TEST(SyncEngine, DivergenceDetected) {
   EXPECT_LT(r.epochs(), 50u);
 }
 
-/// LR whose sparse sync epoch is the two-call form the fused
-/// spmv_t_axpy replaced: A^T coef into a d-vector, then a d-length axpy.
-class TwoCallLr final : public Model {
+/// Forwards every call to a LinearModel, the plain sync_epoch included,
+/// without being one: SyncEngine never stages an EpochCarry for it, so
+/// run_training takes every loss from dataset_loss and every epoch runs
+/// its own forward pass. The reference of the carry tests.
+class Carryless : public Model {
  public:
-  explicit TwoCallLr(std::size_t d) : lr_(d) {}
-  std::string name() const override { return "LR"; }
-  std::size_t dim() const override { return lr_.dim(); }
+  explicit Carryless(std::unique_ptr<LinearModel> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  std::size_t dim() const override { return inner_->dim(); }
   std::vector<real_t> init_params(std::uint64_t seed) const override {
-    return lr_.init_params(seed);
+    return inner_->init_params(seed);
   }
   double example_loss(const ExampleView& x, real_t y,
                       std::span<const real_t> w) const override {
-    return lr_.example_loss(x, y, w);
+    return inner_->example_loss(x, y, w);
   }
   void example_step(const ExampleView& x, real_t y, real_t alpha,
                     std::span<const real_t> w_read, std::span<real_t> w_write,
                     std::vector<index_t>* touched) const override {
-    lr_.example_step(x, y, alpha, w_read, w_write, touched);
+    inner_->example_step(x, y, alpha, w_read, w_write, touched);
   }
   bool sparse_updates() const override { return true; }
   void batch_step(const TrainData& data, std::size_t begin, std::size_t end,
                   bool prefer_dense, real_t alpha,
                   std::span<const real_t> w_read,
                   std::span<real_t> w_write) const override {
-    lr_.batch_step(data, begin, end, prefer_dense, alpha, w_read, w_write);
+    inner_->batch_step(data, begin, end, prefer_dense, alpha, w_read,
+                       w_write);
   }
+  double sync_epoch(linalg::Backend& backend, const TrainData& data,
+                    bool use_dense, real_t alpha,
+                    std::span<real_t> w) const override {
+    return inner_->sync_epoch(backend, data, use_dense, alpha, w);
+  }
+  double step_flops(std::size_t touched) const override {
+    return inner_->step_flops(touched);
+  }
+
+ private:
+  std::unique_ptr<LinearModel> inner_;
+};
+
+/// LR whose sparse sync epoch is the two-call form the fused
+/// spmv_t_axpy replaced: A^T coef into a d-vector, then a d-length axpy.
+class TwoCallLr final : public Carryless {
+ public:
+  explicit TwoCallLr(std::size_t d)
+      : Carryless(std::make_unique<LogisticRegression>(d)) {}
   double sync_epoch(linalg::Backend& backend, const TrainData& data,
                     bool use_dense, real_t alpha,
                     std::span<real_t> w) const override {
@@ -135,12 +161,6 @@ class TwoCallLr final : public Model {
                  grad, w);
     return loss;
   }
-  double step_flops(std::size_t touched) const override {
-    return lr_.step_flops(touched);
-  }
-
- private:
-  LogisticRegression lr_;
 };
 
 TEST(SyncEngine, FusedSparseUpdateKeepsModeledCost) {
@@ -163,6 +183,172 @@ TEST(SyncEngine, FusedSparseUpdateKeepsModeledCost) {
     EXPECT_EQ(a.kernel_launches, b.kernel_launches) << to_string(arch);
     EXPECT_EQ(a.gpu_cycles, b.gpu_cycles) << to_string(arch);
     EXPECT_EQ(a.write_conflicts, b.write_conflicts) << to_string(arch);
+  }
+}
+
+/// What a run_training call leaves behind, compared bit for bit (NaN
+/// losses included): its losses, its watchdog rollbacks, and the final
+/// weights, read back from a checkpoint written after every epoch.
+struct Trajectory {
+  std::uint64_t initial_loss;
+  std::vector<std::uint64_t> losses;
+  std::size_t recoveries;
+  std::vector<real_t> w;
+  bool operator==(const Trajectory&) const = default;
+};
+
+Trajectory train(Engine& engine, const Model& model, const TrainData& data,
+                 std::span<const real_t> w0, real_t alpha, TrainOptions t) {
+  t.checkpoint_path = testing::TempDir() + "/parsgd_carry_ck.bin";
+  const RunResult r = run_training(engine, model, data, w0, alpha, t);
+  Trajectory out{std::bit_cast<std::uint64_t>(r.initial_loss), {},
+                 r.recoveries.size(),
+                 load_checkpoint(t.checkpoint_path).w};
+  for (const double l : r.losses) {
+    out.losses.push_back(std::bit_cast<std::uint64_t>(l));
+  }
+  return out;
+}
+
+/// Trains `model` (which stages a carry) and its Carryless twin on two
+/// identically configured sync engines with `faults` installed, and
+/// expects the same trajectory from both.
+void expect_carry_transparent(const LinearModel& model,
+                              const Carryless& reference,
+                              const TrainData& data, const Fixture& f,
+                              const SyncEngineOptions& opts,
+                              const FaultPlan& faults, real_t alpha,
+                              const TrainOptions& t,
+                              const std::string& what) {
+  SyncEngine carried(model, data, f.scale, opts);
+  SyncEngine plain(reference, data, f.scale, opts);
+  carried.install_faults(faults, 9);
+  plain.install_faults(faults, 9);
+  const Trajectory a = train(carried, model, data, f.w0, alpha, t);
+  const Trajectory b = train(plain, reference, data, f.w0, alpha, t);
+  EXPECT_EQ(a.initial_loss, b.initial_loss) << what;
+  EXPECT_EQ(a.losses, b.losses) << what;
+  EXPECT_EQ(a.recoveries, b.recoveries) << what;
+  EXPECT_TRUE(a.w == b.w) << what;
+}
+
+TEST(EpochCarry, HoldsTheNextForwardPassAndLoss) {
+  // After a carried epoch the carry is the updated model's loss (as
+  // dataset_loss computes it) and the coefficients its forward pass
+  // yields, bit for bit at det=on.
+  Fixture f("rcv1");
+  SyncEngine e(f.lr, f.data, f.scale, SyncEngineOptions{});
+  std::vector<real_t> w = f.w0;
+  Rng rng(1);
+  EpochCarry carry;
+  e.run_epoch_carried(w, real_t(5.0), rng, carry);
+  ASSERT_TRUE(carry.matches(f.data, false));
+  ASSERT_TRUE(f.data.has_dense());
+  EXPECT_FALSE(carry.matches(f.data, true));
+  EXPECT_EQ(carry.loss, f.lr.dataset_loss(f.data, w, false));
+  linalg::CpuBackend be;
+  CostBreakdown sink;
+  be.set_sink(&sink);
+  std::vector<real_t> z(f.data.n()), coef(f.data.n());
+  be.spmv(*f.data.sparse, w, z, /*transpose=*/false);
+  be.lr_loss_coefficients(z, f.data.y, coef);
+  EXPECT_TRUE(carry.coef == coef);
+  // A mini-batch engine clears it.
+  SyncEngineOptions batched;
+  batched.minibatch = 64;
+  SyncEngine mb(f.lr, f.data, f.scale, batched);
+  mb.run_epoch_carried(w, real_t(5.0), rng, carry);
+  EXPECT_FALSE(carry.matches(f.data, false));
+}
+
+TEST(EpochCarry, RunTrainingMatchesUncarriedReference) {
+  // LR and SVM, sparse (rcv1) and dense (covtype), on pools of 0, 1 and
+  // 3 workers, all at det=on: the carried loss and coefficients change
+  // nothing the run reports.
+  ThreadPool none(ThreadPool::NoWorkers{}), one(1), three(3);
+  for (const char* name : {"rcv1", "covtype"}) {
+    Fixture f(name);
+    const bool dense = std::string(name) == "covtype";
+    const LinearSvm svm(f.ds.d());
+    const Carryless lr_ref(std::make_unique<LogisticRegression>(f.ds.d()));
+    const Carryless svm_ref(std::make_unique<LinearSvm>(f.ds.d()));
+    for (ThreadPool* pool : {&none, &one, &three}) {
+      SyncEngineOptions opts;
+      opts.arch = Arch::kCpuPar;
+      opts.use_dense = dense;
+      opts.pool = pool;
+      TrainOptions t;
+      t.max_epochs = 6;
+      t.prefer_dense = dense;
+      const std::string what = std::string(name) + " pool " +
+                               std::to_string(pool->size());
+      expect_carry_transparent(f.lr, lr_ref, f.data, f, opts, {},
+                               real_t(2.0), t, "LR " + what);
+      expect_carry_transparent(svm, svm_ref, f.data, f, opts, {},
+                               real_t(0.5), t, "SVM " + what);
+    }
+  }
+}
+
+TEST(EpochCarry, WatchdogRollbackClearsTheCarry) {
+  // A step size that diverges: every rollback rewinds w, and the epoch
+  // after it must run its own forward pass, not the rejected epoch's.
+  Fixture f("covtype");
+  const Carryless ref(std::make_unique<LogisticRegression>(f.ds.d()));
+  SyncEngineOptions opts;
+  opts.use_dense = true;
+  TrainOptions t;
+  t.max_epochs = 8;
+  t.prefer_dense = true;
+  t.watchdog = true;
+  SyncEngine probe(f.lr, f.data, f.scale, opts);
+  const RunResult r = run_training(probe, f.lr, f.data, f.w0, real_t(1e4), t);
+  ASSERT_FALSE(r.recoveries.empty());
+  expect_carry_transparent(f.lr, ref, f.data, f, opts, {}, real_t(1e4), t,
+                           "watchdog");
+}
+
+TEST(EpochCarry, FaultPlansRunWithoutACarry) {
+  // Flip and drop write w outside the epoch's update. The flip hits a
+  // coordinate the data touches, in its top mantissa bit so the run goes
+  // on without diverging: a stale carry would show in every later epoch.
+  Fixture f("rcv1");
+  const Carryless ref(std::make_unique<LogisticRegression>(f.ds.d()));
+  TrainOptions t;
+  t.max_epochs = 6;
+  FaultPlan flip = parse_spec("sync/cpu-par/sparse:faults=flip@2").faults;
+  flip.flip_coord = f.ds.x.row(0).idx[0];
+  flip.flip_bit = 22;
+  const FaultPlan drop = parse_spec("sync/cpu-par/sparse:drop=0.5").faults;
+  ASSERT_GT(drop.drop_prob, 0.0);
+  expect_carry_transparent(f.lr, ref, f.data, f, SyncEngineOptions{}, flip,
+                           real_t(2.0), t, "flip@2");
+  expect_carry_transparent(f.lr, ref, f.data, f, SyncEngineOptions{}, drop,
+                           real_t(2.0), t, "drop=0.5");
+}
+
+TEST(EpochCarry, LossLayoutMismatchFallsBackToDatasetLoss) {
+  // A dense copy that disagrees with the sparse rows (every value
+  // doubled) tells the two layouts apart: the loss must come from the
+  // layout run_training asks for, not from the engine's margin pass.
+  Fixture f("covtype");
+  ASSERT_TRUE(f.data.has_dense());
+  DenseMatrix doubled = *f.data.dense;
+  for (real_t& v : doubled.data()) v *= 2;
+  TrainData data = f.data;
+  data.dense = &doubled;
+  ASSERT_NE(f.lr.dataset_loss(data, f.w0, true),
+            f.lr.dataset_loss(data, f.w0, false));
+  const Carryless ref(std::make_unique<LogisticRegression>(f.ds.d()));
+  for (const bool engine_dense : {true, false}) {
+    SyncEngineOptions opts;
+    opts.use_dense = engine_dense;
+    TrainOptions t;
+    t.max_epochs = 5;
+    t.prefer_dense = !engine_dense;
+    expect_carry_transparent(f.lr, ref, data, f, opts, {}, real_t(0.5), t,
+                             engine_dense ? "dense engine, sparse loss"
+                                          : "sparse engine, dense loss");
   }
 }
 

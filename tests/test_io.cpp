@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace parsgd {
 namespace {
@@ -79,6 +81,7 @@ TEST(LibsvmIo, MalformedLinesThrowWithLineNumber) {
       {"+1 1:1\n7 1:1\n", "unsupported label value"},
       {"+1 1:1\n+1 2:inf\n", "non-finite value"},
       {"+1 1:1\n+1 99999999999:1\n", "index overflows index_t"},
+      {"+1 1:1\n+1 2:1e39\n", "value overflows float"},
   };
   for (const auto& c : corpus) {
     std::istringstream in(c.text);
@@ -128,6 +131,70 @@ TEST(LibsvmIo, FileRoundTrip) {
   write_libsvm_file(path, data);
   const LabeledCsr again = read_libsvm_file(path, data.x.cols());
   EXPECT_TRUE(again.x == data.x);
+}
+
+TEST(LibsvmIo, SeededMutantsParseCleanlyOrThrow) {
+  // Seeded mutation run over read_libsvm: every mutant of a small valid
+  // corpus either loads as a well-formed dataset (finite values, labels
+  // in {-1,+1}, sorted in-range columns) or throws a CheckError with a
+  // reason. The corpus holds values one edit away from overflowing
+  // float ("1e3" -> "1e39", "-3e38" -> "-33e38") and double
+  // ("3e37" -> "3e379").
+  const std::string corpus =
+      "+1 1:0.5 3:2 12:1e3\n"
+      "-1 2:-1.25 7:3e37\n"
+      "# comment\n"
+      "0 4:2 9:.75\n"
+      "2 1:1e-3 10:-3e38\n"
+      "1\n";
+  {
+    std::istringstream in(corpus);
+    ASSERT_NO_THROW(read_libsvm(in));
+  }
+  const std::string inserts = "-+.:e9 #\n";
+  Rng rng(0x11B5F3);
+  std::size_t accepted = 0;
+  constexpr int kMutants = 4000;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string m = corpus;
+    const std::uint64_t edits = 1 + rng.uniform_index(3);
+    for (std::uint64_t k = 0; k < edits && !m.empty(); ++k) {
+      const std::size_t pos = rng.uniform_index(m.size());
+      switch (rng.uniform_index(4)) {
+        case 0:  // flip: xor the byte with a random non-zero value
+          m[pos] = static_cast<char>(m[pos] ^ (1 + rng.uniform_index(255)));
+          break;
+        case 1: m.erase(pos, 1); break;
+        case 2: m.insert(pos, 1, m[pos]); break;
+        default:
+          m.insert(pos, 1, inserts[rng.uniform_index(inserts.size())]);
+      }
+    }
+    std::istringstream in(m);
+    try {
+      const LabeledCsr data = read_libsvm(in);
+      ++accepted;
+      ASSERT_EQ(data.y.size(), data.x.rows()) << m;
+      for (const real_t y : data.y) {
+        ASSERT_TRUE(y == real_t(1) || y == real_t(-1)) << y << " in " << m;
+      }
+      for (std::size_t r = 0; r < data.x.rows(); ++r) {
+        const auto row = data.x.row(r);
+        for (std::size_t k = 0; k < row.nnz(); ++k) {
+          ASSERT_TRUE(std::isfinite(row.val[k])) << row.val[k] << " in " << m;
+          ASSERT_LT(row.idx[k], data.x.cols()) << m;
+          if (k > 0) {
+            ASSERT_LT(row.idx[k - 1], row.idx[k]) << m;
+          }
+        }
+      }
+    } catch (const CheckError& e) {
+      ASSERT_FALSE(std::string(e.what()).empty()) << m;
+    }
+  }
+  // Both outcomes are exercised, not just the rejections.
+  EXPECT_GT(accepted, kMutants / 20u);
+  EXPECT_LT(accepted, kMutants * 9 / 10u);
 }
 
 TEST(LibsvmIo, MissingFileThrows) {
