@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/format.hpp"
@@ -52,8 +53,7 @@ namespace {
                " [--resume=<path>]\n"
                "       [--telemetry=off|metrics|trace]"
                " [--trace-out=trace.json] [--verbose]\n"
-               "       [--report-out=<path>] [--heartbeat=<secs>]\n"
-               "       [--record=off|<N>ms] [--status-file=<path>]"
+               "       [--report-out=<path>] [--heartbeat=<secs>]"
                " [--attribute]\n"
                "       [--version] [--build-info]\n"
                "engine spec examples: async/cpu-par/sparse,\n"
@@ -95,6 +95,17 @@ int run(int argc, char** argv) {
   if (cli.has("version") || cli.has("build-info")) {
     print_build_info(cli.has("build-info"));
     return 0;
+  }
+  // Cli ignores unknown flags, so a removed flag fails loudly here rather
+  // than silently running without what it asked for.
+  for (const auto& [flag, hint] :
+       {std::pair{"resilience", "use --watchdog or a resilience=watchdog "
+                                "spec key"},
+        std::pair{"record", "use --attribute and --heartbeat"},
+        std::pair{"status-file", "use --attribute and --heartbeat"}}) {
+    if (cli.has(flag)) {
+      usage(("--" + std::string(flag) + " was removed; " + hint).c_str());
+    }
   }
   const std::string task = cli.get("task", "LR");
   const std::string dataset = cli.get("dataset", "covtype");
@@ -207,24 +218,9 @@ int run(int argc, char** argv) {
     set_log_level(LogLevel::kInfo);  // heartbeats log at INFO
   }
   // --watchdog is an alias for a resilience=watchdog key in the spec
-  // string (DESIGN.md §11). The removed --resilience flag fails loudly
-  // rather than silently training without the policy it asked for.
-  if (cli.has("resilience")) {
-    usage("--resilience was removed; use --watchdog or a "
-          "resilience=watchdog spec key");
-  }
+  // string (DESIGN.md §11).
   if (cli.get_bool("watchdog", false)) spec.watchdog = true;
   t.watchdog = spec.watchdog;
-  // Flight recorder + attribution (DESIGN.md §18): the record= spec key
-  // seeds the cadence, --record overrides it (like --telemetry) and
-  // shares the spec grammar's record= parser.
-  if (const std::string rec_arg = cli.get("record", ""); !rec_arg.empty()) {
-    const std::optional<double> ms = parse_record_ms(rec_arg);
-    if (!ms) usage("--record needs 'off' or a positive ms value");
-    spec.record_ms = *ms;
-  }
-  t.record_ms = spec.record_ms;
-  t.status_path = cli.get("status-file", "");
   t.attribute = cli.get_bool("attribute", false);
   t.checkpoint_path = cli.get("checkpoint", "");
   // --checkpoint-every=N (epochs) or =Ts (host seconds, e.g. "2.5s");
@@ -250,19 +246,13 @@ int run(int argc, char** argv) {
   if (!resume_path.empty()) {
     ck = load_checkpoint(resume_path);
     t.resume = &*ck;
-    std::printf("  resuming from %s at epoch %zu\n", resume_path.c_str(),
-                ck->next_epoch);
-    if (!ck->flight.empty()) {
-      // Post-mortem: the flight-recorder window survived in the
-      // checkpoint (DESIGN.md §18) — summarize what the run was doing
-      // right up to the crash/interrupt.
-      const telemetry::FlightSample& last = ck->flight.back();
-      std::printf("  flight recorder: %zu frame(s) recovered; last frame "
-                  "at epoch %.0f, loss %.4g, %.0f recoveries, "
-                  "host stall %.3fs / recovery %.3fs / checkpoint %.3fs\n",
-                  ck->flight.size(), last.epoch, last.loss, last.recoveries,
-                  last.h_stall_s, last.h_recovery_s, last.h_checkpoint_s);
-    }
+    const RunResult& partial = ck->partial;
+    std::printf("  resuming from %s at epoch %zu (last loss %.4g, %zu "
+                "recoveries)\n",
+                resume_path.c_str(), ck->next_epoch,
+                partial.losses.empty() ? partial.initial_loss
+                                       : partial.losses.back(),
+                partial.recoveries.size());
   }
   const Timer host_timer;
   const RunResult run = run_training(*engine, *model, ctx.data, w0,
@@ -285,7 +275,8 @@ int run(int argc, char** argv) {
 
   if (!run.attribution.empty()) {
     // Console rendering of the time-budget ledger: steady-state modeled
-    // and host splits (the same numbers --status-file publishes live).
+    // and host splits (the RunReport attribution slice carries the
+    // run totals).
     telemetry::AttributionLedger ledger;
     for (const telemetry::EpochAttribution& ea : run.attribution) {
       ledger.add(ea);
@@ -302,11 +293,6 @@ int run(int argc, char** argv) {
       std::printf(" %s %.4gs", b.name, b.seconds);
     }
     std::printf("\n");
-    if (!run.flight.empty()) {
-      std::printf("  flight recorder: %zu frame(s) in the window "
-                  "(cadence %gms)\n",
-                  run.flight.size(), t.record_ms);
-    }
   }
 
   const auto* cluster = dynamic_cast<const ClusterEngine*>(engine.get());

@@ -61,12 +61,10 @@ rm -rf "$cluster_tmp"
 
 # Observability lane (DESIGN.md §18): the disabled-overhead gate first —
 # bench_micro_telemetry exits nonzero when the kOff hot path costs more
-# than 1% over an uninstrumented run — then the flight-recorder path end
-# to end: a recorded run writes its heartbeat status file, parsgd_top
-# --once re-validates the status schema and the 1% bucket-sum contract
-# (nonzero exit on violation), and parsgd_compare --attribute self-diffs
-# the attributed report (a report can never regress against itself, and
-# self-attribution must resolve cleanly, so any non-zero exit is a
+# than 1% over an uninstrumented run — then the time-attribution path end
+# to end: an attributed run writes its report and parsgd_compare
+# --attribute self-diffs it (a report can never regress against itself,
+# and self-attribution must resolve cleanly, so any non-zero exit is a
 # tooling bug). The overhead gate is a timing measurement on a possibly
 # still-busy CI host, so it gets min-of-more samples and a bounded
 # retry: a real regression fails all three attempts, scheduler noise
@@ -83,9 +81,7 @@ done
 obs_tmp="$(mktemp -d)"
 "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
     --engine="async/cpu-par/sparse:batch=64" --alpha=0.5 --epochs=8 \
-    --record=100ms --attribute --status-file="$obs_tmp/status.json" \
-    --report-out="$obs_tmp/run.json" >/dev/null
-"$BUILD_DIR/tools/parsgd_top" "$obs_tmp/status.json" --once >/dev/null
+    --attribute --report-out="$obs_tmp/run.json" >/dev/null
 "$BUILD_DIR/examples/parsgd_compare" "$obs_tmp/run.json" "$obs_tmp/run.json" \
     --require-same-sha --attribute
 rm -rf "$obs_tmp"
@@ -95,10 +91,10 @@ rm -rf "$obs_tmp"
 # there too (lifetime/overflow bugs in lane queues and scratch buffers).
 # The cluster simulator joins both sanitizer lanes: its delay ring and
 # sharding cursors are fresh memory-layout code, and its batched units
-# run task graphs across worker threads. The flight
-# recorder joins both lanes too: its seqlock ring is raw index math over
-# a flat buffer (ASan) read concurrently with the writer (TSan), and
-# the telemetry exporters render snapshots while instruments are live.
+# run task graphs across worker threads. The attribution suite joins
+# both lanes too: its runs read the pool's wait histograms while pool
+# workers record into them, and the telemetry exporters render snapshots
+# while instruments are live.
 # The conflict accounting runs under ASan too: the asyncsim/replication
 # conflict ledger indexes flat per-line arrays by model coordinate, and
 # the gpusim warp instructions fill fixed per-lane arrays. The linalg
@@ -109,23 +105,26 @@ rm -rf "$obs_tmp"
 # The libsvm reader joins it for the same reason (seeded mutants of a
 # small corpus), and the engine suite joins it so the carried margin
 # pass of a sync epoch (DESIGN.md §9), which writes per-example
-# coefficients from pool workers, runs under both sanitizers.
+# coefficients from pool workers, runs under both sanitizers. The fault
+# suite joins it for the checkpoint loader's seeded mutation run: corrupt
+# files through every count and payload read.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
     --target test_clustersim \
-    --target test_flight_recorder --target test_telemetry \
+    --target test_attribution --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication \
     --target test_linalg --target test_engine_spec --target test_io \
-    --target test_engines
+    --target test_engines --target test_faults
 "$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_engine_spec"
 "$ASAN_BUILD_DIR/tests/test_io"
 "$ASAN_BUILD_DIR/tests/test_engines"
+"$ASAN_BUILD_DIR/tests/test_faults"
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
-"$ASAN_BUILD_DIR/tests/test_flight_recorder"
+"$ASAN_BUILD_DIR/tests/test_attribution"
 "$ASAN_BUILD_DIR/tests/test_telemetry"
 "$ASAN_BUILD_DIR/tests/test_asyncsim"
 "$ASAN_BUILD_DIR/tests/test_gpusim"
@@ -141,14 +140,14 @@ TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
     --target test_faults --target test_clustersim \
-    --target test_flight_recorder --target test_telemetry --target test_engines \
+    --target test_attribution --target test_telemetry --target test_engines \
     --target test_linalg
 "$TSAN_BUILD_DIR/tests/test_linalg"
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
 "$TSAN_BUILD_DIR/tests/test_faults"
 "$TSAN_BUILD_DIR/tests/test_clustersim"
-"$TSAN_BUILD_DIR/tests/test_flight_recorder"
+"$TSAN_BUILD_DIR/tests/test_attribution"
 "$TSAN_BUILD_DIR/tests/test_telemetry"
 "$TSAN_BUILD_DIR/tests/test_engines"
 
@@ -159,9 +158,8 @@ trap 'rm -rf "$tmp"' EXIT
     "$tmp/BENCH_fig5_hwspec.json" "$tmp/BENCH_fig5_hwspec.json" \
     --require-same-sha
 echo "check.sh: tier-1 (simd + scalar) + watchdog fault sweep" \
-     "+ cluster smoke + observability lane (overhead gate, recorder," \
-     "status schema, --attribute)" \
-     "+ ASan linalg/kernels/graph/cluster/recorder/telemetry" \
-     "/asyncsim/gpusim/replication/engine-spec/io/engines" \
-     "+ TSan linalg/graph/pool/faults/cluster/recorder/telemetry/engines" \
+     "+ cluster smoke + observability lane (overhead gate, --attribute)" \
+     "+ ASan linalg/kernels/graph/cluster/attribution/telemetry" \
+     "/asyncsim/gpusim/replication/engine-spec/io/engines/faults" \
+     "+ TSan linalg/graph/pool/faults/cluster/attribution/telemetry/engines" \
      "+ regression smoke OK"

@@ -87,8 +87,6 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
   PARSGD_CHECK(w.size() == model_.dim());
   if (faults != nullptr && !faults->active()) faults = nullptr;
   stats_ = ClusterEpochStats{};
-  stats_.node_units.assign(nodes_eff_, 0.0);
-  stats_.node_bytes.assign(nodes_eff_, 0.0);
 
   CostBreakdown cost;
   const std::size_t n = data_.n();
@@ -97,7 +95,6 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
 
   if (down_node != kNoNode && down_node < nodes_eff_) {
     stats_.node_downs = 1;
-    stats_.down_node = down_node;
     // The shard's updates are simply lost this epoch.
     const std::size_t len = shard.order[down_node].size();
     shard.cursor[down_node] = len;
@@ -199,8 +196,6 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
       // dropped update still burns the wire.
       cost.net_messages += 2;
       cost.net_bytes += push_bytes + pull_bytes;
-      stats_.node_units[t] += 1.0;
-      stats_.node_bytes[t] += push_bytes + pull_bytes;
 
       // A dropped update is computed (and costed) but never applied; the
       // ring records zeros so no later unit ever sees it.

@@ -75,13 +75,6 @@ struct ClusterEpochStats {
   double stale_units = 0;       ///< sum of actual per-unit delays
   double lost_units = 0;        ///< units dropped by a nodedown
   std::size_t node_downs = 0;   ///< nodedown events this epoch
-  /// Per-node ledger, index = node id, sized nodes_eff() by run_epoch
-  /// (DESIGN.md §18: the aggregate net ledger split per node for the
-  /// status surface's node table).
-  std::vector<double> node_units;  ///< units executed in the node's slots
-  std::vector<double> node_bytes;  ///< push+pull payload in those slots
-  /// Node taken down this epoch; ~0 when none.
-  std::size_t down_node = ~std::size_t{0};
 };
 
 /// Simulates parameter-server epochs of `model` over `data` sharded

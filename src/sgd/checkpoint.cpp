@@ -1,6 +1,5 @@
 #include "sgd/checkpoint.hpp"
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -12,20 +11,17 @@ namespace parsgd {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50534744u;  // "PSGD"
-// v1: core trajectory state; v2 appends the flight-recorder window.
-constexpr std::uint32_t kVersion = 2;
+// v1: core trajectory state, the version written. v2 (older builds)
+// appends a window of kV2FrameBytes-sized frames that the reader skips.
+constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kMaxReadVersion = 2;
+constexpr std::uint64_t kV2FrameBytes = 13 * sizeof(double);
+// On disk a RecoveryEvent is u64 epoch + 2 x f64 + u8 reason.
+constexpr std::uint64_t kRecoveryBytes = 8 + 8 + 8 + 1;
 
 template <typename T>
 void put(std::ostream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& is, const std::string& path) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  PARSGD_CHECK(is.good(), "truncated checkpoint file '" << path << "'");
-  return v;
 }
 
 void put_doubles(std::ostream& os, const std::vector<double>& v) {
@@ -34,16 +30,61 @@ void put_doubles(std::ostream& os, const std::vector<double>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(double)));
 }
 
-std::vector<double> get_doubles(std::istream& is, const std::string& path) {
-  const auto n = get<std::uint64_t>(is, path);
-  PARSGD_CHECK(n <= (1u << 28), "implausible vector length in checkpoint '"
-                                    << path << "'");
-  std::vector<double> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  PARSGD_CHECK(is.good(), "truncated checkpoint file '" << path << "'");
-  return v;
-}
+/// Sequential checkpoint reader that knows how many bytes are left, so
+/// every count field is checked against the payload behind it before
+/// anything is allocated from it.
+class Reader {
+ public:
+  explicit Reader(const std::string& path)
+      : path_(path), is_(path, std::ios::binary) {
+    PARSGD_CHECK(is_.is_open(), "cannot open checkpoint file '" << path
+                                                                << "'");
+    is_.seekg(0, std::ios::end);
+    size_ = static_cast<std::uint64_t>(is_.tellg());
+    is_.seekg(0);
+  }
+
+  template <typename T>
+  T get() {
+    T v{};
+    read(&v, sizeof(T));
+    return v;
+  }
+
+  /// Reads a u64 element count and checks that `n * elem_bytes` bytes
+  /// follow it in the file.
+  std::uint64_t count(std::uint64_t elem_bytes, const char* what) {
+    const auto n = get<std::uint64_t>();
+    const std::uint64_t left =
+        size_ - static_cast<std::uint64_t>(is_.tellg());
+    PARSGD_CHECK(n <= left / elem_bytes,
+                 "implausible " << what << " count " << n
+                                << " in checkpoint '" << path_ << "' (only "
+                                << left << " bytes follow)");
+    return n;
+  }
+
+  void read(void* dst, std::uint64_t bytes) {
+    is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+    PARSGD_CHECK(is_.good(), "truncated checkpoint file '" << path_ << "'");
+  }
+
+  void skip(std::uint64_t bytes) {
+    is_.seekg(static_cast<std::streamoff>(bytes), std::ios::cur);
+    PARSGD_CHECK(is_.good(), "truncated checkpoint file '" << path_ << "'");
+  }
+
+  std::vector<double> doubles(const char* what) {
+    std::vector<double> v(count(sizeof(double), what));
+    read(v.data(), v.size() * sizeof(double));
+    return v;
+  }
+
+ private:
+  std::string path_;
+  std::ifstream is_;
+  std::uint64_t size_ = 0;
+};
 
 }  // namespace
 
@@ -76,10 +117,6 @@ void save_checkpoint(const std::string& path, const TrainCheckpoint& ck) {
       put(os, ev.alpha_scale_after);
       put<std::uint8_t>(os, static_cast<std::uint8_t>(ev.reason));
     }
-    put<std::uint64_t>(os, ck.flight.size());
-    for (const telemetry::FlightSample& f : ck.flight) {
-      for (const double v : f.to_array()) put(os, v);
-    }
     os.flush();
     PARSGD_CHECK(os.good(), "write failed for checkpoint file '" << tmp
                                                                  << "'");
@@ -89,42 +126,33 @@ void save_checkpoint(const std::string& path, const TrainCheckpoint& ck) {
 }
 
 TrainCheckpoint load_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  PARSGD_CHECK(is.is_open(), "cannot open checkpoint file '" << path << "'");
-  PARSGD_CHECK(get<std::uint32_t>(is, path) == kMagic,
+  Reader in(path);
+  PARSGD_CHECK(in.get<std::uint32_t>() == kMagic,
                "'" << path << "' is not a parsgd checkpoint");
-  const auto version = get<std::uint32_t>(is, path);
-  PARSGD_CHECK(version >= 1 && version <= kVersion,
+  const auto version = in.get<std::uint32_t>();
+  PARSGD_CHECK(version >= 1 && version <= kMaxReadVersion,
                "unsupported checkpoint version " << version << " in '"
                                                  << path << "'");
   TrainCheckpoint ck;
-  ck.next_epoch = get<std::uint64_t>(is, path);
-  ck.alpha_scale = get<double>(is, path);
-  ck.recoveries_used = get<std::uint64_t>(is, path);
-  for (std::uint64_t& s : ck.rng.s) s = get<std::uint64_t>(is, path);
-  ck.rng.spare = get<double>(is, path);
-  ck.rng.has_spare = get<std::uint8_t>(is, path) != 0;
-  const auto dim = get<std::uint64_t>(is, path);
-  PARSGD_CHECK(dim <= (1u << 28),
-               "implausible weight count in checkpoint '" << path << "'");
-  ck.w.resize(dim);
-  is.read(reinterpret_cast<char*>(ck.w.data()),
-          static_cast<std::streamsize>(dim * sizeof(real_t)));
-  PARSGD_CHECK(is.good(), "truncated checkpoint file '" << path << "'");
-  ck.partial.initial_loss = get<double>(is, path);
-  ck.partial.diverged = get<std::uint8_t>(is, path) != 0;
-  ck.partial.alpha_scale = get<double>(is, path);
-  ck.partial.losses = get_doubles(is, path);
-  ck.partial.epoch_seconds = get_doubles(is, path);
-  const auto n_rec = get<std::uint64_t>(is, path);
-  PARSGD_CHECK(n_rec <= (1u << 20),
-               "implausible recovery count in checkpoint '" << path << "'");
-  ck.partial.recoveries.resize(n_rec);
+  ck.next_epoch = in.get<std::uint64_t>();
+  ck.alpha_scale = in.get<double>();
+  ck.recoveries_used = in.get<std::uint64_t>();
+  for (std::uint64_t& s : ck.rng.s) s = in.get<std::uint64_t>();
+  ck.rng.spare = in.get<double>();
+  ck.rng.has_spare = in.get<std::uint8_t>() != 0;
+  ck.w.resize(in.count(sizeof(real_t), "weight"));
+  in.read(ck.w.data(), ck.w.size() * sizeof(real_t));
+  ck.partial.initial_loss = in.get<double>();
+  ck.partial.diverged = in.get<std::uint8_t>() != 0;
+  ck.partial.alpha_scale = in.get<double>();
+  ck.partial.losses = in.doubles("loss");
+  ck.partial.epoch_seconds = in.doubles("epoch-seconds");
+  ck.partial.recoveries.resize(in.count(kRecoveryBytes, "recovery"));
   for (RecoveryEvent& ev : ck.partial.recoveries) {
-    ev.epoch = get<std::uint64_t>(is, path);
-    ev.bad_loss = get<double>(is, path);
-    ev.alpha_scale_after = get<double>(is, path);
-    const auto reason = get<std::uint8_t>(is, path);
+    ev.epoch = in.get<std::uint64_t>();
+    ev.bad_loss = in.get<double>();
+    ev.alpha_scale_after = in.get<double>();
+    const auto reason = in.get<std::uint8_t>();
     // 0..1: the RecoveryReason range (kNonFinite, kLossSpike). Older
     // full-resilience runs could also write 2 (deadline) or 3 (bad
     // weights); those reasons no longer exist, so such files are
@@ -134,17 +162,8 @@ TrainCheckpoint load_checkpoint(const std::string& path) {
                                   << " in checkpoint '" << path << "'");
     ev.reason = static_cast<RecoveryReason>(reason);
   }
-  if (version >= 2) {
-    const auto n_frames = get<std::uint64_t>(is, path);
-    PARSGD_CHECK(n_frames <= (1u << 20),
-                 "implausible flight-frame count in checkpoint '" << path
-                                                                  << "'");
-    ck.flight.resize(n_frames);
-    for (telemetry::FlightSample& f : ck.flight) {
-      std::array<double, telemetry::FlightSample::kFields> a{};
-      for (double& v : a) v = get<double>(is, path);
-      f = telemetry::FlightSample::from_array(a);
-    }
+  if (version == 2) {
+    in.skip(in.count(kV2FrameBytes, "v2 frame") * kV2FrameBytes);
   }
   return ck;
 }

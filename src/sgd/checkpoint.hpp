@@ -10,12 +10,12 @@
 // real_t), then the partial RunResult (initial_loss f64, diverged u8,
 // alpha_scale f64, losses/epoch_seconds as u64 count + f64s, recoveries
 // as u64 count + {u64 epoch, f64 bad_loss, f64 alpha_scale_after,
-// u8 reason}). Version 2 appends the flight-recorder window (DESIGN.md
-// §18): u64 frame count + frames of FlightSample::kFields f64s each;
-// readers accept v1 (empty window) and v2, so post-crash post-mortems
-// work against checkpoints from either era. Writes go to "<path>.tmp"
-// then rename, so a crash mid-write never corrupts the previous
-// checkpoint.
+// u8 reason}). save_checkpoint writes version 1. Older builds wrote
+// version 2, which appends a window of run-state frames (u64 frame count
+// + 13 f64s per frame); the reader skips that window, so those files
+// still resume. Every count is checked against the bytes left in the file
+// before anything is allocated from it. Writes go to "<path>.tmp" then
+// rename, so a crash mid-write never corrupts the previous checkpoint.
 #pragma once
 
 #include <string>
@@ -24,7 +24,6 @@
 #include "common/rng.hpp"
 #include "matrix/types.hpp"
 #include "sgd/engine.hpp"
-#include "telemetry/flight_recorder.hpp"
 
 namespace parsgd {
 
@@ -35,17 +34,16 @@ struct TrainCheckpoint {
   RngState rng;                 ///< run RNG as of next_epoch
   std::vector<real_t> w;        ///< model weights as of next_epoch
   RunResult partial;            ///< trajectory recorded so far
-  /// Flight-recorder window at save time (empty when record=off or the
-  /// checkpoint predates v2). Survives crashes for post-mortems.
-  std::vector<telemetry::FlightSample> flight;
 };
 
 /// Writes `ck` to `path` atomically (tmp file + rename). Throws CheckError
 /// on I/O failure.
 void save_checkpoint(const std::string& path, const TrainCheckpoint& ck);
 
-/// Reads a checkpoint written by save_checkpoint. Throws CheckError on a
-/// missing file, bad magic/version, or a truncated payload.
+/// Reads a checkpoint written by save_checkpoint (or a version-2 file of
+/// an older build). Throws CheckError, naming the file, on a missing
+/// file, bad magic/version, a count larger than the bytes behind it, or
+/// a truncated payload.
 TrainCheckpoint load_checkpoint(const std::string& path);
 
 }  // namespace parsgd

@@ -193,7 +193,6 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
   double stall = 0;
   if (down != ClusterSim::kNoNode) {
     stats_.node_downs = 1;
-    stats_.down_node = down;
     // The collective blocks until an operator restarts the node.
     stall = kNodeRestartStallSeconds;
   }
@@ -214,54 +213,6 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
   last_split_.net_s = net;
   last_split_.stall_s = stall;
   return machine_secs / static_cast<double>(nodes_) + net + stall;
-}
-
-std::vector<telemetry::NodeStatus> ClusterEngine::last_node_status() const {
-  std::vector<telemetry::NodeStatus> out;
-  if (opts_.sync == ClusterSync::kPs) {
-    // PS mode: split the simulator's per-node byte/unit ledger into wire
-    // seconds with the link model (paper scale, like the aggregate).
-    const std::size_t n = stats_.node_units.size();
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      telemetry::NodeStatus& ns = out[i];
-      ns.node = static_cast<int>(i);
-      ns.units = stats_.node_units[i] * scale_.n_scale;
-      const double bytes = stats_.node_bytes[i] * scale_.n_scale;
-      ns.mbytes = bytes * 1e-6;
-      // Two messages (push + pull) per unit plus the payload, with the
-      // latency amortized over the node's in-flight window exactly like
-      // the aggregate model (NetModel::ps_epoch_seconds divides by
-      // nodes * queue_depth; per node that leaves queue_depth).
-      const double inflight =
-          static_cast<double>(std::max<std::size_t>(opts_.queue_depth, 1));
-      ns.net_s = 2.0 * ns.units * net_.latency_seconds() / inflight +
-                 bytes / net_.bytes_per_second();
-      ns.down = stats_.down_node == i;
-    }
-  } else {
-    // All-reduce mode: the collective is symmetric — every node sends
-    // 2(N-1) chunks of model_bytes/N per update and blocks for the same
-    // exposed wire time.
-    out.resize(nodes_);
-    const double upd_paper =
-        opts_.batch == 0
-            ? 1.0
-            : std::ceil(scale_.paper_n / static_cast<double>(opts_.batch));
-    const double per_node_bytes =
-        nodes_ > 1 ? upd_paper * 2.0 * static_cast<double>(nodes_ - 1) *
-                         scale_.model_bytes / static_cast<double>(nodes_)
-                   : 0.0;
-    for (std::size_t i = 0; i < nodes_; ++i) {
-      telemetry::NodeStatus& ns = out[i];
-      ns.node = static_cast<int>(i);
-      ns.units = upd_paper;
-      ns.mbytes = per_node_bytes * 1e-6;
-      ns.net_s = last_net_seconds_;
-      ns.down = stats_.down_node == i;
-    }
-  }
-  return out;
 }
 
 }  // namespace parsgd

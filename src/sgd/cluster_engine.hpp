@@ -82,11 +82,10 @@ class ClusterEngine final : public Engine {
   /// Modeled network seconds of the last epoch.
   double last_net_seconds() const { return last_net_seconds_; }
 
-  /// Attribution seams (DESIGN.md §18): the exposed network/stall share
-  /// of the last epoch's modeled seconds, and the per-node health table.
+  /// Attribution seam (DESIGN.md §18): the exposed network/stall share
+  /// of the last epoch's modeled seconds.
   EpochSplit last_epoch_split() const override { return last_split_; }
   ThreadPool* pool() const override;
-  std::vector<telemetry::NodeStatus> last_node_status() const override;
 
  private:
   double ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng);

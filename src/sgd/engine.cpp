@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <memory>
-
 #include "common/check.hpp"
 #include "common/clock.hpp"
 #include "common/log.hpp"
@@ -131,23 +129,12 @@ RunResult run_training(Engine& engine, const Model& model,
   double hb_last = hb_start;
   double ck_last = hb_start;
   std::size_t hb_epochs_done = 0;
-  // A status file without an explicit heartbeat still wants a cadence.
-  const double hb_interval =
-      opts.heartbeat_seconds > 0
-          ? opts.heartbeat_seconds
-          : (!opts.status_path.empty() ? 0.5 : 0.0);
 
-  // Attribution ledger + flight recorder (DESIGN.md §18). All of this is
-  // observation-only and off by default: with no attribute/record/status
-  // request, `ledger_on` is false and the epoch path below is the seed's,
+  // Attribution ledger (DESIGN.md §18). Observation-only and off by
+  // default: without opts.attribute the epoch path below is the seed's,
   // branch for branch.
-  const bool ledger_on = opts.attribute || opts.record_ms > 0 ||
-                         !opts.status_path.empty();
+  const bool ledger_on = opts.attribute;
   telemetry::AttributionLedger ledger;
-  std::unique_ptr<telemetry::FlightRecorder> recorder;
-  if (opts.record_ms > 0) {
-    recorder = std::make_unique<telemetry::FlightRecorder>(opts.record_ms);
-  }
   telemetry::Histogram* h_queue = nullptr;
   telemetry::Histogram* h_ready = nullptr;
   if (ledger_on && tel != nullptr && tel->metrics_enabled()) {
@@ -161,10 +148,7 @@ RunResult run_training(Engine& engine, const Model& model,
       std::max<std::size_t>(pool != nullptr ? pool->size() : 0, 1));
   double pending_recovery_s = 0;    // rollback/backoff time -> next epoch
   double pending_checkpoint_s = 0;  // checkpoint I/O -> next epoch
-  bool status_warned = false;
 
-  // One RunStatus feeds both the heartbeat log line and the status file
-  // (the §18 "no drift" contract).
   const auto build_status = [&](double loss_now, double now) {
     telemetry::RunStatus st;
     st.engine = engine.name();
@@ -181,46 +165,11 @@ RunResult run_training(Engine& engine, const Model& model,
       st.has_resilience = true;
       st.recoveries = stats.recoveries;
     }
-    if (recorder != nullptr) {
-      st.record_ms = opts.record_ms;
-      st.flight_frames = recorder->recorded();
-    }
     if (!ledger.empty()) {
       st.has_attribution = true;
-      st.last = ledger.last();
       st.mean = ledger.mean();
-      const telemetry::EpochAttribution tot = ledger.total();
-      st.modeled_total_s = tot.modeled_s;
-      st.host_total_s = tot.host_s;
     }
-    st.nodes = engine.last_node_status();
     return st;
-  };
-  const auto emit_status = [&](const telemetry::RunStatus& st) {
-    if (!opts.status_path.empty() &&
-        !telemetry::write_status_file(opts.status_path, st) &&
-        !status_warned) {
-      status_warned = true;
-      PARSGD_WARN << "cannot write status file '" << opts.status_path << "'";
-    }
-  };
-  const auto flight_sample = [&](double now) {
-    telemetry::FlightSample fs;
-    fs.t_s = now;
-    fs.epoch = static_cast<double>(res.losses.size());
-    fs.loss = res.losses.empty() ? res.initial_loss : res.losses.back();
-    const telemetry::EpochAttribution tot = ledger.total();
-    fs.modeled_s = tot.modeled_s;
-    fs.host_s = tot.host_s;
-    fs.m_net_s = tot.m_net_s;
-    fs.m_stall_s = tot.m_stall_s;
-    fs.h_queue_s = tot.h_queue_s;
-    fs.h_ready_s = tot.h_ready_s;
-    fs.h_stall_s = tot.h_stall_s;
-    fs.h_recovery_s = tot.h_recovery_s;
-    fs.h_checkpoint_s = tot.h_checkpoint_s;
-    fs.recoveries = static_cast<double>(res.recoveries.size());
-    return fs;
   };
 
   std::size_t e = start_epoch;
@@ -311,20 +260,12 @@ RunResult run_training(Engine& engine, const Model& model,
       ea.h_stall_s =
           (engine.fault_injector().applied_straggle_us() - strag0) * 1e-6;
       ledger.add(ea);
-      if (recorder != nullptr) {
-        const double now = monotonic_seconds();
-        if (recorder->due(now)) recorder->push(flight_sample(now), now);
-      }
     }
-    if (hb_interval > 0) {
+    if (opts.heartbeat_seconds > 0) {
       const double now = monotonic_seconds();
-      if (now - hb_last >= hb_interval) {
+      if (now - hb_last >= opts.heartbeat_seconds) {
         hb_last = now;
-        const telemetry::RunStatus st = build_status(loss, now);
-        if (opts.heartbeat_seconds > 0) {
-          PARSGD_INFO << telemetry::format_status_line(st);
-        }
-        emit_status(st);
+        PARSGD_INFO << telemetry::format_status_line(build_status(loss, now));
       }
     }
     if (bad) {
@@ -355,9 +296,6 @@ RunResult run_training(Engine& engine, const Model& model,
         ck.rng = rng.state();
         ck.w = w;
         ck.partial = res;
-        // The flight window rides along (checkpoint v2) so a post-mortem
-        // works even after a crash@E fault kills the process.
-        if (recorder != nullptr) ck.flight = recorder->window();
         save_checkpoint(opts.checkpoint_path, ck);
         if (guard) {
           ++stats.checkpoints;
@@ -374,20 +312,7 @@ RunResult run_training(Engine& engine, const Model& model,
     ++e;
   }
   res.alpha_scale = alpha_scale;
-  if (ledger_on) {
-    res.attribution = ledger.epochs();
-    if (recorder != nullptr) {
-      // One final frame so even a sub-cadence run leaves a window behind.
-      const double now = monotonic_seconds();
-      recorder->push(flight_sample(now), now);
-      res.flight = recorder->window();
-    }
-    if (!opts.status_path.empty()) {
-      const double loss_now =
-          res.losses.empty() ? res.initial_loss : res.losses.back();
-      emit_status(build_status(loss_now, monotonic_seconds()));
-    }
-  }
+  if (ledger_on) res.attribution = ledger.epochs();
   res.resilience = stats;
   return res;
 }

@@ -17,7 +17,6 @@
 #include "faults/injector.hpp"
 #include "models/model.hpp"
 #include "telemetry/attribution.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/session.hpp"
 
 namespace parsgd {
@@ -80,12 +79,6 @@ class Engine {
     double stall_s = 0;
   };
   virtual EpochSplit last_epoch_split() const { return {}; }
-
-  /// Per-node health of the last epoch for the live status surface
-  /// (cluster engines); empty elsewhere.
-  virtual std::vector<telemetry::NodeStatus> last_node_status() const {
-    return {};
-  }
 
   /// Installs a fault plan (DESIGN.md §11); make_engine does this from the
   /// spec/context plan after construction. An empty plan keeps every hook
@@ -163,11 +156,9 @@ struct RunResult {
   /// Watchdog counters for the run (all zero when the watchdog is off).
   ResilienceStats resilience;
   /// Per-epoch time-budget ledger (DESIGN.md §18). Empty unless
-  /// attribution was engaged (TrainOptions::attribute / record_ms /
-  /// status_path); covers only the epochs of *this* call on resume.
+  /// TrainOptions::attribute is set; covers only the epochs of *this*
+  /// call on resume.
   std::vector<telemetry::EpochAttribution> attribution;
-  /// Flight-recorder window at run end (empty when record=off).
-  std::vector<telemetry::FlightSample> flight;
 
   std::size_t epochs() const { return losses.size(); }
   double total_seconds() const {
@@ -213,17 +204,10 @@ struct TrainOptions {
   /// Pure logging off the monotonic clock — the trajectory is bit-identical
   /// with the heartbeat on or off. 0 (default) disables.
   double heartbeat_seconds = 0;
-  /// Engage the epoch time-budget ledger (DESIGN.md §18) and fill
-  /// RunResult::attribution even without a recorder or status file.
+  /// Engage the epoch time-budget ledger (DESIGN.md §18): fill
+  /// RunResult::attribution and add the split to the heartbeat line.
   /// Observation-only: trajectories are bit-identical either way.
   bool attribute = false;
-  /// Flight-recorder cadence in ms (record= spec key); 0 (default) = no
-  /// recorder, one untaken branch on the epoch path. Implies the ledger.
-  double record_ms = 0;
-  /// When non-empty, a compact JSON run status is atomically rewritten
-  /// here every heartbeat (and once at run end). Implies the ledger; when
-  /// heartbeat_seconds is 0 the status cadence defaults to 0.5s.
-  std::string status_path;
 };
 
 /// The watchdog's fixed step-size backoff and rollback budget.

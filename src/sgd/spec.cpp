@@ -1,7 +1,6 @@
 #include "sgd/spec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "common/check.hpp"
@@ -193,15 +192,6 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
                             "bad value in '" + kv +
                                 "' (only data sharding is implemented)");
         }
-      } else if (key == "record") {
-        const std::optional<double> ms = parse_record_ms(val);
-        if (!ms.has_value()) {
-          return parse_fail(error,
-                            "bad value in '" + kv +
-                                "' (expected off or a positive cadence "
-                                "in ms, e.g. record=100ms)");
-        }
-        s.record_ms = *ms;
       } else if (key == "resilience") {
         if (val != "off" && val != "watchdog") {
           return parse_fail(error, "bad value in '" + kv +
@@ -236,19 +226,6 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text) {
   return try_parse_spec(text, nullptr);
 }
 
-std::optional<double> parse_record_ms(const std::string& text) {
-  if (text == "off") return 0.0;
-  std::string ms = text;
-  if (ms.size() > 2 && ms.compare(ms.size() - 2, 2, "ms") == 0) {
-    ms.resize(ms.size() - 2);
-  }
-  double out = 0;
-  if (!parse_double_value(ms, &out) || !(out > 0) || !std::isfinite(out)) {
-    return std::nullopt;
-  }
-  return out;
-}
-
 EngineSpec parse_spec(const std::string& text) {
   std::string error;
   const std::optional<EngineSpec> s = try_parse_spec(text, &error);
@@ -280,9 +257,6 @@ std::string format_spec(const EngineSpec& spec) {
       kv.push_back("link=" + format_link_spec(spec.link));
     }
     if (spec.nodes != 0) kv.push_back("nodes=" + std::to_string(spec.nodes));
-  }
-  if (spec.record_ms > 0) {
-    kv.push_back("record=" + format_double_value(spec.record_ms) + "ms");
   }
   if (spec.watchdog) kv.push_back("resilience=watchdog");
   if (spec.threads != 0) {

@@ -1,7 +1,7 @@
 // EngineSpec — one declarative descriptor for every configuration of the
 // paper's Fig. 1 cube and the simulated cluster axis: update strategy x
 // architecture x data layout x batching x thread count x calibration
-// preset, plus the fault, recorder, resilience and telemetry options.
+// preset, plus the fault, resilience and telemetry options.
 //
 // A spec has a canonical string form, e.g.
 //   async/cpu-par/sparse
@@ -80,11 +80,6 @@ struct EngineSpec {
   /// DESIGN.md §11). Empty by default; overrides EngineContext::faults
   /// when non-empty.
   FaultPlan faults;
-  /// Flight-recorder sampling cadence in milliseconds (record=off|N ms
-  /// spec key, DESIGN.md §18). 0 (off, the default) means run_training
-  /// never constructs a recorder — one untaken branch, bit-identical
-  /// trajectories; canonical non-off form is e.g. record=100ms.
-  double record_ms = 0;
   /// resilience=off|watchdog (DESIGN.md §11): whether runs of this spec
   /// train under the divergence watchdog (TrainOptions::watchdog).
   /// Default off — the plain epoch loop; format_spec omits it.
@@ -117,11 +112,6 @@ EngineSpec parse_spec(const std::string& text);
 std::optional<EngineSpec> try_parse_spec(const std::string& text);
 std::optional<EngineSpec> try_parse_spec(const std::string& text,
                                          std::string* error);
-
-/// Parses a record= cadence ("off", "N" or "Nms"; finite N > 0) into
-/// milliseconds, 0 for off; nullopt on anything else, trailing garbage
-/// included. parsgd_cli's --record shares it with the spec grammar.
-std::optional<double> parse_record_ms(const std::string& text);
 
 /// Canonical string form (defaults omitted, options in fixed order).
 std::string format_spec(const EngineSpec& spec);

@@ -1,8 +1,6 @@
 #include "telemetry/attribution.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace parsgd::telemetry {
@@ -27,56 +25,6 @@ double normalize_buckets(double total, std::initializer_list<double*> buckets) {
     sum = cap;
   }
   return cap - sum;
-}
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void append_split(std::ostringstream& os, const std::vector<BucketView>& split) {
-  os << "{";
-  bool first = true;
-  for (const BucketView& b : split) {
-    os << (first ? "" : ",") << "\"" << b.name << "\":" << num(b.seconds);
-    first = false;
-  }
-  os << "}";
-}
-
-void append_record(std::ostringstream& os, const EpochAttribution& e) {
-  os << "{\"epoch\":" << e.epoch << ",\"loss\":" << num(e.loss)
-     << ",\"modeled_s\":" << num(e.modeled_s)
-     << ",\"host_s\":" << num(e.host_s) << ",\"modeled_split\":";
-  append_split(os, modeled_split(e));
-  os << ",\"host_split\":";
-  append_split(os, host_split(e));
-  os << "}";
 }
 
 }  // namespace
@@ -151,10 +99,8 @@ std::string format_status_line(const RunStatus& s) {
      << " loss=" << s.loss;
   if (s.eta_s >= 0) os << " eta=" << s.eta_s << "s";
   if (s.has_resilience) os << " rec=" << s.recoveries;
-  if (s.record_ms > 0) os << " frames=" << s.flight_frames;
   if (s.has_attribution && s.mean.host_s > 0) {
-    // Top steady-state host buckets as percentages — the same numbers the
-    // status file carries, rendered from the same RunStatus.
+    // Top steady-state host buckets as percentages.
     std::vector<BucketView> split = host_split(s.mean);
     std::sort(split.begin(), split.end(),
               [](const BucketView& a, const BucketView& b) {
@@ -171,52 +117,6 @@ std::string format_status_line(const RunStatus& s) {
     }
   }
   return os.str();
-}
-
-std::string status_json(const RunStatus& s) {
-  std::ostringstream os;
-  os << "{\"schema\":1,\"engine\":\"" << escape(s.engine) << "\""
-     << ",\"epoch\":" << s.epoch << ",\"epochs\":" << s.epochs_total
-     << ",\"loss\":" << num(s.loss) << ",\"eta_s\":" << num(s.eta_s);
-  if (s.has_resilience) {
-    os << ",\"resilience\":{\"recoveries\":" << s.recoveries << "}";
-  }
-  if (s.record_ms > 0) {
-    os << ",\"record\":{\"cadence_ms\":" << num(s.record_ms)
-       << ",\"frames\":" << s.flight_frames << "}";
-  }
-  if (s.has_attribution) {
-    os << ",\"attribution\":{\"modeled_total_s\":" << num(s.modeled_total_s)
-       << ",\"host_total_s\":" << num(s.host_total_s) << ",\"last\":";
-    append_record(os, s.last);
-    os << ",\"mean\":";
-    append_record(os, s.mean);
-    os << "}";
-  }
-  if (!s.nodes.empty()) {
-    os << ",\"nodes\":[";
-    for (std::size_t i = 0; i < s.nodes.size(); ++i) {
-      const NodeStatus& n = s.nodes[i];
-      os << (i > 0 ? "," : "") << "{\"node\":" << n.node
-         << ",\"units\":" << num(n.units) << ",\"mbytes\":" << num(n.mbytes)
-         << ",\"net_s\":" << num(n.net_s)
-         << ",\"down\":" << (n.down ? "true" : "false") << "}";
-    }
-    os << "]";
-  }
-  os << "}\n";
-  return os.str();
-}
-
-bool write_status_file(const std::string& path, const RunStatus& s) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    if (!f) return false;
-    f << status_json(s);
-    if (!f.good()) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 }  // namespace parsgd::telemetry

@@ -1,4 +1,4 @@
-// Epoch time-budget ledger + live run status (DESIGN.md §18).
+// Epoch time-budget ledger + heartbeat status line (DESIGN.md §18).
 //
 // The paper's argument decomposes runtime into hardware cost classes
 // (compute vs. synchronization vs. data movement); this layer makes that
@@ -22,13 +22,13 @@
 // then true by construction, and any clamping is visible as a shrunken
 // bucket rather than a broken sum.
 //
-// RunStatus is the single source for *both* the heartbeat log line
-// (format_status_line) and the --status-file JSON (write_status_file), so
-// rec=/bucket fields can never drift between the two surfaces.
+// RunStatus carries what the heartbeat log line (format_status_line)
+// shows while a run is live; the full ledger reaches disk only through
+// RunResult::attribution and the RunReport `attribution` slice.
 //
 // This header is sgd/report-free on purpose (telemetry links only
-// parsgd_common): run_training fills the records; parsgd_top and the
-// report layer consume them.
+// parsgd_common): run_training fills the records; the report layer
+// consumes them.
 #pragma once
 
 #include <cstdint>
@@ -95,17 +95,8 @@ class AttributionLedger {
   std::vector<EpochAttribution> epochs_;
 };
 
-/// Per-node cluster health for the status surface.
-struct NodeStatus {
-  int node = 0;
-  double units = 0;    ///< units processed last epoch
-  double mbytes = 0;   ///< payload moved last epoch (MB)
-  double net_s = 0;    ///< modeled network seconds last epoch
-  bool down = false;   ///< down during (part of) last epoch
-};
-
-/// Everything both status surfaces need. run_training fills one of these
-/// per heartbeat; format_status_line and write_status_file render it.
+/// What the heartbeat line shows. run_training fills one of these per
+/// heartbeat; format_status_line renders it.
 struct RunStatus {
   std::string engine;    ///< Engine::name()
   int epoch = 0;         ///< epochs completed
@@ -116,31 +107,13 @@ struct RunStatus {
   bool has_resilience = false;  ///< gates the rec= field (watchdog on)
   std::uint64_t recoveries = 0;
 
-  double record_ms = 0;             ///< flight-recorder cadence; 0 = off
-  std::uint64_t flight_frames = 0;  ///< frames recorded so far
-
   bool has_attribution = false;  ///< gates the bucket fields
-  EpochAttribution last;         ///< last accepted epoch
   EpochAttribution mean;         ///< steady-state split
-  double modeled_total_s = 0;
-  double host_total_s = 0;
-
-  std::vector<NodeStatus> nodes;  ///< empty for non-cluster runs
 };
 
 /// The heartbeat log line. Base fields always; " rec=N" when
-/// has_resilience; " frames=N" when recording; a
-/// " split=bucket:NN%|..." suffix (top host buckets of the steady-state
-/// split) when has_attribution.
+/// has_resilience; a " split=bucket:NN%|..." suffix (top host buckets of
+/// the steady-state split) when has_attribution.
 std::string format_status_line(const RunStatus& s);
-
-/// Compact JSON document for --status-file (schema in DESIGN.md §18).
-std::string status_json(const RunStatus& s);
-
-/// Atomically rewrites `path` with status_json(s): writes `path.tmp`,
-/// then renames over `path` so a tailing reader never sees a torn
-/// document. Returns false on I/O failure (callers log, never throw —
-/// status is advisory).
-bool write_status_file(const std::string& path, const RunStatus& s);
 
 }  // namespace parsgd::telemetry

@@ -47,7 +47,6 @@ TEST(EngineSpec, CanonicalStringsRoundTrip) {
            "sync/cpu-par/dense:calib=none,gemmth=0",
            // Doubles print with the fewest digits (at least 12) that
            // read back exactly.
-           "async/cpu-par/sparse:record=0.1234567890123ms",
            "async/cpu-par/sparse:straggler=0.1234567890123@8",
            // A delay bound without a probability is still an option.
            "async/cpu-par/sparse:straggler=0@8",
@@ -99,22 +98,26 @@ TEST(EngineSpec, MalformedSpecsRejected) {
            "sync/cpu-par/sparse:threads=-1",
            "sync/cpu-par/sparse:batch=99999999999999999999999",
            "async/cpu-par/sparse:faults=nan@-1",
-           "async/cpu-par/sparse:record=1e400ms",  // overflows a double
+           // Overflows a double.
+           "async/cluster/sparse:link=1e400us:10gbps",
            // Non-finite values would not survive the round trip.
-           "async/cpu-par/sparse:record=infms",
+           "async/cluster/sparse:link=infus:10gbps",
            "async/cpu-par/sparse:straggler=nan",
            "async/cluster/sparse:link=nanus:10gbps",
            "sync/cpu+gpu/sparse",
            "sync/gpu/sparse:phi=0.5",
+           "async/cpu-par/sparse:record=100ms",
        }) {
     EXPECT_FALSE(try_parse_spec(text).has_value()) << text;
     EXPECT_THROW(parse_spec(text), CheckError) << text;
   }
   // No CPU+GPU split engine exists: its arch and its phi= key are errors
-  // that name the offending token.
+  // that name the offending token. Neither is there a flight recorder, so
+  // its record= key is an error too.
   for (const auto& [text, token] :
        {std::pair{"sync/cpu+gpu/sparse", "cpu+gpu"},
-        std::pair{"sync/gpu/sparse:phi=0.5", "phi"}}) {
+        std::pair{"sync/gpu/sparse:phi=0.5", "phi"},
+        std::pair{"async/cpu-par/sparse:record=100ms", "record"}}) {
     std::string err;
     EXPECT_FALSE(try_parse_spec(text, &err).has_value());
     EXPECT_NE(err.find(token), std::string::npos) << err;
@@ -130,8 +133,8 @@ TEST(EngineSpec, SeededMutantsAreRejectedOrRoundTrip) {
       "sync/gpu/dense:batch=64,calib=mlp",
       "async/cpu-seq/sparse:batch=64,calib=mlp,delay=3,threads=8",
       "sync/cpu-par/dense:calib=none,gemmth=0,det=off",
-      "async/cpu-par/sparse:record=100ms,resilience=watchdog",
-      "async/cpu-par/sparse:telemetry=metrics,record=0.25ms",
+      "async/cpu-par/sparse:resilience=watchdog",
+      "async/cpu-par/sparse:telemetry=metrics",
       "async/cpu-par/sparse:faults=nan@120+crash@9,straggler=0.1@8,"
       "drop=0.05",
       "sync/cpu-seq/sparse:faults=flip@3:7:12+crash@5",

@@ -6,17 +6,24 @@
 //   * an injected fault is detected at the exact epoch it lands,
 //   * crash + checkpoint + resume reproduces the uninterrupted run exactly,
 //     on every cadence and on the task-graph step path,
+//   * a corrupt or forged checkpoint file throws CheckError, never
+//     allocates from an unchecked count,
 //   * a fully-diverged step grid degrades a Study sweep, never aborts it.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/study.hpp"
 #include "data/generator.hpp"
 #include "faults/fault_plan.hpp"
@@ -400,6 +407,193 @@ TEST(Checkpoint, LoadRejectsMissingAndCorruptFiles) {
           << e.what();
     }
   }
+}
+
+// The checkpoint loader is an input surface: counts come from the file,
+// so the tests below fabricate and corrupt files byte by byte.
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+template <typename T>
+void poke(std::string& bytes, std::size_t offset, T v) {
+  bytes.replace(offset, sizeof(T), reinterpret_cast<const char*>(&v),
+                sizeof(T));
+}
+
+/// A small checkpoint with every variable-length section non-empty.
+TrainCheckpoint sample_checkpoint() {
+  TrainCheckpoint ck;
+  ck.next_epoch = 3;
+  ck.alpha_scale = 0.1;
+  ck.recoveries_used = 1;
+  ck.rng = Rng(9).state();
+  ck.w = {real_t(1), real_t(-2), real_t(3)};
+  ck.partial.initial_loss = 5;
+  ck.partial.losses = {4, 3, 2};
+  ck.partial.epoch_seconds = {1, 1, 1};
+  ck.partial.alpha_scale = 0.1;
+  ck.partial.recoveries.push_back({1, 1e9, 0.1, RecoveryReason::kLossSpike});
+  return ck;
+}
+
+/// Byte offsets of the u64 count fields of `ck` as save_checkpoint lays
+/// them out: weights, losses, epoch seconds, recoveries, and (in a v2
+/// file) the frame window that follows them.
+struct CountOffsets {
+  std::size_t dim, losses, seconds, recoveries, frames;
+};
+
+CountOffsets count_offsets(const TrainCheckpoint& ck) {
+  CountOffsets o{};
+  // magic, version, next_epoch, alpha_scale, recoveries_used, RNG.
+  o.dim = 4 + 4 + 8 + 8 + 8 + 4 * 8 + 8 + 1;
+  o.losses = o.dim + 8 + ck.w.size() * sizeof(real_t) + 8 + 1 + 8;
+  o.seconds = o.losses + 8 + ck.partial.losses.size() * 8;
+  o.recoveries = o.seconds + 8 + ck.partial.epoch_seconds.size() * 8;
+  o.frames = o.recoveries + 8 + ck.partial.recoveries.size() * 25;
+  return o;
+}
+
+/// `v1` rewritten as the version-2 layout older builds wrote: the version
+/// word patched to 2 plus a window of `frames` 13-double frames.
+std::string as_v2(std::string v1, std::uint64_t frames) {
+  poke<std::uint32_t>(v1, 4, 2);
+  v1.append(reinterpret_cast<const char*>(&frames), 8);
+  for (std::uint64_t i = 0; i < frames * 13; ++i) {
+    const double v = static_cast<double>(i);
+    v1.append(reinterpret_cast<const char*>(&v), 8);
+  }
+  return v1;
+}
+
+void expect_same_core_state(const TrainCheckpoint& a,
+                            const TrainCheckpoint& b) {
+  EXPECT_EQ(a.next_epoch, b.next_epoch);
+  EXPECT_EQ(a.alpha_scale, b.alpha_scale);
+  EXPECT_EQ(a.recoveries_used, b.recoveries_used);
+  EXPECT_EQ(a.rng, b.rng);
+  EXPECT_EQ(a.w, b.w);
+  EXPECT_EQ(a.partial.initial_loss, b.partial.initial_loss);
+  EXPECT_EQ(a.partial.losses, b.partial.losses);
+  EXPECT_EQ(a.partial.epoch_seconds, b.partial.epoch_seconds);
+  EXPECT_EQ(a.partial.alpha_scale, b.partial.alpha_scale);
+  ASSERT_EQ(a.partial.recoveries.size(), b.partial.recoveries.size());
+  for (std::size_t i = 0; i < a.partial.recoveries.size(); ++i) {
+    EXPECT_EQ(a.partial.recoveries[i].epoch, b.partial.recoveries[i].epoch);
+    EXPECT_EQ(a.partial.recoveries[i].reason, b.partial.recoveries[i].reason);
+  }
+}
+
+TEST(Checkpoint, V2FilesStillLoad) {
+  // Older builds wrote version 2: the v1 state plus a window of frames.
+  // The reader skips the window and comes back with the same core state.
+  const TrainCheckpoint ck = sample_checkpoint();
+  const std::string path = testing::TempDir() + "/parsgd_ck_v2.bin";
+  save_checkpoint(path, ck);
+  const std::string v1 = read_bytes(path);
+  EXPECT_EQ(v1.size(), count_offsets(ck).frames);  // save writes v1
+  write_bytes(path, as_v2(v1, 2));
+  expect_same_core_state(load_checkpoint(path), ck);
+
+  // A frame count larger than the bytes behind it is rejected.
+  std::string forged = as_v2(v1, 2);
+  poke<std::uint64_t>(forged, count_offsets(ck).frames, 3);
+  write_bytes(path, forged);
+  EXPECT_THROW(load_checkpoint(path), CheckError);
+}
+
+long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST(Checkpoint, ForgedCountsThrowBeforeAllocating) {
+  // A ~150-byte file whose weight or loss count claims 2^28 entries must
+  // be rejected from the bytes left in the file, not after allocating
+  // (and zero-filling) 1-2 GiB for the payload.
+  const TrainCheckpoint ck = sample_checkpoint();
+  const std::string path = testing::TempDir() + "/parsgd_ck_forged.bin";
+  save_checkpoint(path, ck);
+  const std::string valid = read_bytes(path);
+  const CountOffsets o = count_offsets(ck);
+  const long rss0 = peak_rss_kb();
+  for (const std::size_t offset : {o.dim, o.losses}) {
+    std::string forged = valid;
+    poke<std::uint64_t>(forged, offset, std::uint64_t{1} << 28);
+    write_bytes(path, forged);
+    try {
+      load_checkpoint(path);
+      ADD_FAILURE() << "forged count at byte " << offset << " loaded";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_LT(peak_rss_kb() - rss0, 64 * 1024);
+}
+
+TEST(Checkpoint, SeededMutantsLoadOrThrowCheckError) {
+  // Seeded mutation run over load_checkpoint: byte flips, deletes,
+  // duplicates, truncations and large count overwrites of a v1 and a v2
+  // file. Every mutant either loads or throws CheckError with a message;
+  // anything else (another exception, a crash, a sanitizer report) is a
+  // loader bug.
+  const TrainCheckpoint ck = sample_checkpoint();
+  const std::string path = testing::TempDir() + "/parsgd_ck_mutant.bin";
+  save_checkpoint(path, ck);
+  const std::string v1 = read_bytes(path);
+  const CountOffsets o = count_offsets(ck);
+  const std::vector<std::pair<std::string, std::vector<std::size_t>>> seeds =
+      {{v1, {o.dim, o.losses, o.seconds, o.recoveries}},
+       {as_v2(v1, 2), {o.dim, o.losses, o.seconds, o.recoveries, o.frames}}};
+  Rng rng(0xC4EC4);
+  std::size_t loaded = 0, rejected = 0;
+  constexpr int kMutants = 2400;
+  for (int m = 0; m < kMutants; ++m) {
+    const auto& [seed, counts] = seeds[static_cast<std::size_t>(m) % 2];
+    std::string bytes = seed;
+    const int edits = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int k = 0; k < edits && !bytes.empty(); ++k) {
+      const std::size_t at = rng.uniform_index(bytes.size());
+      switch (rng.uniform_index(5)) {
+        case 0:  // flip one bit
+          bytes[at] = static_cast<char>(
+              bytes[at] ^ (1 << rng.uniform_index(8)));
+          break;
+        case 1: bytes.erase(at, 1); break;
+        case 2: bytes.insert(at, 1, bytes[at]); break;
+        case 3: bytes.resize(at); break;
+        default: {  // a large count: 2^20..2^63
+          const std::size_t field = counts[rng.uniform_index(counts.size())];
+          if (field + 8 <= bytes.size()) {
+            poke<std::uint64_t>(
+                bytes, field, std::uint64_t{1} << (20 + rng.uniform_index(44)));
+          }
+        }
+      }
+    }
+    write_bytes(path, bytes);
+    try {
+      load_checkpoint(path);
+      ++loaded;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()), "") << "mutant " << m;
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(loaded + rejected, static_cast<std::size_t>(kMutants));
+  // Both outcomes occur: single bit flips in payload doubles still load.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 void expect_crash_resume_bit_identical(const Fixture& f,
