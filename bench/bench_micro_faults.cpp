@@ -1,7 +1,8 @@
 // Micro-benchmarks of the fault-injection seam (DESIGN.md §11): the
 // per-update cost of the injector hooks — inactive (the tax every engine
 // pays on the baseline path, which must be a branch and nothing else) and
-// active — plus whole Hogwild epochs with and without an installed plan.
+// active — plus whole Hogwild epochs with and without an installed (armed,
+// never crossed) plan.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -30,7 +31,7 @@ void BM_ActiveAfterUpdate(benchmark::State& state) {
   plan.corrupt = FaultPlan::Corrupt::kNan;
   plan.corrupt_step = ~std::size_t{0};  // armed but never crossed
   FaultInjector faults;
-  faults.install(plan, 42);
+  faults.install(plan);
   std::vector<real_t> w(1024, real_t(0.5));
   for (auto _ : state) {
     faults.after_update(w);
@@ -38,32 +39,6 @@ void BM_ActiveAfterUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ActiveAfterUpdate);
-
-void BM_DropDraw(benchmark::State& state) {
-  FaultPlan plan;
-  plan.drop_prob = 0.3;
-  FaultInjector faults;
-  faults.install(plan, 42);
-  std::size_t dropped = 0;
-  for (auto _ : state) {
-    dropped += faults.drop_update();
-  }
-  benchmark::DoNotOptimize(dropped);
-}
-BENCHMARK(BM_DropDraw);
-
-void BM_ChunkStraggleDecision(benchmark::State& state) {
-  FaultPlan plan;
-  plan.straggler_prob = 0.1;
-  FaultInjector faults;
-  faults.install(plan, 42);
-  std::size_t chunk = 0, hits = 0;
-  for (auto _ : state) {
-    hits += faults.chunk_straggles(chunk++);
-  }
-  benchmark::DoNotOptimize(hits);
-}
-BENCHMARK(BM_ChunkStraggleDecision);
 
 void run_hogwild_epoch(benchmark::State& state, bool faulted) {
   const Dataset ds = generate_dataset(
@@ -79,8 +54,9 @@ void run_hogwild_epoch(benchmark::State& state, bool faulted) {
   FaultInjector faults;
   if (faulted) {
     FaultPlan plan;
-    plan.drop_prob = 0.05;
-    faults.install(plan, 42);
+    plan.corrupt = FaultPlan::Corrupt::kNan;
+    plan.corrupt_step = ~std::size_t{0};  // armed but never crossed
+    faults.install(plan);
   }
   auto w = lr.init_params(1);
   Rng rng(7);
@@ -97,10 +73,10 @@ void BM_HogwildEpochBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_HogwildEpochBaseline);
 
-void BM_HogwildEpochWithDrops(benchmark::State& state) {
+void BM_HogwildEpochWithPlan(benchmark::State& state) {
   run_hogwild_epoch(state, true);
 }
-BENCHMARK(BM_HogwildEpochWithDrops);
+BENCHMARK(BM_HogwildEpochWithPlan);
 
 }  // namespace
 }  // namespace parsgd

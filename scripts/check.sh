@@ -24,20 +24,37 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 PARSGD_FORCE_SCALAR=1 \
     ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 
-# Fault-sweep lane: drive the divergence watchdog (DESIGN.md §11)
-# against the injected fault classes at tier-1 speed. Every run must
-# finish undiverged (parsgd_cli exits nonzero on divergence): the
-# straggler and drop runs converge through their faults, and the nan@3
-# run must be rolled back and recovered by the watchdog.
-for spec in \
-    "sync/cpu-par/sparse:batch=64,straggler=0.2@8" \
-    "async/cpu-par/sparse:drop=0.1"; do
-  "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
-      --engine="$spec" --alpha=0.5 --epochs=8 --watchdog >/dev/null
-done
+# Fault lane (DESIGN.md §11): the two recovery paths the injected faults
+# exist for, end to end through the CLI at tier-1 speed. The nan@3 run
+# must finish undiverged (parsgd_cli exits nonzero on divergence) after
+# the watchdog rolls it back. The crash@4 run must die at epoch 4 with a
+# checkpoint written every epoch; a plain --resume run must pick it up
+# at epoch 4 and reach the same best loss as an uninterrupted run.
 "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
     --engine="sync/cpu-seq/sparse:faults=nan@3" --alpha=0.5 --epochs=8 \
     --watchdog | grep "recovery: rolled back epoch 4" >/dev/null
+crash_tmp="$(mktemp -d)"
+crash_run() {
+  "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
+      --alpha=0.5 --epochs=8 "$@"
+}
+if crash_run --engine="sync/cpu-seq/sparse:faults=crash@4" \
+    --checkpoint="$crash_tmp/ck" --checkpoint-every=1 \
+    >"$crash_tmp/crash.out" 2>&1; then
+  echo "check.sh: the crash@4 run exited 0" >&2
+  exit 1
+fi
+crash_run --engine="sync/cpu-seq/sparse" --resume="$crash_tmp/ck" \
+    >"$crash_tmp/resumed.out"
+grep "resuming from .* at epoch 4" "$crash_tmp/resumed.out" >/dev/null
+crash_run --engine="sync/cpu-seq/sparse" >"$crash_tmp/plain.out"
+resumed_best="$(grep "best loss" "$crash_tmp/resumed.out")"
+plain_best="$(grep "best loss" "$crash_tmp/plain.out")"
+if [ -z "$plain_best" ] || [ "$resumed_best" != "$plain_best" ]; then
+  echo "check.sh: resumed '$resumed_best' != uninterrupted '$plain_best'" >&2
+  exit 1
+fi
+rm -rf "$crash_tmp"
 
 # Cluster lane (DESIGN.md §17): smoke both update strategies through the
 # CLI at nodes=4 — with a PS nodedown pass riding along — then
@@ -107,7 +124,9 @@ rm -rf "$obs_tmp"
 # pass of a sync epoch (DESIGN.md §9), which writes per-example
 # coefficients from pool workers, runs under both sanitizers. The fault
 # suite joins it for the checkpoint loader's seeded mutation run: corrupt
-# files through every count and payload read.
+# files through every count and payload read. The report suite joins it
+# for the report reader's seeded mutation run: forged and corrupt JSON
+# through the parser and every checked integer conversion.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
@@ -115,12 +134,13 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
     --target test_attribution --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication \
     --target test_linalg --target test_engine_spec --target test_io \
-    --target test_engines --target test_faults
+    --target test_engines --target test_faults --target test_report
 "$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_engine_spec"
 "$ASAN_BUILD_DIR/tests/test_io"
 "$ASAN_BUILD_DIR/tests/test_engines"
 "$ASAN_BUILD_DIR/tests/test_faults"
+"$ASAN_BUILD_DIR/tests/test_report"
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
@@ -132,7 +152,8 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 
 # The executor's concurrency (work-stealing deques, park/wake protocol,
 # atomic in-degree release) under ThreadSanitizer, plus the fault
-# injector's atomic counters bumped from pool workers.
+# injector's atomic counters, bumped by after_update from graph tasks on
+# pool workers.
 # The engine suite joins it: concurrent step search runs whole training
 # runs at once over one shared Model/TrainData, each on a private
 # executor with its metric log.
@@ -157,9 +178,10 @@ trap 'rm -rf "$tmp"' EXIT
 "$BUILD_DIR/examples/parsgd_compare" \
     "$tmp/BENCH_fig5_hwspec.json" "$tmp/BENCH_fig5_hwspec.json" \
     --require-same-sha
-echo "check.sh: tier-1 (simd + scalar) + watchdog fault sweep" \
+echo "check.sh: tier-1 (simd + scalar) + fault lane (watchdog nan@3," \
+     "crash/resume round trip)" \
      "+ cluster smoke + observability lane (overhead gate, --attribute)" \
      "+ ASan linalg/kernels/graph/cluster/attribution/telemetry" \
-     "/asyncsim/gpusim/replication/engine-spec/io/engines/faults" \
+     "/asyncsim/gpusim/replication/engine-spec/io/engines/faults/report" \
      "+ TSan linalg/graph/pool/faults/cluster/attribution/telemetry/engines" \
      "+ regression smoke OK"

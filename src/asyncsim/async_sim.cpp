@@ -107,21 +107,12 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
   Partition part(units, workers, rng);
 
   std::vector<index_t> touched;
-  // Scratch target for dropped updates: the work is computed (and costed)
-  // but the result never reaches the shared model.
-  std::vector<real_t> lost;
   // Hogbatch step path: one task graph reused per unit (DESIGN.md §15).
   ThreadPool& pool =
       opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
   std::optional<TaskGraph> graph;
   BatchGraphScratch gscratch;
-  if (opts_.batch > 1) {
-    graph.emplace(pool, telemetry);
-    if (faults != nullptr && faults->plan().straggler_prob > 0) {
-      graph->set_task_hook(
-          [faults](std::size_t task) { faults->chunk_hook(task); });
-    }
-  }
+  if (opts_.batch > 1) graph.emplace(pool, telemetry);
   while (!part.exhausted()) {
     ledger_.clear();
     for (int t = 0; t < workers; ++t) {
@@ -130,19 +121,9 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
         const std::size_t unit = part.order[t][part.cursor[t]++];
         const std::size_t begin = unit * opts_.batch;
         const std::size_t end = std::min(n, begin + opts_.batch);
-        const bool drop = faults != nullptr && faults->drop_update();
-        if (drop && lost.size() != w.size()) lost.assign(w.size(), 0);
         if (opts_.batch == 1) {
           const ExampleView x = data_.example(begin, opts_.prefer_dense);
-          if (drop) {
-            // Additive step into a zero base captures just the update,
-            // which is then discarded.
-            model_.example_step(x, data_.y[begin], alpha, w, lost,
-                                &touched);
-            for (const index_t j : touched) lost[j] = 0;
-          } else {
-            model_.example_step(x, data_.y[begin], alpha, w, w, &touched);
-          }
+          model_.example_step(x, data_.y[begin], alpha, w, w, &touched);
           if (workers > 1) ledger_.record(t, touched);
           const std::size_t k = x.touched();
           cost.flops += model_.step_flops(k) + kLoopFlopsPerExample +
@@ -155,11 +136,9 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
                                                opts_.prefer_dense);
         } else {
           model_.batch_step_graph(*graph, gscratch, data_, begin, end,
-                                  opts_.prefer_dense, alpha, w,
-                                  drop ? std::span<real_t>(lost) : w,
+                                  opts_.prefer_dense, alpha, w, w,
                                   TaskGraph::kNoTask);
           graph->run();
-          if (drop) std::fill(lost.begin(), lost.end(), real_t(0));
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t k =
                 data_.example(i, opts_.prefer_dense).touched();
@@ -224,13 +203,7 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
       opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
   std::optional<TaskGraph> graph;
   BatchGraphScratch gscratch;
-  if (opts_.batch > 1) {
-    graph.emplace(pool, telemetry);
-    if (faults != nullptr && faults->plan().straggler_prob > 0) {
-      graph->set_task_hook(
-          [faults](std::size_t task) { faults->chunk_hook(task); });
-    }
-  }
+  if (opts_.batch > 1) graph.emplace(pool, telemetry);
 
   // Globally interleaved unit order: round-robin over workers.
   bool any = true;
@@ -244,13 +217,9 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
       const std::size_t end = std::min(n, begin + opts_.batch);
 
       // Stale view: the model without the last d units' updates,
-      // d ~ Uniform[0, tau]. A straggling unit reads an even staler view
-      // (bounded by the deltas the ring still holds).
-      std::size_t d_units = static_cast<std::size_t>(
+      // d ~ Uniform[0, tau].
+      const std::size_t d_units = static_cast<std::size_t>(
           rng.uniform_index(std::min(tau, ring_filled) + 1));
-      if (faults != nullptr) {
-        d_units = std::min(d_units + faults->straggle_units(), ring_filled);
-      }
       last_stale_units_ += static_cast<double>(d_units);
       std::copy(w.begin(), w.end(), view.begin());
       for (std::size_t k = 1; k <= d_units; ++k) {
@@ -293,12 +262,6 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
         cost.bytes_random += 2.0 * static_cast<double>(dim) *
                              sizeof(real_t);
         if (workers > 1) ledger_.record_all(t);
-      }
-
-      // A dropped update is computed (and costed) but never applied; the
-      // ring records zeros so no later unit ever sees it.
-      if (faults != nullptr && faults->drop_update()) {
-        std::fill(delta.begin(), delta.end(), real_t(0));
       }
 
       // Apply immediately and rotate the delay ring.

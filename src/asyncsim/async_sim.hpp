@@ -70,9 +70,8 @@ class AsyncSim {
 
   /// Runs one epoch in place on `w`; every example is visited once.
   /// Returns the work/conflict ledger of the epoch. `faults`, when
-  /// non-null, injects per-unit failures (DESIGN.md §11): dropped updates
-  /// in both modes, extra straggler staleness in snapshot mode (in-place
-  /// Hogwild has no staleness to stretch), and update corruption.
+  /// non-null, counts every unit's update and corrupts the planned one
+  /// (nan@K / inf@K, DESIGN.md §11).
   /// `telemetry`, when non-null with metrics on, accumulates the epoch's
   /// async.updates / async.stale_units / async.write_conflicts counters
   /// (recorded once per epoch from the ledger — no hot-loop cost, and

@@ -113,13 +113,7 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
       opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
   std::optional<TaskGraph> graph;
   BatchGraphScratch gscratch;
-  if (opts_.batch > 1) {
-    graph.emplace(pool, telemetry);
-    if (faults != nullptr && faults->plan().straggler_prob > 0) {
-      graph->set_task_hook(
-          [faults](std::size_t task) { faults->chunk_hook(task); });
-    }
-  }
+  if (opts_.batch > 1) graph.emplace(pool, telemetry);
 
   // Globally interleaved unit order: round-robin over nodes.
   bool any = true;
@@ -133,13 +127,9 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
       const std::size_t end = std::min(n, begin + opts_.batch);
 
       // Stale parameter-server view: the model without the last d units'
-      // updates, d ~ Uniform[0, tau]. A straggling node's unit pulls an
-      // even staler weight vector (bounded by the ring's history).
-      std::size_t d_units = static_cast<std::size_t>(
+      // updates, d ~ Uniform[0, tau].
+      const std::size_t d_units = static_cast<std::size_t>(
           rng.uniform_index(std::min(tau_, ring_filled) + 1));
-      if (faults != nullptr) {
-        d_units = std::min(d_units + faults->straggle_units(), ring_filled);
-      }
       stats_.stale_units += static_cast<double>(d_units);
       std::copy(w.begin(), w.end(), view.begin());
       for (std::size_t k = 1; k <= d_units; ++k) {
@@ -192,16 +182,9 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
         push_bytes = static_cast<double>(dim) * sizeof(real_t);
         pull_bytes = push_bytes;
       }
-      // One gradient push + one weight pull per unit, lost or not — a
-      // dropped update still burns the wire.
+      // One gradient push + one weight pull per unit.
       cost.net_messages += 2;
       cost.net_bytes += push_bytes + pull_bytes;
-
-      // A dropped update is computed (and costed) but never applied; the
-      // ring records zeros so no later unit ever sees it.
-      if (faults != nullptr && faults->drop_update()) {
-        std::fill(delta.begin(), delta.end(), real_t(0));
-      }
 
       // Apply at the parameter server and rotate the delay ring.
       if (tau_ > 0) {

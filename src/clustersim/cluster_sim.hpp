@@ -14,7 +14,7 @@
 //
 // Each unit's actual delay is drawn uniformly from [0, tau] like asyncsim
 // (racing nodes are desynchronized; a fixed lag resonates into limit
-// cycles real clusters do not exhibit), plus injected straggler delay.
+// cycles real clusters do not exhibit).
 // Every unit is one gradient push + one weight pull on the wire; the sim
 // ledgers the message count and payload bytes into CostBreakdown's net
 // fields and NetModel converts them into seconds.
@@ -90,7 +90,7 @@ class ClusterSim {
   /// Runs one epoch in place on `w`. `down_node`, when not kNoNode, takes
   /// that node down for this epoch: the shard's units are lost for the
   /// epoch (fewer updates, counted in last_stats().lost_units). `faults`
-  /// injects per-unit drop/straggle/corruption exactly as in asyncsim.
+  /// counts updates and corrupts the planned one exactly as in asyncsim.
   /// `telemetry` accumulates the epoch's cluster.* counters once per
   /// epoch from the ledger.
   CostBreakdown run_epoch(std::span<real_t> w, real_t alpha, Rng& rng,

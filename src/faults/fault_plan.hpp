@@ -1,39 +1,31 @@
 // FaultPlan — the declarative description of what should go wrong during
 // a training run (DESIGN.md §11). The paper's asynchronous configurations
-// already treat races, stale reads, and lost updates as the *normal*
-// operating mode (HOGWILD!, Niu et al. 2011); this module makes those and
-// harder failures *injectable*, so any Fig. 1 configuration can be run
-// under a controlled fault and the recovery machinery (watchdog rollback,
-// checkpoint/resume) can be exercised deterministically.
+// already treat races, stale reads, and lost updates as their *normal*
+// operating mode (HOGWILD!, Niu et al. 2011), and asyncsim models them.
+// This module injects only the faults the recovery machinery exists for —
+// the divergence watchdog's triggers and the checkpoint's crash — so
+// rollback and resume can be exercised deterministically.
 //
 // A plan rides on the engine-spec option grammar (sgd/spec.hpp):
 //
-//   async/cpu-par/sparse:faults=nan@120,straggler=0.1
-//   sync/cpu-seq/sparse:faults=crash@5+flip@3,drop=0.05
+//   async/cpu-par/sparse:faults=nan@120
+//   sync/cpu-seq/sparse:faults=inf@3+crash@5
 //
-// `faults=` holds one-shot events joined by '+':
+// `faults=` holds one-shot events joined by '+', each kind at most once:
 //   nan@K / inf@K   corrupt the K-th model update (0-based, run-global)
-//                   with NaN / Inf,
-//   flip@E[:C[:B]]  flip bit B (default 30, a float exponent bit) of
-//                   weight C (default 0) at the start of epoch E,
+//                   with NaN / Inf (one of the two per plan),
 //   crash@E         throw CrashFault at the start of epoch E (simulated
 //                   process kill; pair with checkpoint/resume),
 //   nodedown@E[:K]  node K (default 0) of a simulated cluster goes down
 //                   for epoch E (DESIGN.md §17): the shard's updates are
 //                   lost (PS) or an operator-restart stall is charged
 //                   (all-reduce).
-// Continuous faults are their own keys:
-//   straggler=P[@U] each async unit straggles with probability P, adding
-//                   a staleness delay uniform on [1, U] units (default 4),
-//   drop=P          each async update is computed but dropped (lost
-//                   update) with probability P.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace parsgd {
 
@@ -58,11 +50,6 @@ struct FaultPlan {
   Corrupt corrupt = Corrupt::kNone;
   std::size_t corrupt_step = 0;
 
-  /// One-shot weight bit flip at the start of epoch `flip_epoch`.
-  std::size_t flip_epoch = kNever;
-  std::size_t flip_coord = 0;
-  unsigned flip_bit = 30;  ///< float exponent bit: turns ~1 into ~1e38
-
   /// Simulated process kill at the start of epoch `crash_epoch`.
   std::size_t crash_epoch = kNever;
 
@@ -70,13 +57,6 @@ struct FaultPlan {
   /// epoch `nodedown_epoch`. Cluster engines only; a no-op elsewhere.
   std::size_t nodedown_epoch = kNever;
   std::size_t nodedown_node = 0;
-
-  /// Straggling async units: probability and max extra staleness (units).
-  double straggler_prob = 0;
-  std::size_t straggler_units = 4;
-
-  /// Lost async updates: computed, then discarded, with this probability.
-  double drop_prob = 0;
 
   bool any() const;
   bool operator==(const FaultPlan&) const = default;
@@ -87,15 +67,15 @@ struct FaultPlan {
 /// malformed value.
 enum class FaultKeyParse { kNotFault, kParsed, kMalformed };
 
-/// Parses one spec option into `plan`. Recognized keys: "faults",
-/// "straggler", "drop". Never throws — malformed values are
-/// reported so try_parse_spec can reject the whole spec.
+/// Parses one spec option into `plan`. The only recognized key is
+/// "faults". Never throws — malformed values (including a repeated atom
+/// kind) are reported so try_parse_spec can reject the whole spec.
 FaultKeyParse parse_fault_key(const std::string& key,
                               const std::string& value, FaultPlan* plan);
 
-/// The plan as spec-tail fragments ("drop=0.05", "faults=nan@120+crash@9",
-/// "straggler=0.1@8"), in canonical order; empty for an empty plan.
-/// parse_fault_key(format_fault_options(p)) round-trips to p.
-std::vector<std::string> format_fault_options(const FaultPlan& plan);
+/// The plan as its spec-tail fragment ("faults=nan@120+crash@9"), atoms
+/// in canonical order; empty for an empty plan.
+/// parse_fault_key(format_fault_option(p)) round-trips to p.
+std::string format_fault_option(const FaultPlan& plan);
 
 }  // namespace parsgd

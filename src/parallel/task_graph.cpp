@@ -66,10 +66,6 @@ TaskGraph::TaskId TaskGraph::add(std::function<void()> fn,
   return id;
 }
 
-void TaskGraph::set_task_hook(std::function<void(std::size_t)> hook) {
-  task_hook_ = std::move(hook);
-}
-
 void TaskGraph::record_error() noexcept {
   std::lock_guard<std::mutex> lock(park_mutex_);
   if (!first_error_) first_error_ = std::current_exception();
@@ -127,7 +123,6 @@ void TaskGraph::execute(TaskId id, std::size_t lane) {
         static_cast<double>(monotonic_ns() - node.ready_ns));
   }
   try {
-    if (task_hook_) task_hook_(id);
     if (trace_tasks_) {
       telemetry::TraceSpan span(&telemetry_->trace(), node.name);
       span.arg("task", static_cast<double>(id));

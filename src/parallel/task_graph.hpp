@@ -24,7 +24,7 @@
 //    oldest and therefore largest pending subtree). Participants spin
 //    briefly, then park; a pusher wakes sleepers only when someone is
 //    actually parked. A graph of exactly one task has nothing to overlap,
-//    so it runs on the calling thread alone (same hook, telemetry and
+//    so it runs on the calling thread alone (same telemetry and
 //    rethrow) instead of waking the pool.
 //  * Exceptions: a throwing task still releases its successors (the graph
 //    drains completely, mirroring ThreadPool chunk semantics); run()
@@ -90,12 +90,6 @@ class TaskGraph {
   /// Tasks added since the last run().
   std::size_t pending() const { return nodes_.size(); }
 
-  /// Installs (or clears, with nullptr) a hook invoked with the task id
-  /// before every task body — the fault-injection seam for straggling
-  /// workers, mirroring ThreadPool::set_chunk_hook. Must not be called
-  /// while a run is in flight; the hook must be thread-safe.
-  void set_task_hook(std::function<void(std::size_t)> hook);
-
   /// Executes every pending task, honoring dependency edges; blocks until
   /// the graph drains, then resets it for rebuilding (allocations are
   /// kept). Rethrows the first task exception after the drain. No-op on an
@@ -131,7 +125,6 @@ class TaskGraph {
   std::deque<Node> nodes_;  ///< deque: atomics are not movable
   std::deque<Lane> lanes_;  ///< pool.size() + 1 (last = calling thread)
   std::size_t next_seed_lane_ = 0;  ///< round-robin for root tasks
-  std::function<void(std::size_t)> task_hook_;
   unsigned spin_iters_ = 0;
 
   std::size_t total_ = 0;                   ///< tasks in the current run

@@ -78,7 +78,6 @@ void ThreadPool::drain_chunks() {
     std::size_t lo, hi;
     chunk_range(job_n_, job_chunks_, c, lo, hi);
     try {
-      if (chunk_hook_) chunk_hook_(c);
       if (trace_chunks_) {
         telemetry::TraceSpan span(&telemetry_->trace(), "chunk");
         span.arg("chunk", static_cast<double>(c));
@@ -208,8 +207,8 @@ void ThreadPool::finish_job() {
     if (m_imbalance_ != nullptr && kind_ == JobKind::kParallelFor &&
         job_chunks_ > 0) {
       // max chunks drained by one participant / fair share; 1.0 means a
-      // perfectly even steal, large values mean one straggling lane did
-      // most of the work.
+      // perfectly even steal, large values mean one lane did most of the
+      // work while the others lagged.
       const auto parts = static_cast<double>(
           job_participants_.load(std::memory_order_relaxed));
       const auto maxc = static_cast<double>(
@@ -226,8 +225,8 @@ void ThreadPool::finish_job() {
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  // A NoWorkers pool keeps a one-worker grid so its chunk hook and
-  // telemetry still see chunks; the caller drains them all.
+  // A NoWorkers pool keeps a one-worker grid so its telemetry still sees
+  // chunks; the caller drains them all.
   const std::size_t chunks = std::min(
       n, std::max<std::size_t>(workers_.size(), 1) * kChunksPerWorker);
   if (chunks <= 1) {
@@ -256,13 +255,6 @@ void ThreadPool::run_on_all_with_caller(
     record_error();
   }
   finish_job();
-}
-
-void ThreadPool::set_chunk_hook(std::function<void(std::size_t)> hook) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PARSGD_CHECK(!job_live_,
-               "cannot change the chunk hook while a job is live");
-  chunk_hook_ = std::move(hook);
 }
 
 void ThreadPool::set_telemetry(telemetry::TelemetrySession* session) {

@@ -19,7 +19,7 @@
 //    queue-based pool.
 //  * A pool built with NoWorkers has the calling thread as its only
 //    participant: every job runs on the caller, with the same chunk
-//    grid, hooks and telemetry as a one-worker pool. It is the private
+//    grid and telemetry as a one-worker pool. It is the private
 //    executor of a run that itself executes on another pool's thread
 //    (concurrent step search, DESIGN.md §5), where the shared pool's
 //    non-reentrant jobs and live-job CHECKs would otherwise trip.
@@ -78,19 +78,12 @@ class ThreadPool {
   /// any participant propagate after all have returned (first one wins).
   void run_on_all_with_caller(const std::function<void(std::size_t)>& fn);
 
-  /// Installs (or clears, with nullptr) a hook invoked with the chunk
-  /// index before every parallel_for chunk body — the fault-injection
-  /// seam for straggling workers (DESIGN.md §11). Must not be called
-  /// while a job is live; the hook must be thread-safe.
-  void set_chunk_hook(std::function<void(std::size_t)> hook);
-
   /// Attaches (or detaches, with nullptr) a telemetry session. The pool
   /// then feeds `pool.*` instruments — jobs/chunks counters, queue-wait
   /// dispatch-latency histogram, park/wakeup counters, per-job chunk
   /// imbalance gauge — and, in trace mode, a span per chunk on the
-  /// executing worker's lane. Same discipline as set_chunk_hook: must
-  /// not be called while a job is live; the session must outlive its
-  /// attachment. Detached (the default) costs one untaken branch per
+  /// executing worker's lane. Must not be called while a job is live;
+  /// the session must outlive its attachment. Detached (the default) costs one untaken branch per
   /// chunk.
   void set_telemetry(telemetry::TelemetrySession* session);
 
@@ -130,13 +123,11 @@ class ThreadPool {
   std::size_t job_n_ = 0;
   std::size_t job_chunks_ = 0;
   bool job_live_ = false;  ///< reentrancy guard (under mutex_)
-  /// Pre-chunk hook; written under mutex_ while no job is live, read by
-  /// participants that registered for a later generation.
-  std::function<void(std::size_t)> chunk_hook_;
 
   // Telemetry handles, cached on set_telemetry so the hot path never
-  // touches the registry. Written under mutex_ while no job is live
-  // (same happens-before argument as chunk_hook_); null when detached.
+  // touches the registry. Written under mutex_ while no job is live and
+  // read by participants that registered for a later generation under
+  // the same mutex; null when detached.
   telemetry::TelemetrySession* telemetry_ = nullptr;
   telemetry::Counter* m_jobs_ = nullptr;
   telemetry::Counter* m_chunks_ = nullptr;

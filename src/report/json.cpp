@@ -193,7 +193,8 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const char* what) {
-    PARSGD_CHECK(false, "json: " << what << " at byte " << pos_ << ": '"
+    PARSGD_CHECK(false, "json: " << what << " at byte " << pos_
+                                 << " (after key '" << last_key_ << "'): '"
                                  << context() << "'");
     std::abort();  // unreachable; PARSGD_CHECK(false) throws
   }
@@ -258,6 +259,7 @@ class Parser {
       if (peek() != '"') fail("expected object key");
       std::string key = parse_string();
       expect(':');
+      last_key_ = key;
       members.emplace_back(std::move(key), parse_value());
       const char c = peek();
       if (c == ',') {
@@ -368,11 +370,17 @@ class Parser {
       pos_ = start;
       fail("malformed number");
     }
+    // The writer refuses non-finite numbers; so does the reader (1e999).
+    if (!std::isfinite(v)) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return Json(v);
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::string last_key_;  ///< most recent object key, for error messages
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -27,6 +28,26 @@ double get_num(const Json& obj, const std::string& key, double dflt = -1.0) {
 std::string get_str(const Json& obj, const std::string& key) {
   const Json* v = obj.find(key);
   return v == nullptr ? std::string() : v->as_string();
+}
+
+/// An integer field as T: throws CheckError naming `key` unless the
+/// number is a non-negative integer below 2^digits(T), where the cast is
+/// exact and defined.
+template <typename T>
+T to_count(const Json& v, const std::string& key) {
+  const double d = v.as_number();
+  PARSGD_CHECK(d >= 0 && d == std::floor(d) &&
+                   d < std::ldexp(1.0, std::numeric_limits<T>::digits),
+               "report field '" << key << "' = " << d
+                                << " is not an integer in range");
+  return static_cast<T>(d);
+}
+
+/// to_count of an optional member; 0 when absent.
+template <typename T>
+T get_count(const Json& obj, const std::string& key) {
+  const Json* v = obj.find(key);
+  return v == nullptr ? T{0} : to_count<T>(*v, key);
 }
 
 bool get_bool(const Json& obj, const std::string& key, bool dflt = false) {
@@ -149,7 +170,6 @@ AttributionSlice AttributionSlice::from(
     out.h_compute_s += e.h_compute_s;
     out.h_queue_s += e.h_queue_s;
     out.h_ready_s += e.h_ready_s;
-    out.h_stall_s += e.h_stall_s;
     out.h_recovery_s += e.h_recovery_s;
     out.h_checkpoint_s += e.h_checkpoint_s;
   }
@@ -279,7 +299,6 @@ void write_report(std::ostream& os, const RunReport& report) {
       h.set("compute_s", num(as.h_compute_s));
       h.set("queue_s", num(as.h_queue_s));
       h.set("ready_s", num(as.h_ready_s));
-      h.set("stall_s", num(as.h_stall_s));
       h.set("recovery_s", num(as.h_recovery_s));
       h.set("checkpoint_s", num(as.h_checkpoint_s));
       at.set("host", std::move(h));
@@ -330,7 +349,7 @@ RunReport read_report(std::istream& is) {
   buf << is.rdbuf();
   const Json doc = parse_json(buf.str());
 
-  const int version = static_cast<int>(doc.at("schema_version").as_number());
+  const int version = to_count<int>(doc.at("schema_version"), "schema_version");
   PARSGD_CHECK(version == kSchemaVersion,
                "report schema_version " << version << " != supported "
                                         << kSchemaVersion
@@ -353,8 +372,8 @@ RunReport read_report(std::istream& is) {
   }
 
   r.engine_spec = get_str(doc, "engine_spec");
-  r.seed = static_cast<std::uint64_t>(get_num(doc, "seed", 0));
-  r.threads = static_cast<int>(get_num(doc, "threads", 0));
+  r.seed = get_count<std::uint64_t>(doc, "seed");
+  r.threads = get_count<int>(doc, "threads");
   r.scale = get_num(doc, "scale", 0);
   r.host_seconds = get_num(doc, "host_seconds", 0);
   r.modeled_seconds = get_num(doc, "modeled_seconds", 0);
@@ -363,10 +382,10 @@ RunReport read_report(std::istream& is) {
     for (const Json& o : arr->as_array()) {
       DatasetInfo d;
       d.name = get_str(o, "name");
-      d.rows = static_cast<std::size_t>(get_num(o, "rows", 0));
-      d.paper_rows = static_cast<std::size_t>(get_num(o, "paper_rows", 0));
-      d.cols = static_cast<std::size_t>(get_num(o, "cols", 0));
-      d.nnz = static_cast<std::size_t>(get_num(o, "nnz", 0));
+      d.rows = get_count<std::size_t>(o, "rows");
+      d.paper_rows = get_count<std::size_t>(o, "paper_rows");
+      d.cols = get_count<std::size_t>(o, "cols");
+      d.nnz = get_count<std::size_t>(o, "nnz");
       d.nnz_avg = get_num(o, "nnz_avg", 0);
       d.sparsity_percent = get_num(o, "sparsity_percent", 0);
       r.datasets.push_back(std::move(d));
@@ -430,7 +449,6 @@ RunReport read_report(std::istream& is) {
           e.attribution.h_compute_s = get_num(*h, "compute_s", 0);
           e.attribution.h_queue_s = get_num(*h, "queue_s", 0);
           e.attribution.h_ready_s = get_num(*h, "ready_s", 0);
-          e.attribution.h_stall_s = get_num(*h, "stall_s", 0);
           e.attribution.h_recovery_s = get_num(*h, "recovery_s", 0);
           e.attribution.h_checkpoint_s = get_num(*h, "checkpoint_s", 0);
         }
@@ -445,7 +463,7 @@ RunReport read_report(std::istream& is) {
       m.name = get_str(o, "name");
       m.kind = parse_kind(get_str(o, "kind"));
       m.value = get_num(o, "value", 0);
-      m.count = static_cast<std::uint64_t>(get_num(o, "count", 0));
+      m.count = get_count<std::uint64_t>(o, "count");
       m.p50 = get_num(o, "p50", 0);
       m.p90 = get_num(o, "p90", 0);
       m.p99 = get_num(o, "p99", 0);

@@ -135,14 +135,13 @@ struct AttributionSlice {
   double h_compute_s = 0;     ///< host compute residual
   double h_queue_s = 0;       ///< host pool queue-wait share
   double h_ready_s = 0;       ///< host graph ready-wait share
-  double h_stall_s = 0;       ///< host injected-straggle stall
   double h_recovery_s = 0;    ///< host watchdog rollback time
   double h_checkpoint_s = 0;  ///< host checkpoint I/O
 
   bool any() const { return epochs > 0; }
   double modeled_total() const { return m_compute_s + m_net_s + m_stall_s; }
   double host_total() const {
-    return h_compute_s + h_queue_s + h_ready_s + h_stall_s + h_recovery_s +
+    return h_compute_s + h_queue_s + h_ready_s + h_recovery_s +
            h_checkpoint_s;
   }
   /// Folds a run's per-epoch ledger (RunResult::attribution).

@@ -38,9 +38,8 @@ ThreadPool* AsyncCpuEngine::pool() const {
 
 double AsyncCpuEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                  Rng& rng) {
-  faults_.begin_epoch(w);
+  faults_.begin_epoch();
   ThreadPool& epoch_pool = *pool();
-  ChunkHookGuard straggle_guard(epoch_pool, faults_);
   std::optional<PoolTelemetryGuard> tel_guard;
   if (telemetry_ != nullptr) tel_guard.emplace(epoch_pool, telemetry_.get());
   const CostBreakdown cost =
@@ -92,7 +91,7 @@ std::string AsyncGpuEngine::name() const {
 
 double AsyncGpuEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                  Rng& rng) {
-  faults_.begin_epoch(w);
+  faults_.begin_epoch();
   const CostBreakdown cost = hogwild_ ? hogwild_->run_epoch(w, alpha, rng)
                                       : hogbatch_->run_epoch(w, alpha, rng);
   // The GPU simulators apply updates internally; account for them in bulk

@@ -126,7 +126,7 @@ double ClusterEngine::run_epoch(std::span<real_t> w, real_t alpha,
 }
 
 double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
-  faults_.begin_epoch(w);
+  faults_.begin_epoch();
   std::size_t down = faults_.node_down_this_epoch();
   const std::size_t n_eff = sim_->nodes_eff();
   double stall = 0;
@@ -137,7 +137,6 @@ double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
     stall = kNodeRestartStallSeconds;
   }
   ThreadPool& epoch_pool = *pool();
-  ChunkHookGuard straggle_guard(epoch_pool, faults_);
   std::optional<PoolTelemetryGuard> tel_guard;
   if (telemetry_ != nullptr) tel_guard.emplace(epoch_pool, telemetry_.get());
   const CostBreakdown cost = sim_->run_epoch(
@@ -168,12 +167,11 @@ double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
 
 double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
                                       Rng& rng) {
-  faults_.begin_epoch(w);
+  faults_.begin_epoch();
   const std::size_t down = faults_.node_down_this_epoch();
   stats_ = ClusterEpochStats{};
   // The inner engine's own injector is empty: make_engine installs faults
   // only on this engine.
-  ChunkHookGuard straggle_guard(*pool(), faults_);
   const double machine_secs = sync_->run_epoch(w, alpha, rng);
   // Step-indexed faults (nan@K) fire on the outer injector; the
   // trajectory made this many model updates.

@@ -32,8 +32,8 @@ const char* to_string(ClusterSync s) {
 double Engine::epoch_seconds(std::span<const real_t> w_sample) {
   std::vector<real_t> scratch(w_sample.begin(), w_sample.end());
   Rng rng(0);
-  // A throwaway cost probe must not consume one-shot faults or fault-rng
-  // draws — silence the injector for its duration.
+  // A throwaway cost probe must not consume one-shot faults — silence the
+  // injector for its duration.
   faults_.set_suspended(true);
   try {
     const double secs = run_epoch(scratch, real_t(0), rng);
@@ -178,11 +178,10 @@ RunResult run_training(Engine& engine, const Model& model,
         static_cast<real_t>(static_cast<double>(alpha) * alpha_scale);
     double secs, loss;
     double host_s = 0;
-    double q0 = 0, r0 = 0, strag0 = 0;
+    double q0 = 0, r0 = 0;
     if (ledger_on) {
       if (h_queue != nullptr) q0 = h_queue->sum();
       if (h_ready != nullptr) r0 = h_ready->sum();
-      strag0 = engine.fault_injector().applied_straggle_us();
     }
     {
       // One span per epoch (run + loss evaluation), annotated with the
@@ -257,8 +256,6 @@ RunResult run_training(Engine& engine, const Model& model,
       if (h_ready != nullptr) {
         ea.h_ready_s = (h_ready->sum() - r0) * 1e-9 / workers;
       }
-      ea.h_stall_s =
-          (engine.fault_injector().applied_straggle_us() - strag0) * 1e-6;
       ledger.add(ea);
     }
     if (opts.heartbeat_seconds > 0) {

@@ -81,11 +81,9 @@ class Engine {
   virtual EpochSplit last_epoch_split() const { return {}; }
 
   /// Installs a fault plan (DESIGN.md §11); make_engine does this from the
-  /// spec/context plan after construction. An empty plan keeps every hook
-  /// a no-op, preserving bit-identical baseline trajectories.
-  void install_faults(const FaultPlan& plan, std::uint64_t seed) {
-    faults_.install(plan, seed);
-  }
+  /// spec's plan after construction. An empty plan keeps every hook a
+  /// no-op, preserving bit-identical baseline trajectories.
+  void install_faults(const FaultPlan& plan) { faults_.install(plan); }
   FaultInjector& fault_injector() { return faults_; }
   const FaultInjector& fault_injector() const { return faults_; }
 

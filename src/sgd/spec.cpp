@@ -265,7 +265,7 @@ std::string format_spec(const EngineSpec& spec) {
   if (spec.telemetry != telemetry::TelemetryMode::kOff) {
     kv.push_back(std::string("telemetry=") + to_string(spec.telemetry));
   }
-  for (std::string& frag : format_fault_options(spec.faults)) {
+  if (std::string frag = format_fault_option(spec.faults); !frag.empty()) {
     kv.push_back(std::move(frag));
   }
   for (std::size_t i = 0; i < kv.size(); ++i) {
@@ -439,10 +439,8 @@ std::unique_ptr<Engine> make_engine(const EngineSpec& spec,
   }
   std::unique_ptr<Engine> engine = it->second.factory(spec, ctx);
   // Central fault installation keeps factories and Options structs fault
-  // agnostic; the spec's plan wins over the context default. The xor
-  // decorrelates fault draws from every training stream.
-  const FaultPlan& plan = spec.faults.any() ? spec.faults : ctx.faults;
-  if (plan.any()) engine->install_faults(plan, ctx.seed ^ 0xFA175EEDULL);
+  // agnostic.
+  if (spec.faults.any()) engine->install_faults(spec.faults);
   // Telemetry after faults so the injector also reports into the session.
   // A shared context session wins (one registry for a whole Study); a
   // telemetry= spec key on a bare context gets a standalone session.

@@ -76,9 +76,8 @@ struct EngineSpec {
   /// Cluster interconnect (arch=cluster; spec key link=LAT:BW, canonical
   /// form e.g. link=10us:10gbps). Ignored elsewhere.
   LinkSpec link;
-  /// Injected faults (faults=/straggler=/drop= spec keys,
-  /// DESIGN.md §11). Empty by default; overrides EngineContext::faults
-  /// when non-empty.
+  /// Injected faults (faults= spec key, DESIGN.md §11). Empty by
+  /// default.
   FaultPlan faults;
   /// resilience=off|watchdog (DESIGN.md §11): whether runs of this spec
   /// train under the divergence watchdog (TrainOptions::watchdog).
@@ -131,9 +130,6 @@ struct EngineContext {
   /// mini-batch task graphs). nullptr = the process-global pool.
   ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
-  /// Default fault plan installed into every engine made from this context
-  /// (EngineSpec::faults, when non-empty, wins). Empty = no injection.
-  FaultPlan faults;
   /// Shared telemetry session installed into every engine made from this
   /// context (so a Study's engines all report into one registry). When
   /// null, EngineSpec::telemetry != off makes make_engine create a

@@ -31,16 +31,7 @@ void run_minibatch_epoch(const Model& model, const TrainData& data,
       opts.pool != nullptr ? *opts.pool : ThreadPool::global();
 
   // Build the whole epoch as one dependency graph, then drain it once.
-  // Drop decisions are drawn at build time in batch order (drop_update is
-  // the only injector RNG consumer on this path; after_update draws
-  // nothing).
   TaskGraph graph(pool, telemetry);
-  if (faults.active() && faults.plan().straggler_prob > 0) {
-    // Execution-only straggler seam, mirroring ChunkHookGuard: the hashed
-    // per-task decision delays the task body, never the trajectory.
-    FaultInjector* f = &faults;
-    graph.set_task_hook([f](std::size_t task) { f->chunk_hook(task); });
-  }
   BatchGraphScratch scratch;
   FaultInjector* f = &faults;
   // Chain after-update bookkeeping only when someone observes it; with
@@ -48,13 +39,6 @@ void run_minibatch_epoch(const Model& model, const TrainData& data,
   const bool chain_after = faults.active() || c_updates != nullptr;
   TaskGraph::TaskId prev = TaskGraph::kNoTask;
   for (const std::uint32_t b : order) {
-    if (faults.drop_update()) {
-      // Dropped batch: no gradient work, but the step clock still
-      // advances in batch order.
-      prev = graph.add([f, w] { f->after_update(w); }, {prev},
-                       "fault_after");
-      continue;
-    }
     const std::size_t begin = static_cast<std::size_t>(b) * opts.minibatch;
     const std::size_t end = std::min(n, begin + opts.minibatch);
     const TaskGraph::TaskId update = model.batch_step_graph(

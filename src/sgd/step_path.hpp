@@ -8,11 +8,8 @@
 // decomposition grid) and run-to-run; below the decomposition floor each
 // batch is one batch_step task, bit-identical to a plain batch_step loop.
 //
-// Fault-injection semantics: dropped updates draw from the injector RNG
-// once per batch in shuffled batch order (at graph build time —
-// drop_update is the injector RNG's only consumer here), straggler delays
-// are execution-only (graph task hook), and after_update runs once per
-// batch in batch order.
+// Fault injection: after_update runs once per batch, in batch order, as a
+// graph task chained after that batch's update.
 //
 // SyncEngine (and through it the sync ClusterEngine) runs its minibatch
 // epochs through this.

@@ -134,9 +134,8 @@ double SyncEngine::run_epoch_carried(std::span<real_t> w, real_t alpha,
 double SyncEngine::epoch(std::span<real_t> w, real_t alpha, Rng& rng,
                          EpochCarry* carry) {
   const double secs = epoch_seconds(w);
-  faults_.begin_epoch(w);
+  faults_.begin_epoch();
   ThreadPool& epoch_pool = *pool();
-  ChunkHookGuard straggle_guard(epoch_pool, faults_);
   // Session attached per epoch so per-worker chunk spans and pool.*
   // counters flow while this engine runs; detached (off) runs never
   // touch the pool's telemetry seam.
@@ -149,21 +148,15 @@ double SyncEngine::epoch(std::span<real_t> w, real_t alpha, Rng& rng,
         telemetry_ != nullptr && telemetry_->metrics_enabled()
             ? &telemetry_->metrics().counter("sync.updates")
             : nullptr;
-    // The epoch's single update can be a lost update (drop=); plans
-    // without one draw nothing here, keeping baselines bit-identical.
-    if (faults_.drop_update()) {
-      faults_.after_update(w);
+    traj_cost_.reset();
+    if (carry != nullptr) {
+      linear_->sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w,
+                          carry, &epoch_pool);
     } else {
-      traj_cost_.reset();
-      if (carry != nullptr) {
-        linear_->sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w,
-                            carry, &epoch_pool);
-      } else {
-        model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
-      }
-      faults_.after_update(w);
-      if (c_updates != nullptr) c_updates->inc();
+      model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
     }
+    faults_.after_update(w);
+    if (c_updates != nullptr) c_updates->inc();
   } else {
     // Synchronized mini-batch updates, shuffled batch order per epoch,
     // through the shared step-path runner (DESIGN.md §15): a dataflow

@@ -36,9 +36,11 @@ std::vector<BucketView> modeled_split(const EpochAttribution& e) {
 }
 
 std::vector<BucketView> host_split(const EpochAttribution& e) {
-  return {{"compute", e.h_compute_s},   {"queue_wait", e.h_queue_s},
-          {"ready_wait", e.h_ready_s},  {"stall", e.h_stall_s},
-          {"recovery", e.h_recovery_s}, {"checkpoint", e.h_checkpoint_s}};
+  return {{"compute", e.h_compute_s},
+          {"queue_wait", e.h_queue_s},
+          {"ready_wait", e.h_ready_s},
+          {"recovery", e.h_recovery_s},
+          {"checkpoint", e.h_checkpoint_s}};
 }
 
 void AttributionLedger::add(EpochAttribution e) {
@@ -46,8 +48,8 @@ void AttributionLedger::add(EpochAttribution e) {
   e.host_s = clamp0(e.host_s);
   e.m_compute_s = normalize_buckets(e.modeled_s, {&e.m_net_s, &e.m_stall_s});
   e.h_compute_s = normalize_buckets(
-      e.host_s, {&e.h_queue_s, &e.h_ready_s, &e.h_stall_s, &e.h_recovery_s,
-                 &e.h_checkpoint_s});
+      e.host_s,
+      {&e.h_queue_s, &e.h_ready_s, &e.h_recovery_s, &e.h_checkpoint_s});
   epochs_.push_back(e);
 }
 
@@ -66,7 +68,6 @@ EpochAttribution AttributionLedger::total() const {
     t.h_compute_s += e.h_compute_s;
     t.h_queue_s += e.h_queue_s;
     t.h_ready_s += e.h_ready_s;
-    t.h_stall_s += e.h_stall_s;
     t.h_recovery_s += e.h_recovery_s;
     t.h_checkpoint_s += e.h_checkpoint_s;
     t.loss = e.loss;
@@ -87,7 +88,6 @@ EpochAttribution AttributionLedger::mean() const {
   m.h_compute_s /= n;
   m.h_queue_s /= n;
   m.h_ready_s /= n;
-  m.h_stall_s /= n;
   m.h_recovery_s /= n;
   m.h_checkpoint_s /= n;
   return m;

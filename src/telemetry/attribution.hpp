@@ -10,12 +10,11 @@
 //    (network and staleness/nodedown stall come from the cluster engine's
 //    cost model; compute is the residual), and
 //  * the host split over the measured wall seconds of the epoch
-//        host_s == h_compute_s + h_queue_s + h_ready_s + h_stall_s
-//                  + h_recovery_s + h_checkpoint_s
+//        host_s == h_compute_s + h_queue_s + h_ready_s + h_recovery_s
+//                  + h_checkpoint_s
 //    (pool queue-wait and graph ready-wait from the telemetry histogram
-//    deltas, straggle stall from the fault injector's applied-delay
-//    accumulator, recovery and checkpoint I/O timed around their blocks
-//    in run_training; compute is the residual).
+//    deltas, recovery and checkpoint I/O timed around their blocks in
+//    run_training; compute is the residual).
 //
 // AttributionLedger::add() clamps and renormalizes the measured buckets so
 // both identities hold exactly — "buckets sum to epoch time within 1%" is
@@ -56,7 +55,6 @@ struct EpochAttribution {
   double h_compute_s = 0;    ///< residual: host_s - all measured waits
   double h_queue_s = 0;      ///< pool queue-wait (per-worker share)
   double h_ready_s = 0;      ///< task-graph ready-wait (per-worker share)
-  double h_stall_s = 0;      ///< injected straggle actually applied
   double h_recovery_s = 0;   ///< watchdog rollbacks before epoch
   double h_checkpoint_s = 0; ///< checkpoint write after the epoch
 };
@@ -70,7 +68,7 @@ struct BucketView {
 /// Fixed-order view of the modeled split: compute, net, stall.
 std::vector<BucketView> modeled_split(const EpochAttribution& e);
 /// Fixed-order view of the host split: compute, queue_wait, ready_wait,
-/// stall, recovery, checkpoint.
+/// recovery, checkpoint.
 std::vector<BucketView> host_split(const EpochAttribution& e);
 
 /// Accumulates per-epoch attribution records for one training run.

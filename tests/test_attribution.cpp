@@ -60,13 +60,13 @@ TEST(AttributionLedger, NormalizedRecordsSumExactly) {
   e.host_s = 0.5;
   e.h_queue_s = 0.1;
   e.h_ready_s = 0.05;
-  e.h_stall_s = -0.5;  // raw measurement noise: clamped at 0
+  e.h_recovery_s = -0.5;  // raw measurement noise: clamped at 0
   ledger.add(e);
   const EpochAttribution n = ledger.last();
   EXPECT_DOUBLE_EQ(n.m_compute_s + n.m_net_s + n.m_stall_s, n.modeled_s);
   EXPECT_DOUBLE_EQ(n.m_compute_s, 0.7);
-  EXPECT_DOUBLE_EQ(n.h_stall_s, 0.0);
-  EXPECT_DOUBLE_EQ(n.h_compute_s + n.h_queue_s + n.h_ready_s + n.h_stall_s +
+  EXPECT_DOUBLE_EQ(n.h_recovery_s, 0.0);
+  EXPECT_DOUBLE_EQ(n.h_compute_s + n.h_queue_s + n.h_ready_s +
                        n.h_recovery_s + n.h_checkpoint_s,
                    n.host_s);
 }
@@ -114,13 +114,12 @@ TEST(AttributionLedger, SplitViewsHaveFixedBucketOrder) {
   EXPECT_STREQ(modeled[1].name, "net");
   EXPECT_STREQ(modeled[2].name, "stall");
   const auto host = telemetry::host_split(e);
-  ASSERT_EQ(host.size(), 6u);
+  ASSERT_EQ(host.size(), 5u);
   EXPECT_STREQ(host[0].name, "compute");
   EXPECT_STREQ(host[1].name, "queue_wait");
   EXPECT_STREQ(host[2].name, "ready_wait");
-  EXPECT_STREQ(host[3].name, "stall");
-  EXPECT_STREQ(host[4].name, "recovery");
-  EXPECT_STREQ(host[5].name, "checkpoint");
+  EXPECT_STREQ(host[3].name, "recovery");
+  EXPECT_STREQ(host[4].name, "checkpoint");
 }
 
 // ------------------------------------------------- the heartbeat line
@@ -153,9 +152,10 @@ TEST(RunStatus, StatusLineAppendsTopBuckets) {
   s.mean.host_s = 1.0;
   s.mean.h_compute_s = 0.5;
   s.mean.h_queue_s = 0.3;
-  s.mean.h_stall_s = 0.2;
-  EXPECT_EQ(telemetry::format_status_line(s),
-            "e epoch 1/2 loss=1 split=compute:50%|queue_wait:30%|stall:20%");
+  s.mean.h_ready_s = 0.2;
+  EXPECT_EQ(
+      telemetry::format_status_line(s),
+      "e epoch 1/2 loss=1 split=compute:50%|queue_wait:30%|ready_wait:20%");
 }
 
 // ------------------------------------------- run_training integration
@@ -178,7 +178,7 @@ void expect_exact_sums(const RunResult& r, std::size_t n_epochs) {
   for (const EpochAttribution& e : r.attribution) {
     const double m_sum = e.m_compute_s + e.m_net_s + e.m_stall_s;
     const double h_sum = e.h_compute_s + e.h_queue_s + e.h_ready_s +
-                         e.h_stall_s + e.h_recovery_s + e.h_checkpoint_s;
+                         e.h_recovery_s + e.h_checkpoint_s;
     // "Within 1%" is the acceptance floor; normalization makes the sums
     // exact up to float rounding.
     EXPECT_NEAR(m_sum, e.modeled_s, 1e-9 * std::max(1.0, e.modeled_s));

@@ -47,9 +47,7 @@ TEST(EngineSpec, CanonicalStringsRoundTrip) {
            "sync/cpu-par/dense:calib=none,gemmth=0",
            // Doubles print with the fewest digits (at least 12) that
            // read back exactly.
-           "async/cpu-par/sparse:straggler=0.1234567890123@8",
-           // A delay bound without a probability is still an option.
-           "async/cpu-par/sparse:straggler=0@8",
+           "async/cluster/sparse:link=0.1234567890123us:10gbps",
        }) {
     EXPECT_EQ(format_spec(parse_spec(text)), text);
   }
@@ -102,7 +100,6 @@ TEST(EngineSpec, MalformedSpecsRejected) {
            "async/cluster/sparse:link=1e400us:10gbps",
            // Non-finite values would not survive the round trip.
            "async/cluster/sparse:link=infus:10gbps",
-           "async/cpu-par/sparse:straggler=nan",
            "async/cluster/sparse:link=nanus:10gbps",
            "sync/cpu+gpu/sparse",
            "sync/gpu/sparse:phi=0.5",
@@ -135,9 +132,8 @@ TEST(EngineSpec, SeededMutantsAreRejectedOrRoundTrip) {
       "sync/cpu-par/dense:calib=none,gemmth=0,det=off",
       "async/cpu-par/sparse:resilience=watchdog",
       "async/cpu-par/sparse:telemetry=metrics",
-      "async/cpu-par/sparse:faults=nan@120+crash@9,straggler=0.1@8,"
-      "drop=0.05",
-      "sync/cpu-seq/sparse:faults=flip@3:7:12+crash@5",
+      "async/cpu-par/sparse:faults=nan@120+crash@9",
+      "sync/cpu-seq/sparse:faults=inf@3+crash@5",
       "async/cluster/sparse:link=5us:40gbps,nodes=8,sync=ps",
       "sync/cluster/dense:faults=nodedown@2:1,link=1ms:500mbps",
   };

@@ -222,8 +222,8 @@ void expect_carry_transparent(const LinearModel& model,
                               const std::string& what) {
   SyncEngine carried(model, data, f.scale, opts);
   SyncEngine plain(reference, data, f.scale, opts);
-  carried.install_faults(faults, 9);
-  plain.install_faults(faults, 9);
+  carried.install_faults(faults);
+  plain.install_faults(faults);
   const Trajectory a = train(carried, model, data, f.w0, alpha, t);
   const Trajectory b = train(plain, reference, data, f.w0, alpha, t);
   EXPECT_EQ(a.initial_loss, b.initial_loss) << what;
@@ -309,22 +309,20 @@ TEST(EpochCarry, WatchdogRollbackClearsTheCarry) {
 }
 
 TEST(EpochCarry, FaultPlansRunWithoutACarry) {
-  // Flip and drop write w outside the epoch's update. The flip hits a
-  // coordinate the data touches, in its top mantissa bit so the run goes
-  // on without diverging: a stale carry would show in every later epoch.
+  // nan@K / inf@K poison w after the epoch's update, so after a carried
+  // loss pass: a staged loss would hide the corruption from the watchdog
+  // and the run would roll back one epoch late, or never.
   Fixture f("rcv1");
   const Carryless ref(std::make_unique<LogisticRegression>(f.ds.d()));
   TrainOptions t;
   t.max_epochs = 6;
-  FaultPlan flip = parse_spec("sync/cpu-par/sparse:faults=flip@2").faults;
-  flip.flip_coord = f.ds.x.row(0).idx[0];
-  flip.flip_bit = 22;
-  const FaultPlan drop = parse_spec("sync/cpu-par/sparse:drop=0.5").faults;
-  ASSERT_GT(drop.drop_prob, 0.0);
-  expect_carry_transparent(f.lr, ref, f.data, f, SyncEngineOptions{}, flip,
-                           real_t(2.0), t, "flip@2");
-  expect_carry_transparent(f.lr, ref, f.data, f, SyncEngineOptions{}, drop,
-                           real_t(2.0), t, "drop=0.5");
+  t.watchdog = true;
+  for (const char* plan : {"nan@2", "inf@3"}) {
+    const FaultPlan faults =
+        parse_spec(std::string("sync/cpu-par/sparse:faults=") + plan).faults;
+    expect_carry_transparent(f.lr, ref, f.data, f, SyncEngineOptions{},
+                             faults, real_t(2.0), t, plan);
+  }
 }
 
 TEST(EpochCarry, LossLayoutMismatchFallsBackToDatasetLoss) {

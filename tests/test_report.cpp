@@ -5,13 +5,16 @@
 // training trajectory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "data/generator.hpp"
 #include "models/linear.hpp"
 #include "report/json.hpp"
@@ -68,10 +71,9 @@ RunReport sample_report() {
   e.attribution.m_compute_s = 4.5;
   e.attribution.m_net_s = 0.9;
   e.attribution.m_stall_s = 0.3;
-  e.attribution.h_compute_s = 0.6;
+  e.attribution.h_compute_s = 0.7;
   e.attribution.h_queue_s = 0.15;
   e.attribution.h_ready_s = 0.05;
-  e.attribution.h_stall_s = 0.1;
   e.attribution.h_recovery_s = 0.02;
   e.attribution.h_checkpoint_s = 0.08;
   r.add_entry(e);
@@ -214,7 +216,7 @@ TEST(ReportJson, ResilienceSliceFromOlderWritersStillLoads) {
   text.insert(text.find('{', key) + 1,
               "\"deadline_misses\": 5, \"backup_wins\": 4, "
               "\"ladder_down\": 1, \"ladder_up\": 1, \"quarantined\": 3, "
-              "\"saved_straggle_us\": 1234.5, \"node_recoveries\": 1, "
+              "\"node_recoveries\": 1, "
               "\"final_level\": \"sequential\", ");
   std::istringstream is(text);
   const RunReport b = report::read_report(is);
@@ -302,6 +304,93 @@ TEST(ReportJson, RejectsForeignSchemaVersion) {
 TEST(ReportJson, RejectsMalformedDocument) {
   std::istringstream is("{\"schema_version\": 1, \"name\": ");
   EXPECT_THROW(report::read_report(is), CheckError);
+}
+
+/// `text` with the number after the first `"key": ` replaced by `value`.
+std::string forge(std::string text, const std::string& key,
+                  const std::string& value) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return text;
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = text.find_first_of(",\n}", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+TEST(ReportJson, ForgedNumbersThrowCheckErrorNamingTheKey) {
+  // Integer fields convert through a range check, and a number token that
+  // overflows a double is a parse error: a forged report throws, it never
+  // reaches an out-of-range cast.
+  const std::string text = dump(sample_report());
+  for (const auto& [key, value] : {
+           std::pair{"schema_version", "1.5"},
+           std::pair{"rows", "-1"},
+           std::pair{"threads", "1e10"},
+           std::pair{"seed", "2.5"},
+           std::pair{"nnz", "1e999"},
+           std::pair{"host_seconds", "-1e999"},
+           std::pair{"paper_rows", "18446744073709551616"},  // 2^64
+           std::pair{"count", "-3"},
+       }) {
+    std::istringstream is(forge(text, key, value));
+    try {
+      report::read_report(is);
+      ADD_FAILURE() << key << " = " << value << " loaded";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ReportJson, SeededMutantsReadOrThrowCheckError) {
+  // Seeded mutation run over read_report: byte flips, deletes,
+  // duplicates, truncations, and digit runs overwritten with -1, 1e999 or
+  // 2.5, of a written report. Every mutant either reads or throws
+  // CheckError with a message; anything else (another exception, a
+  // crash, a sanitizer report) is a reader bug.
+  const std::string text = dump(sample_report());
+  const char* const numbers[] = {"-1", "1e999", "2.5"};
+  Rng rng(0x4E9047);
+  std::size_t loaded = 0, rejected = 0;
+  constexpr int kMutants = 2400;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string bytes = text;
+    const int edits = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int k = 0; k < edits && !bytes.empty(); ++k) {
+      const std::size_t at = rng.uniform_index(bytes.size());
+      switch (rng.uniform_index(5)) {
+        case 0:  // flip one bit
+          bytes[at] = static_cast<char>(
+              bytes[at] ^ (1 << rng.uniform_index(8)));
+          break;
+        case 1: bytes.erase(at, 1); break;
+        case 2: bytes.insert(at, 1, bytes[at]); break;
+        case 3: bytes.resize(at); break;
+        default: {  // the next digit run
+          const std::size_t begin = bytes.find_first_of("0123456789", at);
+          if (begin == std::string::npos) break;
+          const std::size_t end = std::min(
+              bytes.find_first_not_of("0123456789.eE+-", begin),
+              bytes.size());
+          bytes.replace(begin, end - begin, numbers[rng.uniform_index(3)]);
+        }
+      }
+    }
+    std::istringstream is(bytes);
+    try {
+      report::read_report(is);
+      ++loaded;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()), "") << "mutant " << m;
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(loaded + rejected, static_cast<std::size_t>(kMutants));
+  // Both outcomes occur: a flipped digit in a double field still reads.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ReportJson, EmitWritesLoadableFile) {
@@ -473,16 +562,29 @@ TEST(ReportAttribution, SliceRoundTripsAndAbsenceStaysEmpty) {
   EXPECT_EQ(a.m_compute_s, 4.5);
   EXPECT_EQ(a.m_net_s, 0.9);
   EXPECT_EQ(a.m_stall_s, 0.3);
-  EXPECT_EQ(a.h_compute_s, 0.6);
+  EXPECT_EQ(a.h_compute_s, 0.7);
   EXPECT_EQ(a.h_queue_s, 0.15);
   EXPECT_EQ(a.h_ready_s, 0.05);
-  EXPECT_EQ(a.h_stall_s, 0.1);
   EXPECT_EQ(a.h_recovery_s, 0.02);
   EXPECT_EQ(a.h_checkpoint_s, 0.08);
   EXPECT_NEAR(a.modeled_total(), 5.7, 1e-12);
   EXPECT_NEAR(a.host_total(), 1.0, 1e-12);
   // The unreached entry carries no ledger; the slice stays absent.
   EXPECT_FALSE(back.entries[1].attribution.any());
+}
+
+TEST(ReportAttribution, HostStallFromOlderWritersIsIgnored) {
+  // Reports written while the host split had an injected-delay bucket
+  // carry host.stall_s; it loads and is dropped (additive-field policy).
+  const RunReport a = sample_report();
+  std::string text = dump(a);
+  const std::size_t host = text.find("\"host\"");
+  ASSERT_NE(host, std::string::npos);
+  text.insert(text.find('{', host) + 1, "\"stall_s\": 0.1, ");
+  std::istringstream is(text);
+  const RunReport b = report::read_report(is);
+  EXPECT_NEAR(b.entries[0].attribution.host_total(), 1.0, 1e-12);
+  EXPECT_EQ(dump(b), dump(a));
 }
 
 TEST(ReportAttribution, CompareIgnoresSliceEntirely) {
@@ -540,8 +642,8 @@ TEST(ReportAttribution, DiffUnavailableWithoutLedger) {
 }
 
 TEST(ReportAttribution, NotesExplainInjectedStallRegression) {
-  // An injected-straggler slowdown: sec/epoch regresses 20% and the
-  // current ledger's stall bucket carries the growth. --attribute must
+  // A cluster stall slowdown: sec/epoch regresses 20% and the current
+  // ledger's modeled stall bucket carries the growth. --attribute must
   // name 'stall' as the dominant bucket in the note for that label.
   const RunReport base = sample_report();
   RunReport cur = sample_report();

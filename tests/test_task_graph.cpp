@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -48,26 +46,22 @@ TEST(TaskGraph, SingleTaskRuns) {
   EXPECT_EQ(g.pending(), 0u);
 }
 
-TEST(TaskGraph, SingleTaskRunsOnCallerWithHookTelemetryAndRethrow) {
+TEST(TaskGraph, SingleTaskRunsOnCallerWithTelemetryAndRethrow) {
   // A one-task graph has nothing to overlap: it runs on the calling
-  // thread without waking the pool, but keeps the hook, the counters and
-  // exception propagation of a full run.
+  // thread without waking the pool, but keeps the counters and exception
+  // propagation of a full run.
   ThreadPool pool(4);
   telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
   TaskGraph g(pool, &session);
-  std::vector<std::size_t> hooked;
-  g.set_task_hook([&](std::size_t id) { hooked.push_back(id); });
   std::thread::id ran_on;
   g.add([&] { ran_on = std::this_thread::get_id(); });
   g.run();
   EXPECT_EQ(ran_on, std::this_thread::get_id());
-  EXPECT_EQ(hooked, std::vector<std::size_t>{0});
   EXPECT_EQ(session.metrics().counter("graph.runs").value(), 1.0);
   EXPECT_EQ(session.metrics().counter("graph.tasks").value(), 1.0);
 
   g.add([] { throw std::runtime_error("sole task"); });
   EXPECT_THROW(g.run(), std::runtime_error);
-  EXPECT_EQ(hooked.size(), 2u);
   EXPECT_EQ(session.metrics().counter("graph.runs").value(), 2.0);
   EXPECT_EQ(session.metrics().counter("graph.tasks").value(), 2.0);
   // Still reusable after the rethrow.
@@ -192,26 +186,6 @@ TEST(TaskGraph, ReuseAcrossManyRuns) {
     ASSERT_EQ(sum.load(), 40);
     ASSERT_EQ(g.pending(), 0u);
   }
-}
-
-TEST(TaskGraph, TaskHookSeesEveryTaskId) {
-  ThreadPool pool(4);
-  TaskGraph g(pool);
-  std::mutex m;
-  std::set<std::size_t> seen;
-  g.set_task_hook([&](std::size_t id) {
-    std::lock_guard<std::mutex> lock(m);
-    seen.insert(id);
-  });
-  constexpr std::size_t kTasks = 40;
-  TaskGraph::TaskId prev = TaskGraph::kNoTask;
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    prev = g.add([] {}, {prev});
-  }
-  g.run();
-  EXPECT_EQ(seen.size(), kTasks);
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), kTasks - 1);
 }
 
 TEST(TaskGraph, TelemetryCountsRunsAndTasks) {

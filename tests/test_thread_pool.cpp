@@ -271,23 +271,22 @@ TEST(ThreadPool, NoWorkersPoolRunOnAllWithCallerRunsOnlyTheCaller) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, NoWorkersPoolTakesChunkHookAndTelemetry) {
-  // The live-job CHECKs of set_chunk_hook / set_telemetry pass between
-  // jobs, and both seams see every chunk, drained by the caller.
+TEST(ThreadPool, NoWorkersPoolTakesTelemetry) {
+  // The live-job CHECK of set_telemetry passes between jobs, and the
+  // telemetry sees every chunk of the one-worker grid, all drained by
+  // the caller.
   ThreadPool pool{ThreadPool::NoWorkers{}};
   const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::size_t> hooked;
-  pool.set_chunk_hook([&](std::size_t c) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    hooked.push_back(c);
-  });
+  std::vector<std::size_t> starts;
   telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
   {
     PoolTelemetryGuard guard(pool, &session);
-    pool.parallel_for(50, [](std::size_t, std::size_t) {});
+    pool.parallel_for(50, [&](std::size_t lo, std::size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      starts.push_back(lo);
+    });
   }
-  pool.set_chunk_hook(nullptr);
-  EXPECT_EQ(hooked, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(starts.size(), 4u);
   EXPECT_EQ(session.metrics().counter("pool.jobs").value(), 1.0);
   EXPECT_EQ(session.metrics().counter("pool.chunks").value(), 4.0);
   EXPECT_EQ(session.metrics().counter("pool.wakeups").value(), 0.0);
