@@ -497,6 +497,55 @@ void BM_KernelGemmTile(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGemmTile)->Arg(0)->Arg(1)->Arg(2);
 
+// The MLP input layer's block kernels at the 300-input net's shape. A
+// call handles one block of `lanes` examples, so items are example x
+// weight products: items/s compares across variants.
+constexpr std::size_t kMlpIn = 300;    ///< block_gemm/block_ger features
+constexpr std::size_t kMlpUnits = 10;  ///< block_gemm/block_ger units
+
+void BM_KernelBlockGemm(benchmark::State& state) {
+  const kernel::Kernels* kn = variant_or_null(static_cast<int>(state.range(0)));
+  if (kn == nullptr) {
+    state.SkipWithError("variant not available on this host/toolchain");
+    return;
+  }
+  Rng rng(18);
+  const std::vector<real_t> xt = random_vec(kMlpIn * kn->lanes, rng);
+  const std::vector<real_t> w = random_vec(kMlpIn * kMlpUnits, rng);
+  std::vector<double> acc(kMlpUnits * kn->lanes, 0.0);
+  for (auto _ : state) {
+    kn->block_gemm(xt.data(), w.data(), kMlpUnits, acc.data(), kMlpIn,
+                   kMlpUnits);
+    benchmark::DoNotOptimize(acc.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kMlpIn * kMlpUnits *
+                                                    kn->lanes));
+}
+BENCHMARK(BM_KernelBlockGemm)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_KernelBlockGer(benchmark::State& state) {
+  const kernel::Kernels* kn = variant_or_null(static_cast<int>(state.range(0)));
+  if (kn == nullptr) {
+    state.SkipWithError("variant not available on this host/toolchain");
+    return;
+  }
+  Rng rng(19);
+  const std::vector<real_t> x = random_vec(kn->lanes * kMlpIn, rng);
+  std::vector<double> delta(kMlpUnits * kn->lanes);
+  for (double& v : delta) v = rng.normal();
+  std::vector<double> g(kMlpUnits * kMlpIn, 0.0);
+  for (auto _ : state) {
+    kn->block_ger(x.data(), kMlpIn, kn->lanes, delta.data(), g.data(),
+                  kMlpIn, kMlpIn, kMlpUnits);
+    benchmark::DoNotOptimize(g.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kMlpIn * kMlpUnits *
+                                                    kn->lanes));
+}
+BENCHMARK(BM_KernelBlockGer)->Arg(0)->Arg(1)->Arg(2);
+
 void BM_KernelGemvTBand(benchmark::State& state) {
   const kernel::Kernels* kn = variant_or_null(static_cast<int>(state.range(0)));
   if (kn == nullptr) {

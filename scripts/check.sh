@@ -126,7 +126,10 @@ rm -rf "$obs_tmp"
 # suite joins it for the checkpoint loader's seeded mutation run: corrupt
 # files through every count and payload read. The report suite joins it
 # for the report reader's seeded mutation run: forged and corrupt JSON
-# through the parser and every checked integer conversion.
+# through the parser and every checked integer conversion. The model
+# suite joins both lanes for the blocked MLP driver: its block tails and
+# strided row pointers run here, and its loss blocks run on pool workers
+# with thread-local scratch under TSan.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
@@ -134,7 +137,8 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
     --target test_attribution --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication \
     --target test_linalg --target test_engine_spec --target test_io \
-    --target test_engines --target test_faults --target test_report
+    --target test_engines --target test_faults --target test_report \
+    --target test_models
 "$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_engine_spec"
 "$ASAN_BUILD_DIR/tests/test_io"
@@ -149,6 +153,7 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 "$ASAN_BUILD_DIR/tests/test_asyncsim"
 "$ASAN_BUILD_DIR/tests/test_gpusim"
 "$ASAN_BUILD_DIR/tests/test_replication"
+"$ASAN_BUILD_DIR/tests/test_models"
 
 # The executor's concurrency (work-stealing deques, park/wake protocol,
 # atomic in-degree release) under ThreadSanitizer, plus the fault
@@ -156,13 +161,14 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 # pool workers.
 # The engine suite joins it: concurrent step search runs whole training
 # runs at once over one shared Model/TrainData, each on a private
-# executor with its metric log.
+# executor with its metric log. The model suite joins it for the MLP
+# loss pass, whose blocks run on pool workers with thread-local scratch.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
     --target test_faults --target test_clustersim \
     --target test_attribution --target test_telemetry --target test_engines \
-    --target test_linalg
+    --target test_linalg --target test_models
 "$TSAN_BUILD_DIR/tests/test_linalg"
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
@@ -171,6 +177,7 @@ cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread
 "$TSAN_BUILD_DIR/tests/test_attribution"
 "$TSAN_BUILD_DIR/tests/test_telemetry"
 "$TSAN_BUILD_DIR/tests/test_engines"
+"$TSAN_BUILD_DIR/tests/test_models"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -183,5 +190,7 @@ echo "check.sh: tier-1 (simd + scalar) + fault lane (watchdog nan@3," \
      "+ cluster smoke + observability lane (overhead gate, --attribute)" \
      "+ ASan linalg/kernels/graph/cluster/attribution/telemetry" \
      "/asyncsim/gpusim/replication/engine-spec/io/engines/faults/report" \
+     "/models" \
      "+ TSan linalg/graph/pool/faults/cluster/attribution/telemetry/engines" \
+     "/models" \
      "+ regression smoke OK"

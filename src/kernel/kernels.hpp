@@ -2,21 +2,25 @@
 //
 // The dense inner kernels of the CPU backend — dot, axpy, scale, the GEMM
 // micro-tile, transposed-gemv column bands and the CSR spmv row product —
-// exist in three flavors: baseline scalar (portable, the seed arithmetic),
-// AVX2+FMA, and AVX-512F. Each flavor lives in its own translation unit
-// compiled with exactly the `-m` flags it needs (no global arch flags), so
-// one binary carries all variants and selects once at startup by CPUID
-// feature detection. `CpuBackend` routes every hot path through the table
-// returned by `active_kernels()`.
+// and the two inner loops of the blocked MLP step (the examples-in-lanes
+// block GEMM and the block outer-product gradient) exist in three
+// flavors: baseline scalar (portable, the seed arithmetic), AVX2+FMA, and
+// AVX-512F. Each flavor lives in its own translation unit compiled with
+// exactly the `-m` flags it needs (no global arch flags), so one binary
+// carries all variants and selects once at startup by CPUID feature
+// detection. `CpuBackend` routes every hot path through the table
+// returned by `active_kernels()`; `Mlp` runs its blocks through it.
 //
 // Determinism contract (the `det=` spec key):
 //  * Elementwise and per-output-element kernels (axpy, scale, gemv_t_band,
-//    gemm_tile) are **bit-identical across all variants** by construction:
-//    axpy/scale/gemv_t_band vectorize with separate mul+add (never fused,
-//    the SIMD TUs build with -ffp-contract=off), and gemm_tile accumulates
-//    float products in double — a float*float product is exact in double,
-//    so per-element FMA and mul+add round identically and the k-order is
-//    unchanged. Every variant reproduces the scalar result bit for bit.
+//    gemm_tile, block_gemm, block_ger) are **bit-identical across all
+//    variants** by construction: axpy/scale/gemv_t_band/block_ger
+//    vectorize with separate mul+add (never fused, the SIMD TUs build with
+//    -ffp-contract=off), and gemm_tile/block_gemm accumulate float
+//    products in double — a float*float product is exact in double, so
+//    per-element FMA and mul+add round identically and the k-order is
+//    unchanged. Every variant reproduces the scalar arithmetic bit for
+//    bit.
 //  * Reduction kernels (dot, spmv_row) change the combine order when
 //    vectorized: lane-wise partial accumulators are merged in a fixed,
 //    documented order that depends only on the length (accumulator 0+1,
@@ -42,7 +46,8 @@ const char* to_string(KernelVariant v);
 struct Kernels {
   KernelVariant variant;
   /// Float lanes per vector register (1 / 8 / 16) — the unit the
-  /// equivalence tests build their awkward-shape grids from.
+  /// equivalence tests build their awkward-shape grids from, and the
+  /// example block of block_gemm / block_ger.
   std::size_t lanes;
 
   /// sum_i (double)x[i] * (double)y[i]. Reduction kernel: vector variants
@@ -72,6 +77,25 @@ struct Kernels {
   /// Reduction kernel (vector variants gather + lane partials).
   double (*spmv_row)(const real_t* val, const index_t* idx, std::size_t nnz,
                      const real_t* x);
+
+  /// Examples-in-lanes block GEMM (the MLP input layer over a block of
+  /// `lanes` examples): acc[j*lanes + b] += (double)xt[p*lanes + b] *
+  /// (double)w[p*ldw + j] for p in [0,k), j in [0,n), b in [0,lanes),
+  /// folding p in increasing order per (j, b). `xt` is the block
+  /// transposed (feature-major). Bit-identical across variants (exact
+  /// double products, same p-order: the gemm_tile argument).
+  void (*block_gemm)(const real_t* xt, const real_t* w, std::size_t ldw,
+                     double* acc, std::size_t k, std::size_t n);
+
+  /// Block outer-product gradient (the MLP input layer's weight gradient):
+  /// g[j*ldg + p] += (double)x[b*ldx + p] * delta[j*lanes + b] for
+  /// j in [0,n), p in [0,k), folding the examples b in [0,nb) in
+  /// increasing order per entry; nb <= lanes. The products are not exact,
+  /// so every variant does a separate mul and add per lane: bit-identical
+  /// across variants.
+  void (*block_ger)(const real_t* x, std::size_t ldx, std::size_t nb,
+                    const double* delta, double* g, std::size_t ldg,
+                    std::size_t k, std::size_t n);
 };
 
 /// CPUID-detected host features relevant to the dispatch decision.

@@ -14,11 +14,20 @@
 //  * gemm_tile broadcasts (double)a[p] and FMAs over double-widened B
 //    lanes; float products are exact in double, so the single rounding of
 //    the FMA equals the scalar add's rounding — bit-identical.
+//  * block_gemm holds a tile of up to kUnitTile output units x 8 example
+//    lanes in registers (two 4-lane double accumulators per unit) and FMAs
+//    the widened input lanes against a broadcast weight — exact products,
+//    as in gemm_tile. block_ger keeps a tile of gradient rows x 4 features
+//    in registers and folds the examples with separate mul + add.
 #include "kernel/kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <array>
+#include <utility>
 
 namespace parsgd::kernel {
 namespace {
@@ -122,10 +131,115 @@ double spmv_row_avx2(const real_t* val, const index_t* idx, std::size_t nnz,
   return acc;
 }
 
+constexpr std::size_t kLanes = 8;
+/// Output units per register tile: 2 accumulators per unit plus the two
+/// widened input halves and a broadcast fit the 16 ymm registers.
+constexpr std::size_t kUnitTile = 6;
+
+template <std::size_t T>
+void block_gemm_tile(const real_t* xt, const real_t* w, std::size_t ldw,
+                     double* acc, std::size_t k) {
+  __m256d lo[T], hi[T];
+#pragma GCC unroll 16
+  for (std::size_t t = 0; t < T; ++t) {
+    lo[t] = _mm256_loadu_pd(acc + t * kLanes);
+    hi[t] = _mm256_loadu_pd(acc + t * kLanes + 4);
+  }
+  for (std::size_t p = 0; p < k; ++p, xt += kLanes, w += ldw) {
+    const __m256 xv = _mm256_loadu_ps(xt);
+    const __m256d x0 = widen_lo(xv);
+    const __m256d x1 = widen_hi(xv);
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < T; ++t) {
+      const __m256d wv = _mm256_set1_pd(static_cast<double>(w[t]));
+      lo[t] = _mm256_fmadd_pd(x0, wv, lo[t]);
+      hi[t] = _mm256_fmadd_pd(x1, wv, hi[t]);
+    }
+  }
+#pragma GCC unroll 16
+  for (std::size_t t = 0; t < T; ++t) {
+    _mm256_storeu_pd(acc + t * kLanes, lo[t]);
+    _mm256_storeu_pd(acc + t * kLanes + 4, hi[t]);
+  }
+}
+
+template <std::size_t T>
+void block_ger_tile(const real_t* x, std::size_t ldx, std::size_t nb,
+                    const double* delta, double* g, std::size_t ldg,
+                    std::size_t k) {
+  std::size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    __m256d acc[T];
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < T; ++t) {
+      acc[t] = _mm256_loadu_pd(g + t * ldg + p);
+    }
+    const real_t* xb = x + p;
+    for (std::size_t b = 0; b < nb; ++b, xb += ldx) {
+      const __m256d xv = _mm256_cvtps_pd(_mm_loadu_ps(xb));
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < T; ++t) {
+        const __m256d dv = _mm256_set1_pd(delta[t * kLanes + b]);
+        acc[t] = _mm256_add_pd(acc[t], _mm256_mul_pd(xv, dv));
+      }
+    }
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < T; ++t) {
+      _mm256_storeu_pd(g + t * ldg + p, acc[t]);
+    }
+  }
+  for (; p < k; ++p) {
+    for (std::size_t t = 0; t < T; ++t) {
+      double a = g[t * ldg + p];
+      for (std::size_t b = 0; b < nb; ++b) {
+        a += static_cast<double>(x[b * ldx + p]) * delta[t * kLanes + b];
+      }
+      g[t * ldg + p] = a;
+    }
+  }
+}
+
+using GemmTileFn = void (*)(const real_t*, const real_t*, std::size_t,
+                            double*, std::size_t);
+using GerTileFn = void (*)(const real_t*, std::size_t, std::size_t,
+                           const double*, double*, std::size_t, std::size_t);
+
+/// Tile kernels for widths 1..kUnitTile, indexed by width - 1.
+template <std::size_t... I>
+constexpr std::array<GemmTileFn, sizeof...(I)> gemm_tiles(
+    std::index_sequence<I...>) {
+  return {&block_gemm_tile<I + 1>...};
+}
+template <std::size_t... I>
+constexpr std::array<GerTileFn, sizeof...(I)> ger_tiles(
+    std::index_sequence<I...>) {
+  return {&block_ger_tile<I + 1>...};
+}
+constexpr auto kGemmTiles = gemm_tiles(std::make_index_sequence<kUnitTile>{});
+constexpr auto kGerTiles = ger_tiles(std::make_index_sequence<kUnitTile>{});
+
+void block_gemm_avx2(const real_t* xt, const real_t* w, std::size_t ldw,
+                     double* acc, std::size_t k, std::size_t n) {
+  for (std::size_t j = 0; j < n; j += kUnitTile) {
+    kGemmTiles[std::min(kUnitTile, n - j) - 1](xt, w + j, ldw,
+                                               acc + j * kLanes, k);
+  }
+}
+
+void block_ger_avx2(const real_t* x, std::size_t ldx, std::size_t nb,
+                    const double* delta, double* g, std::size_t ldg,
+                    std::size_t k, std::size_t n) {
+  for (std::size_t j = 0; j < n; j += kUnitTile) {
+    kGerTiles[std::min(kUnitTile, n - j) - 1](x, ldx, nb, delta + j * kLanes,
+                                              g + j * ldg, ldg, k);
+  }
+}
+
 constexpr Kernels kAvx2Table = {
-    KernelVariant::kAvx2, 8,          dot_avx2,
+    KernelVariant::kAvx2, kLanes,     dot_avx2,
     axpy_avx2,            scale_avx2, gemm_tile_avx2,
-    gemv_t_band_avx2,     spmv_row_avx2,
+    gemv_t_band_avx2,     spmv_row_avx2, block_gemm_avx2,
+    block_ger_avx2,
 };
 
 }  // namespace

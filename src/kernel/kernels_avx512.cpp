@@ -8,12 +8,19 @@
 // Same accumulation strategy as AVX2 (see that TU), at twice the width:
 // dot / spmv_row keep two 8-lane double partials combined acc0+acc1 then
 // lanes low→high; axpy / scale / gemv_t_band stay mul+add in float;
-// gemm_tile FMAs exact double-widened products.
+// gemm_tile FMAs exact double-widened products. block_gemm holds up to
+// kUnitTile output units x 16 example lanes in registers; block_ger folds
+// 8 features per register with separate mul + add, the feature tail
+// through masked loads and stores.
 #include "kernel/kernels.hpp"
 
 #if defined(__AVX512F__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <array>
+#include <utility>
 
 namespace parsgd::kernel {
 namespace {
@@ -117,10 +124,108 @@ double spmv_row_avx512(const real_t* val, const index_t* idx,
   return acc;
 }
 
+constexpr std::size_t kLanes = 16;
+/// Output units per register tile: 2 accumulators per unit plus the two
+/// widened input halves and a broadcast stay within the 32 zmm registers.
+constexpr std::size_t kUnitTile = 12;
+
+template <std::size_t T>
+void block_gemm_tile(const real_t* xt, const real_t* w, std::size_t ldw,
+                     double* acc, std::size_t k) {
+  __m512d lo[T], hi[T];
+#pragma GCC unroll 16
+  for (std::size_t t = 0; t < T; ++t) {
+    lo[t] = _mm512_loadu_pd(acc + t * kLanes);
+    hi[t] = _mm512_loadu_pd(acc + t * kLanes + 8);
+  }
+  for (std::size_t p = 0; p < k; ++p, xt += kLanes, w += ldw) {
+    const __m512 xv = _mm512_loadu_ps(xt);
+    const __m512d x0 = _mm512_cvtps_pd(lo256(xv));
+    const __m512d x1 = _mm512_cvtps_pd(hi256(xv));
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < T; ++t) {
+      const __m512d wv = _mm512_set1_pd(static_cast<double>(w[t]));
+      lo[t] = _mm512_fmadd_pd(x0, wv, lo[t]);
+      hi[t] = _mm512_fmadd_pd(x1, wv, hi[t]);
+    }
+  }
+#pragma GCC unroll 16
+  for (std::size_t t = 0; t < T; ++t) {
+    _mm512_storeu_pd(acc + t * kLanes, lo[t]);
+    _mm512_storeu_pd(acc + t * kLanes + 8, hi[t]);
+  }
+}
+
+template <std::size_t T>
+void block_ger_tile(const real_t* x, std::size_t ldx, std::size_t nb,
+                    const double* delta, double* g, std::size_t ldg,
+                    std::size_t k) {
+  for (std::size_t p = 0; p < k; p += 8) {
+    const std::size_t rem = std::min<std::size_t>(8, k - p);
+    const auto m = static_cast<__mmask8>((1u << rem) - 1);
+    __m512d acc[T];
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < T; ++t) {
+      acc[t] = _mm512_maskz_loadu_pd(m, g + t * ldg + p);
+    }
+    const real_t* xb = x + p;
+    for (std::size_t b = 0; b < nb; ++b, xb += ldx) {
+      const __m512d xv =
+          _mm512_cvtps_pd(lo256(_mm512_maskz_loadu_ps(m, xb)));
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < T; ++t) {
+        const __m512d dv = _mm512_set1_pd(delta[t * kLanes + b]);
+        acc[t] = _mm512_add_pd(acc[t], _mm512_mul_pd(xv, dv));
+      }
+    }
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < T; ++t) {
+      _mm512_mask_storeu_pd(g + t * ldg + p, m, acc[t]);
+    }
+  }
+}
+
+using GemmTileFn = void (*)(const real_t*, const real_t*, std::size_t,
+                            double*, std::size_t);
+using GerTileFn = void (*)(const real_t*, std::size_t, std::size_t,
+                           const double*, double*, std::size_t, std::size_t);
+
+/// Tile kernels for widths 1..kUnitTile, indexed by width - 1.
+template <std::size_t... I>
+constexpr std::array<GemmTileFn, sizeof...(I)> gemm_tiles(
+    std::index_sequence<I...>) {
+  return {&block_gemm_tile<I + 1>...};
+}
+template <std::size_t... I>
+constexpr std::array<GerTileFn, sizeof...(I)> ger_tiles(
+    std::index_sequence<I...>) {
+  return {&block_ger_tile<I + 1>...};
+}
+constexpr auto kGemmTiles = gemm_tiles(std::make_index_sequence<kUnitTile>{});
+constexpr auto kGerTiles = ger_tiles(std::make_index_sequence<kUnitTile>{});
+
+void block_gemm_avx512(const real_t* xt, const real_t* w, std::size_t ldw,
+                       double* acc, std::size_t k, std::size_t n) {
+  for (std::size_t j = 0; j < n; j += kUnitTile) {
+    kGemmTiles[std::min(kUnitTile, n - j) - 1](xt, w + j, ldw,
+                                               acc + j * kLanes, k);
+  }
+}
+
+void block_ger_avx512(const real_t* x, std::size_t ldx, std::size_t nb,
+                      const double* delta, double* g, std::size_t ldg,
+                      std::size_t k, std::size_t n) {
+  for (std::size_t j = 0; j < n; j += kUnitTile) {
+    kGerTiles[std::min(kUnitTile, n - j) - 1](
+        x, ldx, nb, delta + j * kLanes, g + j * ldg, ldg, k);
+  }
+}
+
 constexpr Kernels kAvx512Table = {
-    KernelVariant::kAvx512, 16,           dot_avx512,
+    KernelVariant::kAvx512, kLanes,       dot_avx512,
     axpy_avx512,            scale_avx512, gemm_tile_avx512,
-    gemv_t_band_avx512,     spmv_row_avx512,
+    gemv_t_band_avx512,     spmv_row_avx512, block_gemm_avx512,
+    block_ger_avx512,
 };
 
 }  // namespace

@@ -51,10 +51,27 @@ double spmv_row_scalar(const real_t* val, const index_t* idx,
   return acc;
 }
 
+// One lane: the block holds at most one example, and delta[j] is its
+// j-th entry.
+void block_ger_scalar(const real_t* x, std::size_t /*ldx*/, std::size_t nb,
+                      const double* delta, double* g, std::size_t ldg,
+                      std::size_t k, std::size_t n) {
+  if (nb == 0) return;
+  for (std::size_t j = 0; j < n; ++j, g += ldg) {
+    const double dj = delta[j];
+    for (std::size_t p = 0; p < k; ++p) {
+      g[p] += static_cast<double>(x[p]) * dj;
+    }
+  }
+}
+
+// With one lane the block GEMM is the GEMM micro-tile over the block's
+// single example, so gemm_tile_scalar fills both slots.
 constexpr Kernels kScalarTable = {
     KernelVariant::kScalar, 1,           dot_scalar,
     axpy_scalar,            scale_scalar, gemm_tile_scalar,
-    gemv_t_band_scalar,     spmv_row_scalar,
+    gemv_t_band_scalar,     spmv_row_scalar, gemm_tile_scalar,
+    block_ger_scalar,
 };
 
 }  // namespace

@@ -219,10 +219,13 @@ double LinearModel::sync_epoch(linalg::Backend& backend,
     // coefficients. At det=on the scalar forward kernels do ExampleView::
     // dot's arithmetic, so float(z) is the forward pass's output bit for
     // bit.
-    carry->loss = sum_examples(n, pool, [&](std::size_t i) {
-      return loss_and_coefficient(data.example(i, dense).dot(w), data.y[i],
-                                  coef[i]);
-    });
+    carry->loss = sum_examples(
+        n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            out[i - lo] = loss_and_coefficient(data.example(i, dense).dot(w),
+                                               data.y[i], coef[i]);
+          }
+        });
     carry->coef = std::move(coef);
     carry->sparse = dense ? nullptr : data.sparse;
     carry->dense = dense ? data.dense : nullptr;

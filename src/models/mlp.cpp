@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "kernel/kernels.hpp"
 
 namespace parsgd {
 
@@ -64,112 +65,251 @@ std::vector<real_t> Mlp::init_params(std::uint64_t seed) const {
   return w;
 }
 
-void Mlp::forward(const ExampleView& x, std::span<const real_t> w,
-                  std::vector<std::vector<double>>& acts) const {
-  const std::size_t L = num_layers();
-  acts.resize(L + 1);
-  // First layer: handles sparse input without densifying.
-  {
-    const std::size_t out = sizes_[1];
-    auto& z = acts[1];
-    z.assign(out, 0.0);
-    const real_t* W = w.data() + w_off_[0];
-    x.for_each([&](index_t i, real_t v) {
-      const real_t* row = W + static_cast<std::size_t>(i) * out;
-      for (std::size_t j = 0; j < out; ++j) z[j] += static_cast<double>(v) * row[j];
-    });
-    const real_t* b = w.data() + b_off_[0];
-    for (std::size_t j = 0; j < out; ++j) {
-      z[j] += b[j];
-      if (L > 1) z[j] = activate(activation_, z[j]);  // hidden layer
+namespace {
+
+/// Per-thread buffers of the blocked driver. Layer buffers are unit-major
+/// with one lane per example: entry (unit j, example b) sits at
+/// j * lanes + b.
+struct BlockScratch {
+  std::vector<real_t> rows;  ///< [lanes][d] sparse rows folded dense
+  std::vector<real_t> xt;    ///< [d][lanes] the block, feature-major
+  std::vector<std::vector<double>> acts;  ///< acts[k]: [s_k][lanes], k >= 1
+  std::vector<double> delta, next;        ///< [s_k][lanes]
+  std::vector<double> grad;   ///< dim() entries: one batch's gradient
+  std::vector<double> grad0;  ///< [s_1][d]: the input layer's weights
+};
+
+thread_local BlockScratch tls_scratch;
+
+/// A block of nb <= lanes examples: row b at x + b * ldx, label y[b].
+struct Block {
+  const real_t* x;
+  std::size_t ldx;
+  std::size_t nb;
+  const real_t* y;
+};
+
+/// Folds sparse rows into the dense [nb][d] block buffer (CSR columns
+/// are distinct, so each nonzero lands in its own slot).
+template <class RowOf>
+const real_t* fold_rows(std::size_t nb, std::size_t d, RowOf&& row_of) {
+  std::vector<real_t>& rows = tls_scratch.rows;
+  rows.assign(nb * d, real_t(0));
+  for (std::size_t b = 0; b < nb; ++b) {
+    const SparseRowView r = row_of(b);
+    for (std::size_t k = 0; k < r.nnz(); ++k) {
+      rows[b * d + r.idx[k]] = r.val[k];
     }
   }
-  for (std::size_t k = 1; k < L; ++k) {
-    const std::size_t in = sizes_[k], out = sizes_[k + 1];
-    auto& z = acts[k + 1];
-    z.assign(out, 0.0);
-    const real_t* W = w.data() + w_off_[k];
-    const real_t* b = w.data() + b_off_[k];
-    for (std::size_t i = 0; i < in; ++i) {
-      const double a = acts[k][i];
-      const real_t* row = W + i * out;
-      for (std::size_t j = 0; j < out; ++j) z[j] += a * row[j];
-    }
-    for (std::size_t j = 0; j < out; ++j) {
-      z[j] += b[j];
-      if (k + 1 < L) z[j] = activate(activation_, z[j]);
+  return rows.data();
+}
+
+Block stage(const TrainData& data, std::size_t i, std::size_t nb,
+            bool prefer_dense) {
+  const std::size_t d = data.d();
+  const real_t* y = data.y.data() + i;
+  if (prefer_dense && data.has_dense()) {
+    return {data.dense->row(i).data(), d, nb, y};
+  }
+  const real_t* rows =
+      fold_rows(nb, d, [&](std::size_t b) { return data.sparse->row(i + b); });
+  return {rows, d, nb, y};
+}
+
+Block stage(const ExampleView& x, std::size_t d, const real_t& y) {
+  if (x.is_dense()) {
+    PARSGD_CHECK(x.dense_features().size() == d,
+                 "input width " << x.dense_features().size() << " != " << d);
+    return {x.dense_features().data(), d, 1, &y};
+  }
+  // CSR rows are sorted: the last index is the widest.
+  const SparseRowView& r = x.sparse_features();
+  PARSGD_CHECK(r.nnz() == 0 || r.idx.back() < d,
+               "feature " << r.idx.back() << " past input width " << d);
+  return {fold_rows(1, d, [&](std::size_t) { return r; }), d, 1, &y};
+}
+
+/// z[j][b] += bias[j], then the hidden activation, for lanes b < nb.
+void finish_layer(double* z, const real_t* bias, std::size_t out,
+                  std::size_t lanes, std::size_t nb, bool hidden,
+                  Activation act) {
+  for (std::size_t j = 0; j < out; ++j) {
+    double* zj = z + j * lanes;
+    for (std::size_t b = 0; b < nb; ++b) {
+      zj[b] += bias[j];
+      if (hidden) zj[b] = activate(act, zj[b]);
     }
   }
 }
 
-double Mlp::example_backprop(const ExampleView& x, real_t y,
-                             std::span<const real_t> w,
-                             std::vector<double>* grad) const {
-  const std::size_t L = num_layers();
-  thread_local std::vector<std::vector<double>> acts;
-  forward(x, w, acts);
+void check_width(const Mlp& m, std::size_t d) {
+  PARSGD_CHECK(d == m.layers()[0],
+               "input width " << d << " != " << m.layers()[0]);
+}
 
-  // Softmax cross-entropy on the 2 logits.
-  const double a = acts[L][0], b2 = acts[L][1];
-  const double mx = std::max(a, b2);
-  const double ea = std::exp(a - mx), eb = std::exp(b2 - mx);
-  const double p1 = eb / (ea + eb);
-  const int cls = y > 0 ? 1 : 0;
-  const double loss = -std::log(std::max(1e-12, cls == 1 ? p1 : 1.0 - p1));
-  if (grad == nullptr) return loss;
+// Every accumulation keeps the per-example order of a one-example-at-a-
+// time forward/backprop: per (example, unit) the input sum runs in
+// increasing feature order then adds the bias, and every gradient entry
+// folds the examples in index order. Lanes never mix, so the block size
+// changes no bit (DESIGN.md §14).
+void run_block(const Mlp& m, const kernel::Kernels& kn, const Block& blk,
+               std::span<const real_t> w, double* loss, double* grad,
+               double* grad0) {
+  BlockScratch& s = tls_scratch;
+  const std::vector<std::size_t>& sizes = m.layers();
+  const std::size_t L = m.num_layers(), lanes = kn.lanes, nb = blk.nb;
+  const std::size_t d = sizes[0];
 
-  // delta at output: softmax - onehot
-  std::vector<double> delta = {(1.0 - p1) - (cls == 0), p1 - (cls == 1)};
-
-  for (std::size_t k = L; k-- > 0;) {
-    const std::size_t in = sizes_[k], out = sizes_[k + 1];
-    const real_t* W = w.data() + w_off_[k];
-    double* gW = grad->data() + w_off_[k];
-    double* gb = grad->data() + b_off_[k];
-    // Bias gradient.
-    for (std::size_t j = 0; j < out; ++j) gb[j] += delta[j];
+  // Forward. The input layer is one block GEMM over the block staged
+  // feature-major, zero past lane nb (one lane is the row itself).
+  const real_t* xt = blk.x;
+  if (lanes > 1) {
+    s.xt.resize(d * lanes);
+    if (nb < lanes) std::fill(s.xt.begin(), s.xt.end(), real_t(0));
+    for (std::size_t b = 0; b < nb; ++b) {
+      const real_t* row = blk.x + b * blk.ldx;
+      real_t* lane = s.xt.data() + b;
+      for (std::size_t p = 0; p < d; ++p) lane[p * lanes] = row[p];
+    }
+    xt = s.xt.data();
+  }
+  s.acts.resize(L + 1);
+  for (std::size_t k = 0; k < L; ++k) {
+    const std::size_t in = sizes[k], out = sizes[k + 1];
+    std::vector<double>& z = s.acts[k + 1];
+    z.assign(out * lanes, 0.0);
+    const real_t* W = w.data() + m.weight_offset(k);
     if (k == 0) {
-      // Weight grad from the (possibly sparse) input; no further delta.
-      x.for_each([&](index_t i, real_t v) {
-        double* row = gW + static_cast<std::size_t>(i) * out;
-        for (std::size_t j = 0; j < out; ++j) row[j] += static_cast<double>(v) * delta[j];
-      });
+      kn.block_gemm(xt, W, out, z.data(), d, out);
+    } else {
+      const double* a = s.acts[k].data();
+      for (std::size_t i = 0; i < in; ++i) {
+        const double* ai = a + i * lanes;
+        for (std::size_t j = 0; j < out; ++j) {
+          const double wij = W[i * out + j];
+          double* zj = z.data() + j * lanes;
+          for (std::size_t b = 0; b < nb; ++b) zj[b] += ai[b] * wij;
+        }
+      }
+    }
+    finish_layer(z.data(), w.data() + m.bias_offset(k), out, lanes, nb,
+                 k + 1 < L, m.activation());
+  }
+
+  // Softmax cross-entropy on the 2 logits; delta = softmax - onehot.
+  const double* logits = s.acts[L].data();
+  s.delta.resize(*std::max_element(sizes.begin() + 1, sizes.end()) *
+                 lanes);
+  s.next.resize(s.delta.size());
+  double* delta = s.delta.data();
+  for (std::size_t b = 0; b < nb; ++b) {
+    const double a = logits[b], b2 = logits[lanes + b];
+    const double mx = std::max(a, b2);
+    const double ea = std::exp(a - mx), eb = std::exp(b2 - mx);
+    const double p1 = eb / (ea + eb);
+    const int cls = blk.y[b] > 0 ? 1 : 0;
+    if (loss != nullptr) {
+      loss[b] = -std::log(std::max(1e-12, cls == 1 ? p1 : 1.0 - p1));
+    }
+    delta[b] = (1.0 - p1) - (cls == 0);
+    delta[lanes + b] = p1 - (cls == 1);
+  }
+  if (grad == nullptr) return;
+
+  // Backward.
+  double* next = s.next.data();
+  for (std::size_t k = L; k-- > 0;) {
+    const std::size_t in = sizes[k], out = sizes[k + 1];
+    double* gb = grad + m.bias_offset(k);
+    for (std::size_t j = 0; j < out; ++j) {
+      for (std::size_t b = 0; b < nb; ++b) gb[j] += delta[j * lanes + b];
+    }
+    if (k == 0) {
+      kn.block_ger(blk.x, blk.ldx, nb, delta, grad0, d, d, out);
       break;
     }
-    std::vector<double> next_delta(in, 0.0);
+    const real_t* W = w.data() + m.weight_offset(k);
+    double* gW = grad + m.weight_offset(k);
+    const double* a = s.acts[k].data();
     for (std::size_t i = 0; i < in; ++i) {
-      const double act = acts[k][i];
+      const double* ai = a + i * lanes;
       const real_t* row = W + i * out;
       double* grow = gW + i * out;
-      double up = 0;
+      double* up = next + i * lanes;
+      std::fill(up, up + nb, 0.0);
       for (std::size_t j = 0; j < out; ++j) {
-        grow[j] += act * delta[j];
-        up += static_cast<double>(row[j]) * delta[j];
+        const double* dj = delta + j * lanes;
+        double g = grow[j];
+        for (std::size_t b = 0; b < nb; ++b) g += ai[b] * dj[b];
+        grow[j] = g;
+        const double wij = row[j];
+        for (std::size_t b = 0; b < nb; ++b) up[b] += wij * dj[b];
       }
-      next_delta[i] = up * activate_grad(activation_, act);
+      for (std::size_t b = 0; b < nb; ++b) {
+        up[b] *= activate_grad(m.activation(), ai[b]);
+      }
     }
-    delta = std::move(next_delta);
+    std::swap(delta, next);
   }
-  return loss;
 }
+
+/// One gradient step over n examples staged block by block:
+/// w_write -= scale * (summed gradient at w_read). The input layer's
+/// weight gradient accumulates in grad0 and is copied into the gradient
+/// once per step.
+template <class StageBlock>
+void step_blocks(const Mlp& m, std::size_t n, StageBlock&& stage_block,
+                 double scale, std::span<const real_t> w_read,
+                 std::span<real_t> w_write) {
+  const kernel::Kernels& kn = kernel::active_kernels();
+  BlockScratch& s = tls_scratch;
+  const std::size_t d = m.layers()[0], out = m.layers()[1];
+  s.grad.assign(m.dim(), 0.0);
+  s.grad0.assign(out * d, 0.0);
+  for (std::size_t i = 0; i < n; i += kn.lanes) {
+    run_block(m, kn, stage_block(i, std::min(kn.lanes, n - i)), w_read,
+              nullptr, s.grad.data(), s.grad0.data());
+  }
+  double* g = s.grad.data() + m.weight_offset(0);
+  for (std::size_t p = 0; p < d; ++p) {
+    for (std::size_t j = 0; j < out; ++j) g[p * out + j] = s.grad0[j * d + p];
+  }
+  for (std::size_t j = 0; j < s.grad.size(); ++j) {
+    if (s.grad[j] != 0.0) {
+      w_write[j] -= static_cast<real_t>(scale * s.grad[j]);
+    }
+  }
+}
+
+}  // namespace
 
 double Mlp::example_loss(const ExampleView& x, real_t y,
                          std::span<const real_t> w) const {
-  return example_backprop(x, y, w, nullptr);
+  double loss = 0;
+  run_block(*this, kernel::active_kernels(), stage(x, sizes_[0], y), w, &loss,
+            nullptr, nullptr);
+  return loss;
+}
+
+void Mlp::example_losses(const TrainData& data, std::size_t begin,
+                         std::size_t end, bool prefer_dense,
+                         std::span<const real_t> w, double* out) const {
+  check_width(*this, data.d());
+  const kernel::Kernels& kn = kernel::active_kernels();
+  for (std::size_t i = begin; i < end; i += kn.lanes) {
+    const std::size_t nb = std::min(kn.lanes, end - i);
+    run_block(*this, kn, stage(data, i, nb, prefer_dense), w,
+              out + (i - begin), nullptr, nullptr);
+  }
 }
 
 void Mlp::example_step(const ExampleView& x, real_t y, real_t alpha,
                        std::span<const real_t> w_read,
                        std::span<real_t> w_write,
                        std::vector<index_t>* touched) const {
-  thread_local std::vector<double> grad;
-  grad.assign(dim_, 0.0);
-  example_backprop(x, y, w_read, &grad);
-  for (std::size_t j = 0; j < dim_; ++j) {
-    if (grad[j] != 0.0) {
-      w_write[j] -= static_cast<real_t>(alpha * grad[j]);
-    }
-  }
+  const Block blk = stage(x, sizes_[0], y);
+  step_blocks(*this, 1, [&](std::size_t, std::size_t) { return blk; }, alpha,
+              w_read, w_write);
   if (touched != nullptr) touched->clear();  // dense update: "all"
 }
 
@@ -177,17 +317,13 @@ void Mlp::batch_step(const TrainData& data, std::size_t begin,
                      std::size_t end, bool prefer_dense, real_t alpha,
                      std::span<const real_t> w_read,
                      std::span<real_t> w_write) const {
-  thread_local std::vector<double> grad;
-  grad.assign(dim_, 0.0);
-  for (std::size_t i = begin; i < end; ++i) {
-    example_backprop(data.example(i, prefer_dense), data.y[i], w_read, &grad);
-  }
-  const double scale = alpha / static_cast<double>(end - begin);
-  for (std::size_t j = 0; j < dim_; ++j) {
-    if (grad[j] != 0.0) {
-      w_write[j] -= static_cast<real_t>(scale * grad[j]);
-    }
-  }
+  check_width(*this, data.d());
+  step_blocks(
+      *this, end - begin,
+      [&](std::size_t i, std::size_t nb) {
+        return stage(data, begin + i, nb, prefer_dense);
+      },
+      alpha / static_cast<double>(end - begin), w_read, w_write);
 }
 
 double Mlp::sync_epoch(linalg::Backend& backend, const TrainData& data,
@@ -195,8 +331,7 @@ double Mlp::sync_epoch(linalg::Backend& backend, const TrainData& data,
                        std::span<real_t> w) const {
   const std::size_t L = num_layers();
   const std::size_t n = data.n();
-  PARSGD_CHECK(data.d() == sizes_[0],
-               "input width " << data.d() << " != " << sizes_[0]);
+  check_width(*this, data.d());
 
   // Forward: A_{k+1} = act(A_k W_k + b_k), A_0 = X.
   std::vector<DenseMatrix> acts(L + 1);

@@ -2,7 +2,10 @@
 // cross-entropy output — the deep-net task of the paper (architectures
 // like 54-10-5-2, Table I). Hidden activations default to sigmoid (the
 // paper's setting); ReLU and tanh are available for the extension
-// experiments.
+// experiments. Every per-example path (batch_step, the dataset_loss
+// chunks, example_loss/example_step) runs one blocked forward/backward
+// driver over blocks of the active SIMD kernels' lane count, bit-identical
+// to a one-example-at-a-time pass (DESIGN.md §15).
 #pragma once
 
 #include "models/model.hpp"
@@ -28,6 +31,10 @@ class Mlp final : public Model {
   std::vector<real_t> init_params(std::uint64_t seed) const override;
   double example_loss(const ExampleView& x, real_t y,
                       std::span<const real_t> w) const override;
+  /// Runs [begin, end) forward in blocks of the active kernels' lanes.
+  void example_losses(const TrainData& data, std::size_t begin,
+                      std::size_t end, bool prefer_dense,
+                      std::span<const real_t> w, double* out) const override;
   void example_step(const ExampleView& x, real_t y, real_t alpha,
                     std::span<const real_t> w_read,
                     std::span<real_t> w_write,
@@ -49,15 +56,6 @@ class Mlp final : public Model {
   std::size_t num_layers() const { return sizes_.size() - 1; }
 
  private:
-  /// Forward pass on one example; fills per-layer activations
-  /// (activations[0] unused for sparse inputs). Returns the 2 logits.
-  void forward(const ExampleView& x, std::span<const real_t> w,
-               std::vector<std::vector<double>>& acts) const;
-  /// Loss + optionally the full gradient (accumulated into grad).
-  double example_backprop(const ExampleView& x, real_t y,
-                          std::span<const real_t> w,
-                          std::vector<double>* grad) const;
-
   std::vector<std::size_t> sizes_;
   std::vector<std::size_t> w_off_, b_off_;
   std::size_t dim_ = 0;

@@ -4,9 +4,18 @@ namespace parsgd {
 
 double Model::dataset_loss(const TrainData& data, std::span<const real_t> w,
                            bool prefer_dense, ThreadPool* pool) const {
-  return sum_examples(data.n(), pool, [&](std::size_t i) {
-    return example_loss(data.example(i, prefer_dense), data.y[i], w);
-  });
+  return sum_examples(
+      data.n(), pool, [&](std::size_t lo, std::size_t hi, double* out) {
+        example_losses(data, lo, hi, prefer_dense, w, out);
+      });
+}
+
+void Model::example_losses(const TrainData& data, std::size_t begin,
+                           std::size_t end, bool prefer_dense,
+                           std::span<const real_t> w, double* out) const {
+  for (std::size_t i = begin; i < end; ++i) {
+    out[i - begin] = example_loss(data.example(i, prefer_dense), data.y[i], w);
+  }
 }
 
 TaskGraph::TaskId Model::batch_step_graph(

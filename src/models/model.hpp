@@ -12,6 +12,7 @@
 // several concurrent copies (global model + per-worker snapshots).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -100,9 +101,17 @@ class Model {
   /// the paper excludes loss evaluation from iteration time). With a
   /// pool that has workers, the per-example losses are evaluated on it
   /// and then summed in index order, so the total is bit-identical to
-  /// the serial sum; otherwise it runs serially on the caller.
+  /// the serial sum; otherwise it runs serially on the caller. Each chunk
+  /// of examples goes through example_losses.
   double dataset_loss(const TrainData& data, std::span<const real_t> w,
                       bool prefer_dense, ThreadPool* pool = nullptr) const;
+
+  /// Losses of examples [begin, end) of `data` into out[0, end - begin).
+  /// The default calls example_loss per example; a model with a blocked
+  /// forward pass overrides it.
+  virtual void example_losses(const TrainData& data, std::size_t begin,
+                              std::size_t end, bool prefer_dense,
+                              std::span<const real_t> w, double* out) const;
 
   /// Incremental SGD step: reads the model from `w_read`, writes the
   /// updated entries into `w_write` (the two may alias for plain
@@ -164,21 +173,31 @@ class Model {
   virtual double step_flops(std::size_t touched_features) const = 0;
 
  protected:
-  /// Sums term(i) over the examples i in [0, n) in index order. With a
-  /// pool that has workers the terms are evaluated on it first (each i by
-  /// exactly one chunk), so the total is bit-identical to the serial loop.
-  template <class Term>
-  static double sum_examples(std::size_t n, ThreadPool* pool, Term&& term) {
+  /// Sums the per-example terms of [0, n) in index order.
+  /// `terms(lo, hi, out)` writes the terms of examples [lo, hi) to
+  /// out[0, hi - lo). With a pool that has workers the chunks are
+  /// evaluated on it first (each i by exactly one chunk), so the total is
+  /// bit-identical to the serial loop.
+  template <class Terms>
+  static double sum_examples(std::size_t n, ThreadPool* pool, Terms&& terms) {
     double total = 0;
     if (pool == nullptr || pool->size() == 0) {
-      for (std::size_t i = 0; i < n; ++i) total += term(i);
+      // Chunks through a stack buffer: the serial sum stays
+      // allocation-free.
+      constexpr std::size_t kChunk = 256;
+      double buf[kChunk] = {};
+      for (std::size_t lo = 0; lo < n; lo += kChunk) {
+        const std::size_t len = std::min(kChunk, n - lo);
+        terms(lo, lo + len, buf);
+        for (std::size_t k = 0; k < len; ++k) total += buf[k];
+      }
       return total;
     }
-    std::vector<double> terms(n);
+    std::vector<double> all(n);
     pool->parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) terms[i] = term(i);
+      terms(lo, hi, all.data() + lo);
     });
-    for (const double t : terms) total += t;
+    for (const double t : all) total += t;
     return total;
   }
 };

@@ -9,7 +9,10 @@
 // The determinism contract splits the kernels in two:
 //  * axpy / scale / gemv_t_band / gemm_tile must be BIT-IDENTICAL to
 //    scalar (EXPECT_EQ on the raw floats) — mul+add vectorization and
-//    exact double products make every variant round identically.
+//    exact double products make every variant round identically. The
+//    block kernels (block_gemm / block_ger) lay a block out by the
+//    variant's own lane count, so each is held bit for bit to a naive
+//    loop over that layout instead.
 //  * dot / spmv_row reorder the reduction; they get a tight relative
 //    tolerance instead, and `det=on` (CpuBackendOptions::deterministic)
 //    pins them to scalar — verified below at the backend level (bitwise
@@ -90,6 +93,8 @@ TEST(KernelDispatch, ScalarAlwaysPresent) {
   EXPECT_NE(s.gemm_tile, nullptr);
   EXPECT_NE(s.gemv_t_band, nullptr);
   EXPECT_NE(s.spmv_row, nullptr);
+  EXPECT_NE(s.block_gemm, nullptr);
+  EXPECT_NE(s.block_ger, nullptr);
 }
 
 TEST(KernelDispatch, ActiveTableMatchesSelectedVariant) {
@@ -197,6 +202,86 @@ TEST(KernelEquivalence, GemvTBandBitIdentical) {
                           got.data() + off, band);
           EXPECT_EQ(got, want) << to_string(kn->variant) << " m=" << m
                                << " band=" << band << " off=" << off;
+        }
+      }
+    }
+  }
+}
+
+/// Output-unit counts around the register tiles of every variant (6 units
+/// for avx2, 12 for avx512) plus the MLP widths.
+constexpr std::size_t kUnitCounts[] = {1, 2, 5, 6, 7, 10, 12, 13, 17};
+
+/// Random double vector (block accumulators and deltas).
+std::vector<double> random_doubles(std::size_t n, std::uint64_t salt) {
+  Rng rng(0x51ed27u ^ salt);
+  std::vector<double> v(n);
+  for (double& e : v) e = rng.uniform(-2.0, 2.0);
+  return v;
+}
+
+TEST(KernelEquivalence, BlockGemmBitIdentical) {
+  // Reference: per (unit, lane) the naive p-ordered double fold.
+  for (const Kernels* kn : testable_variants()) {
+    const std::size_t lanes = kn->lanes;
+    for (std::size_t k : boundary_lengths(*kn)) {
+      for (std::size_t n : kUnitCounts) {
+        for (std::size_t off : kOffsets) {
+          const std::size_t ldw = n + off + 1;
+          const auto xt = random_vec(k * lanes + off, 30);
+          const auto w = random_vec(k * ldw + off, 31);
+          // Non-zero seed accumulators: the block must fold into them.
+          std::vector<double> want = random_doubles(n * lanes, 32);
+          std::vector<double> got = want;
+          for (std::size_t j = 0; j < n; ++j) {
+            for (std::size_t b = 0; b < lanes; ++b) {
+              double acc = want[j * lanes + b];
+              for (std::size_t p = 0; p < k; ++p) {
+                acc += static_cast<double>(xt[off + p * lanes + b]) *
+                       static_cast<double>(w[off + p * ldw + j]);
+              }
+              want[j * lanes + b] = acc;
+            }
+          }
+          kn->block_gemm(xt.data() + off, w.data() + off, ldw, got.data(), k,
+                         n);
+          EXPECT_EQ(got, want) << to_string(kn->variant) << " k=" << k
+                               << " n=" << n << " off=" << off;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, BlockGerBitIdentical) {
+  // Reference: per gradient entry the examples folded in index order,
+  // each product rounded before its add.
+  for (const Kernels* kn : testable_variants()) {
+    const std::size_t lanes = kn->lanes;
+    for (std::size_t k : boundary_lengths(*kn)) {
+      for (std::size_t n : kUnitCounts) {
+        for (std::size_t nb = 0; nb <= lanes; ++nb) {
+          for (std::size_t off : kOffsets) {
+            const std::size_t ldx = k + off + 2, ldg = k + off + 3;
+            const auto x = random_vec(nb * ldx + off, 33);
+            const auto delta = random_doubles(n * lanes, 34);
+            std::vector<double> want = random_doubles(n * ldg + off, 35);
+            std::vector<double> got = want;
+            for (std::size_t j = 0; j < n; ++j) {
+              for (std::size_t p = 0; p < k; ++p) {
+                double& acc = want[off + j * ldg + p];
+                for (std::size_t b = 0; b < nb; ++b) {
+                  const real_t xv = x[off + b * ldx + p];
+                  acc += static_cast<double>(xv) * delta[j * lanes + b];
+                }
+              }
+            }
+            kn->block_ger(x.data() + off, ldx, nb, delta.data(),
+                          got.data() + off, ldg, k, n);
+            EXPECT_EQ(got, want)
+                << to_string(kn->variant) << " k=" << k << " n=" << n
+                << " nb=" << nb << " off=" << off;
+          }
         }
       }
     }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "data/generator.hpp"
@@ -318,6 +319,228 @@ TEST(DatasetLoss, PooledSumIsBitIdenticalToSerial) {
       }
     }
   }
+}
+
+// ---- blocked MLP driver vs the per-example forward/backprop ----
+
+/// The one-example-at-a-time forward/backprop the blocked driver replaced,
+/// kept as its bit-identity reference. Returns the loss; accumulates the
+/// example's gradient into `grad` when it is non-null.
+double reference_backprop(const Mlp& m, const ExampleView& x, real_t y,
+                          std::span<const real_t> w,
+                          std::vector<double>* grad) {
+  const auto act = [&](double v) {
+    switch (m.activation()) {
+      case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-v));
+      case Activation::kRelu: return v > 0 ? v : 0.0;
+      case Activation::kTanh: return std::tanh(v);
+    }
+    return v;
+  };
+  const auto act_grad = [&](double a) {
+    switch (m.activation()) {
+      case Activation::kSigmoid: return a * (1.0 - a);
+      case Activation::kRelu: return a > 0 ? 1.0 : 0.0;
+      case Activation::kTanh: return 1.0 - a * a;
+    }
+    return 1.0;
+  };
+  const std::vector<std::size_t>& sz = m.layers();
+  const std::size_t L = m.num_layers();
+  std::vector<std::vector<double>> acts(L + 1);
+  for (std::size_t k = 0; k < L; ++k) {
+    const std::size_t out = sz[k + 1];
+    const real_t* W = w.data() + m.weight_offset(k);
+    const real_t* b = w.data() + m.bias_offset(k);
+    std::vector<double>& z = acts[k + 1];
+    z.assign(out, 0.0);
+    if (k == 0) {
+      x.for_each([&](index_t i, real_t v) {
+        const real_t* row = W + static_cast<std::size_t>(i) * out;
+        for (std::size_t j = 0; j < out; ++j) {
+          z[j] += static_cast<double>(v) * row[j];
+        }
+      });
+    } else {
+      for (std::size_t i = 0; i < sz[k]; ++i) {
+        const real_t* row = W + i * out;
+        for (std::size_t j = 0; j < out; ++j) z[j] += acts[k][i] * row[j];
+      }
+    }
+    for (std::size_t j = 0; j < out; ++j) {
+      z[j] += b[j];
+      if (k + 1 < L) z[j] = act(z[j]);
+    }
+  }
+  const double a = acts[L][0], b2 = acts[L][1];
+  const double mx = std::max(a, b2);
+  const double ea = std::exp(a - mx), eb = std::exp(b2 - mx);
+  const double p1 = eb / (ea + eb);
+  const int cls = y > 0 ? 1 : 0;
+  const double loss = -std::log(std::max(1e-12, cls == 1 ? p1 : 1.0 - p1));
+  if (grad == nullptr) return loss;
+  std::vector<double> delta = {(1.0 - p1) - (cls == 0), p1 - (cls == 1)};
+  for (std::size_t k = L; k-- > 0;) {
+    const std::size_t out = sz[k + 1];
+    const real_t* W = w.data() + m.weight_offset(k);
+    double* gW = grad->data() + m.weight_offset(k);
+    double* gb = grad->data() + m.bias_offset(k);
+    for (std::size_t j = 0; j < out; ++j) gb[j] += delta[j];
+    if (k == 0) {
+      x.for_each([&](index_t i, real_t v) {
+        double* row = gW + static_cast<std::size_t>(i) * out;
+        for (std::size_t j = 0; j < out; ++j) {
+          row[j] += static_cast<double>(v) * delta[j];
+        }
+      });
+      break;
+    }
+    std::vector<double> next(sz[k], 0.0);
+    for (std::size_t i = 0; i < sz[k]; ++i) {
+      const real_t* row = W + i * out;
+      double* grow = gW + i * out;
+      double up = 0;
+      for (std::size_t j = 0; j < out; ++j) {
+        grow[j] += acts[k][i] * delta[j];
+        up += static_cast<double>(row[j]) * delta[j];
+      }
+      next[i] = up * act_grad(acts[k][i]);
+    }
+    delta = std::move(next);
+  }
+  return loss;
+}
+
+/// A random MLP training set: dense rows with about a third zeros, the
+/// same rows as CSR, labels in {-1, +1}.
+struct MlpData {
+  DenseMatrix dense;
+  CsrMatrix sparse;
+  std::vector<real_t> y;
+
+  MlpData(std::size_t n, std::size_t d, std::uint64_t seed)
+      : dense(n, d) {
+    Rng rng(seed);
+    CsrMatrix::Builder builder(d);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t p = 0; p < d; ++p) {
+        if (rng.uniform(0.0, 1.0) < 0.35) continue;
+        dense.at(i, p) = static_cast<real_t>(rng.uniform(-1.5, 1.5));
+      }
+      builder.add_dense_row(dense.row(i));
+      y.push_back(rng.uniform(0.0, 1.0) < 0.5 ? real_t(-1) : real_t(1));
+    }
+    sparse = std::move(builder).build();
+  }
+  TrainData train(bool with_dense) const {
+    TrainData t;
+    t.sparse = &sparse;
+    t.dense = with_dense ? &dense : nullptr;
+    t.y = y;
+    return t;
+  }
+};
+
+/// Every weight and bias drawn at random (init_params zeroes the biases,
+/// which would hide a bias-order slip).
+std::vector<real_t> random_weights(const Mlp& m, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<real_t> w(m.dim());
+  for (real_t& v : w) v = static_cast<real_t>(rng.normal(0.0, 0.6));
+  return w;
+}
+
+TEST(Mlp, BlockedDriverBitIdenticalToPerExample) {
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {54, 10, 5, 2}, {300, 10, 5, 2}, {13, 17, 3, 2}, {7, 2}};
+  constexpr std::size_t kBegin = 3;  // batches start mid-matrix
+  for (const auto& shape : shapes) {
+    const MlpData ds(kBegin + 19 + 5, shape[0], 101 + shape[0]);
+    for (const Activation a :
+         {Activation::kSigmoid, Activation::kRelu, Activation::kTanh}) {
+      const Mlp mlp(shape, a);
+      const std::vector<real_t> w0 = random_weights(mlp, 7 + shape[1]);
+      for (const bool dense : {true, false}) {
+        const TrainData data = ds.train(dense);
+        const std::string where = std::to_string(shape[0]) + "-" +
+                                  std::to_string(shape[1]) + " " +
+                                  to_string(a) + (dense ? " dense" : " sparse");
+        for (std::size_t len = 1; len <= 19; ++len) {
+          std::vector<double> grad(mlp.dim(), 0.0);
+          for (std::size_t i = kBegin; i < kBegin + len; ++i) {
+            reference_backprop(mlp, data.example(i, dense), data.y[i], w0,
+                               &grad);
+          }
+          const real_t alpha = real_t(0.3);
+          const double scale = alpha / static_cast<double>(len);
+          std::vector<real_t> want = w0;
+          for (std::size_t j = 0; j < mlp.dim(); ++j) {
+            if (grad[j] != 0.0) {
+              want[j] -= static_cast<real_t>(scale * grad[j]);
+            }
+          }
+          std::vector<real_t> got = w0;
+          mlp.batch_step(data, kBegin, kBegin + len, dense, alpha, w0, got);
+          ASSERT_EQ(got, want) << where << ", batch of " << len;
+        }
+
+        double want_loss = 0;
+        for (std::size_t i = 0; i < data.n(); ++i) {
+          want_loss += reference_backprop(mlp, data.example(i, dense),
+                                          data.y[i], w0, nullptr);
+        }
+        EXPECT_EQ(mlp.dataset_loss(data, w0, dense), want_loss) << where;
+        for (const std::size_t workers : {0u, 1u, 3u}) {
+          const auto pool = make_pool(workers);
+          EXPECT_EQ(mlp.dataset_loss(data, w0, dense, pool.get()), want_loss)
+              << where << ", " << workers << " workers";
+        }
+
+        // Blocks of one: example_loss and example_step.
+        const ExampleView x = data.example(kBegin, dense);
+        EXPECT_EQ(mlp.example_loss(x, data.y[kBegin], w0),
+                  reference_backprop(mlp, x, data.y[kBegin], w0, nullptr))
+            << where;
+        std::vector<double> grad(mlp.dim(), 0.0);
+        reference_backprop(mlp, x, data.y[kBegin], w0, &grad);
+        std::vector<real_t> want = w0;
+        for (std::size_t j = 0; j < mlp.dim(); ++j) {
+          if (grad[j] != 0.0) {
+            want[j] -= static_cast<real_t>(real_t(0.3) * grad[j]);
+          }
+        }
+        std::vector<real_t> got = w0;
+        mlp.example_step(x, data.y[kBegin], real_t(0.3), w0, got, nullptr);
+        EXPECT_EQ(got, want) << where;
+      }
+    }
+  }
+}
+
+TEST(Mlp, RejectsInputWidthMismatch) {
+  // 8 columns wider than the input layer: the per-example gradient loop
+  // of the input layer would have written past the gradient buffer.
+  const Mlp mlp({6, 4, 2});
+  const MlpData wide(5, 14, 3);
+  const std::vector<real_t> w = mlp.init_params(1);
+  std::vector<real_t> w2 = w;
+  for (const bool dense : {true, false}) {
+    const TrainData data = wide.train(dense);
+    EXPECT_THROW(mlp.batch_step(data, 0, 5, dense, real_t(0.1), w, w2),
+                 CheckError);
+    EXPECT_THROW(mlp.dataset_loss(data, w, dense), CheckError);
+    const auto pool = make_pool(2);
+    EXPECT_THROW(mlp.dataset_loss(data, w, dense, pool.get()), CheckError);
+  }
+  const ExampleView x = ExampleView::dense(wide.dense.row(0));
+  EXPECT_THROW(mlp.example_loss(x, real_t(1), w), CheckError);
+  EXPECT_THROW(mlp.example_step(x, real_t(1), real_t(0.1), w, w2, nullptr),
+               CheckError);
+  const index_t past[] = {2, 9};
+  const real_t val[] = {1, 1};
+  const ExampleView xs = ExampleView::sparse({past, val});
+  EXPECT_THROW(mlp.example_loss(xs, real_t(1), w), CheckError);
+  EXPECT_EQ(w2, w);
 }
 
 // ---- training sanity: loss decreases over epochs ----
