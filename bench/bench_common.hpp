@@ -26,6 +26,49 @@ inline const std::vector<std::string>& all_datasets() {
   return names;
 }
 
+/// The flags study_options_from_cli reads, plus `extra`.
+inline std::vector<std::string> study_flags(
+    std::vector<std::string> extra = {}) {
+  extra.insert(extra.end(),
+               {"scale", "quick", "verbose", "heartbeat", "telemetry", "det"});
+  return extra;
+}
+
+/// The main of a report-emitting bench that reads `flags` besides
+/// emit_report's --no-report and --report-dir: returns run(cli), or 2
+/// after printing the error and the usage line. Before any work, --help
+/// prints the usage line and returns 0, and an unknown flag or a
+/// positional argument is an error naming it: a mistyped flag must not
+/// run the default study and write its report. A flag value the Cli
+/// getters reject throws CheckError out of run (`--scale=abc`, or
+/// `--quick stray`, where the word after a bare flag binds as its value);
+/// it is reported the same way rather than aborting the process.
+inline int bench_main(int argc, char** argv, std::vector<std::string> flags,
+                      int (*run)(const Cli&)) {
+  const Cli cli(argc, argv);
+  flags.insert(flags.end(), {"no-report", "report-dir"});
+  std::string usage = "usage: " + cli.program();
+  for (const std::string& f : flags) usage += " [--" + f + "]";
+  if (cli.has("help")) {
+    std::printf("%s\n", usage.c_str());
+    return 0;
+  }
+  std::string bad;
+  if (const std::string flag = cli.unknown_flag(flags); !flag.empty()) {
+    bad = "unknown flag --" + flag;
+  } else if (!cli.positional().empty()) {
+    bad = "unexpected argument '" + cli.positional().front() + "'";
+  } else {
+    try {
+      return run(cli);
+    } catch (const CheckError& e) {
+      bad = e.what();
+    }
+  }
+  std::fprintf(stderr, "error: %s\n%s\n", bad.c_str(), usage.c_str());
+  return 2;
+}
+
 /// Builds StudyOptions from CLI flags:
 ///   --scale=N            dataset downscale factor (default 200)
 ///   --quick              tiny smoke configuration
@@ -158,8 +201,9 @@ inline report::Entry entry_from(std::string label, Task task,
 }
 
 /// Stamps host time + telemetry into `rep` and writes it as
-/// BENCH_<name>.json (--report-dir overrides the directory; --no-report
-/// skips the file). Returns the written path or "".
+/// BENCH_<name>.json (--report-dir overrides the directory, see
+/// report::emit; --no-report skips the file). Returns the written path
+/// or "".
 inline std::string emit_report(const Cli& cli, const StudyOptions& opts,
                                report::RunReport& rep, double host_secs) {
   rep.host_seconds = host_secs;

@@ -4,7 +4,7 @@
 // BENCH_fig5_hwspec.json so constant drift is caught by parsgd_compare.
 #include <iostream>
 
-#include "common/cli.hpp"
+#include "bench_common.hpp"
 #include "common/format.hpp"
 #include "core/table.hpp"
 #include "hwmodel/cpu_model.hpp"
@@ -13,8 +13,9 @@
 
 using namespace parsgd;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+int run(const Cli& cli) {
   const CpuSpec& cpu = paper_cpu();
   const GpuSpec& gpu = paper_gpu();
 
@@ -81,4 +82,10 @@ int main(int argc, char** argv) {
                 report::emit(rep, cli.get("report-dir", "")).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return benchutil::bench_main(argc, argv, {}, run);
 }

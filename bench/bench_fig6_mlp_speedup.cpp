@@ -17,8 +17,9 @@
 using namespace parsgd;
 using namespace parsgd::benchutil;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+int run(const Cli& cli) {
   const double scale = cli.get_double("scale", 100.0);
   std::printf("=== Fig. 6: sync-SGD speedup on real-sim vs MLP size ===\n\n");
 
@@ -112,4 +113,10 @@ int main(int argc, char** argv) {
   std::cout << "\npaper shape: speedup ~2x for the small net, rising to "
                "~26x for the largest; gpu/cpu-par roughly constant.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, {"scale"}, run);
 }

@@ -37,10 +37,7 @@ void print_series(const char* label, const RunResult& run, int points) {
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+int run(const Cli& cli) {
   const StudyOptions opts = study_options_from_cli(cli);
   const int points = static_cast<int>(cli.get_int("points", 12));
   Study study(opts);
@@ -95,4 +92,10 @@ int main(int argc, char** argv) {
               sync_wins, async_wins);
   emit_report(cli, opts, rep, host_timer.seconds());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, study_flags({"tasks", "points"}), run);
 }

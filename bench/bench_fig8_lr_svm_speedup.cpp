@@ -13,8 +13,9 @@
 using namespace parsgd;
 using namespace parsgd::benchutil;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+int run(const Cli& cli) {
   const StudyOptions opts = study_options_from_cli(cli);
   Study study(opts);
   print_banner("Fig. 8: GPU speedup over parallel CPU, LR & SVM", opts);
@@ -69,4 +70,10 @@ int main(int argc, char** argv) {
                "datasets; async GPU 'speedup' is below 1 on sparse data "
                "(parallel CPU is faster per iteration).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, study_flags(), run);
 }

@@ -13,8 +13,9 @@
 using namespace parsgd;
 using namespace parsgd::benchutil;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+int run(const Cli& cli) {
   const StudyOptions opts = study_options_from_cli(cli);
   Study study(opts);
   print_banner("Fig. 9: GPU speedup over parallel CPU, MLP", opts);
@@ -67,4 +68,10 @@ int main(int argc, char** argv) {
                "TensorFlow's; async 'speedup' is far below 1 (parallel-CPU "
                "Hogbatch beats serialized GPU mini-batching by 6x+).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, study_flags(), run);
 }

@@ -14,8 +14,9 @@
 using namespace parsgd;
 using namespace parsgd::benchutil;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+int run(const Cli& cli) {
   const double scale = cli.get_double("scale", 100.0);
   std::printf("=== Table I: experimental datasets (scaled 1/%.0f in N) ===\n\n",
               scale);
@@ -89,4 +90,10 @@ int main(int argc, char** argv) {
                "Table I quotes on-disk libsvm text sizes, so absolute "
                "bytes differ while the s/d ratio shape holds)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, {"scale"}, run);
 }

@@ -13,8 +13,9 @@
 using namespace parsgd;
 using namespace parsgd::benchutil;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+int run(const Cli& cli) {
   const StudyOptions opts = study_options_from_cli(cli);
   Study study(opts);
   print_banner("Table II: synchronous SGD (to 1% of optimal loss)", opts);
@@ -70,4 +71,10 @@ int main(int argc, char** argv) {
                "  * par/gpu should grow with sparsity for LR/SVM and be\n"
                "    largest for MLP\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, study_flags({"tasks"}), run);
 }

@@ -12,8 +12,9 @@
 using namespace parsgd;
 using namespace parsgd::benchutil;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+int run(const Cli& cli) {
   const StudyOptions opts = study_options_from_cli(cli);
   Study study(opts);
   print_banner("Table III: asynchronous SGD (to 1% of optimal loss)", opts);
@@ -74,4 +75,10 @@ int main(int argc, char** argv) {
                "  * MLP Hogbatch: cpu-par fastest per iteration by 6x+ over\n"
                "    gpu; gpu statistically close to cpu-seq (serialized)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench_main(argc, argv, study_flags({"tasks"}), run);
 }

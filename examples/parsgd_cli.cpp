@@ -29,7 +29,6 @@
 #include "report/chrome_trace.hpp"
 #include "report/report.hpp"
 #include "sgd/checkpoint.hpp"
-#include "sgd/cluster_engine.hpp"
 #include "sgd/convergence.hpp"
 #include "sgd/spec.hpp"
 #include "telemetry/attribution.hpp"
@@ -57,9 +56,7 @@ namespace {
                " [--attribute]\n"
                "       [--version] [--build-info]\n"
                "engine spec examples: async/cpu-par/sparse,\n"
-               "  sync/gpu/dense:calib=mlp,batch=64,\n"
-               "  async/cluster/sparse:nodes=8,link=10us:10gbps"
-               " (PS), sync/cluster/sparse:nodes=4 (all-reduce)\n",
+               "  sync/gpu/dense:calib=mlp,batch=64\n",
                msg);
   std::exit(2);
 }
@@ -96,16 +93,15 @@ int run(int argc, char** argv) {
     print_build_info(cli.has("build-info"));
     return 0;
   }
-  // Cli ignores unknown flags, so a removed flag fails loudly here rather
-  // than silently running without what it asked for.
-  for (const auto& [flag, hint] :
-       {std::pair{"resilience", "use --watchdog or a resilience=watchdog "
-                                "spec key"},
-        std::pair{"record", "use --attribute and --heartbeat"},
-        std::pair{"status-file", "use --attribute and --heartbeat"}}) {
-    if (cli.has(flag)) {
-      usage(("--" + std::string(flag) + " was removed; " + hint).c_str());
-    }
+  // A mistyped or removed flag fails loudly rather than the run silently
+  // going ahead without what it asked for.
+  if (const std::string bad = cli.unknown_flag(
+          {"task", "dataset", "engine", "update", "arch", "alpha", "epochs",
+           "threads", "scale", "seed", "watchdog", "checkpoint",
+           "checkpoint-every", "resume", "telemetry", "trace-out",
+           "verbose", "report-out", "heartbeat", "attribute"});
+      !bad.empty()) {
+    usage(("unknown flag --" + bad).c_str());
   }
   const std::string task = cli.get("task", "LR");
   const std::string dataset = cli.get("dataset", "covtype");
@@ -295,16 +291,6 @@ int run(int argc, char** argv) {
     std::printf("\n");
   }
 
-  const auto* cluster = dynamic_cast<const ClusterEngine*>(engine.get());
-  if (cluster != nullptr) {
-    std::printf("  cluster: %zu nodes (%s), link %s, net %s/epoch, "
-                "tau %zu units\n",
-                cluster->nodes(), to_string(cluster->sync()),
-                format_link_spec(cluster->net().link()).c_str(),
-                format_seconds(cluster->last_net_seconds()).c_str(),
-                cluster->sim() != nullptr ? cluster->sim()->tau() : 0);
-  }
-
   if (session != nullptr && session->trace_enabled()) {
     const std::string trace_out = cli.get("trace-out", "trace.json");
     write_file(trace_out, "Chrome trace", [&](std::ostream& os) {
@@ -338,16 +324,6 @@ int run(int argc, char** argv) {
     e.series_seconds = run.epoch_seconds;
     e.resilience = report::ResilienceSlice::from(run.resilience);
     e.attribution = report::AttributionSlice::from(run.attribution);
-    if (cluster != nullptr) {
-      e.cluster.nodes = static_cast<double>(cluster->nodes());
-      e.cluster.sync = to_string(cluster->sync());
-      e.cluster.link_latency_us = cluster->net().link().latency_us;
-      e.cluster.link_bandwidth_gbps = cluster->net().link().bandwidth_gbps;
-      e.cluster.net_messages = cluster->last_cost().net_messages;
-      e.cluster.net_bytes = cluster->last_cost().net_bytes;
-      e.cluster.net_seconds = cluster->last_net_seconds();
-      e.cluster.stale_units = cluster->last_stats().stale_units;
-    }
     rep.add_entry(std::move(e));
     rep.add_metrics(session.get());
     if (const gpusim::Device* dev = engine->device()) {

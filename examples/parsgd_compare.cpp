@@ -9,12 +9,6 @@
 //
 // Exit codes: 0 = no regressions, 1 = regressions found, 2 = usage /
 // unreadable or mismatched reports.
-//
-// A second mode, --merge, unions shards of one sharded bench run into a
-// single report (report::merge_reports) so the sharded run can feed the
-// same gate as a monolithic one:
-//
-//   ./parsgd_compare --merge merged.json shard0.json shard1.json ...
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -38,32 +32,9 @@ namespace {
                "       [--junit=<path>]   write the result as JUnit XML\n"
                "       [--attribute]      explain sec/epoch regressions by\n"
                "                          diffing attribution bucket splits\n"
-               "   or: parsgd_compare --merge <out.json> <shard.json>...\n"
                "exit: 0 ok, 1 regressions, 2 bad input\n",
                msg);
   std::exit(2);
-}
-
-int run_merge(const std::vector<std::string>& paths) {
-  if (paths.size() < 2) {
-    usage("--merge expects an output path and at least one shard");
-  }
-  std::vector<report::RunReport> shards;
-  shards.reserve(paths.size() - 1);
-  for (std::size_t i = 1; i < paths.size(); ++i) {
-    shards.push_back(report::load_report(paths[i]));
-  }
-  const report::RunReport merged = report::merge_reports(shards);
-  std::ofstream os(paths[0]);
-  if (!os) usage(("cannot open merge output '" + paths[0] + "'").c_str());
-  report::write_report(os, merged);
-  os.flush();
-  if (!os) usage(("short write on merge output '" + paths[0] + "'").c_str());
-  std::printf(
-      "merged %zu shard(s) of '%s' into %s (%zu entries, %zu datasets)\n",
-      shards.size(), merged.name.c_str(), paths[0].c_str(),
-      merged.entries.size(), merged.datasets.size());
-  return 0;
 }
 
 void print_provenance(const char* role, const report::RunReport& r) {
@@ -76,7 +47,12 @@ void print_provenance(const char* role, const report::RunReport& r) {
 int run(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto& paths = cli.positional();
-  if (cli.get_bool("merge", false)) return run_merge(paths);
+  if (const std::string bad = cli.unknown_flag(
+          {"tol-hw", "tol-stat", "tol-ttc", "tol-extra", "no-extras",
+           "require-same-sha", "junit", "attribute"});
+      !bad.empty()) {
+    usage(("unknown flag --" + bad).c_str());
+  }
   if (paths.size() != 2) usage("expected exactly two report paths");
 
   report::CompareOptions opts;

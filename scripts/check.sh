@@ -56,26 +56,6 @@ if [ -z "$plain_best" ] || [ "$resumed_best" != "$plain_best" ]; then
 fi
 rm -rf "$crash_tmp"
 
-# Cluster lane (DESIGN.md §17): smoke both update strategies through the
-# CLI at nodes=4 — with a PS nodedown pass riding along — then
-# self-diff a cluster run report through parsgd_compare (the cluster
-# slice must survive write/read/compare untouched).
-for spec in \
-    "async/cluster/sparse:nodes=4,batch=64" \
-    "sync/cluster/sparse:nodes=4,batch=64,link=50us:1gbps" \
-    "async/cluster/sparse:nodes=4,batch=64,faults=nodedown@2:1"; do
-  "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
-      --engine="$spec" --alpha=0.5 --epochs=8 >/dev/null
-done
-cluster_tmp="$(mktemp -d)"
-"$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
-    --engine="async/cluster/sparse:nodes=4,batch=64" --alpha=0.5 \
-    --epochs=8 --report-out="$cluster_tmp/cluster.json" >/dev/null
-"$BUILD_DIR/examples/parsgd_compare" \
-    "$cluster_tmp/cluster.json" "$cluster_tmp/cluster.json" \
-    --require-same-sha
-rm -rf "$cluster_tmp"
-
 # Observability lane (DESIGN.md §18): the disabled-overhead gate first —
 # bench_micro_telemetry exits nonzero when the kOff hot path costs more
 # than 1% over an uninstrumented run — then the time-attribution path end
@@ -106,12 +86,9 @@ rm -rf "$obs_tmp"
 # Kernel-equivalence suite under ASan+UBSan (separate build tree so the
 # main gate binaries stay uninstrumented). The task-graph executor runs
 # there too (lifetime/overflow bugs in lane queues and scratch buffers).
-# The cluster simulator joins both sanitizer lanes: its delay ring and
-# sharding cursors are fresh memory-layout code, and its batched units
-# run task graphs across worker threads. The attribution suite joins
-# both lanes too: its runs read the pool's wait histograms while pool
-# workers record into them, and the telemetry exporters render snapshots
-# while instruments are live.
+# The attribution suite joins both lanes: its runs read the pool's wait
+# histograms while pool workers record into them, and the telemetry
+# exporters render snapshots while instruments are live.
 # The conflict accounting runs under ASan too: the asyncsim/replication
 # conflict ledger indexes flat per-line arrays by model coordinate, and
 # the gpusim warp instructions fill fixed per-lane arrays. The linalg
@@ -133,7 +110,6 @@ rm -rf "$obs_tmp"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
-    --target test_clustersim \
     --target test_attribution --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication \
     --target test_linalg --target test_engine_spec --target test_io \
@@ -147,7 +123,6 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 "$ASAN_BUILD_DIR/tests/test_report"
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
-"$ASAN_BUILD_DIR/tests/test_clustersim"
 "$ASAN_BUILD_DIR/tests/test_attribution"
 "$ASAN_BUILD_DIR/tests/test_telemetry"
 "$ASAN_BUILD_DIR/tests/test_asyncsim"
@@ -166,14 +141,13 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
-    --target test_faults --target test_clustersim \
+    --target test_faults \
     --target test_attribution --target test_telemetry --target test_engines \
     --target test_linalg --target test_models
 "$TSAN_BUILD_DIR/tests/test_linalg"
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
 "$TSAN_BUILD_DIR/tests/test_faults"
-"$TSAN_BUILD_DIR/tests/test_clustersim"
 "$TSAN_BUILD_DIR/tests/test_attribution"
 "$TSAN_BUILD_DIR/tests/test_telemetry"
 "$TSAN_BUILD_DIR/tests/test_engines"
@@ -187,10 +161,10 @@ trap 'rm -rf "$tmp"' EXIT
     --require-same-sha
 echo "check.sh: tier-1 (simd + scalar) + fault lane (watchdog nan@3," \
      "crash/resume round trip)" \
-     "+ cluster smoke + observability lane (overhead gate, --attribute)" \
-     "+ ASan linalg/kernels/graph/cluster/attribution/telemetry" \
+     "+ observability lane (overhead gate, --attribute)" \
+     "+ ASan linalg/kernels/graph/attribution/telemetry" \
      "/asyncsim/gpusim/replication/engine-spec/io/engines/faults/report" \
      "/models" \
-     "+ TSan linalg/graph/pool/faults/cluster/attribution/telemetry/engines" \
+     "+ TSan linalg/graph/pool/faults/attribution/telemetry/engines" \
      "/models" \
      "+ regression smoke OK"

@@ -1,7 +1,7 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -38,8 +38,8 @@ std::string Cli::get(const std::string& name,
 
 namespace {
 
-[[noreturn]] void bad_number(const std::string& name, const std::string& text,
-                             const char* expected) {
+[[noreturn]] void bad_value(const std::string& name, const std::string& text,
+                            const char* expected) {
   throw CheckError("--" + name + "='" + text + "' is not " + expected);
 }
 
@@ -74,24 +74,13 @@ bool parse_count_value(const std::string& text, std::size_t* out) {
   return true;
 }
 
-std::string format_double_value(double v) {
-  char buf[32];
-  for (int precision = 12; precision < 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    double back = 0;
-    if (parse_double_value(buf, &back) && back == v) return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   std::int64_t v = 0;
   if (!parse_int_value(it->second, &v)) {
-    bad_number(name, it->second, "an integer");
+    bad_value(name, it->second, "an integer");
   }
   return v;
 }
@@ -101,7 +90,7 @@ double Cli::get_double(const std::string& name, double fallback) const {
   if (it == flags_.end()) return fallback;
   double v = 0;
   if (!parse_double_value(it->second, &v)) {
-    bad_number(name, it->second, "a number in double range");
+    bad_value(name, it->second, "a number in double range");
   }
   return v;
 }
@@ -109,7 +98,19 @@ double Cli::get_double(const std::string& name, double fallback) const {
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(name, v, "a boolean (true/false, 1/0 or yes/no)");
+}
+
+std::string Cli::unknown_flag(const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return "";
 }
 
 }  // namespace parsgd

@@ -20,11 +20,6 @@ bool parse_double_value(const std::string& text, double* out);
 /// wrapped to 2^64 - 1).
 bool parse_count_value(const std::string& text, std::size_t* out);
 
-/// The canonical text of a double in the spec grammars: "%.12g" when that
-/// reads back through parse_double_value to exactly `v`, else the first of
-/// "%.13g" ... "%.17g" that does, so every formatted value round-trips.
-std::string format_double_value(double v);
-
 /// Parsed command line: flags plus positional arguments.
 class Cli {
  public:
@@ -35,9 +30,16 @@ class Cli {
   /// Numeric reads throw CheckError naming the flag and its value unless
   /// the whole value parses (so `--epochs=10x`, `--epochs=` and a bare
   /// `--epochs` are all rejected); an absent flag yields `fallback`.
+  /// get_bool likewise takes only true/false, 1/0 or yes/no, so a stray
+  /// word after a bare flag (`--quick stray`) is an error, not "false".
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+
+  /// A flag not named in `known` (the first by name, without its "--"),
+  /// or "" when every flag is known: programs reject a mistyped flag
+  /// instead of silently running without it.
+  std::string unknown_flag(const std::vector<std::string>& known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }

@@ -299,17 +299,12 @@ double Study::optimum(Task task, const std::string& name, Update update) {
     }
     return std::min(g.sync_run->optimum, g.sync_run->run.best_loss());
   }
-  // Async: every registered async architecture runs distinct semantics;
-  // the family optimum spans them (and each search's full candidate set).
-  // Enumerating the registry (not a hard-coded arch list) keeps a newly
-  // registered async configuration inside the convergence reference.
+  // Async: every async architecture of the cube runs distinct semantics;
+  // the family optimum spans them (and each search's full candidate set),
+  // searched in registered_specs() order.
   double best = std::numeric_limits<double>::infinity();
   for (const EngineSpec& s : registered_specs()) {
     if (s.update != Update::kAsync) continue;
-    // Cluster configurations are their own axis (bench_cluster), not part
-    // of the paper's single-machine convergence reference — including
-    // them here would shift every stored Table II/III baseline.
-    if (s.arch == Arch::kCluster) continue;
     if (!g.async_runs.count(s.arch)) {
       config_result(task, name, Update::kAsync, s.arch);
     }

@@ -12,8 +12,7 @@ CrashFault::CrashFault(std::size_t epoch)
       epoch_(epoch) {}
 
 bool FaultPlan::any() const {
-  return corrupt != Corrupt::kNone || crash_epoch != kNever ||
-         nodedown_epoch != kNever;
+  return corrupt != Corrupt::kNone || crash_epoch != kNever;
 }
 
 namespace {
@@ -49,21 +48,6 @@ bool parse_fault_atom(const std::string& atom, FaultPlan* plan) {
     return parse_count_value(arg, &plan->crash_epoch) &&
            plan->crash_epoch != FaultPlan::kNever;
   }
-  if (kind == "nodedown") {
-    // nodedown@E[:K]
-    if (plan->nodedown_epoch != FaultPlan::kNever) return false;
-    const std::vector<std::string> parts = split(arg, ':');
-    if (parts.empty() || parts.size() > 2) return false;
-    if (!parse_count_value(parts[0], &plan->nodedown_epoch) ||
-        plan->nodedown_epoch == FaultPlan::kNever) {
-      return false;
-    }
-    if (parts.size() == 2 &&
-        !parse_count_value(parts[1], &plan->nodedown_node)) {
-      return false;
-    }
-    return true;
-  }
   return false;
 }
 
@@ -90,15 +74,6 @@ std::string format_fault_option(const FaultPlan& plan) {
   if (plan.crash_epoch != FaultPlan::kNever) {
     std::string a = "crash@";
     a += std::to_string(plan.crash_epoch);
-    atoms.push_back(std::move(a));
-  }
-  if (plan.nodedown_epoch != FaultPlan::kNever) {
-    std::string a = "nodedown@";
-    a += std::to_string(plan.nodedown_epoch);
-    if (plan.nodedown_node != 0) {
-      a += ':';
-      a += std::to_string(plan.nodedown_node);
-    }
     atoms.push_back(std::move(a));
   }
   if (atoms.empty()) return {};

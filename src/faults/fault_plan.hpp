@@ -15,11 +15,7 @@
 //   nan@K / inf@K   corrupt the K-th model update (0-based, run-global)
 //                   with NaN / Inf (one of the two per plan),
 //   crash@E         throw CrashFault at the start of epoch E (simulated
-//                   process kill; pair with checkpoint/resume),
-//   nodedown@E[:K]  node K (default 0) of a simulated cluster goes down
-//                   for epoch E (DESIGN.md §17): the shard's updates are
-//                   lost (PS) or an operator-restart stall is charged
-//                   (all-reduce).
+//                   process kill; pair with checkpoint/resume).
 #pragma once
 
 #include <cstddef>
@@ -52,11 +48,6 @@ struct FaultPlan {
 
   /// Simulated process kill at the start of epoch `crash_epoch`.
   std::size_t crash_epoch = kNever;
-
-  /// One-shot cluster node failure: node `nodedown_node` is down for
-  /// epoch `nodedown_epoch`. Cluster engines only; a no-op elsewhere.
-  std::size_t nodedown_epoch = kNever;
-  std::size_t nodedown_node = 0;
 
   bool any() const;
   bool operator==(const FaultPlan&) const = default;

@@ -15,9 +15,7 @@ void FaultInjector::install(const FaultPlan& plan) {
   step_ = 0;
   corrupt_fired_ = false;
   crash_fired_ = false;
-  nodedown_fired_ = false;
   corruptions_.store(0, kRelaxed);
-  node_downs_.store(0, kRelaxed);
 }
 
 void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
@@ -25,12 +23,10 @@ void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
     telemetry::MetricsRegistry& reg = session->metrics();
     c_crashes_ = &reg.counter("faults.crashes");
     c_corruptions_ = &reg.counter("faults.corruptions");
-    c_node_downs_ = &reg.counter("faults.node_downs");
     trace_ = session->trace_enabled() ? &session->trace() : nullptr;
   } else {
     c_crashes_ = nullptr;
     c_corruptions_ = nullptr;
-    c_node_downs_ = nullptr;
     trace_ = nullptr;
   }
 }
@@ -38,7 +34,6 @@ void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
 FaultCounters FaultInjector::counters() const {
   FaultCounters c;
   c.corruptions = corruptions_.load(kRelaxed);
-  c.node_downs = node_downs_.load(kRelaxed);
   return c;
 }
 
@@ -55,21 +50,6 @@ void FaultInjector::begin_epoch() {
     }
     throw CrashFault(e);
   }
-}
-
-std::size_t FaultInjector::node_down_this_epoch() {
-  if (!active() || nodedown_fired_ || epoch_ == 0) return kNoNode;
-  // begin_epoch advanced the clock past the epoch it just started.
-  if (epoch_ - 1 != plan_.nodedown_epoch) return kNoNode;
-  nodedown_fired_ = true;
-  node_downs_.fetch_add(1, kRelaxed);
-  if (c_node_downs_ != nullptr) c_node_downs_->inc();
-  if (trace_ != nullptr) {
-    trace_->instant("fault.nodedown",
-                    {{"epoch", static_cast<double>(epoch_ - 1)},
-                     {"node", static_cast<double>(plan_.nodedown_node)}});
-  }
-  return plan_.nodedown_node;
 }
 
 void FaultInjector::after_updates(std::size_t steps, std::span<real_t> w) {

@@ -6,7 +6,7 @@
 // is installed, so baseline trajectories are bit-identical — the injector
 // never draws from the training stream.
 //
-// One-shot events (corruption, crash, node down) latch a fired flag, so a
+// One-shot events (corruption, crash) latch a fired flag, so a
 // watchdog rollback past the fault re-runs the epoch clean — exactly the
 // transient-fault model the recovery machinery is meant to absorb.
 #pragma once
@@ -24,7 +24,6 @@ namespace parsgd {
 /// How often each fault class actually fired (visible in tests/CLI).
 struct FaultCounters {
   std::size_t corruptions = 0;  ///< NaN/Inf update corruptions
-  std::size_t node_downs = 0;   ///< cluster node failures served
 };
 
 class FaultInjector {
@@ -60,16 +59,6 @@ class FaultInjector {
   void after_update(std::span<real_t> w) { after_updates(1, w); }
   void after_updates(std::size_t steps, std::span<real_t> w);
 
-  /// "No node" result of node_down_this_epoch().
-  static constexpr std::size_t kNoNode = ~std::size_t{0};
-
-  /// One-shot cluster node failure (nodedown@E[:K]): returns the downed
-  /// node's index when the epoch that begin_epoch just started is the
-  /// planned one, kNoNode otherwise. Shares the epoch clock with
-  /// begin_epoch — cluster engines call it right after begin_epoch, once
-  /// per epoch.
-  std::size_t node_down_this_epoch();
-
  private:
   FaultPlan plan_;
   bool active_ = false;
@@ -79,13 +68,11 @@ class FaultInjector {
   std::size_t step_ = 0;
   bool corrupt_fired_ = false;
   bool crash_fired_ = false;
-  bool nodedown_fired_ = false;
 
-  // The counters are atomic: after_update runs inside step-path graph
+  // The counter is atomic: after_update runs inside step-path graph
   // tasks on pool workers while the driving thread may read counters()
-  // (relaxed — they are statistics, not synchronization).
+  // (relaxed — it is a statistic, not synchronization).
   std::atomic<std::size_t> corruptions_{0};
-  std::atomic<std::size_t> node_downs_{0};
 
   /// Telemetry mirror, cached on set_telemetry (called while no epoch is
   /// running; graph tasks see the write through the graph run's
@@ -93,7 +80,6 @@ class FaultInjector {
   telemetry::TraceRecorder* trace_ = nullptr;
   telemetry::Counter* c_crashes_ = nullptr;
   telemetry::Counter* c_corruptions_ = nullptr;
-  telemetry::Counter* c_node_downs_ = nullptr;
 };
 
 }  // namespace parsgd

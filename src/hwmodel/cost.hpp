@@ -22,8 +22,6 @@ struct CostBreakdown {
   double write_conflicts = 0;  ///< same-index concurrent writes observed
   double kernel_launches = 0;  ///< GPU kernel launches
   double gpu_cycles = 0;       ///< SIMT cycles charged by gpusim
-  double net_messages = 0;     ///< cluster network messages (clustersim)
-  double net_bytes = 0;        ///< cluster network payload bytes
 
   CostBreakdown& operator+=(const CostBreakdown& o) {
     flops += o.flops;
@@ -34,8 +32,6 @@ struct CostBreakdown {
     write_conflicts += o.write_conflicts;
     kernel_launches += o.kernel_launches;
     gpu_cycles += o.gpu_cycles;
-    net_messages += o.net_messages;
-    net_bytes += o.net_bytes;
     return *this;
   }
 
@@ -56,8 +52,6 @@ struct CostBreakdown {
     c.write_conflicts *= factor;
     c.kernel_launches *= factor;
     c.gpu_cycles *= factor;
-    c.net_messages *= factor;
-    c.net_bytes *= factor;
     return c;
   }
 

@@ -273,19 +273,6 @@ void write_report(std::ostream& os, const RunReport& report) {
       res.set("checkpoints", num(rs.checkpoints));
       o.set("resilience", std::move(res));
     }
-    if (e.cluster.any()) {
-      const ClusterSlice& cs = e.cluster;
-      Json cl{JsonMembers{}};
-      cl.set("nodes", num(cs.nodes));
-      cl.set("sync", cs.sync);
-      cl.set("link_latency_us", num(cs.link_latency_us));
-      cl.set("link_bandwidth_gbps", num(cs.link_bandwidth_gbps));
-      cl.set("net_messages", num(cs.net_messages));
-      cl.set("net_bytes", num(cs.net_bytes));
-      cl.set("net_seconds", num(cs.net_seconds));
-      cl.set("stale_units", num(cs.stale_units));
-      o.set("cluster", std::move(cl));
-    }
     if (e.attribution.any()) {
       const AttributionSlice& as = e.attribution;
       Json at{JsonMembers{}};
@@ -425,18 +412,6 @@ RunReport read_report(std::istream& is) {
         e.resilience.recoveries = get_num(*res, "recoveries", 0);
         e.resilience.checkpoints = get_num(*res, "checkpoints", 0);
       }
-      // Absent in pre-cluster reports (additive-field policy).
-      if (const Json* cl = o.find("cluster")) {
-        e.cluster.nodes = get_num(*cl, "nodes", 0);
-        e.cluster.sync = get_str(*cl, "sync");
-        e.cluster.link_latency_us = get_num(*cl, "link_latency_us", 0);
-        e.cluster.link_bandwidth_gbps =
-            get_num(*cl, "link_bandwidth_gbps", 0);
-        e.cluster.net_messages = get_num(*cl, "net_messages", 0);
-        e.cluster.net_bytes = get_num(*cl, "net_bytes", 0);
-        e.cluster.net_seconds = get_num(*cl, "net_seconds", 0);
-        e.cluster.stale_units = get_num(*cl, "stale_units", 0);
-      }
       // Absent in pre-attribution reports (additive-field policy).
       if (const Json* at = o.find("attribution")) {
         e.attribution.epochs = get_num(*at, "epochs", 0);
@@ -506,8 +481,6 @@ std::string emit(const RunReport& report, const std::string& dir) {
   } else if (const char* env = std::getenv("PARSGD_REPORT_DIR");
              env != nullptr && *env != '\0') {
     out_dir = env;
-  } else if (fs::is_directory("bench/results")) {
-    out_dir = "bench/results";
   } else {
     out_dir = ".";
   }
@@ -519,75 +492,6 @@ std::string emit(const RunReport& report, const std::string& dir) {
   os.flush();
   PARSGD_CHECK(os.good(), "short write on report '" << path.string() << "'");
   return path.string();
-}
-
-// ---- multi-report merge --------------------------------------------------
-
-namespace {
-
-bool same_dataset(const DatasetInfo& a, const DatasetInfo& b) {
-  return a.name == b.name && a.rows == b.rows &&
-         a.paper_rows == b.paper_rows && a.cols == b.cols &&
-         a.nnz == b.nnz && a.nnz_avg == b.nnz_avg &&
-         a.sparsity_percent == b.sparsity_percent;
-}
-
-}  // namespace
-
-RunReport merge_reports(const std::vector<RunReport>& shards) {
-  PARSGD_CHECK(!shards.empty(), "merge needs at least one report");
-  const RunReport& first = shards.front();
-
-  RunReport out;
-  out.schema_version = first.schema_version;
-  out.name = first.name;
-  out.build = first.build;
-  out.engine_spec = first.engine_spec;
-  out.seed = first.seed;
-  out.threads = first.threads;
-  out.scale = first.scale;
-
-  for (const RunReport& shard : shards) {
-    PARSGD_CHECK(shard.schema_version == first.schema_version,
-                 "merge: schema mismatch: " << shard.schema_version << " vs "
-                                            << first.schema_version);
-    PARSGD_CHECK(shard.name == first.name,
-                 "merge: shards are different benches: '"
-                     << shard.name << "' vs '" << first.name << "'");
-    PARSGD_CHECK(shard.scale == first.scale,
-                 "merge: scale mismatch: " << shard.scale << " vs "
-                                           << first.scale);
-    PARSGD_CHECK(shard.build.git_sha == first.build.git_sha,
-                 "merge: shards built from different commits: '"
-                     << shard.build.git_sha << "' vs '"
-                     << first.build.git_sha << "'");
-    if (shard.engine_spec != first.engine_spec) out.engine_spec = "";
-
-    for (const Entry& e : shard.entries) {
-      PARSGD_CHECK(out.find(e.label) == nullptr,
-                   "merge: duplicate entry label '"
-                       << e.label << "' — shards must be disjoint");
-      out.add_entry(e);
-    }
-    for (const DatasetInfo& d : shard.datasets) {
-      bool known = false;
-      for (const DatasetInfo& have : out.datasets) {
-        if (have.name != d.name) continue;
-        PARSGD_CHECK(same_dataset(have, d),
-                     "merge: dataset '" << d.name
-                                        << "' has conflicting shapes");
-        known = true;
-        break;
-      }
-      if (!known) out.datasets.push_back(d);
-    }
-    for (const telemetry::MetricSample& m : shard.metrics) {
-      out.metrics.push_back(m);
-    }
-    for (const KernelReport& k : shard.kernels) out.kernels.push_back(k);
-    out.host_seconds += shard.host_seconds;
-  }
-  return out;
 }
 
 // ---- regression comparator ----------------------------------------------

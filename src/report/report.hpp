@@ -99,30 +99,10 @@ struct ResilienceSlice {
   static ResilienceSlice from(const ResilienceStats& s);
 };
 
-/// Per-entry cluster snapshot (additive slice like ResilienceSlice): the
-/// simulated-cluster shape and its network ledger (DESIGN.md §17).
-/// nodes == 0 = absent (the "cluster" object is omitted from the JSON and
-/// pre-cluster readers never see it). Round-trips through
-/// write_report/read_report; compare_reports ignores it entirely — the
-/// slice explains a cluster entry's wire behavior, it is not a regression
-/// axis (the three Axes already gate the outcome).
-struct ClusterSlice {
-  double nodes = 0;                ///< simulated cluster size
-  std::string sync;                ///< "ps" / "allreduce"
-  double link_latency_us = 0;      ///< per-message link latency
-  double link_bandwidth_gbps = 0;  ///< link bandwidth
-  double net_messages = 0;         ///< wire messages per epoch (steady state)
-  double net_bytes = 0;            ///< wire payload bytes per epoch
-  double net_seconds = 0;          ///< modeled network seconds per epoch
-  double stale_units = 0;          ///< summed PS staleness draws per epoch
-
-  bool any() const { return nodes > 0; }
-};
-
-/// Per-entry time-attribution snapshot (additive slice like the two
-/// above): the run's epoch time-budget ledger (DESIGN.md §18) folded to
-/// per-bucket totals, modeled buckets in modeled seconds and host buckets
-/// in wall seconds. epochs == 0 = absent (the "attribution" object is
+/// Per-entry time-attribution snapshot (additive slice like
+/// ResilienceSlice): the run's epoch time-budget ledger (DESIGN.md §18)
+/// folded to per-bucket totals, modeled buckets in modeled seconds and
+/// host buckets in wall seconds. epochs == 0 = absent (the "attribution" object is
 /// omitted from the JSON and pre-attribution readers never see it).
 /// Round-trips through write_report/read_report; compare_reports ignores
 /// it — the slice explains *why* sec/epoch moved (attribute_regressions),
@@ -171,8 +151,6 @@ struct Entry {
   std::vector<double> series_seconds;
   /// Optional fault-tolerance snapshot (see ResilienceSlice).
   ResilienceSlice resilience;
-  /// Optional simulated-cluster snapshot (see ClusterSlice).
-  ClusterSlice cluster;
   /// Optional time-attribution snapshot (see AttributionSlice).
   AttributionSlice attribution;
 };
@@ -239,24 +217,10 @@ RunReport read_report(std::istream& is);
 RunReport load_report(const std::string& path);
 
 /// Writes `report` as BENCH_<report.name>.json under `dir` (created if
-/// missing) and returns the path. An empty `dir` resolves to, in order:
-/// $PARSGD_REPORT_DIR, ./bench/results when that directory exists (so
-/// running a bench from the repo root seeds the perf trajectory), else ".".
+/// missing) and returns the path. An empty `dir` resolves to
+/// $PARSGD_REPORT_DIR, else ".". The committed baselines under
+/// bench/results are only ever written through an explicit `dir`.
 std::string emit(const RunReport& report, const std::string& dir = "");
-
-/// Merges shards of one logical bench run into a single report
-/// (`parsgd_compare --merge`): the union of entries, datasets, metrics and
-/// kernels across all shards. Strict about identity — every shard must
-/// carry the same name, schema_version, scale and git SHA, and entry
-/// labels must be disjoint (a duplicate label is a conflict, not a
-/// last-writer-wins). Datasets deduplicate on full equality; two shards
-/// describing the same dataset name with different shapes conflict.
-/// Metrics and kernels concatenate (they are per-shard snapshots, not
-/// joinable series). host_seconds sums; modeled_seconds is rebuilt from
-/// the merged entries; seed/threads/engine_spec come from the first shard
-/// (engine_spec blanks out when shards disagree — a sweep, not one run).
-/// Throws CheckError on any conflict.
-RunReport merge_reports(const std::vector<RunReport>& shards);
 
 // ---- regression comparator ----------------------------------------------
 

@@ -16,17 +16,12 @@ const char* to_string(Arch a) {
     case Arch::kCpuSeq: return "cpu-seq";
     case Arch::kCpuPar: return "cpu-par";
     case Arch::kGpu: return "gpu";
-    case Arch::kCluster: return "cluster";
   }
   return "?";
 }
 
 const char* to_string(Update u) {
   return u == Update::kSync ? "sync" : "async";
-}
-
-const char* to_string(ClusterSync s) {
-  return s == ClusterSync::kPs ? "ps" : "allreduce";
 }
 
 double Engine::epoch_seconds(std::span<const real_t> w_sample) {
@@ -300,11 +295,6 @@ RunResult run_training(Engine& engine, const Model& model,
         }
         if (ledger_on) pending_checkpoint_s += monotonic_seconds() - ck_t0;
       }
-    }
-    if (opts.plateau_window > 0 && res.losses.size() > opts.plateau_window) {
-      const double past =
-          res.losses[res.losses.size() - 1 - opts.plateau_window];
-      if (past - loss < opts.plateau_rtol * std::abs(past)) break;
     }
     ++e;
   }

@@ -29,16 +29,11 @@ class ThreadPool;
 
 struct TrainCheckpoint;
 
-enum class Arch { kCpuSeq, kCpuPar, kGpu, kCluster };
+enum class Arch { kCpuSeq, kCpuPar, kGpu };
 enum class Update { kSync, kAsync };
-/// Cluster model-update strategy (arch=cluster; spec key sync=). Tied to
-/// the update head: async clusters are parameter-server, sync clusters
-/// are ring all-reduce (DESIGN.md §17).
-enum class ClusterSync { kPs, kAllReduce };
 
 const char* to_string(Arch a);
 const char* to_string(Update u);
-const char* to_string(ClusterSync s);
 
 class Engine {
  public:
@@ -73,7 +68,8 @@ class Engine {
   /// Modeled-time decomposition of the last epoch for the attribution
   /// ledger (DESIGN.md §18): exposed (critical-path) network seconds and
   /// stall seconds; compute is the residual against run_epoch's return.
-  /// Engines without a network/stall model report zeros (all compute).
+  /// No engine models network or stall time, so every split is zeros
+  /// (all compute) until the paper's cost classes replace it (ROADMAP 6.2).
   struct EpochSplit {
     double net_s = 0;
     double stall_s = 0;
@@ -173,10 +169,6 @@ struct TrainOptions {
   std::size_t max_epochs = 200;
   /// Abort when loss exceeds `divergence_factor` x initial (or is NaN).
   double divergence_factor = 10.0;
-  /// Stop early when the loss has improved by less than `plateau_rtol`
-  /// (relative) over the last `plateau_window` epochs. 0 disables.
-  std::size_t plateau_window = 0;
-  double plateau_rtol = 1e-5;
   std::uint64_t seed = 7;
   bool prefer_dense = false;  ///< loss evaluation layout
   /// Divergence watchdog (DESIGN.md §11, spec key resilience=watchdog).

@@ -1,12 +1,10 @@
 #include "sgd/spec.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "sgd/async_engine.hpp"
-#include "sgd/cluster_engine.hpp"
 #include "sgd/sync_engine.hpp"
 
 namespace parsgd {
@@ -81,12 +79,9 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
     s.arch = Arch::kCpuPar;
   } else if (parts[1] == "gpu") {
     s.arch = Arch::kGpu;
-  } else if (parts[1] == "cluster") {
-    s.arch = Arch::kCluster;
   } else {
     return parse_fail(error, "unknown arch '" + parts[1] +
-                                 "' (expected cpu-seq, cpu-par, gpu or "
-                                 "cluster)");
+                                 "' (expected cpu-seq, cpu-par or gpu)");
   }
 
   if (parts[2] == "sparse") {
@@ -140,57 +135,6 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
       } else if (key == "gemmth") {
         if (!parse_count_value(val, &s.gemm_parallel_threshold)) {
           return parse_fail(error, "bad value in '" + kv + "'");
-        }
-      } else if (key == "nodes") {
-        if (s.arch != Arch::kCluster) {
-          return parse_fail(error,
-                            "'nodes=' only applies to arch=cluster");
-        }
-        if (!parse_count_value(val, &s.nodes) || s.nodes == 0 ||
-            s.nodes > 1024) {
-          return parse_fail(error, "bad value in '" + kv +
-                                       "' (expected nodes in [1, 1024])");
-        }
-      } else if (key == "link") {
-        if (s.arch != Arch::kCluster) {
-          return parse_fail(error, "'link=' only applies to arch=cluster");
-        }
-        const std::optional<LinkSpec> l = parse_link_spec(val);
-        if (!l.has_value()) {
-          return parse_fail(error,
-                            "bad value in '" + kv +
-                                "' (expected LATENCY:BANDWIDTH, e.g. "
-                                "10us:10gbps)");
-        }
-        s.link = *l;
-      } else if (key == "sync") {
-        // Validation-only sugar: the strategy is tied to the update head
-        // (EngineSpec::cluster_sync), so format_spec never emits sync=.
-        if (s.arch != Arch::kCluster) {
-          return parse_fail(error, "'sync=' only applies to arch=cluster");
-        }
-        if (val == "ps") {
-          if (s.update != Update::kAsync) {
-            return parse_fail(error,
-                              "'sync=ps' requires the async update head");
-          }
-        } else if (val == "allreduce") {
-          if (s.update != Update::kSync) {
-            return parse_fail(
-                error, "'sync=allreduce' requires the sync update head");
-          }
-        } else {
-          return parse_fail(error, "bad value in '" + kv +
-                                       "' (expected ps or allreduce)");
-        }
-      } else if (key == "shard") {
-        if (s.arch != Arch::kCluster) {
-          return parse_fail(error, "'shard=' only applies to arch=cluster");
-        }
-        if (val != "data") {
-          return parse_fail(error,
-                            "bad value in '" + kv +
-                                "' (only data sharding is implemented)");
         }
       } else if (key == "resilience") {
         if (val != "off" && val != "watchdog") {
@@ -252,12 +196,6 @@ std::string format_spec(const EngineSpec& spec) {
   if (spec.gemm_parallel_threshold != kDefaultGemmThreshold) {
     kv.push_back("gemmth=" + std::to_string(spec.gemm_parallel_threshold));
   }
-  if (spec.arch == Arch::kCluster) {
-    if (!(spec.link == LinkSpec{})) {
-      kv.push_back("link=" + format_link_spec(spec.link));
-    }
-    if (spec.nodes != 0) kv.push_back("nodes=" + std::to_string(spec.nodes));
-  }
   if (spec.watchdog) kv.push_back("resilience=watchdog");
   if (spec.threads != 0) {
     kv.push_back("threads=" + std::to_string(spec.threads));
@@ -288,7 +226,7 @@ EngineContext make_engine_context(const Dataset& ds, const Model& model,
   return ctx;
 }
 
-// ---- registry ------------------------------------------------------------
+// ---- engine table ------------------------------------------------------------
 
 namespace {
 
@@ -355,67 +293,18 @@ std::unique_ptr<Engine> make_async_gpu(const EngineSpec& spec,
                                           o);
 }
 
-std::unique_ptr<Engine> make_cluster(const EngineSpec& spec,
-                                     const EngineContext& ctx) {
-  ClusterEngineOptions o;
-  o.nodes = spec.nodes != 0 ? spec.nodes : 2;
-  o.sync = spec.cluster_sync();
-  o.node_threads = resolved_threads(spec, ctx);
-  o.batch = spec.batch;
-  o.use_dense = spec.layout == Layout::kDense;
-  o.link = spec.link;
-  o.delay_units = spec.delay_units;
-  o.gemm_parallel_threshold = spec.gemm_parallel_threshold;
-  o.calibration = sync_calibration(spec.calibration);
-  o.deterministic = spec.deterministic;
-  o.pool = ctx.pool;
-  return std::make_unique<ClusterEngine>(*ctx.model, ctx.data, ctx.scale,
-                                         o);
-}
-
-struct Registration {
-  EngineSpec canonical;
-  EngineFactory factory;
-};
-
-EngineSpec canonical_spec(Update update, Arch arch) {
-  EngineSpec s;
-  s.update = update;
-  s.arch = arch;
-  return s;
-}
-
-std::map<std::string, Registration>& registry() {
-  static std::map<std::string, Registration> reg = [] {
-    std::map<std::string, Registration> r;
-    auto add = [&r](const EngineSpec& canonical, EngineFactory f) {
-      r[canonical.family()] = {canonical, std::move(f)};
-    };
-    add(canonical_spec(Update::kSync, Arch::kCpuSeq), make_sync);
-    add(canonical_spec(Update::kSync, Arch::kCpuPar), make_sync);
-    add(canonical_spec(Update::kSync, Arch::kGpu), make_sync);
-    add(canonical_spec(Update::kAsync, Arch::kCpuSeq), make_async_cpu);
-    add(canonical_spec(Update::kAsync, Arch::kCpuPar), make_async_cpu);
-    add(canonical_spec(Update::kAsync, Arch::kGpu), make_async_gpu);
-    add(canonical_spec(Update::kSync, Arch::kCluster), make_cluster);
-    add(canonical_spec(Update::kAsync, Arch::kCluster), make_cluster);
-    return r;
-  }();
-  return reg;
-}
-
 }  // namespace
-
-void register_engine(const EngineSpec& canonical, EngineFactory factory) {
-  PARSGD_CHECK(factory != nullptr, "null engine factory for "
-                                       << canonical.family());
-  registry()[canonical.family()] = {canonical, std::move(factory)};
-}
 
 std::vector<EngineSpec> registered_specs() {
   std::vector<EngineSpec> specs;
-  specs.reserve(registry().size());
-  for (const auto& [family, reg] : registry()) specs.push_back(reg.canonical);
+  for (const Update update : {Update::kAsync, Update::kSync}) {
+    for (const Arch arch : {Arch::kCpuPar, Arch::kCpuSeq, Arch::kGpu}) {
+      EngineSpec s;
+      s.update = update;
+      s.arch = arch;
+      specs.push_back(s);
+    }
+  }
   return specs;
 }
 
@@ -426,18 +315,14 @@ std::unique_ptr<Engine> make_engine(const EngineSpec& spec,
   PARSGD_CHECK(spec.layout == Layout::kSparse || ctx.data.has_dense(),
                "spec '" << format_spec(spec)
                         << "' requires a dense materialization");
-  const auto it = registry().find(spec.family());
-  if (it == registry().end()) {
-    std::string known;
-    for (const auto& [family, reg] : registry()) {
-      if (!known.empty()) known += ", ";
-      known += family;
-    }
-    PARSGD_CHECK(false, "no engine registered for family '"
-                            << spec.family() << "' (registered: " << known
-                            << ")");
+  std::unique_ptr<Engine> engine;
+  if (spec.update == Update::kSync) {
+    engine = make_sync(spec, ctx);
+  } else if (spec.arch == Arch::kGpu) {
+    engine = make_async_gpu(spec, ctx);
+  } else {
+    engine = make_async_cpu(spec, ctx);
   }
-  std::unique_ptr<Engine> engine = it->second.factory(spec, ctx);
   // Central fault installation keeps factories and Options structs fault
   // agnostic.
   if (spec.faults.any()) engine->install_faults(spec.faults);

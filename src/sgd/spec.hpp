@@ -1,30 +1,25 @@
 // EngineSpec — one declarative descriptor for every configuration of the
-// paper's Fig. 1 cube and the simulated cluster axis: update strategy x
-// architecture x data layout x batching x thread count x calibration
-// preset, plus the fault, resilience and telemetry options.
+// paper's Fig. 1 cube: update strategy x architecture x data layout x
+// batching x thread count x calibration preset, plus the fault,
+// resilience and telemetry options.
 //
 // A spec has a canonical string form, e.g.
 //   async/cpu-par/sparse
 //   sync/gpu/dense:batch=64,calib=mlp
-//   async/cluster/sparse:link=10us:10gbps,nodes=4
 // and parse_spec/format_spec round-trip: for every spec s obtained from
-// parse_spec, parse_spec(format_spec(s)) == s. Counts are non-negative
-// integers and doubles print with the fewest digits that read back
-// exactly (common/cli.hpp), so the round trip is exact.
+// parse_spec, parse_spec(format_spec(s)) == s. Every option value is a
+// non-negative count or a keyword, so the round trip is exact.
 //
-// make_engine(spec, ctx) constructs the engine through a registry keyed by
-// the spec's family ("sync/cpu-par", "async/gpu", "sync/cluster", ...), so
-// a new configuration is one register_engine() call, not another if/else
-// arm in every driver (DESIGN.md §10).
+// make_engine(spec, ctx) constructs the engine of the spec's family
+// ("sync/cpu-par", "async/gpu", ...) from one fixed table of the cube's
+// six families (DESIGN.md §10).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "clustersim/net_model.hpp"
 #include "data/dataset.hpp"
 #include "faults/fault_plan.hpp"
 #include "sgd/engine.hpp"
@@ -70,12 +65,6 @@ struct EngineSpec {
   bool deterministic = true;
   /// ViennaCL GEMM parallelization threshold for sync CPU engines.
   std::size_t gemm_parallel_threshold = 5000;
-  /// Simulated cluster size (arch=cluster; spec key nodes=). 0 = the
-  /// family default (2 nodes). Ignored elsewhere.
-  std::size_t nodes = 0;
-  /// Cluster interconnect (arch=cluster; spec key link=LAT:BW, canonical
-  /// form e.g. link=10us:10gbps). Ignored elsewhere.
-  LinkSpec link;
   /// Injected faults (faults= spec key, DESIGN.md §11). Empty by
   /// default.
   FaultPlan faults;
@@ -88,17 +77,8 @@ struct EngineSpec {
   /// standalone session owned by the engine (Engine::telemetry()).
   telemetry::TelemetryMode telemetry = telemetry::TelemetryMode::kOff;
 
-  /// Registry key: update/arch, e.g. "sync/cpu-par" or "async/cluster".
+  /// Family key: update/arch, e.g. "sync/cpu-par" or "async/gpu".
   std::string family() const;
-
-  /// Cluster update strategy (DESIGN.md §17), tied to the update head:
-  /// async clusters are parameter-server, sync clusters are ring
-  /// all-reduce. The `sync=ps|allreduce` spec key is validation-only
-  /// sugar for the same fact, so format_spec never needs to emit it.
-  ClusterSync cluster_sync() const {
-    return update == Update::kAsync ? ClusterSync::kPs
-                                    : ClusterSync::kAllReduce;
-  }
 
   bool operator==(const EngineSpec&) const = default;
 };
@@ -142,23 +122,14 @@ struct EngineContext {
 EngineContext make_engine_context(const Dataset& ds, const Model& model,
                                   Layout layout);
 
-/// Constructs an engine for `spec` from `ctx` via the registry. Throws
-/// CheckError for unregistered families and for a dense layout without a
-/// dense materialization.
+/// Constructs the engine for `spec` from `ctx`. Throws CheckError for a
+/// dense layout without a dense materialization.
 std::unique_ptr<Engine> make_engine(const EngineSpec& spec,
                                     const EngineContext& ctx);
 
-using EngineFactory = std::function<std::unique_ptr<Engine>(
-    const EngineSpec&, const EngineContext&)>;
-
-/// Registers (or replaces) the factory for `canonical.family()`. The
-/// canonical spec is what registered_specs() reports for the family.
-void register_engine(const EngineSpec& canonical, EngineFactory factory);
-
-/// One canonical spec per registered family, sorted by family key. The
-/// built-in registrations cover the full cube:
-///   sync/{cpu-seq,cpu-par,gpu}, async/{cpu-seq,cpu-par,gpu}, plus
-///   {sync,async}/cluster.
+/// The canonical (default-option) spec of each of the cube's six
+/// families, sorted by family key: async/{cpu-par,cpu-seq,gpu}, then
+/// sync/{cpu-par,cpu-seq,gpu}.
 std::vector<EngineSpec> registered_specs();
 
 }  // namespace parsgd

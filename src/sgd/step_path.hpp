@@ -11,8 +11,7 @@
 // Fault injection: after_update runs once per batch, in batch order, as a
 // graph task chained after that batch's update.
 //
-// SyncEngine (and through it the sync ClusterEngine) runs its minibatch
-// epochs through this.
+// SyncEngine runs its minibatch epochs through this.
 #pragma once
 
 #include <cstddef>

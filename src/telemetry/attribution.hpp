@@ -7,8 +7,8 @@
 //
 //  * the modeled split over the engine's modeled seconds
 //        modeled_s == m_compute_s + m_net_s + m_stall_s
-//    (network and staleness/nodedown stall come from the cluster engine's
-//    cost model; compute is the residual), and
+//    (network and stall come from Engine::last_epoch_split, which no
+//    engine fills today, so compute, the residual, is all of it), and
 //  * the host split over the measured wall seconds of the epoch
 //        host_s == h_compute_s + h_queue_s + h_ready_s + h_recovery_s
 //                  + h_checkpoint_s
@@ -48,7 +48,7 @@ struct EpochAttribution {
   double modeled_s = 0;    ///< engine-modeled epoch seconds
   double m_compute_s = 0;  ///< residual: modeled_s - net - stall
   double m_net_s = 0;      ///< exposed (critical-path) network seconds
-  double m_stall_s = 0;    ///< staleness / nodedown-restart stall
+  double m_stall_s = 0;    ///< staleness stall
 
   // ---- host split (measured wall seconds of run_epoch + loss eval) ----
   double host_s = 0;         ///< measured wall seconds

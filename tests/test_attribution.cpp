@@ -227,20 +227,5 @@ TEST(Attribution, QueueWaitIsSharedOverTheEnginesPoolWorkers) {
   FAIL() << "no pool worker ever waited for a job";
 }
 
-TEST(Attribution, ClusterRunsExposeNetworkBuckets) {
-  Fixture f;
-  TrainOptions t = epochs(4);
-  t.attribute = true;
-  const RunResult ps = f.run("async/cluster/sparse:nodes=4", t);
-  expect_exact_sums(ps, 4);
-  const RunResult ar = f.run("sync/cluster/sparse:nodes=4", t);
-  expect_exact_sums(ar, 4);
-  // All-reduce puts the full collective on the critical path — the net
-  // bucket must be visibly nonzero for a 4-node ring.
-  double ar_net = 0;
-  for (const EpochAttribution& e : ar.attribution) ar_net += e.m_net_s;
-  EXPECT_GT(ar_net, 0.0);
-}
-
 }  // namespace
 }  // namespace parsgd

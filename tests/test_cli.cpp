@@ -36,6 +36,21 @@ TEST(Cli, BooleanFlag) {
   EXPECT_TRUE(cli.get_bool("missing", true));
 }
 
+TEST(Cli, BooleanFlagsRejectOtherValues) {
+  // "--quick stray" binds "stray" as the value of --quick: an error, not a
+  // silent non-quick run.
+  const Cli cli = make({"prog", "--quick", "stray", "--det=on", "--v=no"});
+  EXPECT_THROW(cli.get_bool("quick", false), CheckError);
+  EXPECT_THROW(cli.get_bool("det", false), CheckError);
+  EXPECT_FALSE(cli.get_bool("v", true));
+}
+
+TEST(Cli, UnknownFlagNamesIt) {
+  const Cli cli = make({"prog", "--scale=2", "--sacle=3", "pos"});
+  EXPECT_EQ(cli.unknown_flag({"scale"}), "sacle");
+  EXPECT_EQ(cli.unknown_flag({"scale", "sacle"}), "");
+}
+
 TEST(Cli, Doubles) {
   const Cli cli = make({"prog", "--alpha=0.01"});
   EXPECT_DOUBLE_EQ(cli.get_double("alpha", 0), 0.01);

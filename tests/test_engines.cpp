@@ -671,17 +671,5 @@ TEST(StepSearch, ConcurrentFailureRethrowsLowestIndexAfterInFlightRuns) {
   }
 }
 
-TEST(RunTraining, PlateauStopsEarly) {
-  Fixture f("w8a");
-  SyncEngineOptions opts;
-  SyncEngine e(f.lr, f.data, f.scale, opts);
-  TrainOptions t;
-  t.max_epochs = 100;
-  t.plateau_window = 3;
-  t.plateau_rtol = 0.5;  // aggressive: stop as soon as gains halve
-  const RunResult r = run_training(e, f.lr, f.data, f.w0, real_t(1e-6), t);
-  EXPECT_LT(r.epochs(), 100u);
-}
-
 }  // namespace
 }  // namespace parsgd

@@ -80,12 +80,10 @@ TrainOptions watchdog_epochs(std::size_t n) {
 
 TEST(FaultSpec, ParsesAllKeys) {
   const EngineSpec s = parse_spec(
-      "async/cpu-par/sparse:faults=nan@120+crash@9+nodedown@2:1");
+      "async/cpu-par/sparse:faults=nan@120+crash@9");
   EXPECT_EQ(s.faults.corrupt, FaultPlan::Corrupt::kNan);
   EXPECT_EQ(s.faults.corrupt_step, 120u);
   EXPECT_EQ(s.faults.crash_epoch, 9u);
-  EXPECT_EQ(s.faults.nodedown_epoch, 2u);
-  EXPECT_EQ(s.faults.nodedown_node, 1u);
   EXPECT_TRUE(s.faults.any());
 }
 
@@ -94,7 +92,7 @@ TEST(FaultSpec, FormatRoundTrips) {
            "async/cpu-par/sparse:faults=nan@120",
            "sync/cpu-seq/sparse:batch=32,faults=crash@5+inf@3",
            "async/cpu-seq/sparse:faults=inf@9",
-           "async/cluster/sparse:faults=nodedown@4:2+crash@6",
+           "async/gpu/sparse:faults=crash@6+nan@4",
            "sync/cpu-par/sparse:batch=64,faults=crash@5",
        }) {
     const EngineSpec s = parse_spec(text);
@@ -114,9 +112,7 @@ TEST(FaultSpec, RejectsMalformedPlans) {
            "async/cpu-par/sparse:faults=",            // empty value
            "async/cpu-par/sparse:faults=nan@1+inf@2", // two corruptions
            "async/cpu-par/sparse:faults=crash@3+crash@5",
-           "async/cpu-par/sparse:faults=nodedown@3+nodedown@5",
-           "async/cpu-par/sparse:faults=nodedown@3+nodedown@5:1",
-           "async/cpu-par/sparse:faults=nodedown@3:1:2", // extra field
+           "async/cpu-par/sparse:faults=nodedown@3",  // cluster atom, gone
        }) {
     EXPECT_FALSE(try_parse_spec(text).has_value()) << text;
   }

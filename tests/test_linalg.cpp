@@ -466,8 +466,6 @@ void expect_same_cost(const CostBreakdown& a, const CostBreakdown& b) {
   EXPECT_EQ(a.write_conflicts, b.write_conflicts);
   EXPECT_EQ(a.kernel_launches, b.kernel_launches);
   EXPECT_EQ(a.gpu_cycles, b.gpu_cycles);
-  EXPECT_EQ(a.net_messages, b.net_messages);
-  EXPECT_EQ(a.net_bytes, b.net_bytes);
 }
 
 TEST(CpuSpmvTranspose, FusedUpdateChargesTheTwoCallCost) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -227,71 +228,21 @@ TEST(ReportJson, ResilienceSliceFromOlderWritersStillLoads) {
   EXPECT_EQ(dump(b), dump(a));
 }
 
-TEST(ReportJson, ClusterRoundTripsAndAbsenceStaysEmpty) {
-  RunReport a = sample_report();
-  Entry ce;
-  ce.label = "LR/w8a/async/cluster/n4";
-  ce.spec = "async/cluster/sparse:nodes=4";
-  ce.axes.sec_per_epoch = 3.0;
-  ce.cluster.nodes = 4;
-  ce.cluster.sync = "ps";
-  ce.cluster.link_latency_us = 10;
-  ce.cluster.link_bandwidth_gbps = 10;
-  ce.cluster.net_messages = 2048;
-  ce.cluster.net_bytes = 5e6;
-  ce.cluster.net_seconds = 0.125;
-  ce.cluster.stale_units = 300;
-  a.add_entry(ce);
-
-  std::istringstream is(dump(a));
+TEST(ReportJson, ClusterSliceFromOlderWritersIsIgnored) {
+  // Reports written while the simulated cluster existed carry a per-entry
+  // "cluster" object; it loads and is dropped (additive-field policy).
+  const RunReport a = sample_report();
+  std::string text = dump(a);
+  const std::size_t entry = text.find("\"label\": \"LR/w8a/sync/gpu\"");
+  ASSERT_NE(entry, std::string::npos);
+  text.insert(entry,
+              "\"cluster\": {\"nodes\": 4, \"sync\": \"ps\", "
+              "\"link_latency_us\": 10, \"link_bandwidth_gbps\": 10, "
+              "\"net_messages\": 2048, \"net_bytes\": 5e6, "
+              "\"net_seconds\": 0.125, \"stale_units\": 300}, ");
+  std::istringstream is(text);
   const RunReport b = report::read_report(is);
   EXPECT_EQ(dump(b), dump(a));
-  const Entry* with = b.find("LR/w8a/async/cluster/n4");
-  ASSERT_NE(with, nullptr);
-  EXPECT_TRUE(with->cluster.any());
-  EXPECT_DOUBLE_EQ(with->cluster.nodes, 4);
-  EXPECT_EQ(with->cluster.sync, "ps");
-  EXPECT_DOUBLE_EQ(with->cluster.net_bytes, 5e6);
-  // Entries without a slice (and pre-cluster reports) read back absent:
-  // the "cluster" object never appears in their JSON.
-  const Entry* without = b.find("LR/w8a/sync/gpu");
-  ASSERT_NE(without, nullptr);
-  EXPECT_FALSE(without->cluster.any());
-  EXPECT_EQ(dump(a).find("\"cluster\""), dump(a).rfind("\"cluster\""));
-  // The slice is provenance, not a regression axis.
-  EXPECT_TRUE(report::compare_reports(a, a).ok());
-}
-
-TEST(ReportMergeCluster, ClusterShardMergesWithSingleNodeShard) {
-  // The additive-schema contract (satellite of DESIGN.md §17): a shard
-  // whose entries carry the new cluster fields merges with a shard whose
-  // entries predate them — same bench, disjoint labels, no conflict.
-  RunReport single = sample_report();
-  RunReport cluster = sample_report();
-  cluster.entries.clear();
-  cluster.modeled_seconds = 0;
-  Entry ce;
-  ce.label = "LR/w8a/async/cluster/n8";
-  ce.spec = "async/cluster/sparse:nodes=8";
-  ce.axes.sec_per_epoch = 2.5;
-  ce.axes.modeled_total_seconds = 25.0;
-  ce.cluster.nodes = 8;
-  ce.cluster.sync = "ps";
-  ce.cluster.net_messages = 4096;
-  cluster.add_entry(ce);
-
-  const RunReport merged = report::merge_reports({single, cluster});
-  EXPECT_EQ(merged.entries.size(), 3u);
-  const Entry* c = merged.find("LR/w8a/async/cluster/n8");
-  ASSERT_NE(c, nullptr);
-  EXPECT_DOUBLE_EQ(c->cluster.nodes, 8);
-  const Entry* s = merged.find("LR/w8a/sync/gpu");
-  ASSERT_NE(s, nullptr);
-  EXPECT_FALSE(s->cluster.any());
-  // The merged artifact stays round-trippable and self-comparable.
-  std::istringstream is(dump(merged));
-  EXPECT_EQ(dump(report::read_report(is)), dump(merged));
-  EXPECT_TRUE(report::compare_reports(merged, merged).ok());
 }
 
 TEST(ReportJson, RejectsForeignSchemaVersion) {
@@ -403,6 +354,38 @@ TEST(ReportJson, EmitWritesLoadableFile) {
   const RunReport back = report::load_report(path);
   EXPECT_EQ(dump(back), dump(r));
   std::filesystem::remove_all(dir);
+}
+
+TEST(ReportJson, EmitWithoutDirNeverWritesBenchResults) {
+  // An empty dir resolves to $PARSGD_REPORT_DIR, else the working
+  // directory, even where ./bench/results exists: the committed baselines
+  // are only written through an explicit --report-dir.
+  namespace fs = std::filesystem;
+  const fs::path cwd = fs::temp_directory_path() / "parsgd_emit_cwd_test";
+  fs::remove_all(cwd);
+  fs::create_directories(cwd / "bench" / "results");
+  // Puts the working directory and $PARSGD_REPORT_DIR back even when emit
+  // throws, so the rest of the binary runs where it started.
+  struct Restore {
+    fs::path cwd = fs::current_path();
+    bool had_env = std::getenv("PARSGD_REPORT_DIR") != nullptr;
+    std::string old_env = had_env ? std::getenv("PARSGD_REPORT_DIR") : "";
+    ~Restore() {
+      fs::current_path(cwd);
+      if (had_env) setenv("PARSGD_REPORT_DIR", old_env.c_str(), 1);
+    }
+  };
+  std::string path;
+  {
+    const Restore restore;
+    unsetenv("PARSGD_REPORT_DIR");
+    fs::current_path(cwd);
+    path = report::emit(sample_report());
+  }
+  EXPECT_EQ(fs::path(path), fs::path(".") / "BENCH_unit.json");
+  EXPECT_TRUE(fs::exists(cwd / "BENCH_unit.json"));
+  EXPECT_TRUE(fs::is_empty(cwd / "bench" / "results"));
+  fs::remove_all(cwd);
 }
 
 // ---- three-axis math -----------------------------------------------------
@@ -642,7 +625,7 @@ TEST(ReportAttribution, DiffUnavailableWithoutLedger) {
 }
 
 TEST(ReportAttribution, NotesExplainInjectedStallRegression) {
-  // A cluster stall slowdown: sec/epoch regresses 20% and the current
+  // A stall slowdown: sec/epoch regresses 20% and the current
   // ledger's modeled stall bucket carries the growth. --attribute must
   // name 'stall' as the dominant bucket in the note for that label.
   const RunReport base = sample_report();
@@ -657,67 +640,6 @@ TEST(ReportAttribution, NotesExplainInjectedStallRegression) {
   const std::string& note = res.notes.back();
   EXPECT_NE(note.find("[LR/w8a/sync/gpu] sec_per_epoch:"), std::string::npos);
   EXPECT_NE(note.find("dominant bucket 'stall'"), std::string::npos);
-}
-
-// ---- multi-report merge --------------------------------------------------
-
-TEST(ReportMerge, UnionsDisjointShards) {
-  RunReport a = sample_report();
-  RunReport b = sample_report();
-  for (Entry& e : b.entries) e.label = "shard2/" + e.label;
-  b.host_seconds = 0.75;
-  b.engine_spec = "async/cpu-par/sparse";
-
-  const RunReport merged = report::merge_reports({a, b});
-  EXPECT_EQ(merged.name, a.name);
-  EXPECT_EQ(merged.entries.size(), 4u);
-  ASSERT_NE(merged.find("LR/w8a/sync/gpu"), nullptr);
-  ASSERT_NE(merged.find("shard2/LR/w8a/sync/gpu"), nullptr);
-  // The resilience slice rides through the merge untouched.
-  EXPECT_DOUBLE_EQ(merged.find("LR/w8a/sync/gpu")->resilience.recoveries, 2);
-  // Identical datasets dedupe; host time sums; modeled time is rebuilt
-  // from the merged entries (2x the per-shard sum here).
-  EXPECT_EQ(merged.datasets.size(), 1u);
-  EXPECT_DOUBLE_EQ(merged.host_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(merged.modeled_seconds, 2 * a.modeled_seconds);
-  // Shards with different engine_specs merge into a sweep (spec blanks).
-  EXPECT_EQ(merged.engine_spec, "");
-  // A merged report is a valid report: it round-trips and self-compares.
-  std::istringstream is(dump(merged));
-  EXPECT_EQ(dump(report::read_report(is)), dump(merged));
-  EXPECT_TRUE(report::compare_reports(merged, merged).ok());
-}
-
-TEST(ReportMerge, SingleShardIsIdentityModuloSpec) {
-  const RunReport a = sample_report();
-  EXPECT_EQ(dump(report::merge_reports({a})), dump(a));
-}
-
-TEST(ReportMerge, RejectsConflicts) {
-  const RunReport a = sample_report();
-  EXPECT_THROW(report::merge_reports({}), CheckError);
-  // Duplicate entry labels: shards must be disjoint, never last-wins.
-  EXPECT_THROW(report::merge_reports({a, a}), CheckError);
-  // Different benches are not mergeable.
-  {
-    RunReport b = sample_report();
-    b.name = "other_bench";
-    EXPECT_THROW(report::merge_reports({a, b}), CheckError);
-  }
-  // Different commits are not one run.
-  {
-    RunReport b = sample_report();
-    for (Entry& e : b.entries) e.label = "s2/" + e.label;
-    b.build.git_sha = "deadbeef0000";
-    EXPECT_THROW(report::merge_reports({a, b}), CheckError);
-  }
-  // Same dataset name with a different shape is a conflict, not a dedupe.
-  {
-    RunReport b = sample_report();
-    for (Entry& e : b.entries) e.label = "s2/" + e.label;
-    b.datasets[0].rows += 1;
-    EXPECT_THROW(report::merge_reports({a, b}), CheckError);
-  }
 }
 
 // ---- observation does not perturb the experiment -------------------------
