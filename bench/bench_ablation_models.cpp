@@ -32,6 +32,7 @@ Dataset fixture(const std::string& name, double scale, bool mlp_view) {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.exit_on_unknown_flag({"scale"});
   const double scale = cli.get_double("scale", 150.0);
 
   // ---- 1. Calibration ablation (LR sync, covtype) ----

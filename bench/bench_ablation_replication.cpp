@@ -18,6 +18,7 @@ using namespace parsgd::benchutil;
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.exit_on_unknown_flag({"scale", "epochs"});
   const double scale = cli.get_double("scale", 200.0);
   const auto epochs = static_cast<std::size_t>(cli.get_int("epochs", 12));
 

@@ -21,7 +21,6 @@
 
 #include "common/rng.hpp"
 #include "data/generator.hpp"
-#include "faults/injector.hpp"
 #include "gpusim/device.hpp"
 #include "hwmodel/calibration.hpp"
 #include "kernel/kernels.hpp"
@@ -632,15 +631,14 @@ void BM_StepPath_Graph(benchmark::State& state) {
   const std::vector<real_t> w0 = p.model.init_params(5);
   std::vector<real_t> w = w0;
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  FaultInjector faults;
   MinibatchEpochOptions opts;
   opts.minibatch = kStepPathBatch;
   opts.pool = &pool;
   Rng order(31);
   for (auto _ : state) {
     w = w0;  // keep every epoch numerically identical
-    run_minibatch_epoch(p.model, p.data, real_t(0.05), w, order, faults,
-                        nullptr, opts);
+    run_minibatch_epoch(p.model, p.data, real_t(0.05), w, order, nullptr,
+                        opts);
     benchmark::DoNotOptimize(w.data());
   }
   const auto batches =
@@ -858,7 +856,6 @@ int run_calibration_report(const std::string& dir) {
     const std::vector<real_t> w0 = p.model.init_params(5);
     std::vector<real_t> w = w0;
     ThreadPool pool(8);
-    FaultInjector faults;
     Rng order(31);
     const double batches = static_cast<double>(
         (kStepPathRows + kStepPathBatch - 1) / kStepPathBatch);
@@ -869,7 +866,7 @@ int run_calibration_report(const std::string& dir) {
         [&] {
           w = w0;
           run_minibatch_epoch(p.model, p.data, real_t(0.05), w, order,
-                              faults, nullptr, opts);
+                              nullptr, opts);
         },
         /*reps=*/40, /*trials=*/5);
     report::Entry sp;

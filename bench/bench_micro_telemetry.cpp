@@ -55,6 +55,7 @@ struct Workload {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.exit_on_unknown_flag({"n", "iters", "repeats"});
   const auto n = static_cast<std::size_t>(cli.get_int("n", 384));
   const auto iters = static_cast<std::size_t>(cli.get_int("iters", 8));
   const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 7));

@@ -42,6 +42,7 @@ void describe(const char* label, const ConfigResult& r) {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.exit_on_unknown_flag({"task", "dataset", "scale"});
   const Task task = parse_task(cli.get("task", "LR"));
   const std::string dataset = cli.get("dataset", "rcv1");
 

@@ -33,6 +33,7 @@ void report(const char* label, const KernelStats& s, double sum,
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.exit_on_unknown_flag({"elements"});
   const auto n = static_cast<std::size_t>(cli.get_int("elements", 65536));
   Device dev(paper_gpu());
 

@@ -62,6 +62,7 @@ Dataset make_at_sparsity(std::size_t n, std::size_t d, double density,
 
 int run(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.exit_on_unknown_flag({"n", "d"});
   const auto n = static_cast<std::size_t>(cli.get_int("n", 4000));
   const auto d = static_cast<std::size_t>(cli.get_int("d", 8192));
 

@@ -24,37 +24,33 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 PARSGD_FORCE_SCALAR=1 \
     ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 
-# Fault lane (DESIGN.md §11): the two recovery paths the injected faults
-# exist for, end to end through the CLI at tier-1 speed. The nan@3 run
-# must finish undiverged (parsgd_cli exits nonzero on divergence) after
-# the watchdog rolls it back. The crash@4 run must die at epoch 4 with a
-# checkpoint written every epoch; a plain --resume run must pick it up
-# at epoch 4 and reach the same best loss as an uninterrupted run.
-"$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
-    --engine="sync/cpu-seq/sparse:faults=nan@3" --alpha=0.5 --epochs=8 \
-    --watchdog | grep "recovery: rolled back epoch 4" >/dev/null
-crash_tmp="$(mktemp -d)"
-crash_run() {
+# Resilience lane (DESIGN.md §11): the two recovery paths end to end
+# through the CLI at tier-1 speed. Dense covtype LR at alpha = 1000
+# diverges on its own: the watchdog must roll back epoch 3 and the run
+# must finish undiverged (parsgd_cli exits nonzero on divergence). A
+# 4-epoch run checkpointing every epoch stands in for an interrupted
+# one; a --resume run to 8 epochs must pick it up at epoch 4 and reach
+# the same best loss as an uninterrupted 8-epoch run.
+"$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=covtype --scale=50 \
+    --engine=sync/cpu-seq/dense --alpha=1000 --epochs=8 --watchdog \
+    | grep "recovery: rolled back epoch 3" >/dev/null
+resume_tmp="$(mktemp -d)"
+resume_run() {
   "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
-      --alpha=0.5 --epochs=8 "$@"
+      --engine=sync/cpu-seq/sparse --alpha=0.5 "$@"
 }
-if crash_run --engine="sync/cpu-seq/sparse:faults=crash@4" \
-    --checkpoint="$crash_tmp/ck" --checkpoint-every=1 \
-    >"$crash_tmp/crash.out" 2>&1; then
-  echo "check.sh: the crash@4 run exited 0" >&2
-  exit 1
-fi
-crash_run --engine="sync/cpu-seq/sparse" --resume="$crash_tmp/ck" \
-    >"$crash_tmp/resumed.out"
-grep "resuming from .* at epoch 4" "$crash_tmp/resumed.out" >/dev/null
-crash_run --engine="sync/cpu-seq/sparse" >"$crash_tmp/plain.out"
-resumed_best="$(grep "best loss" "$crash_tmp/resumed.out")"
-plain_best="$(grep "best loss" "$crash_tmp/plain.out")"
+resume_run --epochs=4 --checkpoint="$resume_tmp/ck" --checkpoint-every=1 \
+    >/dev/null
+resume_run --epochs=8 --resume="$resume_tmp/ck" >"$resume_tmp/resumed.out"
+grep "resuming from .* at epoch 4" "$resume_tmp/resumed.out" >/dev/null
+resume_run --epochs=8 >"$resume_tmp/plain.out"
+resumed_best="$(grep "best loss" "$resume_tmp/resumed.out")"
+plain_best="$(grep "best loss" "$resume_tmp/plain.out")"
 if [ -z "$plain_best" ] || [ "$resumed_best" != "$plain_best" ]; then
   echo "check.sh: resumed '$resumed_best' != uninterrupted '$plain_best'" >&2
   exit 1
 fi
-rm -rf "$crash_tmp"
+rm -rf "$resume_tmp"
 
 # Observability lane (DESIGN.md §18): the disabled-overhead gate first —
 # bench_micro_telemetry exits nonzero when the kOff hot path costs more
@@ -99,9 +95,9 @@ rm -rf "$obs_tmp"
 # The libsvm reader joins it for the same reason (seeded mutants of a
 # small corpus), and the engine suite joins it so the carried margin
 # pass of a sync epoch (DESIGN.md §9), which writes per-example
-# coefficients from pool workers, runs under both sanitizers. The fault
-# suite joins it for the checkpoint loader's seeded mutation run: corrupt
-# files through every count and payload read. The report suite joins it
+# coefficients from pool workers, runs under both sanitizers. The
+# resilience suite joins it for the checkpoint loader's seeded mutation
+# run: corrupt files through every count and payload read. The report suite joins it
 # for the report reader's seeded mutation run: forged and corrupt JSON
 # through the parser and every checked integer conversion. The model
 # suite joins both lanes for the blocked MLP driver: its block tails and
@@ -113,13 +109,13 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
     --target test_attribution --target test_telemetry \
     --target test_asyncsim --target test_gpusim --target test_replication \
     --target test_linalg --target test_engine_spec --target test_io \
-    --target test_engines --target test_faults --target test_report \
+    --target test_engines --target test_resilience --target test_report \
     --target test_models
 "$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_engine_spec"
 "$ASAN_BUILD_DIR/tests/test_io"
 "$ASAN_BUILD_DIR/tests/test_engines"
-"$ASAN_BUILD_DIR/tests/test_faults"
+"$ASAN_BUILD_DIR/tests/test_resilience"
 "$ASAN_BUILD_DIR/tests/test_report"
 "$ASAN_BUILD_DIR/tests/test_kernels"
 "$ASAN_BUILD_DIR/tests/test_task_graph"
@@ -131,9 +127,8 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 "$ASAN_BUILD_DIR/tests/test_models"
 
 # The executor's concurrency (work-stealing deques, park/wake protocol,
-# atomic in-degree release) under ThreadSanitizer, plus the fault
-# injector's atomic counters, bumped by after_update from graph tasks on
-# pool workers.
+# atomic in-degree release) under ThreadSanitizer, plus the resilience
+# suite's resumed runs on a 4-worker task-graph pool.
 # The engine suite joins it: concurrent step search runs whole training
 # runs at once over one shared Model/TrainData, each on a private
 # executor with its metric log. The model suite joins it for the MLP
@@ -141,13 +136,13 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
-    --target test_faults \
+    --target test_resilience \
     --target test_attribution --target test_telemetry --target test_engines \
     --target test_linalg --target test_models
 "$TSAN_BUILD_DIR/tests/test_linalg"
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
-"$TSAN_BUILD_DIR/tests/test_faults"
+"$TSAN_BUILD_DIR/tests/test_resilience"
 "$TSAN_BUILD_DIR/tests/test_attribution"
 "$TSAN_BUILD_DIR/tests/test_telemetry"
 "$TSAN_BUILD_DIR/tests/test_engines"
@@ -159,12 +154,12 @@ trap 'rm -rf "$tmp"' EXIT
 "$BUILD_DIR/examples/parsgd_compare" \
     "$tmp/BENCH_fig5_hwspec.json" "$tmp/BENCH_fig5_hwspec.json" \
     --require-same-sha
-echo "check.sh: tier-1 (simd + scalar) + fault lane (watchdog nan@3," \
-     "crash/resume round trip)" \
+echo "check.sh: tier-1 (simd + scalar) + resilience lane (watchdog" \
+     "loss-spike rollback, stop/resume round trip)" \
      "+ observability lane (overhead gate, --attribute)" \
      "+ ASan linalg/kernels/graph/attribution/telemetry" \
-     "/asyncsim/gpusim/replication/engine-spec/io/engines/faults/report" \
+     "/asyncsim/gpusim/replication/engine-spec/io/engines/resilience/report" \
      "/models" \
-     "+ TSan linalg/graph/pool/faults/attribution/telemetry/engines" \
+     "+ TSan linalg/graph/pool/resilience/attribution/telemetry/engines" \
      "/models" \
      "+ regression smoke OK"

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "faults/injector.hpp"
 #include "parallel/task_graph.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -78,14 +77,13 @@ AsyncSim::AsyncSim(const Model& model, const TrainData& data,
 }
 
 CostBreakdown AsyncSim::run_epoch(std::span<real_t> w, real_t alpha,
-                                  Rng& rng, FaultInjector* faults,
+                                  Rng& rng,
                                   telemetry::TelemetrySession* telemetry) {
   PARSGD_CHECK(w.size() == model_.dim());
-  if (faults != nullptr && !faults->active()) faults = nullptr;
   last_stale_units_ = 0;
   const CostBreakdown cost =
-      snapshot_mode_ ? epoch_snapshot(w, alpha, rng, faults, telemetry)
-                     : epoch_inplace(w, alpha, rng, faults, telemetry);
+      snapshot_mode_ ? epoch_snapshot(w, alpha, rng, telemetry)
+                     : epoch_inplace(w, alpha, rng, telemetry);
   if (telemetry != nullptr && telemetry->metrics_enabled()) {
     telemetry::MetricsRegistry& reg = telemetry->metrics();
     const std::size_t units =
@@ -98,7 +96,7 @@ CostBreakdown AsyncSim::run_epoch(std::span<real_t> w, real_t alpha,
 }
 
 CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
-                                      Rng& rng, FaultInjector* faults,
+                                      Rng& rng,
                                       telemetry::TelemetrySession* telemetry) {
   CostBreakdown cost;
   const std::size_t n = data_.n();
@@ -152,7 +150,6 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
           cost.bytes_random += 2.0 * dim * sizeof(real_t);
           if (workers > 1) ledger_.record_all(t);
         }
-        if (faults != nullptr) faults->after_update(w);
       }
     }
     if (workers > 1) cost.write_conflicts += ledger_.conflicts();
@@ -161,7 +158,7 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
 }
 
 CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
-                                       Rng& rng, FaultInjector* faults,
+                                       Rng& rng,
                                        telemetry::TelemetrySession* telemetry) {
   // Delayed-gradient ("perturbed iterate") simulation: units execute in a
   // globally interleaved order; unit i computes its gradient from the
@@ -280,7 +277,6 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
           delta[j] = 0;
         }
       }
-      if (faults != nullptr) faults->after_update(w);
 
       // Conflict windows: one per tau+1 consecutive units.
       if (++units_in_window > tau) {

@@ -33,8 +33,6 @@
 
 namespace parsgd {
 
-class FaultInjector;
-
 struct AsyncSimOptions {
   int workers = 1;
   /// Units of work (examples, or batches in hogbatch mode) each worker
@@ -69,15 +67,12 @@ class AsyncSim {
            const AsyncSimOptions& opts);
 
   /// Runs one epoch in place on `w`; every example is visited once.
-  /// Returns the work/conflict ledger of the epoch. `faults`, when
-  /// non-null, counts every unit's update and corrupts the planned one
-  /// (nan@K / inf@K, DESIGN.md §11).
+  /// Returns the work/conflict ledger of the epoch.
   /// `telemetry`, when non-null with metrics on, accumulates the epoch's
   /// async.updates / async.stale_units / async.write_conflicts counters
   /// (recorded once per epoch from the ledger — no hot-loop cost, and
   /// the trajectory is untouched).
   CostBreakdown run_epoch(std::span<real_t> w, real_t alpha, Rng& rng,
-                          FaultInjector* faults = nullptr,
                           telemetry::TelemetrySession* telemetry = nullptr);
 
   /// True if this configuration interleaves through model snapshots.
@@ -85,10 +80,8 @@ class AsyncSim {
 
  private:
   CostBreakdown epoch_snapshot(std::span<real_t> w, real_t alpha, Rng& rng,
-                               FaultInjector* faults,
                                telemetry::TelemetrySession* telemetry);
   CostBreakdown epoch_inplace(std::span<real_t> w, real_t alpha, Rng& rng,
-                              FaultInjector* faults,
                               telemetry::TelemetrySession* telemetry);
 
   const Model& model_;

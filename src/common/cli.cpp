@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -111,6 +112,14 @@ std::string Cli::unknown_flag(const std::vector<std::string>& known) const {
     }
   }
   return "";
+}
+
+void Cli::exit_on_unknown_flag(const std::vector<std::string>& known) const {
+  if (const std::string bad = unknown_flag(known); !bad.empty()) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(),
+                 bad.c_str());
+    std::exit(2);
+  }
 }
 
 }  // namespace parsgd

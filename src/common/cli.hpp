@@ -16,8 +16,8 @@ namespace parsgd {
 bool parse_int_value(const std::string& text, std::int64_t* out);
 bool parse_double_value(const std::string& text, double* out);
 /// parse_int_value restricted to non-negative values: the counts of the
-/// engine-spec and fault-plan grammars (`batch=-1` is rejected, not
-/// wrapped to 2^64 - 1).
+/// engine-spec grammar (`batch=-1` is rejected, not wrapped to
+/// 2^64 - 1).
 bool parse_count_value(const std::string& text, std::size_t* out);
 
 /// Parsed command line: flags plus positional arguments.
@@ -40,6 +40,9 @@ class Cli {
   /// or "" when every flag is known: programs reject a mistyped flag
   /// instead of silently running without it.
   std::string unknown_flag(const std::vector<std::string>& known) const;
+  /// unknown_flag for a program with no usage text of its own: names the
+  /// flag on stderr and exits with status 2.
+  void exit_on_unknown_flag(const std::vector<std::string>& known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }

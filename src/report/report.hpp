@@ -83,7 +83,7 @@ struct Axes {
   static Axes from(const RunResult& run, double optimal_loss);
 };
 
-/// Per-entry fault-tolerance snapshot (schema v2 slice, additive; the
+/// Per-entry resilience snapshot (schema v2 slice, additive; the
 /// watchdog's ResilienceStats flattened to report scalars, DESIGN.md
 /// §11). All-zero = absent (the "resilience" object is omitted from the
 /// JSON and old readers never see it). Round-trips through
@@ -149,7 +149,7 @@ struct Entry {
   /// series is provenance for plotting, not a regression axis.
   std::vector<double> series_loss;
   std::vector<double> series_seconds;
-  /// Optional fault-tolerance snapshot (see ResilienceSlice).
+  /// Optional resilience snapshot (see ResilienceSlice).
   ResilienceSlice resilience;
   /// Optional time-attribution snapshot (see AttributionSlice).
   AttributionSlice attribution;

@@ -38,13 +38,10 @@ ThreadPool* AsyncCpuEngine::pool() const {
 
 double AsyncCpuEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                  Rng& rng) {
-  faults_.begin_epoch();
   ThreadPool& epoch_pool = *pool();
   std::optional<PoolTelemetryGuard> tel_guard;
   if (telemetry_ != nullptr) tel_guard.emplace(epoch_pool, telemetry_.get());
-  const CostBreakdown cost =
-      sim_.run_epoch(w, alpha, rng, faults_.active() ? &faults_ : nullptr,
-                     telemetry_.get());
+  const CostBreakdown cost = sim_.run_epoch(w, alpha, rng, telemetry_.get());
   cost_paper_ = cost.scaled(scale_.n_scale);
   const int threads = opts_.arch == Arch::kCpuSeq ? 1 : opts_.threads;
   // Incremental SGD and per-example backprop are scalar pointer-chasing
@@ -91,12 +88,8 @@ std::string AsyncGpuEngine::name() const {
 
 double AsyncGpuEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                  Rng& rng) {
-  faults_.begin_epoch();
   const CostBreakdown cost = hogwild_ ? hogwild_->run_epoch(w, alpha, rng)
                                       : hogbatch_->run_epoch(w, alpha, rng);
-  // The GPU simulators apply updates internally; account for them in bulk
-  // so step-indexed corruption still lands inside the right epoch.
-  faults_.after_updates(n_units_, w);
   if (telemetry_ != nullptr && telemetry_->metrics_enabled()) {
     telemetry::MetricsRegistry& reg = telemetry_->metrics();
     reg.counter("async.updates").add(static_cast<double>(n_units_));

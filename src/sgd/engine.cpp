@@ -27,17 +27,7 @@ const char* to_string(Update u) {
 double Engine::epoch_seconds(std::span<const real_t> w_sample) {
   std::vector<real_t> scratch(w_sample.begin(), w_sample.end());
   Rng rng(0);
-  // A throwaway cost probe must not consume one-shot faults — silence the
-  // injector for its duration.
-  faults_.set_suspended(true);
-  try {
-    const double secs = run_epoch(scratch, real_t(0), rng);
-    faults_.set_suspended(false);
-    return secs;
-  } catch (...) {
-    faults_.set_suspended(false);
-    throw;
-  }
+  return run_epoch(scratch, real_t(0), rng);
 }
 
 double RunResult::best_loss() const {
@@ -84,8 +74,6 @@ RunResult run_training(Engine& engine, const Model& model,
   }
   res.losses.reserve(opts.max_epochs);
   res.epoch_seconds.reserve(opts.max_epochs);
-
-  engine.fault_injector().seek_epoch(start_epoch);
 
   telemetry::TelemetrySession* tel = engine.telemetry();
 
@@ -220,8 +208,6 @@ RunResult run_training(Engine& engine, const Model& model,
       res.losses.resize(good.n_losses);
       res.epoch_seconds.resize(good.n_losses);
       e = good.epoch;
-      // One-shot faults stay latched: the retried epochs run clean.
-      engine.fault_injector().seek_epoch(e);
       if (ledger_on) pending_recovery_s += monotonic_seconds() - rec_t0;
       continue;
     }

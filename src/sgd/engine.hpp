@@ -8,13 +8,14 @@
 // CPU cost model or the GPU cycle model.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "faults/injector.hpp"
 #include "models/model.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/session.hpp"
@@ -49,7 +50,7 @@ class Engine {
   /// run_epoch that may also consume and restage `carry`, the margin
   /// pass of the updated `w` (DESIGN.md §9); run_training's epoch loop
   /// calls this. The default clears the carry: only full-batch linear
-  /// sync epochs without a fault plan stage one.
+  /// sync epochs stage one.
   virtual double run_epoch_carried(std::span<real_t> w, real_t alpha,
                                    Rng& rng, EpochCarry& carry) {
     carry.clear();
@@ -76,21 +77,12 @@ class Engine {
   };
   virtual EpochSplit last_epoch_split() const { return {}; }
 
-  /// Installs a fault plan (DESIGN.md §11); make_engine does this from the
-  /// spec's plan after construction. An empty plan keeps every hook a
-  /// no-op, preserving bit-identical baseline trajectories.
-  void install_faults(const FaultPlan& plan) { faults_.install(plan); }
-  FaultInjector& fault_injector() { return faults_; }
-  const FaultInjector& fault_injector() const { return faults_; }
-
   /// Attaches a telemetry session (DESIGN.md §12); make_engine does this
-  /// after construction. Null detaches. The injector shares the session,
-  /// so fault firings show up as trace instants / counters too. With no
-  /// session (the default) every instrumented path is one untaken branch
-  /// and trajectories are bit-identical to an uninstrumented build.
+  /// after construction. Null detaches. With no session (the default)
+  /// every instrumented path is one untaken branch and trajectories are
+  /// bit-identical to an uninstrumented build.
   virtual void set_telemetry(std::shared_ptr<telemetry::TelemetrySession> s) {
     telemetry_ = std::move(s);
-    faults_.set_telemetry(telemetry_.get());
   }
   telemetry::TelemetrySession* telemetry() const { return telemetry_.get(); }
 
@@ -104,8 +96,6 @@ class Engine {
   virtual const gpusim::Device* device() const { return nullptr; }
 
  protected:
-  /// Engines call the hooks of this injector from their run_epoch paths.
-  FaultInjector faults_;
   /// Shared with EngineContext (or standalone); null when telemetry=off.
   std::shared_ptr<telemetry::TelemetrySession> telemetry_;
 };

@@ -152,14 +152,7 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
         }
         s.telemetry = *mode;
       } else {
-        switch (parse_fault_key(key, val, &s.faults)) {
-          case FaultKeyParse::kParsed: break;
-          case FaultKeyParse::kMalformed:
-            return parse_fail(error, "bad value in fault option '" + kv +
-                                         "'");
-          case FaultKeyParse::kNotFault:
-            return parse_fail(error, "unknown option key '" + key + "'");
-        }
+        return parse_fail(error, "unknown option key '" + key + "'");
       }
     }
   }
@@ -202,9 +195,6 @@ std::string format_spec(const EngineSpec& spec) {
   }
   if (spec.telemetry != telemetry::TelemetryMode::kOff) {
     kv.push_back(std::string("telemetry=") + to_string(spec.telemetry));
-  }
-  if (std::string frag = format_fault_option(spec.faults); !frag.empty()) {
-    kv.push_back(std::move(frag));
   }
   for (std::size_t i = 0; i < kv.size(); ++i) {
     out += (i == 0 ? ':' : ',');
@@ -323,10 +313,6 @@ std::unique_ptr<Engine> make_engine(const EngineSpec& spec,
   } else {
     engine = make_async_cpu(spec, ctx);
   }
-  // Central fault installation keeps factories and Options structs fault
-  // agnostic.
-  if (spec.faults.any()) engine->install_faults(spec.faults);
-  // Telemetry after faults so the injector also reports into the session.
   // A shared context session wins (one registry for a whole Study); a
   // telemetry= spec key on a bare context gets a standalone session.
   std::shared_ptr<telemetry::TelemetrySession> session = ctx.telemetry;

@@ -1,7 +1,7 @@
 // EngineSpec — one declarative descriptor for every configuration of the
 // paper's Fig. 1 cube: update strategy x architecture x data layout x
-// batching x thread count x calibration preset, plus the fault,
-// resilience and telemetry options.
+// batching x thread count x calibration preset, plus the resilience and
+// telemetry options.
 //
 // A spec has a canonical string form, e.g.
 //   async/cpu-par/sparse
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "faults/fault_plan.hpp"
 #include "sgd/engine.hpp"
 #include "sgd/timing.hpp"
 #include "telemetry/session.hpp"
@@ -65,9 +64,6 @@ struct EngineSpec {
   bool deterministic = true;
   /// ViennaCL GEMM parallelization threshold for sync CPU engines.
   std::size_t gemm_parallel_threshold = 5000;
-  /// Injected faults (faults= spec key, DESIGN.md §11). Empty by
-  /// default.
-  FaultPlan faults;
   /// resilience=off|watchdog (DESIGN.md §11): whether runs of this spec
   /// train under the divergence watchdog (TrainOptions::watchdog).
   /// Default off — the plain epoch loop; format_spec omits it.

@@ -8,9 +8,6 @@
 // decomposition grid) and run-to-run; below the decomposition floor each
 // batch is one batch_step task, bit-identical to a plain batch_step loop.
 //
-// Fault injection: after_update runs once per batch, in batch order, as a
-// graph task chained after that batch's update.
-//
 // SyncEngine runs its minibatch epochs through this.
 #pragma once
 
@@ -18,7 +15,6 @@
 #include <span>
 
 #include "common/rng.hpp"
-#include "faults/injector.hpp"
 #include "models/model.hpp"
 #include "telemetry/session.hpp"
 
@@ -35,10 +31,10 @@ struct MinibatchEpochOptions {
 
 /// Runs one synchronized mini-batch epoch in place on `w`: every example
 /// is visited once, batches in an rng-shuffled order, one model update
-/// per batch. `telemetry` (optional) feeds the "sync.updates" counter.
+/// per batch. `telemetry` (optional) feeds the "sync.updates" counter,
+/// added once per epoch.
 void run_minibatch_epoch(const Model& model, const TrainData& data,
                          real_t alpha, std::span<real_t> w, Rng& rng,
-                         FaultInjector& faults,
                          telemetry::TelemetrySession* telemetry,
                          const MinibatchEpochOptions& opts);
 

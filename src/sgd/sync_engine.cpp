@@ -125,8 +125,7 @@ double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
 
 double SyncEngine::run_epoch_carried(std::span<real_t> w, real_t alpha,
                                      Rng& rng, EpochCarry& carry) {
-  const bool stage =
-      opts_.minibatch == 0 && linear_ != nullptr && !faults_.active();
+  const bool stage = opts_.minibatch == 0 && linear_ != nullptr;
   if (!stage) carry.clear();
   return epoch(w, alpha, rng, stage ? &carry : nullptr);
 }
@@ -134,7 +133,6 @@ double SyncEngine::run_epoch_carried(std::span<real_t> w, real_t alpha,
 double SyncEngine::epoch(std::span<real_t> w, real_t alpha, Rng& rng,
                          EpochCarry* carry) {
   const double secs = epoch_seconds(w);
-  faults_.begin_epoch();
   ThreadPool& epoch_pool = *pool();
   // Session attached per epoch so per-worker chunk spans and pool.*
   // counters flow while this engine runs; detached (off) runs never
@@ -155,7 +153,6 @@ double SyncEngine::epoch(std::span<real_t> w, real_t alpha, Rng& rng,
     } else {
       model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
     }
-    faults_.after_update(w);
     if (c_updates != nullptr) c_updates->inc();
   } else {
     // Synchronized mini-batch updates, shuffled batch order per epoch,
@@ -165,8 +162,7 @@ double SyncEngine::epoch(std::span<real_t> w, real_t alpha, Rng& rng,
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
     mo.pool = opts_.pool;
-    run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
-                        telemetry_.get(), mo);
+    run_minibatch_epoch(model_, data_, alpha, w, rng, telemetry_.get(), mo);
   }
   return secs;
 }

@@ -97,8 +97,8 @@ class SyncEngine final : public Engine {
   Update update() const override { return Update::kSync; }
 
   double run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) override;
-  /// Stages the carry only for full-batch epochs of a LinearModel with no
-  /// fault plan (faults write w outside the epoch); clears it otherwise.
+  /// Stages the carry only for full-batch epochs of a LinearModel; clears
+  /// it otherwise.
   double run_epoch_carried(std::span<real_t> w, real_t alpha, Rng& rng,
                            EpochCarry& carry) override;
   const CostBreakdown& last_cost() const override { return cost_paper_; }

@@ -1,7 +1,7 @@
 // TelemetrySession — the per-run bundle of a mode, a MetricsRegistry and
 // a TraceRecorder (DESIGN.md §12). EngineContext owns one (shared_ptr);
-// engines, the thread pool, the fault injector and run_training all see
-// the same session, so one export call covers the whole stack.
+// engines, the thread pool and run_training all see the same session, so
+// one export call covers the whole stack.
 //
 // Modes (the `telemetry=` spec key):
 //   off     — no session or an off session; instrumented code sees null

@@ -108,8 +108,8 @@ TEST(EngineSpec, MalformedSpecsRejected) {
   }
   // No CPU+GPU split engine exists: its arch and its phi= key are errors
   // that name the offending token. Neither is there a flight recorder
-  // (record=) or a simulated cluster (arch cluster, nodes=, link=, sync=,
-  // shard= and the nodedown@ fault).
+  // (record=), a simulated cluster (arch cluster, nodes=, link=, sync=,
+  // shard=) or fault injection (faults=).
   for (const auto& [text, token] :
        {std::pair{"sync/cpu+gpu/sparse", "'cpu+gpu'"},
         std::pair{"sync/gpu/sparse:phi=0.5", "'phi'"},
@@ -119,7 +119,8 @@ TEST(EngineSpec, MalformedSpecsRejected) {
         std::pair{"async/cpu-par/sparse:link=10us:10gbps", "'link'"},
         std::pair{"async/cpu-par/sparse:sync=ps", "'sync'"},
         std::pair{"sync/cpu-par/sparse:shard=data", "'shard'"},
-        std::pair{"async/cpu-par/sparse:faults=nodedown@2", "nodedown@2"}}) {
+        std::pair{"async/cpu-par/sparse:faults=nodedown@2", "'faults'"},
+        std::pair{"sync/cpu-seq/sparse:faults=nan@3", "'faults'"}}) {
     std::string err;
     EXPECT_FALSE(try_parse_spec(text, &err).has_value());
     EXPECT_NE(err.find(token), std::string::npos) << err;
@@ -138,8 +139,6 @@ TEST(EngineSpec, SeededMutantsAreRejectedOrRoundTrip) {
       "sync/cpu-par/dense:calib=none,gemmth=0,det=off",
       "async/cpu-par/sparse:resilience=watchdog",
       "async/cpu-par/sparse:telemetry=metrics",
-      "async/cpu-par/sparse:faults=nan@120+crash@9",
-      "sync/cpu-seq/sparse:faults=inf@3+crash@5",
   };
   for (const EngineSpec& s : registered_specs()) {
     seeds.push_back(format_spec(s));

@@ -211,19 +211,16 @@ Trajectory train(Engine& engine, const Model& model, const TrainData& data,
 }
 
 /// Trains `model` (which stages a carry) and its Carryless twin on two
-/// identically configured sync engines with `faults` installed, and
-/// expects the same trajectory from both.
+/// identically configured sync engines and expects the same trajectory
+/// from both.
 void expect_carry_transparent(const LinearModel& model,
                               const Carryless& reference,
                               const TrainData& data, const Fixture& f,
-                              const SyncEngineOptions& opts,
-                              const FaultPlan& faults, real_t alpha,
+                              const SyncEngineOptions& opts, real_t alpha,
                               const TrainOptions& t,
                               const std::string& what) {
   SyncEngine carried(model, data, f.scale, opts);
   SyncEngine plain(reference, data, f.scale, opts);
-  carried.install_faults(faults);
-  plain.install_faults(faults);
   const Trajectory a = train(carried, model, data, f.w0, alpha, t);
   const Trajectory b = train(plain, reference, data, f.w0, alpha, t);
   EXPECT_EQ(a.initial_loss, b.initial_loss) << what;
@@ -282,10 +279,10 @@ TEST(EpochCarry, RunTrainingMatchesUncarriedReference) {
       t.prefer_dense = dense;
       const std::string what = std::string(name) + " pool " +
                                std::to_string(pool->size());
-      expect_carry_transparent(f.lr, lr_ref, f.data, f, opts, {},
-                               real_t(2.0), t, "LR " + what);
-      expect_carry_transparent(svm, svm_ref, f.data, f, opts, {},
-                               real_t(0.5), t, "SVM " + what);
+      expect_carry_transparent(f.lr, lr_ref, f.data, f, opts, real_t(2.0),
+                               t, "LR " + what);
+      expect_carry_transparent(svm, svm_ref, f.data, f, opts, real_t(0.5),
+                               t, "SVM " + what);
     }
   }
 }
@@ -304,25 +301,8 @@ TEST(EpochCarry, WatchdogRollbackClearsTheCarry) {
   SyncEngine probe(f.lr, f.data, f.scale, opts);
   const RunResult r = run_training(probe, f.lr, f.data, f.w0, real_t(1e4), t);
   ASSERT_FALSE(r.recoveries.empty());
-  expect_carry_transparent(f.lr, ref, f.data, f, opts, {}, real_t(1e4), t,
+  expect_carry_transparent(f.lr, ref, f.data, f, opts, real_t(1e4), t,
                            "watchdog");
-}
-
-TEST(EpochCarry, FaultPlansRunWithoutACarry) {
-  // nan@K / inf@K poison w after the epoch's update, so after a carried
-  // loss pass: a staged loss would hide the corruption from the watchdog
-  // and the run would roll back one epoch late, or never.
-  Fixture f("rcv1");
-  const Carryless ref(std::make_unique<LogisticRegression>(f.ds.d()));
-  TrainOptions t;
-  t.max_epochs = 6;
-  t.watchdog = true;
-  for (const char* plan : {"nan@2", "inf@3"}) {
-    const FaultPlan faults =
-        parse_spec(std::string("sync/cpu-par/sparse:faults=") + plan).faults;
-    expect_carry_transparent(f.lr, ref, f.data, f, SyncEngineOptions{},
-                             faults, real_t(2.0), t, plan);
-  }
 }
 
 TEST(EpochCarry, LossLayoutMismatchFallsBackToDatasetLoss) {
@@ -344,7 +324,7 @@ TEST(EpochCarry, LossLayoutMismatchFallsBackToDatasetLoss) {
     TrainOptions t;
     t.max_epochs = 5;
     t.prefer_dense = !engine_dense;
-    expect_carry_transparent(f.lr, ref, data, f, opts, {}, real_t(0.5), t,
+    expect_carry_transparent(f.lr, ref, data, f, opts, real_t(0.5), t,
                              engine_dense ? "dense engine, sparse loss"
                                           : "sparse engine, dense loss");
   }

@@ -17,7 +17,6 @@
 
 #include "common/rng.hpp"
 #include "data/generator.hpp"
-#include "faults/injector.hpp"
 #include "models/linear.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sgd/step_path.hpp"
@@ -284,15 +283,13 @@ struct StepPathFixture {
   std::vector<real_t> run(std::size_t batch, std::size_t pool_size,
                           int epochs = 3) const {
     ThreadPool pool(pool_size);
-    FaultInjector faults;
     MinibatchEpochOptions opts;
     opts.minibatch = batch;
     opts.pool = &pool;
     std::vector<real_t> w = model.init_params(5);
     Rng rng(7);
     for (int e = 0; e < epochs; ++e) {
-      run_minibatch_epoch(model, data, real_t(0.1), w, rng, faults,
-                          nullptr, opts);
+      run_minibatch_epoch(model, data, real_t(0.1), w, rng, nullptr, opts);
     }
     return w;
   }
@@ -339,7 +336,7 @@ TEST(StepPathDeterminism, GraphIsRunToRunStable) {
 TEST(StepPathDeterminism, GraphMatchesSequentialRungBelowDecompositionFloor) {
   // Batches under kGraphMinBatch stay a single batch_step task, so the
   // graph path is bit-identical to a plain sequential batch_step loop —
-  // which is what keeps small-batch fault tests and hogbatch
+  // which is what keeps small-batch resume tests and hogbatch
   // trajectories unchanged.
   const StepPathFixture f;
   EXPECT_EQ(f.run(256, 4), f.run_plain(256));
