@@ -102,7 +102,9 @@ rm -rf "$obs_tmp"
 # through the parser and every checked integer conversion. The model
 # suite joins both lanes for the blocked MLP driver: its block tails and
 # strided row pointers run here, and its loss blocks run on pool workers
-# with thread-local scratch under TSan.
+# with thread-local scratch under TSan. The study suite joins both lanes:
+# a Study runs a group's async step searches as one concurrent batch over
+# shared group state, the GPU Hogwild warp replay memo among it.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
@@ -110,7 +112,7 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
     --target test_asyncsim --target test_gpusim --target test_replication \
     --target test_linalg --target test_engine_spec --target test_io \
     --target test_engines --target test_resilience --target test_report \
-    --target test_models
+    --target test_models --target test_study
 "$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_engine_spec"
 "$ASAN_BUILD_DIR/tests/test_io"
@@ -125,6 +127,7 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 "$ASAN_BUILD_DIR/tests/test_gpusim"
 "$ASAN_BUILD_DIR/tests/test_replication"
 "$ASAN_BUILD_DIR/tests/test_models"
+"$ASAN_BUILD_DIR/tests/test_study"
 
 # The executor's concurrency (work-stealing deques, park/wake protocol,
 # atomic in-degree release) under ThreadSanitizer, plus the resilience
@@ -138,7 +141,7 @@ cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
     --target test_resilience \
     --target test_attribution --target test_telemetry --target test_engines \
-    --target test_linalg --target test_models
+    --target test_linalg --target test_models --target test_study
 "$TSAN_BUILD_DIR/tests/test_linalg"
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
@@ -147,6 +150,7 @@ cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread
 "$TSAN_BUILD_DIR/tests/test_telemetry"
 "$TSAN_BUILD_DIR/tests/test_engines"
 "$TSAN_BUILD_DIR/tests/test_models"
+"$TSAN_BUILD_DIR/tests/test_study"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -159,7 +163,7 @@ echo "check.sh: tier-1 (simd + scalar) + resilience lane (watchdog" \
      "+ observability lane (overhead gate, --attribute)" \
      "+ ASan linalg/kernels/graph/attribution/telemetry" \
      "/asyncsim/gpusim/replication/engine-spec/io/engines/resilience/report" \
-     "/models" \
+     "/models/study" \
      "+ TSan linalg/graph/pool/resilience/attribution/telemetry/engines" \
-     "/models" \
+     "/models/study" \
      "+ regression smoke OK"

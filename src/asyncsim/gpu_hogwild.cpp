@@ -31,17 +31,54 @@ GpuHogwild::GpuHogwild(const Model& model, const TrainData& data,
 }
 
 void GpuHogwild::instrument(std::span<const real_t> w) {
+  const std::size_t total_warps = (data_.n() + kWarpSize - 1) / kWarpSize;
+  const std::size_t sample_warps =
+      std::min<std::size_t>(total_warps,
+                            static_cast<std::size_t>(opts_.instrument_warps));
+  KernelStats sample;
+  if (HogwildReplayMemo* memo = opts_.replay_memo) {
+    // Concurrent engines wait for the first replay. A hit records the
+    // launch a replay would and resets the stats as a replay does.
+    const std::lock_guard lock(memo->mu);
+    if (!memo->sample) {
+      memo->sample = replay(w, sample_warps);
+    } else {
+      device_.record_kernel("hogwild", *memo->sample);
+      device_.reset_stats();
+    }
+    sample = *memo->sample;
+  } else {
+    sample = replay(w, sample_warps);
+  }
+
+  // Extrapolate the sample to the full epoch. Per-warp load is uniform in
+  // expectation (examples are shuffled), so scaling by warp count is
+  // unbiased; sm_cycles scales the same way because blocks spread evenly.
+  const double scale = static_cast<double>(total_warps) /
+                       static_cast<double>(sample_warps);
+  KernelStats epoch = sample;
+  epoch.sm_cycles *= scale;
+  epoch.issue_cycles *= scale;
+  epoch.mem_transactions *= scale;
+  epoch.mem_bytes *= scale;
+  epoch.atomic_ops *= scale;
+  epoch.atomic_conflicts *= scale;
+  epoch.flops *= scale;
+  epoch.divergence_waste *= scale;
+  epoch.blocks *= scale;
+  epoch.warps *= scale;
+  epoch.launches = 1;  // one grid covers the epoch
+  epoch_stats_ = epoch;
+}
+
+KernelStats GpuHogwild::replay(std::span<const real_t> w,
+                               std::size_t sample_warps) {
   // Replay the access pattern of the Hogwild kernel for a sample of warps
   // through the warp-level simulator: gather phase (dot product), a
   // transcendental coefficient, and the atomicAdd update phase. Numerics
   // are produced by the functional path; here only addresses matter.
   const CsrMatrix& x = *data_.sparse;
   const std::size_t n = data_.n();
-  const std::size_t total_warps = (n + kWarpSize - 1) / kWarpSize;
-  const std::size_t sample_warps =
-      std::min<std::size_t>(total_warps,
-                            static_cast<std::size_t>(opts_.instrument_warps));
-
   DeviceBuffer<index_t> d_cols(device_, x.col_idx());
   DeviceBuffer<real_t> d_vals(device_, x.values());
   DeviceBuffer<real_t> d_w(device_, w);
@@ -131,25 +168,7 @@ void GpuHogwild::instrument(std::span<const real_t> w) {
         }
       });
   device_.reset_stats();
-
-  // Extrapolate the sample to the full epoch. Per-warp load is uniform in
-  // expectation (examples are shuffled), so scaling by warp count is
-  // unbiased; sm_cycles scales the same way because blocks spread evenly.
-  const double scale = static_cast<double>(total_warps) /
-                       static_cast<double>(sample_warps);
-  KernelStats epoch = sample;
-  epoch.sm_cycles *= scale;
-  epoch.issue_cycles *= scale;
-  epoch.mem_transactions *= scale;
-  epoch.mem_bytes *= scale;
-  epoch.atomic_ops *= scale;
-  epoch.atomic_conflicts *= scale;
-  epoch.flops *= scale;
-  epoch.divergence_waste *= scale;
-  epoch.blocks *= scale;
-  epoch.warps *= scale;
-  epoch.launches = 1;  // one grid covers the epoch
-  epoch_stats_ = epoch;
+  return sample;
 }
 
 CostBreakdown GpuHogwild::run_epoch(std::span<real_t> w, real_t alpha,

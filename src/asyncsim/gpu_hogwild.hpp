@@ -21,6 +21,7 @@
 // kernel-launch overhead and low-occupancy small-GEMM costs.
 #pragma once
 
+#include <mutex>
 #include <optional>
 
 #include "common/rng.hpp"
@@ -29,6 +30,15 @@
 #include "models/model.hpp"
 
 namespace parsgd {
+
+/// GpuHogwild's warp replay, shared by the engines of one (data, model
+/// dimension, device spec): the replay reads addresses, never values, so
+/// its sample stats are the same for every such engine. The first
+/// instrument fills it; a replay that throws leaves it empty.
+struct HogwildReplayMemo {
+  std::mutex mu;
+  std::optional<gpusim::KernelStats> sample;  ///< guarded by mu
+};
 
 struct GpuHogwildOptions {
   /// Warps concurrently resident device-wide. Default: 13 SMs x 16 warps.
@@ -40,6 +50,8 @@ struct GpuHogwildOptions {
   bool prefer_dense = false;
   /// Warps sampled when instrumenting the per-epoch kernel cost.
   int instrument_warps = 256;
+  /// Shared replay (nullptr = every engine replays its own warps).
+  HogwildReplayMemo* replay_memo = nullptr;
 };
 
 class GpuHogwild {
@@ -52,9 +64,13 @@ class GpuHogwild {
   CostBreakdown run_epoch(std::span<real_t> w, real_t alpha, Rng& rng);
 
  private:
-  /// Replays the gather/update access pattern of `sample` warps through
-  /// the warp simulator and caches the extrapolated per-epoch stats.
+  /// Caches the extrapolated per-epoch stats of replay(), taken from the
+  /// replay memo when one is set.
   void instrument(std::span<const real_t> w);
+  /// Replays the gather/update access pattern of `sample_warps` warps
+  /// through the warp simulator; returns the sampled kernel's stats.
+  gpusim::KernelStats replay(std::span<const real_t> w,
+                             std::size_t sample_warps);
 
   const Model& model_;
   const TrainData& data_;

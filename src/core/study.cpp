@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "asyncsim/gpu_hogwild.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "data/mlp_view.hpp"
@@ -41,6 +42,9 @@ struct Study::Group {
   bool dense = false;
   std::size_t hog_batch = 1;
   std::size_t hog_delay = 0;
+
+  /// One GPU Hogwild warp replay for every async gpu engine of the group.
+  HogwildReplayMemo hogwild_replay;
 
   std::optional<StepSearchResult> sync_run;
   std::map<Arch, double> sync_secs;
@@ -140,6 +144,7 @@ Study::Group& Study::group(Task task, const std::string& name) {
   g->ctx.pool = opts_.pool;
   g->ctx.seed = opts_.seed;
   g->ctx.telemetry = opts_.telemetry;
+  g->ctx.hogwild_replay = &g->hogwild_replay;
 
   it = groups_.emplace(key, std::move(g)).first;
   return *it->second;
@@ -206,20 +211,18 @@ ConfigResult Study::config_result(Task task, const std::string& name,
       make_search_options(opts_, task, g.dense, full_epochs);
 
   // One step search per spec: every engine comes out of the factory.
-  // Async searches run their probes and candidates concurrently on the
-  // pool: asyncsim and the warp replay are serial by design, so the pool
-  // is otherwise idle. Sync engines are data-parallel inside each epoch
-  // and already use it, so their searches stay serial (and keep one
-  // engine's buffers live at a time).
-  auto search = [&](const EngineSpec& spec) {
-    StepSearchOptions so = sopts;
-    so.label = format_spec(spec);  // names the cell in diagnostics
-    if (spec.update == Update::kAsync) {
-      so.pool = opts_.pool != nullptr ? opts_.pool : &ThreadPool::global();
-    }
-    auto make_run = [&](double alpha, std::size_t epochs,
-                        ThreadPool* executor) {
-      TrainOptions t = so.train;
+  // The async searches of a group run as one batch on the pool: asyncsim
+  // and the warp replay are serial by design, so the pool is otherwise
+  // idle. Sync engines are data-parallel inside each epoch and already
+  // use it, so their search stays serial (and keeps one engine's buffers
+  // live at a time).
+  auto search_of = [&](const EngineSpec& spec) {
+    StepSearch search{{}, sopts};
+    search.opts.label = format_spec(spec);  // names the cell in diagnostics
+    search.make_run = [&g, spec, train = sopts.train](
+                          double alpha, std::size_t epochs,
+                          ThreadPool* executor) {
+      TrainOptions t = train;
       t.max_epochs = epochs;
       EngineContext ctx = g.ctx;
       if (executor != nullptr) ctx.pool = executor;
@@ -227,7 +230,7 @@ ConfigResult Study::config_result(Task task, const std::string& name,
       return run_training(*engine, *g.model, g.train, g.w0,
                           static_cast<real_t>(alpha), t);
     };
-    return search_step_size(make_run, so);
+    return search;
   };
   auto spec_of = [&](Update u, Arch a) {
     return study_spec(task, u, a, g.dense, g.hog_batch, g.hog_delay,
@@ -238,18 +241,34 @@ ConfigResult Study::config_result(Task task, const std::string& name,
     if (!g.sync_run) {
       PARSGD_INFO << "sync step search: " << to_string(task) << "/" << name;
       // Trajectory is arch-independent; search it once on cpu-seq.
-      g.sync_run = search(spec_of(Update::kSync, Arch::kCpuSeq));
+      const StepSearch s = search_of(spec_of(Update::kSync, Arch::kCpuSeq));
+      g.sync_run = search_step_size(s.make_run, s.opts);
     }
     if (!g.sync_secs.count(arch)) {
       g.sync_secs[arch] =
           make_engine(spec_of(Update::kSync, arch), g.ctx)
               ->epoch_seconds(g.w0);
     }
-  } else {
-    if (!g.async_runs.count(arch)) {
+  } else if (!g.async_runs.count(arch)) {
+    // Batch every async arch the group lacks: the requested one, then
+    // registered_specs() order, as requesting them one by one would.
+    std::vector<Arch> archs = {arch};
+    for (const EngineSpec& s : registered_specs()) {
+      if (s.update == Update::kAsync && s.arch != arch &&
+          !g.async_runs.count(s.arch)) {
+        archs.push_back(s.arch);
+      }
+    }
+    std::vector<StepSearch> batch;
+    for (const Arch a : archs) {
       PARSGD_INFO << "async step search: " << to_string(task) << "/" << name
-                  << " on " << to_string(arch);
-      g.async_runs.emplace(arch, search(spec_of(Update::kAsync, arch)));
+                  << " on " << to_string(a);
+      batch.push_back(search_of(spec_of(Update::kAsync, a)));
+    }
+    std::vector<StepSearchResult> found = search_step_sizes(
+        batch, opts_.pool != nullptr ? opts_.pool : &ThreadPool::global());
+    for (std::size_t i = 0; i < archs.size(); ++i) {
+      g.async_runs.emplace(archs[i], std::move(found[i]));
     }
   }
 

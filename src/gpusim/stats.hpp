@@ -46,6 +46,7 @@ struct KernelStats {
     launches += o.launches;
     return *this;
   }
+  bool operator==(const KernelStats&) const = default;
 };
 
 /// Modeled cycles of a kernel split by root cause. The classes are the

@@ -70,6 +70,7 @@ AsyncGpuEngine::AsyncGpuEngine(const Model& model, const TrainData& data,
     GpuHogwildOptions h;
     h.prefer_dense = opts_.prefer_dense;
     h.concurrency_warps = opts_.concurrency_warps;
+    h.replay_memo = opts_.replay_memo;
     hogwild_ = std::make_unique<GpuHogwild>(model, data, *device_, h);
   }
 }

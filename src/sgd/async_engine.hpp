@@ -71,6 +71,8 @@ struct AsyncGpuOptions {
   /// work). When > 0, the epoch time is this fee instead of the
   /// per-launch accounting. 0 (Hogwild) uses the simulator's model.
   double dispatch_us = 0;
+  /// Forwarded to GpuHogwildOptions::replay_memo.
+  HogwildReplayMemo* replay_memo = nullptr;
 };
 
 class AsyncGpuEngine final : public Engine {

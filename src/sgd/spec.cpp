@@ -279,6 +279,7 @@ std::unique_ptr<Engine> make_async_gpu(const EngineSpec& spec,
     // (driver/launch overhead of the per-batch kernel chains).
     o.dispatch_us = 10.5;
   }
+  o.replay_memo = ctx.hogwild_replay;
   return std::make_unique<AsyncGpuEngine>(*ctx.model, ctx.data, ctx.scale,
                                           o);
 }

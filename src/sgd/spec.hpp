@@ -28,6 +28,7 @@
 namespace parsgd {
 
 class ThreadPool;
+struct HogwildReplayMemo;
 
 enum class Layout { kSparse, kDense };
 const char* to_string(Layout l);
@@ -111,6 +112,9 @@ struct EngineContext {
   /// null, EngineSpec::telemetry != off makes make_engine create a
   /// standalone per-engine session instead.
   std::shared_ptr<telemetry::TelemetrySession> telemetry;
+  /// GPU Hogwild warp replay shared by every engine made from this
+  /// context (a Study group's); null = each engine replays its own.
+  HogwildReplayMemo* hogwild_replay = nullptr;
 };
 
 /// Builds the context for a generated dataset: train views, scale context

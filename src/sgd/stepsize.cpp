@@ -1,9 +1,10 @@
 #include "sgd/stepsize.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <limits>
+#include <mutex>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -14,74 +15,50 @@ namespace parsgd {
 
 namespace {
 
-/// One phase of the search: make_run(alphas[i], epochs) for every i, in
-/// index order. With a pool the runs execute concurrently (see
-/// StepSearchOptions::pool) and the results are the serial ones.
-std::vector<RunResult> run_phase(const StepRunFn& make_run,
-                                 const std::vector<double>& alphas,
-                                 std::size_t epochs, ThreadPool* pool) {
-  const std::size_t n = alphas.size();
-  std::vector<RunResult> runs(n);
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      runs[i] = make_run(alphas[i], epochs, nullptr);
-    }
-    return runs;
-  }
-  std::vector<telemetry::MetricLog> logs(n);
-  std::vector<std::exception_ptr> errors(n);
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> first_failed{n};
-  pool->run_on_all_with_caller([&](std::size_t) {
-    // Runs are claimed in index order, so every run below a failing one
-    // has already been claimed and finishes; later ones are not started.
-    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      if (i > first_failed.load()) break;
-      ThreadPool executor{ThreadPool::NoWorkers{}};
-      const telemetry::MetricLog::Scope scope(logs[i]);
-      try {
-        runs[i] = make_run(alphas[i], epochs, &executor);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        std::size_t cur = first_failed.load();
-        while (i < cur && !first_failed.compare_exchange_weak(cur, i)) {
-        }
-      }
-    }
-  });
-  // Replay up to (and including) the serial search's failure point.
-  const std::size_t failed = first_failed.load();
-  for (std::size_t i = 0; i < n && i <= failed; ++i) logs[i].replay();
-  if (failed < n) std::rethrow_exception(errors[failed]);
-  return runs;
-}
+/// One search of a batch. Its runs hold serial indices [base, base +
+/// grid + keep): the probes, then room for every candidate it may keep.
+struct SearchState {
+  const StepSearch* search;
+  std::size_t base;
+  std::size_t probes_left;
+  std::vector<RunResult> runs;  ///< by index within the search
+  std::vector<double> alphas;   ///< the candidates, ranked by probe loss
+  StepSearchResult result;
 
-}  // namespace
+  const StepSearchOptions& opts() const { return search->opts; }
+  std::size_t n_probes() const { return search->opts.grid.size(); }
+};
 
-StepSearchResult search_step_size(const StepRunFn& make_run,
-                                  const StepSearchOptions& opts) {
-  PARSGD_CHECK(!opts.grid.empty());
-
-  // Phase 1: short probes; rank by best loss achieved.
+/// Ranks a search's finished probes: the `keep_candidates` best losses
+/// become its candidates; a search whose probes all diverged keeps none.
+void rank_probes(SearchState& st) {
   struct Probe {
     double alpha;
     double best;
   };
-  std::vector<Probe> probes;
-  StepSearchResult result;
-  const std::vector<RunResult> probe_runs =
-      run_phase(make_run, opts.grid, opts.probe_epochs, opts.pool);
-  for (std::size_t i = 0; i < opts.grid.size(); ++i) {
-    const double alpha = opts.grid[i];
-    const RunResult& r = probe_runs[i];
-    result.probed.push_back(alpha);
+  std::vector<Probe> ranked;
+  for (std::size_t i = 0; i < st.n_probes(); ++i) {
+    const double alpha = st.opts().grid[i];
+    const RunResult& r = st.runs[i];
+    st.result.probed.push_back(alpha);
     if (r.diverged && r.losses.size() <= 2) {  // hopeless
-      result.diverged_probes.push_back(alpha);
+      st.result.diverged_probes.push_back(alpha);
       continue;
     }
-    probes.push_back({alpha, r.best_loss()});
+    ranked.push_back({alpha, r.best_loss()});
   }
-  if (probes.empty()) {
+  st.result.failed = ranked.empty();
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Probe& a, const Probe& b) { return a.best < b.best; });
+  ranked.resize(std::min(ranked.size(), st.opts().keep_candidates));
+  for (const Probe& p : ranked) st.alphas.push_back(p.alpha);
+}
+
+/// Fills a ranked search's result from its full runs.
+void pick(SearchState& st) {
+  StepSearchResult& result = st.result;
+  const StepSearchOptions& opts = st.opts();
+  if (result.failed) {
     // Every probe diverged immediately. Report failure instead of
     // throwing so a sweep over many configurations can continue — but
     // loudly: a +inf optimum silently poisons downstream convergence
@@ -90,20 +67,12 @@ StepSearchResult search_step_size(const StepRunFn& make_run,
                 << (opts.label.empty() ? "" : " for '" + opts.label + "'")
                 << " (grid " << opts.grid.front() << ".." << opts.grid.back()
                 << "); reporting diverged with +inf optimum";
-    result.failed = true;
     result.run.diverged = true;
     result.optimum = std::numeric_limits<double>::infinity();
-    return result;
+    return;
   }
-  std::sort(probes.begin(), probes.end(),
-            [](const Probe& a, const Probe& b) { return a.best < b.best; });
-  probes.resize(std::min(probes.size(), opts.keep_candidates));
-
-  // Phase 2: full runs of the candidates.
-  std::vector<double> alphas;
-  for (const auto& p : probes) alphas.push_back(p.alpha);
-  std::vector<RunResult> full =
-      run_phase(make_run, alphas, opts.full_epochs, opts.pool);
+  const std::span<RunResult> full =
+      std::span(st.runs).subspan(st.n_probes(), st.alphas.size());
   const double optimum = optimal_loss(full);
   result.optimum = optimum;
 
@@ -127,9 +96,114 @@ StepSearchResult search_step_size(const StepRunFn& make_run,
       best_idx = i;
     }
   }
-  result.alpha = alphas[best_idx];
+  result.alpha = st.alphas[best_idx];
   result.run = std::move(full[best_idx]);
-  return result;
+}
+
+}  // namespace
+
+std::vector<StepSearchResult> search_step_sizes(
+    std::span<const StepSearch> searches, ThreadPool* pool) {
+  std::vector<SearchState> states;
+  std::vector<std::size_t> owner;  ///< serial index -> search
+  std::vector<bool> ready;         ///< claimable; guarded by `mu`
+  for (const StepSearch& s : searches) {
+    PARSGD_CHECK(!s.opts.grid.empty());
+    const std::size_t probes = s.opts.grid.size();
+    const std::size_t slots =
+        probes + std::min(probes, s.opts.keep_candidates);
+    states.push_back(
+        {&s, owner.size(), probes, std::vector<RunResult>(slots), {}, {}});
+    owner.insert(owner.end(), slots, states.size() - 1);
+    ready.insert(ready.end(), probes, true);
+    ready.insert(ready.end(), slots - probes, false);
+  }
+  const std::size_t n = ready.size();
+  std::vector<telemetry::MetricLog> logs(pool != nullptr ? n : 0);
+  std::vector<std::exception_ptr> errors(n);
+  std::size_t failed = n;  ///< lowest failed index
+  std::size_t in_flight = 0;
+  std::mutex mu;  ///< guards ready, failed, in_flight, errors and states
+  std::condition_variable changed;
+
+  const auto participate = [&] {
+    std::unique_lock lock(mu);
+    for (;;) {
+      // Claim the lowest ready run below the failure point. With none,
+      // a run in flight may still release candidates: wait for it.
+      std::size_t i = 0;
+      while (i < failed && !ready[i]) ++i;
+      if (i == failed) {
+        if (in_flight == 0) return;
+        changed.wait(lock);
+        continue;
+      }
+      ready[i] = false;
+      ++in_flight;
+      SearchState& st = states[owner[i]];
+      const std::size_t k = i - st.base;
+      const bool probe = k < st.n_probes();
+      const double alpha =
+          probe ? st.opts().grid[k] : st.alphas[k - st.n_probes()];
+      const std::size_t epochs =
+          probe ? st.opts().probe_epochs : st.opts().full_epochs;
+      lock.unlock();
+
+      RunResult r;
+      std::exception_ptr error;
+      try {
+        if (pool == nullptr) {
+          r = st.search->make_run(alpha, epochs, nullptr);
+        } else {
+          ThreadPool executor{ThreadPool::NoWorkers{}};
+          const telemetry::MetricLog::Scope scope(logs[i]);
+          r = st.search->make_run(alpha, epochs, &executor);
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+
+      lock.lock();
+      --in_flight;
+      st.runs[k] = std::move(r);
+      if (error) {
+        errors[i] = error;
+        failed = std::min(failed, i);
+      } else if (probe && --st.probes_left == 0) {
+        rank_probes(st);
+        for (std::size_t c = 0; c < st.alphas.size(); ++c) {
+          ready[st.base + st.n_probes() + c] = true;
+        }
+      }
+      changed.notify_all();
+    }
+  };
+  if (pool == nullptr) {
+    participate();
+  } else {
+    pool->run_on_all_with_caller([&](std::size_t) { participate(); });
+  }
+
+  // Replay up to (and including) the serial batch's failure point.
+  for (std::size_t i = 0; i < logs.size() && i <= failed; ++i) {
+    logs[i].replay();
+  }
+  std::vector<StepSearchResult> results;
+  for (SearchState& st : states) {
+    // On a failure only the searches the serial batch ranked before it
+    // report, so an all-diverged grid among them still warns.
+    if (st.base + st.n_probes() > failed) break;
+    if (failed == n || st.result.failed) pick(st);
+    results.push_back(std::move(st.result));
+  }
+  if (failed < n) std::rethrow_exception(errors[failed]);
+  return results;
+}
+
+StepSearchResult search_step_size(const StepRunFn& make_run,
+                                  const StepSearchOptions& opts) {
+  const StepSearch search{make_run, opts};
+  return search_step_sizes({&search, 1}).front();
 }
 
 }  // namespace parsgd

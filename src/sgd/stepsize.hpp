@@ -1,12 +1,13 @@
 // Step-size selection (paper §IV-A): grid the step size in powers of 10
 // and pick the value with the fastest time to convergence. Two-phase to
 // keep the search affordable: a short probe run prunes the grid to the
-// best few candidates, which are then run to full length. Every run of a
-// phase is an independent seeded run, so a phase can run its runs
-// concurrently on a pool with outputs bit-identical to the serial search.
+// best few candidates, which are then run to full length. Every run is an
+// independent seeded run, so a batch of searches runs concurrently on a
+// pool with outputs bit-identical to running the searches one by one.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,14 +30,6 @@ struct StepSearchOptions {
   /// spec string) so an all-candidates-diverged WARN identifies which
   /// sweep cell produced the +inf optimum.
   std::string label;
-  /// Runs each phase's runs concurrently on this pool's workers plus the
-  /// calling thread; nullptr runs them serially on the caller. Each
-  /// concurrent run gets its own worker-less executor and its metric
-  /// updates are replayed in run order, so results and telemetry
-  /// aggregates are bit-identical to the serial search. A failing run
-  /// lets the runs in flight finish, then its exception is rethrown — the
-  /// lowest-index failure, the one a serial search would hit first.
-  ThreadPool* pool = nullptr;
 };
 
 struct StepSearchResult {
@@ -58,13 +51,31 @@ struct StepSearchResult {
 /// `make_run(alpha, epochs, executor)` must execute a fresh training run,
 /// with every pool job it makes on `executor` when that is non-null (the
 /// run's private executor in a concurrent search; null in a serial one).
-/// It must be safe to call concurrently when `StepSearchOptions::pool` is
-/// set. The search owns candidate selection: probe everything briefly,
-/// run the `keep_candidates` best losses fully, then pick the alpha
-/// reaching within target_fraction of the best observed loss in the
-/// fewest epochs (ties broken by lower final loss).
+/// It must be safe to call concurrently when the search runs on a pool.
+/// The search owns candidate selection: probe everything briefly, run the
+/// `keep_candidates` best losses fully, then pick the alpha reaching
+/// within target_fraction of the best observed loss in the fewest epochs
+/// (ties broken by lower final loss).
 using StepRunFn = std::function<RunResult(double alpha, std::size_t epochs,
                                           ThreadPool* executor)>;
+
+/// One search of a batch.
+struct StepSearch {
+  StepRunFn make_run;
+  StepSearchOptions opts;
+};
+
+/// Runs `searches` as one batch; returns their results in order. The
+/// serial order is each search's probes, then its candidates, search after
+/// search, and the results, metric aggregates and rethrown failure (the
+/// lowest-index one, after the runs in flight return) are those of running
+/// it in that order. With `pool` its workers and the caller each claim the
+/// lowest-index ready run, each on its own worker-less executor: probes
+/// are ready at once, a search's candidates once its probes finish.
+std::vector<StepSearchResult> search_step_sizes(
+    std::span<const StepSearch> searches, ThreadPool* pool = nullptr);
+
+/// The one-search batch, run serially on the caller.
 StepSearchResult search_step_size(const StepRunFn& make_run,
                                   const StepSearchOptions& opts = {});
 

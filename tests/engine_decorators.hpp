@@ -10,6 +10,8 @@
 //    loss pass sees the poisoned weights. It fires once: a watchdog
 //    rollback re-runs the epoch clean, the transient fault the rollback
 //    exists for.
+//  * CaptureWeights copies the weights after every carried epoch, so a
+//    test reads what a run's last epoch produced without a checkpoint.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sgd/engine.hpp"
 
@@ -83,6 +86,23 @@ class PoisonAfterEpoch final : public ForwardingEngine {
   std::size_t epoch_;
   real_t value_;
   std::size_t epochs_run_ = 0;
+};
+
+class CaptureWeights final : public ForwardingEngine {
+ public:
+  using ForwardingEngine::ForwardingEngine;
+
+  double run_epoch_carried(std::span<real_t> w, real_t alpha, Rng& rng,
+                           EpochCarry& carry) override {
+    const double secs =
+        ForwardingEngine::run_epoch_carried(w, alpha, rng, carry);
+    w_.assign(w.begin(), w.end());
+    return secs;
+  }
+  const std::vector<real_t>& w() const { return w_; }
+
+ private:
+  std::vector<real_t> w_;
 };
 
 }  // namespace parsgd

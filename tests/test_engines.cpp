@@ -6,17 +6,21 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "asyncsim/gpu_hogwild.hpp"
 #include "data/generator.hpp"
 #include "data/mlp_view.hpp"
+#include "engine_decorators.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sgd/async_engine.hpp"
-#include "sgd/checkpoint.hpp"
 #include "sgd/convergence.hpp"
 #include "sgd/spec.hpp"
 #include "sgd/stepsize.hpp"
@@ -187,25 +191,28 @@ TEST(SyncEngine, FusedSparseUpdateKeepsModeledCost) {
 }
 
 /// What a run_training call leaves behind, compared bit for bit (NaN
-/// losses included): its losses, its watchdog rollbacks, and the final
-/// weights, read back from a checkpoint written after every epoch.
+/// losses and weights included): its losses, its watchdog rollbacks, and
+/// the weights its last epoch produced.
 struct Trajectory {
   std::uint64_t initial_loss;
   std::vector<std::uint64_t> losses;
   std::size_t recoveries;
-  std::vector<real_t> w;
+  std::vector<std::uint32_t> w;
   bool operator==(const Trajectory&) const = default;
 };
 
-Trajectory train(Engine& engine, const Model& model, const TrainData& data,
-                 std::span<const real_t> w0, real_t alpha, TrainOptions t) {
-  t.checkpoint_path = testing::TempDir() + "/parsgd_carry_ck.bin";
-  const RunResult r = run_training(engine, model, data, w0, alpha, t);
+Trajectory train(std::unique_ptr<Engine> engine, const Model& model,
+                 const TrainData& data, std::span<const real_t> w0,
+                 real_t alpha, const TrainOptions& t) {
+  CaptureWeights capture(std::move(engine));
+  const RunResult r = run_training(capture, model, data, w0, alpha, t);
   Trajectory out{std::bit_cast<std::uint64_t>(r.initial_loss), {},
-                 r.recoveries.size(),
-                 load_checkpoint(t.checkpoint_path).w};
+                 r.recoveries.size(), {}};
   for (const double l : r.losses) {
     out.losses.push_back(std::bit_cast<std::uint64_t>(l));
+  }
+  for (const real_t v : capture.w()) {
+    out.w.push_back(std::bit_cast<std::uint32_t>(v));
   }
   return out;
 }
@@ -219,13 +226,16 @@ void expect_carry_transparent(const LinearModel& model,
                               const SyncEngineOptions& opts, real_t alpha,
                               const TrainOptions& t,
                               const std::string& what) {
-  SyncEngine carried(model, data, f.scale, opts);
-  SyncEngine plain(reference, data, f.scale, opts);
-  const Trajectory a = train(carried, model, data, f.w0, alpha, t);
-  const Trajectory b = train(plain, reference, data, f.w0, alpha, t);
+  const Trajectory a =
+      train(std::make_unique<SyncEngine>(model, data, f.scale, opts), model,
+            data, f.w0, alpha, t);
+  const Trajectory b =
+      train(std::make_unique<SyncEngine>(reference, data, f.scale, opts),
+            reference, data, f.w0, alpha, t);
   EXPECT_EQ(a.initial_loss, b.initial_loss) << what;
   EXPECT_EQ(a.losses, b.losses) << what;
   EXPECT_EQ(a.recoveries, b.recoveries) << what;
+  EXPECT_FALSE(a.w.empty()) << what;
   EXPECT_TRUE(a.w == b.w) << what;
 }
 
@@ -416,6 +426,128 @@ TEST(AsyncGpuEngine, MlpUsesHogbatch) {
 
 // ---- convergence & step size ----
 
+/// The modeled outputs of two epochs of an async gpu engine made from
+/// `ctx`: each epoch's cost, the device's running and per-kernel stats
+/// and the session's gpu.* counters.
+struct GpuOutputs {
+  std::vector<double> gpu_cycles, flops, bytes, conflicts, launches;
+  gpusim::KernelStats totals;
+  std::size_t transfer_bytes = 0;
+  std::map<std::string, gpusim::KernelStats> named;
+  std::vector<std::pair<std::string, double>> counters;
+  bool operator==(const GpuOutputs&) const = default;
+};
+
+GpuOutputs gpu_outputs(const Fixture& f, EngineContext ctx) {
+  ctx.telemetry = std::make_shared<telemetry::TelemetrySession>(
+      telemetry::TelemetryMode::kMetrics);
+  const std::unique_ptr<Engine> e =
+      make_engine(parse_spec("async/gpu/sparse"), ctx);
+  std::vector<real_t> w = f.w0;
+  Rng rng(3);
+  GpuOutputs out;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    e->run_epoch(w, real_t(0.1), rng);
+    const CostBreakdown& c = e->last_cost();
+    out.gpu_cycles.push_back(c.gpu_cycles);
+    out.flops.push_back(c.flops);
+    out.bytes.push_back(c.bytes_streamed);
+    out.conflicts.push_back(c.write_conflicts);
+    out.launches.push_back(c.kernel_launches);
+  }
+  out.totals = e->device()->totals();
+  out.transfer_bytes = e->device()->transfer_bytes();
+  out.named = e->device()->named_stats();
+  for (const telemetry::MetricSample& m : ctx.telemetry->snapshot().samples) {
+    if (m.name.rfind("gpu.", 0) == 0) {
+      out.counters.emplace_back(m.name, m.value);
+    }
+  }
+  return out;
+}
+
+TEST(GpuHogwild, ReplayMemoMatchesFreshReplay) {
+  // The first engine on a memo replays and fills it, the later ones hit
+  // it; each must report what an engine replaying its own warps reports.
+  Fixture f("w8a");
+  const EngineContext fresh =
+      make_engine_context(f.ds, f.lr, Layout::kSparse);
+  HogwildReplayMemo memo;
+  EngineContext shared = fresh;
+  shared.hogwild_replay = &memo;
+  const GpuOutputs reference = gpu_outputs(f, fresh);
+  ASSERT_FALSE(reference.counters.empty());
+  ASSERT_EQ(reference.named.count("hogwild"), 1u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(gpu_outputs(f, shared) == reference) << "engine " << i;
+    EXPECT_TRUE(memo.sample.has_value());
+  }
+}
+
+TEST(GpuHogwild, ConcurrentEnginesReplayTheWarpsOnce) {
+  // Eight engines on four threads, each on its own device whose spec
+  // differs in the per-instruction issue cost: a replay on device k would
+  // carry k's issue cycles, so equal stats everywhere mean one replay.
+  Fixture f("w8a");
+  constexpr int kEngines = 8;
+  std::vector<GpuSpec> specs(kEngines, paper_gpu());
+  for (int k = 0; k < kEngines; ++k) specs[k].cycles_arith += k;
+  auto issue_cycles = [&](HogwildReplayMemo* memo) {
+    std::vector<double> issue(kEngines);
+    ThreadPool pool(3);
+    pool.parallel_for(kEngines, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        gpusim::Device dev(specs[k]);
+        GpuHogwildOptions opts;
+        opts.replay_memo = memo;
+        GpuHogwild hog(f.lr, f.data, dev, opts);
+        std::vector<real_t> w = f.w0;
+        Rng rng(k);
+        hog.run_epoch(w, real_t(0.1), rng);
+        issue[k] = dev.named_stats().at("hogwild").issue_cycles;
+      }
+    });
+    return issue;
+  };
+  const std::vector<double> own = issue_cycles(nullptr);
+  EXPECT_NE(own.front(), own.back());  // the probe tells devices apart
+  HogwildReplayMemo memo;
+  const std::vector<double> shared = issue_cycles(&memo);
+  ASSERT_TRUE(memo.sample.has_value());
+  for (const double v : shared) EXPECT_EQ(v, memo.sample->issue_cycles);
+  EXPECT_NE(std::find(own.begin(), own.end(), shared.front()), own.end());
+}
+
+TEST(GpuHogwild, ReplayThatThrowsLeavesTheMemoEmpty) {
+  // A device too small for the replay's buffers: every engine on the memo
+  // replays and throws the same GPU OOM; nothing is stored.
+  Fixture f("w8a");
+  GpuSpec tiny = paper_gpu();
+  tiny.global_bytes = 1024;
+  HogwildReplayMemo memo;
+  std::vector<std::string> errors;
+  for (int i = 0; i < 3; ++i) {
+    gpusim::Device dev(tiny);
+    GpuHogwildOptions opts;
+    opts.replay_memo = &memo;
+    GpuHogwild hog(f.lr, f.data, dev, opts);
+    std::vector<real_t> w = f.w0;
+    Rng rng(1);
+    try {
+      hog.run_epoch(w, real_t(0.1), rng);
+      ADD_FAILURE() << "replay did not throw";
+    } catch (const CheckError& e) {
+      errors.emplace_back(e.what());
+    }
+    EXPECT_FALSE(memo.sample.has_value());
+    EXPECT_EQ(dev.allocated(), 0u);
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_NE(errors.front().find("GPU OOM"), std::string::npos);
+  EXPECT_EQ(errors[1], errors[0]);
+  EXPECT_EQ(errors[2], errors[0]);
+}
+
 TEST(Convergence, PointDetection) {
   RunResult run;
   run.initial_loss = 100;
@@ -500,21 +632,27 @@ TEST(StepSearch, AllDivergentReportsFailure) {
   EXPECT_EQ(res.diverged_probes, (std::vector<double>{1.0, 10.0}));
 }
 
-TEST(StepSearch, ConcurrentSearchMatchesSerialOnRealEngines) {
-  // Hogbatch task graphs (cpu-par) and the warp-synchronous rounds (gpu)
-  // run on each run's private executor; the search result and every
-  // simulated counter must be the serial search's, bit for bit.
+TEST(StepSearch, BatchedSearchesMatchSerialSequence) {
+  // Three async searches on w8a as one batch: Hogbatch task graphs
+  // (cpu-par), plain Hogwild (cpu-seq) and the warp-synchronous rounds
+  // (gpu, sharing one warp replay in the batch) run on each run's private
+  // executor. Every result and simulated counter must be that of the
+  // three searches run one after another, bit for bit.
   Fixture f("w8a");
-  for (const char* text :
-       {"async/cpu-par/sparse:batch=16", "async/gpu/sparse"}) {
-    SCOPED_TRACE(text);
-    const EngineSpec spec = parse_spec(text);
-    auto search = [&](ThreadPool* pool) {
-      EngineContext base = make_engine_context(f.ds, f.lr, Layout::kSparse);
-      base.telemetry = std::make_shared<telemetry::TelemetrySession>(
-          telemetry::TelemetryMode::kMetrics);
-      auto make_run = [&](double alpha, std::size_t epochs,
-                          ThreadPool* executor) {
+  const char* texts[] = {"async/cpu-par/sparse:batch=16",
+                         "async/cpu-seq/sparse", "async/gpu/sparse"};
+  auto run = [&](ThreadPool* pool) {
+    HogwildReplayMemo memo;
+    EngineContext base = make_engine_context(f.ds, f.lr, Layout::kSparse);
+    base.telemetry = std::make_shared<telemetry::TelemetrySession>(
+        telemetry::TelemetryMode::kMetrics);
+    if (pool != nullptr) base.hogwild_replay = &memo;
+    std::vector<StepSearch> searches;
+    for (const char* text : texts) {
+      StepSearch s;
+      s.make_run = [&, spec = parse_spec(text)](double alpha,
+                                                std::size_t epochs,
+                                                ThreadPool* executor) {
         EngineContext ctx = base;
         if (executor != nullptr) ctx.pool = executor;
         const std::unique_ptr<Engine> engine = make_engine(spec, ctx);
@@ -523,34 +661,48 @@ TEST(StepSearch, ConcurrentSearchMatchesSerialOnRealEngines) {
         return run_training(*engine, f.lr, f.data, f.w0,
                             static_cast<real_t>(alpha), t);
       };
-      StepSearchOptions opts;
-      opts.grid = {1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0};
-      opts.probe_epochs = 3;
-      opts.full_epochs = 8;
-      opts.pool = pool;
-      return std::make_pair(search_step_size(make_run, opts),
-                            base.telemetry->snapshot());
-    };
-    const auto [serial, serial_metrics] = search(nullptr);
-    ThreadPool pool(3);
-    const auto [concurrent, concurrent_metrics] = search(&pool);
-    EXPECT_EQ(concurrent.alpha, serial.alpha);
-    EXPECT_EQ(concurrent.probed, serial.probed);
-    EXPECT_EQ(concurrent.diverged_probes, serial.diverged_probes);
-    EXPECT_EQ(concurrent.failed, serial.failed);
-    EXPECT_EQ(concurrent.optimum, serial.optimum);
-    EXPECT_EQ(concurrent.run.initial_loss, serial.run.initial_loss);
-    EXPECT_EQ(concurrent.run.losses, serial.run.losses);
-    EXPECT_EQ(concurrent.run.epoch_seconds, serial.run.epoch_seconds);
-    for (const telemetry::MetricSample& m : serial_metrics.samples) {
-      if (m.name.rfind("async.", 0) != 0 && m.name.rfind("gpu.", 0) != 0) {
-        continue;
-      }
-      const telemetry::MetricSample* c = concurrent_metrics.find(m.name);
-      ASSERT_NE(c, nullptr) << m.name;
-      EXPECT_EQ(c->value, m.value) << m.name;
+      s.opts.grid = {1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0};
+      s.opts.probe_epochs = 3;
+      s.opts.full_epochs = 8;
+      searches.push_back(std::move(s));
     }
+    std::vector<StepSearchResult> results;
+    if (pool != nullptr) {
+      results = search_step_sizes(searches, pool);
+    } else {
+      for (const StepSearch& s : searches) {
+        results.push_back(search_step_size(s.make_run, s.opts));
+      }
+    }
+    return std::make_pair(results, base.telemetry->snapshot());
+  };
+  const auto [serial, serial_metrics] = run(nullptr);
+  ThreadPool pool(3);
+  const auto [batched, batched_metrics] = run(&pool);
+  ASSERT_EQ(batched.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(texts[i]);
+    EXPECT_EQ(batched[i].alpha, serial[i].alpha);
+    EXPECT_EQ(batched[i].probed, serial[i].probed);
+    EXPECT_EQ(batched[i].diverged_probes, serial[i].diverged_probes);
+    EXPECT_EQ(batched[i].failed, serial[i].failed);
+    EXPECT_EQ(batched[i].optimum, serial[i].optimum);
+    EXPECT_EQ(batched[i].run.initial_loss, serial[i].run.initial_loss);
+    EXPECT_EQ(batched[i].run.losses, serial[i].run.losses);
+    EXPECT_EQ(batched[i].run.epoch_seconds, serial[i].run.epoch_seconds);
+    EXPECT_EQ(batched[i].run.diverged, serial[i].run.diverged);
   }
+  std::size_t compared = 0;
+  for (const telemetry::MetricSample& m : serial_metrics.samples) {
+    if (m.name.rfind("async.", 0) != 0 && m.name.rfind("gpu.", 0) != 0) {
+      continue;
+    }
+    const telemetry::MetricSample* c = batched_metrics.find(m.name);
+    ASSERT_NE(c, nullptr) << m.name;
+    EXPECT_EQ(c->value, m.value) << m.name;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 /// Blocks until `n` runs have entered (or 10 s passed), so the runs of a
@@ -573,41 +725,44 @@ RunResult flat_run(std::size_t epochs) {
 }
 
 TEST(StepSearch, ConcurrentMetricsReplayInRunOrder) {
-  // Run 0 adds 1e16; every later run adds 1.0 twice. In run order each
-  // 1.0 is absorbed by round-half-to-even (1e16 + 1 == 1e16), so the
-  // serial counter reads exactly 1e16. Summed per thread instead, the
-  // ones meet first and the counter reads 1e16 + 6. Only replaying each
-  // run's updates in run order reproduces the serial bits.
-  const std::vector<double> grid = {1e-3, 1e-2, 1e-1, 1.0};
-  auto counter_after_search = [&](ThreadPool* pool) {
+  // Two searches of two probes each. The first probe of search 0 adds
+  // 1e16; every other probe adds 1.0 twice. In serial order each 1.0 is
+  // absorbed by round-half-to-even (1e16 + 1 == 1e16), so the serial
+  // counter reads exactly 1e16. Summed per thread instead, the ones meet
+  // first and the counter reads 1e16 + 6; replayed search 1 first, it
+  // reads 1e16 + 4. Only replaying every run's updates in the batch's
+  // serial order reproduces the serial bits.
+  const std::vector<double> grid = {1e-3, 1e-2};
+  auto counter_after_batch = [&](ThreadPool* pool) {
     telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
     telemetry::Counter& c = session.metrics().counter("test.order");
     std::atomic<std::size_t> entered{0};
-    auto make_run = [&](double alpha, std::size_t epochs,
-                        ThreadPool* executor) {
-      if (epochs == 2) {  // the probes
-        if (executor != nullptr) rendezvous(entered, grid.size());
-        if (alpha == grid[0]) {
-          c.add(1e16);
-        } else {
-          c.add(1.0);
-          c.add(1.0);
+    std::vector<StepSearch> searches(2);
+    for (std::size_t s = 0; s < searches.size(); ++s) {
+      searches[s].make_run = [&, s](double alpha, std::size_t epochs,
+                                    ThreadPool* executor) {
+        if (epochs == 2) {  // the probes
+          if (executor != nullptr) rendezvous(entered, 2 * grid.size());
+          if (s == 0 && alpha == grid[0]) {
+            c.add(1e16);
+          } else {
+            c.add(1.0);
+            c.add(1.0);
+          }
         }
-      }
-      return flat_run(epochs);
-    };
-    StepSearchOptions opts;
-    opts.grid = grid;
-    opts.probe_epochs = 2;
-    opts.full_epochs = 3;
-    opts.pool = pool;
-    search_step_size(make_run, opts);
+        return flat_run(epochs);
+      };
+      searches[s].opts.grid = grid;
+      searches[s].opts.probe_epochs = 2;
+      searches[s].opts.full_epochs = 3;
+    }
+    search_step_sizes(searches, pool);
     return c.value();
   };
-  const double serial = counter_after_search(nullptr);
+  const double serial = counter_after_batch(nullptr);
   EXPECT_EQ(serial, 1e16);
   ThreadPool pool(3);  // four participants: one probe each
-  EXPECT_EQ(counter_after_search(&pool), serial);
+  EXPECT_EQ(counter_after_batch(&pool), serial);
 }
 
 TEST(StepSearch, ConcurrentFailureRethrowsLowestIndexAfterInFlightRuns) {
@@ -639,15 +794,60 @@ TEST(StepSearch, ConcurrentFailureRethrowsLowestIndexAfterInFlightRuns) {
     StepSearchOptions opts;
     opts.grid = grid;
     opts.probe_epochs = 2;
-    opts.pool = concurrent ? &pool : nullptr;
     try {
-      search_step_size(make_run, opts);
+      const StepSearch search{make_run, opts};
+      search_step_sizes({&search, 1}, concurrent ? &pool : nullptr);
       ADD_FAILURE() << "search did not throw";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "run 2");
     }
     EXPECT_EQ(started.load(), finished.load());
     EXPECT_EQ(runs.value(), 3.0);
+  }
+}
+
+TEST(StepSearch, BatchRethrowsTheFailureTheSerialSequenceHitsFirst) {
+  // Search 0's candidate throws after 30 ms; search 1's first probe
+  // throws after 1 ms, long before search 0's probes finish and release
+  // that candidate. The serial sequence dies in search 0's candidate, so
+  // must the batch: a later failure stops no run below it. Every run the
+  // batch started returns, and only the runs up to search 0's candidate
+  // keep their metrics.
+  for (const bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "concurrent" : "serial");
+    telemetry::TelemetrySession session(telemetry::TelemetryMode::kMetrics);
+    telemetry::Counter& runs = session.metrics().counter("test.runs");
+    std::atomic<int> started{0}, finished{0};
+    std::vector<StepSearch> searches(2);
+    for (std::size_t s = 0; s < searches.size(); ++s) {
+      searches[s].make_run = [&, s](double alpha, std::size_t epochs,
+                                    ThreadPool*) {
+        ++started;
+        runs.inc();
+        const bool probe = epochs == 2;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(s == 1 ? 1 : probe ? 5 : 30));
+        ++finished;
+        if (s == 0 && !probe) throw std::runtime_error("search 0 candidate");
+        if (s == 1 && alpha == 1e-3) {
+          throw std::runtime_error("search 1 probe");
+        }
+        return flat_run(epochs);
+      };
+      searches[s].opts.grid = {1e-3, 1e-2};
+      searches[s].opts.probe_epochs = 2;
+      searches[s].opts.full_epochs = 3;
+      searches[s].opts.keep_candidates = 1;
+    }
+    ThreadPool pool(3);
+    try {
+      search_step_sizes(searches, concurrent ? &pool : nullptr);
+      ADD_FAILURE() << "batch did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "search 0 candidate");
+    }
+    EXPECT_EQ(started.load(), finished.load());
+    EXPECT_EQ(runs.value(), 3.0);  // search 0's two probes and candidate
   }
 }
 

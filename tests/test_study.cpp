@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/table.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 namespace {
@@ -51,6 +52,39 @@ TEST(Study, EndToEndSmoke) {
   const double opt = study.optimum(Task::kLr, "w8a");
   EXPECT_LE(opt, sync_gpu.run->best_loss() + 1e-9);
   EXPECT_LE(opt, async_par.run->best_loss() + 1e-9);
+}
+
+TEST(Study, AsyncResultsIndependentOfPoolAndRequestOrder) {
+  // Requesting gpu first batches the three async searches gpu, cpu-par,
+  // cpu-seq on three workers; requesting cpu-seq first batches cpu-seq,
+  // cpu-par, gpu on the caller alone. Each cell is the same either way.
+  ThreadPool three(3), none(ThreadPool::NoWorkers{});
+  StudyOptions a_opts = quick(), b_opts = quick();
+  a_opts.pool = &three;
+  b_opts.pool = &none;
+  Study a(a_opts), b(b_opts);
+  a.config_result(Task::kLr, "w8a", Update::kAsync, Arch::kGpu);
+  b.config_result(Task::kLr, "w8a", Update::kAsync, Arch::kCpuSeq);
+  for (const Arch arch : {Arch::kCpuPar, Arch::kCpuSeq, Arch::kGpu}) {
+    SCOPED_TRACE(to_string(arch));
+    const ConfigResult ra =
+        a.config_result(Task::kLr, "w8a", Update::kAsync, arch);
+    const ConfigResult rb =
+        b.config_result(Task::kLr, "w8a", Update::kAsync, arch);
+    EXPECT_EQ(ra.alpha, rb.alpha);
+    EXPECT_EQ(ra.sec_per_epoch, rb.sec_per_epoch);
+    EXPECT_EQ(ra.diverged, rb.diverged);
+    EXPECT_EQ(ra.run->initial_loss, rb.run->initial_loss);
+    EXPECT_EQ(ra.run->losses, rb.run->losses);
+    EXPECT_EQ(ra.run->epoch_seconds, rb.run->epoch_seconds);
+    for (std::size_t i = 0; i < ra.ttc.size(); ++i) {
+      EXPECT_EQ(ra.ttc[i].reached, rb.ttc[i].reached);
+      EXPECT_EQ(ra.ttc[i].epochs, rb.ttc[i].epochs);
+      EXPECT_EQ(ra.ttc[i].seconds, rb.ttc[i].seconds);
+    }
+  }
+  EXPECT_EQ(a.optimum(Task::kLr, "w8a", Update::kAsync),
+            b.optimum(Task::kLr, "w8a", Update::kAsync));
 }
 
 TEST(Study, DatasetCachingAndMlpView) {
