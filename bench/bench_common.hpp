@@ -3,10 +3,12 @@
 // drops a BENCH_<name>.json next to every table (DESIGN.md §13).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "common/timer.hpp"
 #include "core/study.hpp"
 #include "core/table.hpp"
+#include "parallel/thread_pool.hpp"
 #include "report/report.hpp"
 
 namespace parsgd::benchutil {
@@ -107,6 +110,17 @@ inline StudyOptions study_options_from_cli(const Cli& cli) {
     opts.telemetry = std::make_shared<telemetry::TelemetrySession>(*parsed);
   }
   return opts;
+}
+
+/// The execution pool of the Study benches: nproc - 1 workers, so with
+/// the calling thread each core runs one participant, as in perfbench.
+/// (ThreadPool::global() has nproc workers: one participant more than
+/// the host has cores.) Execution-only: every trajectory and stored
+/// baseline is the same for every pool size.
+inline ThreadPool& bench_pool() {
+  static ThreadPool pool(
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 2) - 1);
+  return pool;
 }
 
 /// "12.3 (paper 15.0)" cells.

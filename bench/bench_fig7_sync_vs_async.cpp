@@ -38,7 +38,8 @@ void print_series(const char* label, const RunResult& run, int points) {
 }
 
 int run(const Cli& cli) {
-  const StudyOptions opts = study_options_from_cli(cli);
+  StudyOptions opts = study_options_from_cli(cli);
+  opts.pool = &bench_pool();
   const int points = static_cast<int>(cli.get_int("points", 12));
   Study study(opts);
   print_banner("Fig. 7: sync GPU vs async CPU, loss over modeled time",

@@ -381,6 +381,21 @@ BENCHMARK(BM_NewsSyncEpoch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/// rcv1 at 1/400 scale: N = 1,693, d = 47,236 and |J| = 3,273 touched
+/// columns of 38 entries each on average, so two bands.
+void BM_Rcv1SyncEpoch(benchmark::State& state) {
+  static const Dataset ds = generate_dataset(
+      "rcv1", GeneratorOptions{.seed = 1, .scale = 400.0});
+  run_sync_epochs(state, ds, /*dense=*/false);
+}
+BENCHMARK(BM_Rcv1SyncEpoch)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({3, 0})
+    ->Args({3, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// The dense twin: covtype at 1/400 scale (N = 1,452, d = 54), through
 /// the dense gemv path.
 void BM_CovtypeSyncEpoch(benchmark::State& state) {

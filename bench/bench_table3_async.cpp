@@ -15,7 +15,8 @@ using namespace parsgd::benchutil;
 namespace {
 
 int run(const Cli& cli) {
-  const StudyOptions opts = study_options_from_cli(cli);
+  StudyOptions opts = study_options_from_cli(cli);
+  opts.pool = &bench_pool();
   Study study(opts);
   print_banner("Table III: asynchronous SGD (to 1% of optimal loss)", opts);
 

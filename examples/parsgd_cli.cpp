@@ -6,8 +6,7 @@
 //   ./parsgd_cli --task=LR --dataset=rcv1 --engine=async/cpu-par/sparse
 //                --alpha=0.1 --epochs=60 [--threads=56] [--scale=200]
 //
-// --engine takes a full spec string (see DESIGN.md §10); the legacy
-// --update/--arch pair is still accepted and assembled into a spec.
+// --engine takes a full spec string (see DESIGN.md §10) and is required.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,8 +42,6 @@ namespace {
                "error: %s\n"
                "usage: parsgd_cli --task=LR|SVM|MLP --dataset=<name>\n"
                "       --engine=<update/arch/layout[:key=value,...]>\n"
-               "       (or legacy: --update=sync|async"
-               " --arch=cpu-seq|cpu-par|gpu)\n"
                "       [--alpha=0.1] [--epochs=60] [--threads=56]\n"
                "       [--scale=200] [--seed=42]\n"
                "       [--watchdog]\n"
@@ -96,10 +93,10 @@ int run(int argc, char** argv) {
   // A mistyped or removed flag fails loudly rather than the run silently
   // going ahead without what it asked for.
   if (const std::string bad = cli.unknown_flag(
-          {"task", "dataset", "engine", "update", "arch", "alpha", "epochs",
-           "threads", "scale", "seed", "watchdog", "checkpoint",
-           "checkpoint-every", "resume", "telemetry", "trace-out",
-           "verbose", "report-out", "heartbeat", "attribute"});
+          {"task", "dataset", "engine", "alpha", "epochs", "threads",
+           "scale", "seed", "watchdog", "checkpoint", "checkpoint-every",
+           "resume", "telemetry", "trace-out", "verbose", "report-out",
+           "heartbeat", "attribute"});
       !bad.empty()) {
     usage(("unknown flag --" + bad).c_str());
   }
@@ -119,6 +116,12 @@ int run(int argc, char** argv) {
   if (task != "LR" && task != "SVM" && task != "MLP") {
     usage("unknown --task");
   }
+  if (engine_arg.empty()) usage("--engine=<spec> is required");
+  std::string spec_error;
+  const std::optional<EngineSpec> parsed =
+      try_parse_spec(engine_arg, &spec_error);
+  if (!parsed) usage(("malformed --engine spec: " + spec_error).c_str());
+  EngineSpec spec = *parsed;
 
   // Data + model.
   GeneratorOptions gen;
@@ -126,42 +129,12 @@ int run(int argc, char** argv) {
   gen.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   Dataset base = generate_dataset(dataset, gen);
   Dataset ds = task == "MLP" ? make_mlp_dataset(base) : std::move(base);
-  const bool dense = task == "MLP" ? ds.x_dense.has_value()
-                                   : ds.profile.dense;
 
   std::unique_ptr<Model> model;
   if (task == "LR") model = std::make_unique<LogisticRegression>(ds.d());
   else if (task == "SVM") model = std::make_unique<LinearSvm>(ds.d());
   else model = std::make_unique<Mlp>(ds.profile.mlp_architecture());
 
-  // Engine spec: --engine verbatim, or assembled from the legacy
-  // --update/--arch pair (layout follows the dataset, MLP switches to
-  // the dispatch-fee calibration with B=64 batches).
-  EngineSpec spec;
-  if (!engine_arg.empty()) {
-    std::string spec_error;
-    const std::optional<EngineSpec> parsed =
-        try_parse_spec(engine_arg, &spec_error);
-    if (!parsed) {
-      usage(("malformed --engine spec: " + spec_error).c_str());
-    }
-    spec = *parsed;
-  } else {
-    const std::string update = cli.get("update", "async");
-    const std::string arch_name = cli.get("arch", "cpu-par");
-    if (update == "sync") spec.update = Update::kSync;
-    else if (update == "async") spec.update = Update::kAsync;
-    else usage("unknown --update");
-    if (arch_name == "cpu-seq") spec.arch = Arch::kCpuSeq;
-    else if (arch_name == "cpu-par") spec.arch = Arch::kCpuPar;
-    else if (arch_name == "gpu") spec.arch = Arch::kGpu;
-    else usage("unknown --arch");
-    spec.layout = dense ? Layout::kDense : Layout::kSparse;
-    if (task == "MLP") {
-      spec.calibration = Calibration::kMlp;
-      spec.batch = 64;
-    }
-  }
   if (spec.layout == Layout::kDense && !ds.x_dense) {
     usage("dense layout requested but the dataset has no dense "
           "materialization");

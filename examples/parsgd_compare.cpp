@@ -11,7 +11,6 @@
 // unreadable or mismatched reports.
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@ namespace {
                "       [--tol-hw=0.10] [--tol-stat=0.10] [--tol-ttc=0.15]\n"
                "       [--tol-extra=0.25] [--no-extras]"
                " [--require-same-sha]\n"
-               "       [--junit=<path>]   write the result as JUnit XML\n"
                "       [--attribute]      explain sec/epoch regressions by\n"
                "                          diffing attribution bucket splits\n"
                "exit: 0 ok, 1 regressions, 2 bad input\n",
@@ -49,7 +47,7 @@ int run(int argc, char** argv) {
   const auto& paths = cli.positional();
   if (const std::string bad = cli.unknown_flag(
           {"tol-hw", "tol-stat", "tol-ttc", "tol-extra", "no-extras",
-           "require-same-sha", "junit", "attribute"});
+           "require-same-sha", "attribute"});
       !bad.empty()) {
     usage(("unknown flag --" + bad).c_str());
   }
@@ -73,18 +71,10 @@ int run(int argc, char** argv) {
   report::CompareResult res =
       report::compare_reports(baseline, current, opts);
   // --attribute: explain every sec/epoch-family regression from the two
-  // reports' attribution slices. The explanations ride as notes, so they
-  // land in the text output below and in the JUnit <system-out> alike.
+  // reports' attribution slices. The explanations ride as notes, printed
+  // below.
   if (cli.get_bool("attribute", false)) {
     report::attribute_regressions(baseline, current, res);
-  }
-  if (const std::string junit = cli.get("junit", ""); !junit.empty()) {
-    std::ofstream os(junit);
-    if (!os) usage(("cannot open --junit path '" + junit + "'").c_str());
-    report::write_junit(os, "parsgd_compare." + current.name, res);
-    os.flush();
-    if (!os) usage(("short write on --junit path '" + junit + "'").c_str());
-    std::printf("  junit: %s\n", junit.c_str());
   }
   for (const std::string& note : res.notes) {
     std::printf("  note: %s\n", note.c_str());

@@ -88,8 +88,9 @@ rm -rf "$obs_tmp"
 # The conflict accounting runs under ASan too: the asyncsim/replication
 # conflict ledger indexes flat per-line arrays by model coordinate, and
 # the gpusim warp instructions fill fixed per-lane arrays. The linalg
-# suite joins both lanes: the transposed spmv indexes through the lazily
-# built column index of a CSR matrix, which threads may request at once.
+# suite joins both lanes: the transposed products index through the
+# lazily built band layout of a CSR matrix, which threads may request at
+# once, and each band's owner scatters into its band-local accumulators.
 # The engine-spec suite joins the ASan lane for its seeded mutation run:
 # thousands of malformed spec strings through the parse and format paths.
 # The libsvm reader joins it for the same reason (seeded mutants of a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
@@ -25,55 +24,68 @@ inline std::size_t spmv_reduce_chunks(std::size_t m) {
   return std::clamp<std::size_t>(m / kSpmvChunkRows, 1, kSpmvMaxChunks);
 }
 
-/// The row grid of an m-row matrix, as each row's chunk index: an even
-/// split into spmv_reduce_chunks(m) chunks, the first m % chunks of them
-/// one row longer.
-std::vector<std::uint8_t> spmv_row_chunks(std::size_t m) {
-  const std::size_t chunks = spmv_reduce_chunks(m);
-  const std::size_t base = m / chunks, extra = m % chunks;
-  std::vector<std::uint8_t> chunk_of(m);
-  for (std::size_t c = 0, r = 0; c < chunks; ++c) {
-    const std::size_t hi = r + base + (c < extra ? 1 : 0);
-    std::fill(chunk_of.begin() + r, chunk_of.begin() + hi,
-              static_cast<std::uint8_t>(c));
-    r = hi;
+/// A^T x over the bands of A's touched columns (CsrMatrix::column_bands),
+/// each band on exactly one task, which then calls write(p0, g, width)
+/// with g[q] = (A^T x)[cols[p0 + q]] for its band's positions.
+///
+/// The row grid splits the m rows evenly into spmv_reduce_chunks(m)
+/// chunks, the first m % chunks of them one row longer. A band scatters
+/// each chunk's rows, in increasing order and skipping x[r] == 0, into a
+/// +0-started band-wide accumulator, and folds the accumulators into the
+/// band's sum in chunk order. That is the arithmetic of scattering each
+/// chunk into its own zeroed d-vector and merging the vectors in chunk
+/// order, bit for bit, for every band width and schedule. A chunk that
+/// scattered nothing is skipped, and the first that did scatters straight
+/// into the zeroed sum: both only drop additions of +0 to a value that is
+/// never -0 (an accumulator that starts at +0 cannot become -0), which
+/// are exact.
+template <class Write>
+void band_products(ThreadPool& pool, const CsrMatrix& a,
+                   std::span<const real_t> x, Write&& write) {
+  constexpr std::size_t kMaxBand = CsrColumnBands::kMaxBandCols;
+  const CsrColumnBands& cb = a.column_bands();
+  const std::size_t m = a.rows(), chunks = spmv_reduce_chunks(m);
+  std::size_t chunk_end[kSpmvMaxChunks];
+  for (std::size_t c = 0, end = 0; c < chunks; ++c) {
+    end += m / chunks + (c < m % chunks ? 1 : 0);
+    chunk_end[c] = end;
   }
-  return chunk_of;
-}
-
-/// (A^T x)[ci.cols[p]]. The column's rows, in increasing order and
-/// skipping x[r] == 0, fold into a +0-started float accumulator per chunk
-/// of the row grid; the accumulators then fold in chunk order 0..C-1,
-/// the untouched (+0) ones included. That is exactly the arithmetic of
-/// scattering each chunk's rows into its own zeroed buffer and merging
-/// the buffers in chunk order, so the result keeps that form's roundings
-/// bit for bit. (Adding +0 in place of a skipped row's term is exact too:
-/// an accumulator that starts at +0 can never become -0.)
-inline real_t fold_column(const CsrColumnIndex& ci, std::size_t p,
-                          const real_t* x, const std::uint8_t* chunk_of,
-                          std::size_t chunks) {
-  real_t acc[kSpmvMaxChunks] = {};
-  for (offset_t k = ci.col_ptr[p]; k < ci.col_ptr[p + 1]; ++k) {
-    const index_t r = ci.rows[k];
-    const real_t s = x[r];
-    acc[chunk_of[r]] += s != real_t(0) ? s * ci.vals[k] : real_t(0);
-  }
-  real_t y = acc[0];
-  for (std::size_t c = 1; c < chunks; ++c) y += acc[c];
-  return y;
-}
-
-/// Calls fn(j, (A^T x)[j]) for every touched column j of A, in parallel
-/// over the column index (each column on exactly one task).
-template <class Fn>
-void fold_touched_columns(ThreadPool& pool, const CsrMatrix& a,
-                          std::span<const real_t> x, Fn&& fn) {
-  const CsrColumnIndex& ci = a.column_index();
-  const std::vector<std::uint8_t> chunk_of = spmv_row_chunks(a.rows());
-  const std::size_t chunks = spmv_reduce_chunks(a.rows());
-  pool.parallel_for(ci.cols.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      fn(ci.cols[p], fold_column(ci, p, x.data(), chunk_of.data(), chunks));
+  pool.parallel_for(cb.bands(), [&](std::size_t lo, std::size_t hi) {
+    real_t sum[kMaxBand];
+    real_t acc[kMaxBand];  // +0 between chunks: the fold clears it
+    std::fill(acc, acc + cb.band_cols, real_t(0));
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t width = cb.band_width(b);
+      std::fill(sum, sum + width, real_t(0));
+      real_t* dst = sum;  // until the first scattering chunk is done
+      bool open = false;  // the current chunk has scattered
+      const auto close = [&] {
+        if (!open) return;
+        if (dst == acc) {
+          for (std::size_t q = 0; q < width; ++q) {
+            sum[q] += acc[q];
+            acc[q] = real_t(0);
+          }
+        }
+        dst = acc;
+        open = false;
+      };
+      std::size_t c = 0;
+      for (offset_t s = cb.band_seg[b]; s < cb.band_seg[b + 1]; ++s) {
+        const index_t r = cb.seg_row[s];
+        if (r >= chunk_end[c]) {
+          close();
+          while (r >= chunk_end[c]) ++c;
+        }
+        const real_t xr = x[r];
+        if (xr == real_t(0)) continue;
+        open = true;
+        for (offset_t k = cb.seg_ptr[s]; k < cb.seg_ptr[s + 1]; ++k) {
+          dst[cb.pos[k]] += xr * cb.vals[k];
+        }
+      }
+      close();
+      write(cb.band_begin(b), static_cast<const real_t*>(sum), width);
     }
   });
 }
@@ -192,10 +204,16 @@ void CpuBackend::spmv(const CsrMatrix& a, std::span<const real_t> x,
     });
   } else {
     PARSGD_CHECK(x.size() == m && y.size() == n);
-    // Column-major fold over the touched columns J; every other column of
+    // Band products over the touched columns J; every other column of
     // A^T x is exactly +0.
     std::fill(y.begin(), y.end(), real_t(0));
-    fold_touched_columns(pool(), a, x, [&](index_t j, real_t g) { y[j] = g; });
+    const std::span<const index_t> cols = a.column_bands().cols;
+    band_products(pool(), a, x,
+                  [&](std::size_t p0, const real_t* g, std::size_t width) {
+                    for (std::size_t q = 0; q < width; ++q) {
+                      y[cols[p0 + q]] = g[q];
+                    }
+                  });
   }
   // Gathers from x (or, charged as the scatter form the transposed fold
   // reproduces, scatters into y) are random at the granularity of the
@@ -208,12 +226,44 @@ void CpuBackend::spmv(const CsrMatrix& a, std::span<const real_t> x,
 void CpuBackend::spmv_t_axpy(real_t alpha, const CsrMatrix& a,
                              std::span<const real_t> x,
                              std::span<real_t> y) {
+  band_axpy(alpha, a, x, y, {});
+}
+
+void CpuBackend::spmv_t_axpy_compact(real_t alpha, const CsrMatrix& a,
+                                     std::span<const real_t> x,
+                                     std::span<real_t> y,
+                                     std::span<real_t> y_J) {
+  PARSGD_CHECK(y_J.size() == a.column_bands().cols.size());
+  band_axpy(alpha, a, x, y, y_J);
+}
+
+void CpuBackend::band_axpy(real_t alpha, const CsrMatrix& a,
+                           std::span<const real_t> x, std::span<real_t> y,
+                           std::span<real_t> y_J) {
   const std::size_t m = a.rows(), n = a.cols();
   PARSGD_CHECK(x.size() == m && y.size() == n);
-  // y[j] += alpha * g[j] with g = A^T x folded per column (the axpy
-  // kernel's float mul-then-add), written only on the touched columns J.
-  fold_touched_columns(pool(), a, x,
-                       [&](index_t j, real_t g) { y[j] += alpha * g; });
+  // y[j] += alpha * g[j] with g = A^T x (the axpy kernel's float
+  // mul-then-add), written only on the touched columns J, by the task
+  // that owns j's band. With y_J, the old value comes from y_J, which
+  // equals y over J, and the new one goes to both.
+  const std::span<const index_t> cols = a.column_bands().cols;
+  if (y_J.empty()) {
+    band_products(pool(), a, x,
+                  [&](std::size_t p0, const real_t* g, std::size_t width) {
+                    for (std::size_t q = 0; q < width; ++q) {
+                      y[cols[p0 + q]] += alpha * g[q];
+                    }
+                  });
+  } else {
+    band_products(pool(), a, x,
+                  [&](std::size_t p0, const real_t* g, std::size_t width) {
+                    real_t* yj = y_J.data() + p0;
+                    for (std::size_t q = 0; q < width; ++q) {
+                      yj[q] += alpha * g[q];
+                      y[cols[p0 + q]] = yj[q];
+                    }
+                  });
+  }
   // Outside J, g[j] is +0. For a negative finite alpha (every gradient
   // step) alpha * +0 is -0, and y + -0 == y bit for bit, -0 and NaN
   // included. Any other alpha turns -0 into +0 (or y into NaN), so apply
@@ -221,7 +271,7 @@ void CpuBackend::spmv_t_axpy(real_t alpha, const CsrMatrix& a,
   if (!(std::signbit(alpha) && std::isfinite(alpha))) {
     const real_t zero_term = alpha * real_t(0);
     std::size_t j = 0;
-    for (const index_t touched : a.column_index().cols) {
+    for (const index_t touched : cols) {
       for (; j < touched; ++j) y[j] += zero_term;
       j = touched + std::size_t{1};
     }

@@ -9,8 +9,9 @@
 // cache-blocked GEMM over operands resolved once per call, and
 // parallelized transposed gemv/spmv whose reduction grids depend only on
 // the problem shape, so results are bit-identical for every pool size.
-// The transposed spmv folds column by column over the matrix's touched
-// columns (CsrMatrix::column_index), and spmv_t_axpy writes only those.
+// Both transposed sparse products run through one kernel over the
+// matrix's band-blocked touched columns (CsrMatrix::column_bands): each
+// task owns whole bands and writes only their columns.
 // The innermost loops of those paths route through the dispatched SIMD
 // microkernel table (src/kernel/, DESIGN.md §14) selected once at startup
 // from CPUID. The CostBreakdown accounting is byte-for-byte the same as
@@ -61,6 +62,9 @@ class CpuBackend final : public Backend {
             std::span<real_t> y, bool transpose) override;
   void spmv_t_axpy(real_t alpha, const CsrMatrix& a,
                    std::span<const real_t> x, std::span<real_t> y) override;
+  void spmv_t_axpy_compact(real_t alpha, const CsrMatrix& a,
+                           std::span<const real_t> x, std::span<real_t> y,
+                           std::span<real_t> y_J) override;
   void gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c,
             bool trans_a, bool trans_b) override;
   void spmm(const CsrMatrix& a, const DenseMatrix& b,
@@ -109,6 +113,10 @@ class CpuBackend final : public Backend {
   ThreadPool& pool() {
     return opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
   }
+  /// spmv_t_axpy, and spmv_t_axpy_compact when y_J is not empty.
+  void band_axpy(real_t alpha, const CsrMatrix& a,
+                 std::span<const real_t> x, std::span<real_t> y,
+                 std::span<real_t> y_J);
 
   CpuBackendOptions opts_;
   // Microkernel tables resolved once at construction: simd_ for the ops

@@ -18,39 +18,91 @@ DenseMatrix CsrMatrix::to_dense(std::size_t max_bytes) const {
   return out;
 }
 
-const CsrColumnIndex& CsrMatrix::column_index() const {
-  return column_index_.get(*this);
-}
-
-const CsrColumnIndex& CsrMatrix::ColumnIndexSlot::get(
-    const CsrMatrix& m) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (index_ != nullptr) return *index_;
-  // Counting sort by column. `slot` first counts each column's entries,
-  // then maps a touched column to its next free position; rows are
-  // visited in increasing order, so each column's entries stay row-sorted.
-  auto ci = std::make_unique<CsrColumnIndex>();
-  std::vector<offset_t> slot(m.cols_, 0);
-  for (const index_t j : m.col_idx_) ++slot[j];
-  ci->col_ptr.push_back(0);
-  for (std::size_t j = 0; j < m.cols_; ++j) {
-    if (slot[j] == 0) continue;
-    const offset_t begin = ci->col_ptr.back();
-    ci->cols.push_back(static_cast<index_t>(j));
-    ci->col_ptr.push_back(begin + slot[j]);
-    slot[j] = begin;
-  }
-  ci->rows.resize(m.nnz());
-  ci->vals.resize(m.nnz());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (offset_t k = m.row_ptr_[r]; k < m.row_ptr_[r + 1]; ++k) {
-      const offset_t dst = slot[m.col_idx_[k]]++;
-      ci->rows[dst] = static_cast<index_t>(r);
-      ci->vals[dst] = m.values_[k];
+void CsrColumnBands::row_dots(std::span<const real_t> w_J, std::size_t lo,
+                              std::size_t hi, double* z) const {
+  std::fill(z, z + (hi - lo), 0.0);
+  for (std::size_t b = 0; b < bands(); ++b) {
+    const real_t* wb = w_J.data() + band_begin(b);
+    const index_t* first = seg_row.data() + band_seg[b];
+    const index_t* last = seg_row.data() + band_seg[b + 1];
+    for (std::size_t s = band_seg[b] +
+                         (std::lower_bound(first, last, lo) - first);
+         s < band_seg[b + 1] && seg_row[s] < hi; ++s) {
+      double acc = z[seg_row[s] - lo];
+      for (offset_t k = seg_ptr[s]; k < seg_ptr[s + 1]; ++k) {
+        acc += static_cast<double>(vals[k]) * wb[pos[k]];
+      }
+      z[seg_row[s] - lo] = acc;
     }
   }
-  index_ = std::move(ci);
-  return *index_;
+}
+
+const CsrColumnBands& CsrMatrix::column_bands() const {
+  return column_bands_.get(*this);
+}
+
+const CsrColumnBands& CsrMatrix::ColumnBandsSlot::get(
+    const CsrMatrix& m) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (bands_ != nullptr) return *bands_;
+  auto cb = std::make_unique<CsrColumnBands>();
+  // J in increasing order, and each touched column's position in it.
+  // `at` marks the touched columns first; only their entries are read.
+  std::vector<index_t> at(m.cols_, 0);
+  for (const index_t j : m.col_idx_) at[j] = 1;
+  for (std::size_t j = 0; j < m.cols_; ++j) {
+    if (at[j] == 0) continue;
+    at[j] = static_cast<index_t>(cb->cols.size());
+    cb->cols.push_back(static_cast<index_t>(j));
+  }
+  const std::size_t band = CsrColumnBands::band_cols_for(cb->cols.size());
+  cb->band_cols = band;
+  // Counting sort of the entries by band, rows in increasing order. A
+  // row's entries are column-sorted, so its entries in one band are
+  // consecutive and form one segment.
+  const std::size_t bands = (cb->cols.size() + band - 1) / band;
+  std::vector<offset_t> segs(bands + 1, 0), entries(bands + 1, 0);
+  const auto for_each_segment = [&](auto&& fn) {
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      for (offset_t k = m.row_ptr_[r]; k < m.row_ptr_[r + 1];) {
+        const std::size_t b = at[m.col_idx_[k]] / band;
+        offset_t end = k + 1;
+        while (end < m.row_ptr_[r + 1] && at[m.col_idx_[end]] / band == b) {
+          ++end;
+        }
+        fn(r, b, k, end);
+        k = end;
+      }
+    }
+  };
+  for_each_segment([&](std::size_t, std::size_t b, offset_t k, offset_t end) {
+    ++segs[b + 1];
+    entries[b + 1] += end - k;
+  });
+  for (std::size_t b = 0; b < bands; ++b) {
+    segs[b + 1] += segs[b];
+    entries[b + 1] += entries[b];
+  }
+  cb->band_seg = segs;
+  cb->seg_row.resize(segs[bands]);
+  cb->seg_ptr.resize(segs[bands] + 1);
+  cb->seg_ptr[segs[bands]] = m.nnz();
+  cb->pos.resize(m.nnz());
+  cb->vals.resize(m.nnz());
+  // `segs` and `entries` now serve as each band's next free slot.
+  for_each_segment([&](std::size_t r, std::size_t b, offset_t k,
+                       offset_t end) {
+    const offset_t s = segs[b]++;
+    cb->seg_row[s] = static_cast<index_t>(r);
+    cb->seg_ptr[s] = entries[b];
+    for (; k < end; ++k) {
+      const offset_t e = entries[b]++;
+      cb->pos[e] = static_cast<std::uint16_t>(at[m.col_idx_[k]] % band);
+      cb->vals[e] = m.values_[k];
+    }
+  });
+  bands_ = std::move(cb);
+  return *bands_;
 }
 
 CsrMatrix CsrMatrix::from_dense(const DenseMatrix& m) {

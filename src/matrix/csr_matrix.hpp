@@ -3,7 +3,9 @@
 // coalescing analysis in gpusim relies on.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -21,18 +23,53 @@ struct SparseRowView {
   std::size_t nnz() const { return idx.size(); }
 };
 
-/// Column-major index of a CSR matrix over its touched columns J (the
-/// columns holding at least one stored entry), in increasing column
-/// order. Entry k of touched column `cols[p]` lives at positions
-/// [col_ptr[p], col_ptr[p+1]) of `rows`/`vals`, in increasing row order.
-/// Its size is O(nnz + |J|), independent of cols(): the transposed
+/// Band-blocked layout of a CSR matrix over its touched columns J (the
+/// columns holding at least one stored entry), for the transposed
 /// products of high-dimensional sparse data (news: d = 1.35M, |J| = 70k
-/// at 1/400 scale) fold over J instead of touching all d columns.
-struct CsrColumnIndex {
+/// at 1/400 scale). `cols` lists J in increasing column order. Positions
+/// of J are cut into bands of band_cols: band b covers positions
+/// [band_begin(b), band_begin(b) + band_width(b)). Within a band the
+/// entries are stored row by row: segments [band_seg[b], band_seg[b+1])
+/// are the band's rows that hold entries in it, in increasing row order;
+/// segment s is row seg_row[s], and its entries are [seg_ptr[s],
+/// seg_ptr[s+1]) of `pos`/`vals`, in increasing column order, `pos`
+/// being the band-local position (column cols[band_begin(b) + pos]). Its
+/// size is O(nnz + segments), independent of cols().
+struct CsrColumnBands {
+  /// Band widths: 4 KB to 16 KB of floats, so a band's accumulators stay
+  /// in L1.
+  static constexpr std::size_t kMinBandCols = 1024;
+  static constexpr std::size_t kMaxBandCols = 4096;
+  /// The widest of 4,096, 2,048 and 1,024 columns that still cuts
+  /// `touched` columns into at least 16 bands, so that each participant
+  /// of a pool gets several; 1,024 when none does. Wider bands mean
+  /// longer row segments, narrower ones more parallel work.
+  static std::size_t band_cols_for(std::size_t touched) {
+    std::size_t cols = kMaxBandCols;
+    while (cols > kMinBandCols && touched < 16 * cols) cols /= 2;
+    return cols;
+  }
+
+  std::size_t band_cols = kMinBandCols;
   std::vector<index_t> cols;
-  std::vector<offset_t> col_ptr;
-  std::vector<index_t> rows;
+  std::vector<offset_t> band_seg;  ///< bands() + 1 segment offsets
+  std::vector<index_t> seg_row;
+  std::vector<offset_t> seg_ptr;   ///< segments + 1 entry offsets
+  std::vector<std::uint16_t> pos;
   std::vector<real_t> vals;
+
+  std::size_t bands() const { return band_seg.size() - 1; }
+  std::size_t band_begin(std::size_t b) const { return b * band_cols; }
+  std::size_t band_width(std::size_t b) const {
+    return std::min(band_cols, cols.size() - band_begin(b));
+  }
+
+  /// z[i - lo] = x_i . w for the rows i in [lo, hi), read from w_J, the
+  /// values of w over J in `cols` order. Band by band, and within a band
+  /// in increasing position, each row's entries come in CSR order, so
+  /// every z is ExampleView::dot's double accumulation bit for bit.
+  void row_dots(std::span<const real_t> w_J, std::size_t lo,
+                std::size_t hi, double* z) const;
 };
 
 class CsrMatrix {
@@ -78,10 +115,10 @@ class CsrMatrix {
   /// Builds a CSR from a dense matrix, dropping zeros.
   static CsrMatrix from_dense(const DenseMatrix& m);
 
-  /// The column-major index, built on first use and cached with the
-  /// matrix. Safe to request from several threads at once. Not part of
-  /// the value (operator==); a copy or assignment starts without one.
-  const CsrColumnIndex& column_index() const;
+  /// The band layout, built on first use and cached with the matrix.
+  /// Safe to request from several threads at once. Not part of the value
+  /// (operator==); a copy or assignment starts without one.
+  const CsrColumnBands& column_bands() const;
 
   bool operator==(const CsrMatrix& o) const {
     return cols_ == o.cols_ && row_ptr_ == o.row_ptr_ &&
@@ -112,30 +149,30 @@ class CsrMatrix {
   };
 
  private:
-  /// Lazily built, once-only slot for column_index(). Copying a matrix
+  /// Lazily built, once-only slot for column_bands(). Copying a matrix
   /// copies its arrays but not the slot, so the cache never outlives or
   /// mismatches the contents it was built from.
-  class ColumnIndexSlot {
+  class ColumnBandsSlot {
    public:
-    ColumnIndexSlot() = default;
-    ColumnIndexSlot(const ColumnIndexSlot&) noexcept {}
-    ColumnIndexSlot& operator=(const ColumnIndexSlot&) {
+    ColumnBandsSlot() = default;
+    ColumnBandsSlot(const ColumnBandsSlot&) noexcept {}
+    ColumnBandsSlot& operator=(const ColumnBandsSlot&) {
       const std::lock_guard<std::mutex> lock(mu_);
-      index_.reset();
+      bands_.reset();
       return *this;
     }
-    const CsrColumnIndex& get(const CsrMatrix& m) const;
+    const CsrColumnBands& get(const CsrMatrix& m) const;
 
    private:
-    mutable std::mutex mu_;  ///< guards index_
-    mutable std::unique_ptr<const CsrColumnIndex> index_;
+    mutable std::mutex mu_;  ///< guards bands_
+    mutable std::unique_ptr<const CsrColumnBands> bands_;
   };
 
   std::size_t cols_ = 0;
   std::vector<offset_t> row_ptr_;
   std::vector<index_t> col_idx_;
   std::vector<real_t> values_;
-  ColumnIndexSlot column_index_;
+  ColumnBandsSlot column_bands_;
 };
 
 }  // namespace parsgd

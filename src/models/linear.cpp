@@ -185,9 +185,10 @@ double LinearModel::sync_epoch(linalg::Backend& backend,
                                EpochCarry* carry, ThreadPool* pool) const {
   const std::size_t n = data.n();
   const bool dense = use_dense && data.has_dense();
+  const bool carried = carry != nullptr && carry->matches(data, dense);
   std::vector<real_t> coef;
   double loss;
-  if (carry != nullptr && carry->matches(data, dense)) {
+  if (carried) {
     // The last epoch's loss evaluation already took these margins.
     coef = std::move(carry->coef);
     loss = carry->loss;
@@ -210,6 +211,17 @@ double LinearModel::sync_epoch(linalg::Backend& backend,
     std::vector<real_t> grad(dim());
     backend.gemv(*data.dense, coef, grad, /*transpose=*/true);
     backend.axpy(step, grad, w);
+  } else if (carry != nullptr) {
+    // Fused, and w_J kept equal to w over J: it still is while the carry
+    // was valid, and is gathered from w otherwise.
+    if (!carried) {
+      const std::span<const index_t> cols = data.sparse->column_bands().cols;
+      carry->w_J.resize(cols.size());
+      for (std::size_t p = 0; p < cols.size(); ++p) {
+        carry->w_J[p] = w[cols[p]];
+      }
+    }
+    backend.spmv_t_axpy_compact(step, *data.sparse, coef, w, carry->w_J);
   } else {
     // Fused: touches only the columns the data touches.
     backend.spmv_t_axpy(step, *data.sparse, coef, w);
@@ -218,14 +230,30 @@ double LinearModel::sync_epoch(linalg::Backend& backend,
     // One margin pass over the updated w: its loss, and the next epoch's
     // coefficients. At det=on the scalar forward kernels do ExampleView::
     // dot's arithmetic, so float(z) is the forward pass's output bit for
-    // bit.
-    carry->loss = sum_examples(
-        n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            out[i - lo] = loss_and_coefficient(data.example(i, dense).dot(w),
-                                               data.y[i], coef[i]);
-          }
-        });
+    // bit. Sparse rows read w_J band by band (CsrColumnBands::row_dots),
+    // the same sums.
+    const auto loss_terms = [&](std::size_t lo, std::size_t hi,
+                                double* out) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        out[i - lo] = loss_and_coefficient(out[i - lo], data.y[i], coef[i]);
+      }
+    };
+    if (dense) {
+      carry->loss = sum_examples(
+          n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
+            for (std::size_t i = lo; i < hi; ++i) {
+              out[i - lo] = data.example(i, true).dot(w);
+            }
+            loss_terms(lo, hi, out);
+          });
+    } else {
+      const CsrColumnBands& cb = data.sparse->column_bands();
+      carry->loss = sum_examples(
+          n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
+            cb.row_dots(carry->w_J, lo, hi, out);
+            loss_terms(lo, hi, out);
+          });
+    }
     carry->coef = std::move(coef);
     carry->sparse = dense ? nullptr : data.sparse;
     carry->dense = dense ? data.dense : nullptr;

@@ -57,10 +57,11 @@ struct TrainData {
 
 /// The margin pass of a full-batch linear sync epoch, carried from the
 /// loss evaluation of w_{k+1} into epoch k+1 (DESIGN.md §9): the loss of
-/// w_{k+1} (dataset_loss's value) and the next epoch's per-example
-/// coefficients. run_training owns one per call and hands it to the
-/// engine; only SyncEngine's full-batch epochs of a LinearModel stage
-/// one. Empty (both matrix pointers null) after clear().
+/// w_{k+1} (dataset_loss's value), the next epoch's per-example
+/// coefficients and, for sparse rows, the compact view w_J. run_training
+/// owns one per call and hands it to the engine; only SyncEngine's
+/// full-batch epochs of a LinearModel stage one. Empty (both matrix
+/// pointers null) after clear(); whoever writes w clears it.
 struct EpochCarry {
   /// The matrix the margins were read from: exactly one is non-null
   /// while the carry is valid.
@@ -68,6 +69,11 @@ struct EpochCarry {
   const DenseMatrix* dense = nullptr;
   double loss = 0;          ///< loss of the current w, summed in index order
   std::vector<real_t> coef;  ///< d loss / d z_i at the current w
+  /// The current w over the touched columns J of `sparse`, in
+  /// column_bands().cols order; valid while the carry is and `sparse` is
+  /// set. The sparse margin pass reads it instead of w, and the update
+  /// writes it along with w. A cleared carry gathers it again.
+  std::vector<real_t> w_J;
 
   void clear() {
     sparse = nullptr;

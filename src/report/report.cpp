@@ -621,62 +621,6 @@ CompareResult compare_reports(const RunReport& baseline,
   return out;
 }
 
-// ---- JUnit export --------------------------------------------------------
-
-namespace {
-
-std::string xml_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void write_junit(std::ostream& os, const std::string& suite,
-                 const CompareResult& result) {
-  const std::size_t failures = result.regressions.size();
-  const std::size_t tests = failures == 0 ? 1 : failures;
-  os << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
-  os << "<testsuites tests=\"" << tests << "\" failures=\"" << failures
-     << "\">\n";
-  os << "  <testsuite name=\"" << xml_escape(suite) << "\" tests=\""
-     << tests << "\" failures=\"" << failures << "\">\n";
-  if (failures == 0) {
-    os << "    <testcase name=\"no-regressions\" classname=\""
-       << xml_escape(suite) << "\"/>\n";
-  }
-  for (const Regression& reg : result.regressions) {
-    const std::string name =
-        (reg.label.empty() ? std::string("report") : reg.label) + "/" +
-        reg.axis;
-    os << "    <testcase name=\"" << xml_escape(name) << "\" classname=\""
-       << xml_escape(suite) << "\">\n";
-    os << "      <failure message=\"" << xml_escape(reg.describe())
-       << "\"/>\n";
-    os << "    </testcase>\n";
-  }
-  if (!result.notes.empty()) {
-    os << "    <system-out>";
-    for (const std::string& note : result.notes) {
-      os << xml_escape(note) << "&#10;";
-    }
-    os << "</system-out>\n";
-  }
-  os << "  </testsuite>\n";
-  os << "</testsuites>\n";
-}
-
 // ---- regression attribution ---------------------------------------------
 
 namespace {

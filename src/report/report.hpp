@@ -264,14 +264,6 @@ CompareResult compare_reports(const RunReport& baseline,
                               const RunReport& current,
                               const CompareOptions& opts = {});
 
-/// Writes `result` as a JUnit XML document (one <testcase> per regression
-/// with a <failure>, or a single passing case when clean; notes land in
-/// <system-out>), so CI dashboards can ingest parsgd_compare runs
-/// (`parsgd_compare --junit=<path>`). `suite` names the testsuite —
-/// conventionally "parsgd_compare.<bench name>".
-void write_junit(std::ostream& os, const std::string& suite,
-                 const CompareResult& result);
-
 // ---- regression attribution ---------------------------------------------
 
 /// One bucket's movement between two entries' attribution slices, in mean
@@ -304,8 +296,7 @@ AttributionDiff diff_attribution(const Entry& baseline, const Entry& current);
 /// For every sec/epoch-family regression in `result`, appends a note that
 /// names the dominant regressed bucket from the two reports' attribution
 /// slices (joined on entry label). Notes flow into parsgd_compare's text
-/// output and the JUnit <system-out> unchanged, so --attribute works in
-/// both surfaces.
+/// output unchanged.
 void attribute_regressions(const RunReport& baseline, const RunReport& current,
                            CompareResult& result);
 

@@ -1,5 +1,5 @@
 // Reference forms for the transposed spmv and the sparse full-batch
-// epoch, kept in the tests so the column-major fold of CpuBackend can be
+// epoch, kept in the tests so the band products of CpuBackend can be
 // checked against the scatter arithmetic bit for bit.
 #pragma once
 
@@ -67,6 +67,36 @@ inline CsrMatrix sparse_with_gaps(std::size_t rows, std::size_t cols,
     for (index_t j = 0; j < cols; ++j) {
       if (j % 3 == 0 || !rng.bernoulli(density)) continue;
       idx.push_back(j);
+      val.push_back(rng.bernoulli(0.1) ? real_t(0)
+                                       : static_cast<real_t>(rng.normal()));
+    }
+    b.add_row(idx, val);
+  }
+  return std::move(b).build();
+}
+
+/// A CSR with `rows` rows whose touched columns are exactly the first
+/// `touched` columns j with j % 3 != 0, and cols = touched * 3 / 2 + 3
+/// (so untouched columns lie between and past them). Touched column p
+/// always holds row p % rows, and each row draws about density * touched
+/// more touched columns at random. Values as in sparse_with_gaps.
+inline CsrMatrix sparse_touching(std::size_t rows, std::size_t touched,
+                                 double density, Rng& rng) {
+  const auto extra = static_cast<std::size_t>(density *
+                                              static_cast<double>(touched));
+  CsrMatrix::Builder b(touched * 3 / 2 + 3);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<std::size_t> ps;
+    for (std::size_t p = i; p < touched; p += rows) ps.push_back(p);
+    for (std::size_t k = 0; k < extra; ++k) {
+      ps.push_back(static_cast<std::size_t>(rng.uniform_index(touched)));
+    }
+    std::sort(ps.begin(), ps.end());
+    ps.erase(std::unique(ps.begin(), ps.end()), ps.end());
+    std::vector<index_t> idx;
+    std::vector<real_t> val;
+    for (const std::size_t p : ps) {
+      idx.push_back(static_cast<index_t>(p + p / 2 + 1));
       val.push_back(rng.bernoulli(0.1) ? real_t(0)
                                        : static_cast<real_t>(rng.normal()));
     }

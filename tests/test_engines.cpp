@@ -5,9 +5,12 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +28,7 @@
 #include "sgd/spec.hpp"
 #include "sgd/stepsize.hpp"
 #include "sgd/sync_engine.hpp"
+#include "spmv_t_reference.hpp"
 #include "telemetry/session.hpp"
 
 namespace parsgd {
@@ -217,21 +221,27 @@ Trajectory train(std::unique_ptr<Engine> engine, const Model& model,
   return out;
 }
 
+/// Decorates an engine before a run; the identity when empty.
+using EngineWrap =
+    std::function<std::unique_ptr<Engine>(std::unique_ptr<Engine>)>;
+
 /// Trains `model` (which stages a carry) and its Carryless twin on two
-/// identically configured sync engines and expects the same trajectory
-/// from both.
+/// identically configured sync engines, each decorated by `wrap`, and
+/// expects the same trajectory from both.
 void expect_carry_transparent(const LinearModel& model,
                               const Carryless& reference,
                               const TrainData& data, const Fixture& f,
                               const SyncEngineOptions& opts, real_t alpha,
-                              const TrainOptions& t,
-                              const std::string& what) {
-  const Trajectory a =
-      train(std::make_unique<SyncEngine>(model, data, f.scale, opts), model,
-            data, f.w0, alpha, t);
+                              const TrainOptions& t, const std::string& what,
+                              const EngineWrap& wrap = {}) {
+  const auto engine = [&](const Model& m) {
+    std::unique_ptr<Engine> e =
+        std::make_unique<SyncEngine>(m, data, f.scale, opts);
+    return wrap ? wrap(std::move(e)) : std::move(e);
+  };
+  const Trajectory a = train(engine(model), model, data, f.w0, alpha, t);
   const Trajectory b =
-      train(std::make_unique<SyncEngine>(reference, data, f.scale, opts),
-            reference, data, f.w0, alpha, t);
+      train(engine(reference), reference, data, f.w0, alpha, t);
   EXPECT_EQ(a.initial_loss, b.initial_loss) << what;
   EXPECT_EQ(a.losses, b.losses) << what;
   EXPECT_EQ(a.recoveries, b.recoveries) << what;
@@ -337,6 +347,108 @@ TEST(EpochCarry, LossLayoutMismatchFallsBackToDatasetLoss) {
     expect_carry_transparent(f.lr, ref, data, f, opts, real_t(0.5), t,
                              engine_dense ? "dense engine, sparse loss"
                                           : "sparse engine, dense loss");
+  }
+}
+
+/// What CheckCompactView saw over a run.
+struct ViewChecks {
+  std::size_t epochs = 0;      ///< carried epochs that left a sparse carry
+  std::size_t mismatches = 0;  ///< of them, with w_J != w over J
+};
+
+/// After every carried epoch that leaves a carry read from the sparse
+/// rows `x`, compares its w_J with w over J bit for bit.
+class CheckCompactView final : public ForwardingEngine {
+ public:
+  CheckCompactView(std::unique_ptr<Engine> inner, const CsrMatrix& x,
+                   ViewChecks& checks)
+      : ForwardingEngine(std::move(inner)), x_(x), checks_(checks) {}
+
+  double run_epoch_carried(std::span<real_t> w, real_t alpha, Rng& rng,
+                           EpochCarry& carry) override {
+    const double secs =
+        ForwardingEngine::run_epoch_carried(w, alpha, rng, carry);
+    if (carry.sparse == &x_) {
+      const std::span<const index_t> cols = x_.column_bands().cols;
+      std::vector<real_t> w_over_j;
+      for (const index_t j : cols) w_over_j.push_back(w[j]);
+      ++checks_.epochs;
+      if (testing_ref::bits(carry.w_J) != testing_ref::bits(w_over_j)) {
+        ++checks_.mismatches;
+      }
+    }
+    return secs;
+  }
+
+ private:
+  const CsrMatrix& x_;
+  ViewChecks& checks_;
+};
+
+TEST(EpochCarry, CompactViewIsWOverJAfterEveryEpoch) {
+  // Sparse LR and SVM on pools of 0 and 3 workers: every carried epoch
+  // leaves w_J equal to the updated w over J.
+  ThreadPool none(ThreadPool::NoWorkers{}), three(3);
+  Fixture f("rcv1");
+  const LinearSvm svm(f.ds.d());
+  const Carryless lr_ref(std::make_unique<LogisticRegression>(f.ds.d()));
+  const Carryless svm_ref(std::make_unique<LinearSvm>(f.ds.d()));
+  for (ThreadPool* pool : {&none, &three}) {
+    SyncEngineOptions opts;
+    opts.pool = pool;
+    TrainOptions t;
+    t.max_epochs = 6;
+    for (const bool is_lr : {true, false}) {
+      ViewChecks checks;
+      const std::string what = std::string(is_lr ? "LR" : "SVM") +
+                               " pool " + std::to_string(pool->size());
+      const EngineWrap check = [&](std::unique_ptr<Engine> e) {
+        return std::make_unique<CheckCompactView>(std::move(e),
+                                                  *f.data.sparse, checks);
+      };
+      if (is_lr) {
+        expect_carry_transparent(f.lr, lr_ref, f.data, f, opts,
+                                 real_t(2.0), t, what, check);
+      } else {
+        expect_carry_transparent(svm, svm_ref, f.data, f, opts,
+                                 real_t(0.5), t, what, check);
+      }
+      EXPECT_EQ(checks.epochs, 6u) << what;
+      EXPECT_EQ(checks.mismatches, 0u) << what;
+    }
+  }
+}
+
+TEST(EpochCarry, RollbackAndPoisonGatherTheCompactViewAgain) {
+  // Both write w outside the engine and clear the carry: the next epoch
+  // must gather w_J from the rewritten w, not keep the old view. A kept
+  // view would update w over J from the rejected weights, which the
+  // trajectory comparison sees.
+  Fixture f("rcv1");
+  const Carryless ref(std::make_unique<LogisticRegression>(f.ds.d()));
+  const SyncEngineOptions opts;
+  TrainOptions t;
+  t.max_epochs = 8;
+  t.watchdog = true;
+  SyncEngine probe(f.lr, f.data, f.scale, opts);
+  ASSERT_FALSE(
+      run_training(probe, f.lr, f.data, f.w0, real_t(1e4), t).recoveries
+          .empty());
+  for (const bool poison : {false, true}) {
+    ViewChecks checks;
+    const EngineWrap wrap = [&](std::unique_ptr<Engine> e) {
+      if (poison) {
+        e = std::make_unique<PoisonAfterEpoch>(
+            std::move(e), 2, std::numeric_limits<real_t>::quiet_NaN());
+      }
+      return std::make_unique<CheckCompactView>(std::move(e),
+                                                *f.data.sparse, checks);
+    };
+    expect_carry_transparent(f.lr, ref, f.data, f, opts,
+                             poison ? real_t(2.0) : real_t(1e4), t,
+                             poison ? "poison" : "rollback", wrap);
+    EXPECT_GT(checks.epochs, 0u);
+    EXPECT_EQ(checks.mismatches, 0u);
   }
 }
 

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "linalg/cpu_backend.hpp"
 #include "linalg/gpu_backend.hpp"
+#include "matrix/example_view.hpp"
 #include "parallel/thread_pool.hpp"
 #include "spmv_t_reference.hpp"
 
@@ -379,9 +384,11 @@ TEST(CpuBackendDeterminism, SpmvTransposeChunkedMatchesDense) {
   }
 }
 
-// ---- column-major transposed spmv and the fused update ----
-// Row counts 100 / 200 / 600 give 1 / 3 / 8 reduction chunks; every case
-// runs on a worker-less pool and on pools of 1 and 3 workers.
+// ---- band products: the transposed spmv and the fused update ----
+// |J| below one band, exactly on a band multiple and one past it, at
+// each band width (1,024 / 2,048 / 4,096); row counts 40 / 200 / 700 give
+// 1 / 3 / 8 reduction chunks; every case runs on a worker-less pool and
+// on pools of 1 and 3 workers.
 
 std::unique_ptr<ThreadPool> make_pool(std::size_t workers) {
   return workers == 0 ? std::make_unique<ThreadPool>(ThreadPool::NoWorkers{})
@@ -397,37 +404,62 @@ std::vector<real_t> coefficients_like(std::size_t n, Rng& rng) {
   return x;
 }
 
-TEST(CpuSpmvTranspose, ColumnFoldBitIdenticalToScatterForm) {
+/// Calls fn(a, label) for every (|J|, rows) case above.
+template <class Fn>
+void for_each_band_case(Rng& rng, Fn&& fn) {
+  for (const std::size_t touched :
+       {341u, 2 * 1024u, 2 * 1024u + 1, 16 * 2048u, 16 * 4096u + 1}) {
+    for (const std::size_t rows : {40u, 200u, 700u}) {
+      const CsrMatrix a =
+          testing_ref::sparse_touching(rows, touched, 0.004, rng);
+      ASSERT_EQ(a.column_bands().cols.size(), touched);
+      fn(a, "|J| " + std::to_string(touched) + ", " +
+                std::to_string(rows) + " rows");
+    }
+  }
+}
+
+std::vector<real_t> gather(std::span<const real_t> w,
+                           std::span<const index_t> cols) {
+  std::vector<real_t> out;
+  for (const index_t j : cols) out.push_back(w[j]);
+  return out;
+}
+
+TEST(CpuSpmvTranspose, BandProductBitIdenticalToScatterForm) {
   Rng rng(31);
-  for (const std::size_t rows : {100u, 200u, 600u}) {
-    const CsrMatrix a = testing_ref::sparse_with_gaps(rows, 90, 0.1, rng);
-    const auto x = coefficients_like(rows, rng);
+  for_each_band_case(rng, [&](const CsrMatrix& a, const std::string& what) {
+    const auto x = coefficients_like(a.rows(), rng);
     const auto ref = testing_ref::bits(testing_ref::scatter_spmv_t(a, x));
     for (const std::size_t workers : {0u, 1u, 3u}) {
       const auto pool = make_pool(workers);
       CpuBackend be = pooled_backend(*pool);
       CostBreakdown cost;
       be.set_sink(&cost);
-      std::vector<real_t> y(90, real_t(7));  // overwritten entirely
+      std::vector<real_t> y(a.cols(), real_t(7));  // overwritten entirely
       be.spmv(a, x, y, /*transpose=*/true);
-      EXPECT_EQ(testing_ref::bits(y), ref)
-          << rows << " rows, " << workers << " workers";
+      EXPECT_EQ(testing_ref::bits(y), ref) << what << ", " << workers
+                                           << " workers";
     }
-  }
+  });
 }
 
 TEST(CpuSpmvTranspose, FusedUpdateBitIdenticalToTwoCallForm) {
+  // spmv_t_axpy, and spmv_t_axpy_compact with its w_J view, against
+  // the scatter form then an axpy.
   Rng rng(32);
   const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
-  for (const std::size_t rows : {100u, 200u, 600u}) {
-    const CsrMatrix a = testing_ref::sparse_with_gaps(rows, 90, 0.1, rng);
-    const auto x = coefficients_like(rows, rng);
+  for_each_band_case(rng, [&](const CsrMatrix& a, const std::string& what) {
+    const auto x = coefficients_like(a.rows(), rng);
     const auto g = testing_ref::scatter_spmv_t(a, x);
-    auto w0 = random_vec(90, rng);
-    // Untouched columns (j % 3 == 0) hold -0 and NaN: only an exact
-    // w + alpha * (+0) leaves them as they are.
-    for (std::size_t j = 0; j < 90; j += 3) {
-      w0[j] = j % 2 == 0 ? -real_t(0) : nan;
+    const std::span<const index_t> cols = a.column_bands().cols;
+    // Untouched columns (j % 3 == 0, and past J) hold -0 and NaN: only
+    // an exact w + alpha * (+0) leaves them as they are.
+    auto w0 = random_vec(a.cols(), rng);
+    std::vector<bool> in_j(a.cols(), false);
+    for (const index_t j : cols) in_j[j] = true;
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (!in_j[j]) w0[j] = j % 2 == 0 ? -real_t(0) : nan;
     }
     // Negative and -0 steps are what training uses; +0 and positive ones
     // must still match the two-call form (which turns -0 into +0).
@@ -442,19 +474,27 @@ TEST(CpuSpmvTranspose, FusedUpdateBitIdenticalToTwoCallForm) {
         be.set_sink(&cost);
         std::vector<real_t> w = w0;
         be.spmv_t_axpy(alpha, a, x, w);
-        EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(want))
-            << rows << " rows, alpha " << alpha << ", " << workers
-            << " workers";
+        const std::string at = what + ", alpha " + std::to_string(alpha) +
+                               ", " + std::to_string(workers) + " workers";
+        EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(want)) << at;
         if (std::signbit(alpha)) {
-          for (std::size_t j = 0; j < 90; j += 3) {
+          for (std::size_t j = 0; j < a.cols(); ++j) {
+            if (in_j[j]) continue;
             EXPECT_EQ(std::bit_cast<std::uint32_t>(w[j]),
                       std::bit_cast<std::uint32_t>(w0[j]))
-                << "untouched column " << j;
+                << "untouched column " << j << ", " << at;
           }
         }
+        std::vector<real_t> wc = w0;
+        std::vector<real_t> w_J = gather(wc, cols);
+        be.spmv_t_axpy_compact(alpha, a, x, wc, w_J);
+        EXPECT_EQ(testing_ref::bits(wc), testing_ref::bits(want))
+            << "compact, " << at;
+        EXPECT_EQ(testing_ref::bits(w_J), testing_ref::bits(gather(wc, cols)))
+            << "compact view, " << at;
       }
     }
-  }
+  });
 }
 
 void expect_same_cost(const CostBreakdown& a, const CostBreakdown& b) {
@@ -480,58 +520,116 @@ TEST(CpuSpmvTranspose, FusedUpdateChargesTheTwoCallCost) {
   start.bytes_random = 0.7;
   start.kernel_launches = 5;
   ThreadPool pool(2);
-  CostBreakdown fused = start, two_call = start;
+  CostBreakdown fused = start, compact = start, two_call = start;
   CpuBackend be = pooled_backend(pool);
   std::vector<real_t> w(5000, real_t(1)), g(5000);
   be.set_sink(&fused);
   be.spmv_t_axpy(real_t(-0.5), a, x, w);
+  be.set_sink(&compact);
+  std::vector<real_t> w_J = gather(w, a.column_bands().cols);
+  be.spmv_t_axpy_compact(real_t(-0.5), a, x, w, w_J);
   be.set_sink(&two_call);
   be.spmv(a, x, g, /*transpose=*/true);
   be.axpy(real_t(-0.5), g, w);
   expect_same_cost(fused, two_call);
+  expect_same_cost(compact, two_call);
 }
 
-TEST(CsrColumnIndex, IndexesTouchedColumnsInRowOrder) {
+TEST(CsrColumnBands, BandWidthIsTheWidestGivingSixteenBands) {
+  EXPECT_EQ(CsrColumnBands::band_cols_for(0), 1024u);
+  EXPECT_EQ(CsrColumnBands::band_cols_for(3273), 1024u);  // rcv1 at 1/400
+  EXPECT_EQ(CsrColumnBands::band_cols_for(16 * 2048 - 1), 1024u);
+  EXPECT_EQ(CsrColumnBands::band_cols_for(16 * 2048), 2048u);
+  EXPECT_EQ(CsrColumnBands::band_cols_for(16 * 4096 - 1), 2048u);
+  EXPECT_EQ(CsrColumnBands::band_cols_for(16 * 4096), 4096u);
+  EXPECT_EQ(CsrColumnBands::band_cols_for(70621), 4096u);  // news
+  EXPECT_EQ(CsrColumnBands::band_cols_for(std::size_t{1} << 30), 4096u);
+}
+
+TEST(CsrColumnBands, ListsTouchedColumnsInBandsRowByRow) {
+  // Three bands, the last one column wide; every stored entry appears
+  // exactly once, at its row's segment in its column's band.
   Rng rng(34);
-  const CsrMatrix a = testing_ref::sparse_with_gaps(40, 30, 0.3, rng);
+  const CsrMatrix a =
+      testing_ref::sparse_touching(50, 2 * 1024 + 1, 0.01, rng);
   const DenseMatrix ad = a.to_dense();
-  const CsrColumnIndex& ci = a.column_index();
-  ASSERT_EQ(ci.col_ptr.size(), ci.cols.size() + 1);
-  EXPECT_EQ(ci.col_ptr.back(), a.nnz());
-  for (std::size_t p = 0; p < ci.cols.size(); ++p) {
-    EXPECT_NE(ci.cols[p] % 3, 0u);
-    if (p > 0) {
-      EXPECT_LT(ci.cols[p - 1], ci.cols[p]);
-    }
-    EXPECT_LT(ci.col_ptr[p], ci.col_ptr[p + 1]) << "empty listed column";
-    for (offset_t k = ci.col_ptr[p]; k < ci.col_ptr[p + 1]; ++k) {
-      if (k > ci.col_ptr[p]) {
-        EXPECT_LT(ci.rows[k - 1], ci.rows[k]);
+  const CsrColumnBands& cb = a.column_bands();
+  ASSERT_EQ(cb.cols.size(), 2 * 1024u + 1);
+  ASSERT_EQ(cb.band_cols, 1024u);
+  for (std::size_t p = 0; p < cb.cols.size(); ++p) {
+    EXPECT_EQ(cb.cols[p], p + p / 2 + 1) << "J in increasing order";
+  }
+  ASSERT_EQ(cb.bands(), 3u);
+  EXPECT_EQ(cb.band_begin(2), 2 * 1024u);
+  EXPECT_EQ(cb.band_width(0), 1024u);
+  EXPECT_EQ(cb.band_width(2), 1u);
+  ASSERT_EQ(cb.seg_ptr.size(), cb.seg_row.size() + 1);
+  EXPECT_EQ(cb.band_seg.back(), cb.seg_row.size());
+  EXPECT_EQ(cb.seg_ptr.back(), a.nnz());
+  ASSERT_EQ(cb.pos.size(), a.nnz());
+  std::vector<std::size_t> row_entries(a.rows(), 0);
+  for (std::size_t b = 0; b < cb.bands(); ++b) {
+    for (offset_t s = cb.band_seg[b]; s < cb.band_seg[b + 1]; ++s) {
+      if (s > cb.band_seg[b]) {
+        EXPECT_LT(cb.seg_row[s - 1], cb.seg_row[s]) << "band " << b;
       }
-      EXPECT_EQ(ci.vals[k], ad.at(ci.rows[k], ci.cols[p]));
+      EXPECT_LT(cb.seg_ptr[s], cb.seg_ptr[s + 1]) << "empty segment";
+      for (offset_t k = cb.seg_ptr[s]; k < cb.seg_ptr[s + 1]; ++k) {
+        if (k > cb.seg_ptr[s]) {
+          EXPECT_LT(cb.pos[k - 1], cb.pos[k]);
+        }
+        ASSERT_LT(cb.pos[k], cb.band_width(b));
+        EXPECT_EQ(cb.vals[k],
+                  ad.at(cb.seg_row[s], cb.cols[cb.band_begin(b) + cb.pos[k]]));
+        ++row_entries[cb.seg_row[s]];
+      }
     }
   }
-  // A copy has equal contents and builds its own index.
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    EXPECT_EQ(row_entries[r], a.row_nnz(r)) << "row " << r;
+  }
+  // A copy has equal contents and builds its own layout.
   const CsrMatrix b = a;
-  EXPECT_NE(&b.column_index(), &ci);
-  EXPECT_EQ(b.column_index().rows, ci.rows);
+  EXPECT_NE(&b.column_bands(), &cb);
+  EXPECT_EQ(b.column_bands().seg_row, cb.seg_row);
   EXPECT_TRUE(b == a);
 }
 
-TEST(CsrColumnIndex, ConcurrentFirstRequestsShareOneIndex) {
+TEST(CsrColumnBands, RowDotsMatchExampleViewDot) {
+  // Any row range, read from w_J, gives ExampleView::dot over w bit for
+  // bit.
+  Rng rng(36);
+  const CsrMatrix a =
+      testing_ref::sparse_touching(300, 16 * 2048 + 1, 0.001, rng);
+  const auto w = random_vec(a.cols(), rng);
+  const std::vector<real_t> w_J = gather(w, a.column_bands().cols);
+  for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 300},
+                               {0, 1}, {37, 101}, {299, 300}}) {
+    std::vector<double> z(hi - lo);
+    a.column_bands().row_dots(w_J, lo, hi, z.data());
+    for (std::size_t i = lo; i < hi; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(z[i - lo]),
+                std::bit_cast<std::uint64_t>(
+                    ExampleView::sparse(a.row(i)).dot(w)))
+          << "row " << i;
+    }
+  }
+}
+
+TEST(CsrColumnBands, ConcurrentFirstRequestsShareOneLayout) {
   // Lazily built on first use: two threads racing for it must both get
-  // the one fully built index (the TSan lane runs this case).
+  // the one fully built layout (the TSan lane runs this case).
   Rng rng(35);
   const CsrMatrix a = random_csr(300, 200, 0.05, rng);
-  const CsrColumnIndex* seen[2] = {nullptr, nullptr};
+  const CsrColumnBands* seen[2] = {nullptr, nullptr};
   std::size_t entries[2] = {0, 0};
   std::thread t0([&] {
-    seen[0] = &a.column_index();
-    entries[0] = seen[0]->rows.size();
+    seen[0] = &a.column_bands();
+    entries[0] = seen[0]->vals.size();
   });
   std::thread t1([&] {
-    seen[1] = &a.column_index();
-    entries[1] = seen[1]->rows.size();
+    seen[1] = &a.column_bands();
+    entries[1] = seen[1]->vals.size();
   });
   t0.join();
   t1.join();

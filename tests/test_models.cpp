@@ -220,7 +220,7 @@ TEST(Mlp, SyncEpochSparseInputMatchesDense) {
 
 // ---- sparse sync epoch: bit-identical to the scatter form ----
 
-/// The sparse full-batch epoch as it ran before the column-major fold:
+/// The sparse full-batch epoch as it ran before the band products:
 /// forward spmv and the fused loss kernel on `be`, then the scatter-form
 /// A^T coef into a d-vector and a d-length axpy.
 double scatter_form_epoch(const Model& model, linalg::CpuBackend& be,
@@ -245,7 +245,8 @@ std::unique_ptr<ThreadPool> make_pool(std::size_t workers) {
 TEST(SparseSyncEpoch, BitIdenticalToScatterFormOverManyEpochs) {
   // 100 / 200 / 600 rows give 1 / 3 / 8 reduction chunks. SVM reaches
   // margins >= 1 within a few epochs, so its zero-coefficient rows are
-  // exercised; untouched weights (j % 3 == 0) start as -0 and NaN.
+  // exercised; untouched weights (j % 3 == 0) start as -0 and NaN. The
+  // carried epochs run the margin pass over w_J and the compact update.
   const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
   for (const std::size_t rows : {100u, 200u, 600u}) {
     Rng rng(40 + rows);
@@ -257,8 +258,8 @@ TEST(SparseSyncEpoch, BitIdenticalToScatterFormOverManyEpochs) {
     data.y = y;
     const LogisticRegression lr(x.cols());
     const LinearSvm svm(x.cols());
-    for (const Model* m : {static_cast<const Model*>(&lr),
-                           static_cast<const Model*>(&svm)}) {
+    for (const LinearModel* m : {static_cast<const LinearModel*>(&lr),
+                                 static_cast<const LinearModel*>(&svm)}) {
       std::vector<real_t> w0 = m->init_params(3);
       for (std::size_t j = 0; j < w0.size(); j += 3) {
         w0[j] = j % 2 == 0 ? -real_t(0) : nan;
@@ -273,23 +274,35 @@ TEST(SparseSyncEpoch, BitIdenticalToScatterFormOverManyEpochs) {
             scatter_form_epoch(*m, ref_be, data, real_t(2.0), w_ref));
       }
       for (const std::size_t workers : {0u, 1u, 3u}) {
-        const auto pool = make_pool(workers);
-        linalg::CpuBackend be(linalg::CpuBackendOptions{.pool = pool.get()});
-        CostBreakdown cost;
-        be.set_sink(&cost);
-        std::vector<real_t> w = w0;
-        for (int e = 0; e < 60; ++e) {
-          ASSERT_EQ(m->sync_epoch(be, data, false, real_t(2.0), w),
-                    ref_losses[static_cast<std::size_t>(e)])
-              << m->name() << ", " << rows << " rows, " << workers
-              << " workers, epoch " << e;
-        }
-        EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(w_ref))
-            << m->name() << ", " << rows << " rows, " << workers
-            << " workers";
-        for (std::size_t j = 0; j < w.size(); j += 3) {
-          EXPECT_EQ(std::bit_cast<std::uint32_t>(w[j]),
-                    std::bit_cast<std::uint32_t>(w0[j]));
+        for (const bool carried : {false, true}) {
+          const auto pool = make_pool(workers);
+          linalg::CpuBackend be(
+              linalg::CpuBackendOptions{.pool = pool.get()});
+          CostBreakdown cost;
+          be.set_sink(&cost);
+          EpochCarry carry;
+          std::vector<real_t> w = w0;
+          const std::string what = m->name() + ", " + std::to_string(rows) +
+                                   " rows, " + std::to_string(workers) +
+                                   " workers" +
+                                   (carried ? ", carried" : "");
+          for (int e = 0; e < 60; ++e) {
+            const double loss = m->sync_epoch(
+                be, data, false, real_t(2.0), w,
+                carried ? &carry : nullptr, pool.get());
+            // A carried epoch returns the carried loss, dataset_loss's
+            // double-margin sum, not the coefficient kernel's.
+            if (!carried) {
+              ASSERT_EQ(loss, ref_losses[static_cast<std::size_t>(e)])
+                  << what << ", epoch " << e;
+            }
+          }
+          EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(w_ref)) << what;
+          for (std::size_t j = 0; j < w.size(); j += 3) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(w[j]),
+                      std::bit_cast<std::uint32_t>(w0[j]))
+                << what;
+          }
         }
       }
       if (m == &svm) {
