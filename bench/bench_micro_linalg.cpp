@@ -396,18 +396,47 @@ BENCHMARK(BM_Rcv1SyncEpoch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// The dense twin: covtype at 1/400 scale (N = 1,452, d = 54), through
-/// the dense gemv path.
-void BM_CovtypeSyncEpoch(benchmark::State& state) {
+/// covtype at 1/400 scale: N = 1,452, d = 54, the one dense dataset.
+const Dataset& covtype_at_400() {
   static const Dataset ds = generate_dataset(
       "covtype", GeneratorOptions{.seed = 1, .scale = 400.0});
-  run_sync_epochs(state, ds, /*dense=*/true);
+  return ds;
+}
+
+/// The dense twin, through the dense gemv path.
+void BM_CovtypeSyncEpoch(benchmark::State& state) {
+  run_sync_epochs(state, covtype_at_400(), /*dense=*/true);
 }
 BENCHMARK(BM_CovtypeSyncEpoch)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({3, 0})
     ->Args({3, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+/// The dense update's transposed product X^T coef on covtype, at LR's
+/// coefficients for its initial model; Arg = pool workers.
+void BM_CovtypeGemvTranspose(benchmark::State& state) {
+  const Dataset& ds = covtype_at_400();
+  const DenseMatrix& x = *ds.x_dense;
+  const auto pool = bench_pool(state.range(0));
+  CpuBackend be(CpuBackendOptions{.pool = pool.get()});
+  CostBreakdown cost;
+  be.set_sink(&cost);
+  const std::vector<real_t> w = LogisticRegression(ds.d()).init_params(1);
+  std::vector<real_t> z(x.rows()), coef(x.rows()), g(x.cols());
+  be.gemv(x, w, z, /*transpose=*/false);
+  be.lr_loss_coefficients(z, ds.y, coef);
+  for (auto _ : state) {
+    be.gemv(x, coef, g, /*transpose=*/true);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CovtypeGemvTranspose)
+    ->Arg(0)
+    ->Arg(3)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

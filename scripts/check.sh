@@ -85,12 +85,15 @@ rm -rf "$obs_tmp"
 # The attribution suite joins both lanes: its runs read the pool's wait
 # histograms while pool workers record into them, and the telemetry
 # exporters render snapshots while instruments are live.
-# The conflict accounting runs under ASan too: the asyncsim/replication
-# conflict ledger indexes flat per-line arrays by model coordinate, and
-# the gpusim warp instructions fill fixed per-lane arrays. The linalg
-# suite joins both lanes: the transposed products index through the
-# lazily built band layout of a CSR matrix, which threads may request at
-# once, and each band's owner scatters into its band-local accumulators.
+# The conflict accounting runs under ASan too: the asyncsim conflict
+# ledger indexes flat per-line arrays by model coordinate, and the gpusim
+# warp instructions fill fixed per-lane arrays. The linalg suite joins
+# both lanes: the transposed products index through the lazily built band
+# layout of a CSR matrix, which threads may request at once, and each
+# band's owner scatters into its band-local accumulators; the dense
+# margins read the lazily built example blocks of a dense matrix (built
+# once under concurrent first requests, dropped on copy and write), and
+# each transposed-gemv task folds its panels into a stack accumulator.
 # The engine-spec suite joins the ASan lane for its seeded mutation run:
 # thousands of malformed spec strings through the parse and format paths.
 # The libsvm reader joins it for the same reason (seeded mutants of a
@@ -110,7 +113,7 @@ ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
     --target test_attribution --target test_telemetry \
-    --target test_asyncsim --target test_gpusim --target test_replication \
+    --target test_asyncsim --target test_gpusim \
     --target test_linalg --target test_engine_spec --target test_io \
     --target test_engines --target test_resilience --target test_report \
     --target test_models --target test_study
@@ -126,7 +129,6 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 "$ASAN_BUILD_DIR/tests/test_telemetry"
 "$ASAN_BUILD_DIR/tests/test_asyncsim"
 "$ASAN_BUILD_DIR/tests/test_gpusim"
-"$ASAN_BUILD_DIR/tests/test_replication"
 "$ASAN_BUILD_DIR/tests/test_models"
 "$ASAN_BUILD_DIR/tests/test_study"
 
@@ -136,7 +138,9 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 # The engine suite joins it: concurrent step search runs whole training
 # runs at once over one shared Model/TrainData, each on a private
 # executor with its metric log. The model suite joins it for the MLP
-# loss pass, whose blocks run on pool workers with thread-local scratch.
+# loss pass, whose blocks run on pool workers with thread-local scratch,
+# and for the linear dense loss pass, whose pool workers may all request
+# a dense matrix's example blocks before the first build is done.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
@@ -163,7 +167,7 @@ echo "check.sh: tier-1 (simd + scalar) + resilience lane (watchdog" \
      "loss-spike rollback, stop/resume round trip)" \
      "+ observability lane (overhead gate, --attribute)" \
      "+ ASan linalg/kernels/graph/attribution/telemetry" \
-     "/asyncsim/gpusim/replication/engine-spec/io/engines/resilience/report" \
+     "/asyncsim/gpusim/engine-spec/io/engines/resilience/report" \
      "/models/study" \
      "+ TSan linalg/graph/pool/resilience/attribution/telemetry/engines" \
      "/models/study" \

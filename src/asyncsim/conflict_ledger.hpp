@@ -1,5 +1,5 @@
-// Cache-line write-conflict ledger shared by the CPU Hogwild simulators
-// (AsyncSim, ReplicatedHogwild; DESIGN.md §8 "Conflict accounting").
+// Cache-line write-conflict ledger of the CPU Hogwild simulator
+// (AsyncSim; DESIGN.md §8 "Conflict accounting").
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,9 @@
 // The dense inner kernels of the CPU backend — dot, axpy, scale, the GEMM
 // micro-tile, transposed-gemv column bands and the CSR spmv row product —
 // and the two inner loops of the blocked MLP step (the examples-in-lanes
-// block GEMM and the block outer-product gradient) exist in three
-// flavors: baseline scalar (portable, the seed arithmetic), AVX2+FMA, and
-// AVX-512F. Each flavor lives in its own translation unit compiled with
+// block GEMM, which also takes the linear models' dense margins, and the
+// block outer-product gradient) exist in three flavors: baseline scalar
+// (portable, the seed arithmetic), AVX2+FMA, and AVX-512F. Each flavor lives in its own translation unit compiled with
 // exactly the `-m` flags it needs (no global arch flags), so one binary
 // carries all variants and selects once at startup by CPUID feature
 // detection. `CpuBackend` routes every hot path through the table
@@ -79,11 +79,13 @@ struct Kernels {
                      const real_t* x);
 
   /// Examples-in-lanes block GEMM (the MLP input layer over a block of
-  /// `lanes` examples): acc[j*lanes + b] += (double)xt[p*lanes + b] *
-  /// (double)w[p*ldw + j] for p in [0,k), j in [0,n), b in [0,lanes),
+  /// `lanes` examples, and with n = 1 the linear models' dense margins,
+  /// linalg::dense_row_dots): acc[j*lanes + b] += (double)xt[p*lanes + b]
+  /// * (double)w[p*ldw + j] for p in [0,k), j in [0,n), b in [0,lanes),
   /// folding p in increasing order per (j, b). `xt` is the block
-  /// transposed (feature-major). Bit-identical across variants (exact
-  /// double products, same p-order: the gemm_tile argument).
+  /// transposed (feature-major, DenseExampleBlocks). Bit-identical across
+  /// variants (exact double products, same p-order: the gemm_tile
+  /// argument).
   void (*block_gemm)(const real_t* xt, const real_t* w, std::size_t ldw,
                      double* acc, std::size_t k, std::size_t n);
 

@@ -48,17 +48,21 @@ class Backend {
   virtual void spmv_t_axpy(real_t alpha, const CsrMatrix& a,
                            std::span<const real_t> x,
                            std::span<real_t> y) = 0;
-  /// spmv_t_axpy that also updates y_J, the values of y over A's touched
-  /// columns J in CsrMatrix::column_bands().cols order: y_J must equal y
-  /// there on entry, and does on return. Same y and charges as
-  /// spmv_t_axpy. The default runs spmv_t_axpy, then gathers y_J.
+  /// spmv_t_axpy with y over A's touched columns J kept in y_J, in
+  /// CsrMatrix::column_bands().cols order: y_J holds y's current values
+  /// there on entry (y itself may hold older ones) and the updated ones
+  /// on return. Off J, y ends as spmv_t_axpy leaves it. Over J, y is not
+  /// read, and is left as it was or brought up to date. Same charges as
+  /// spmv_t_axpy. The default writes y_J into y, runs spmv_t_axpy, then
+  /// gathers y_J.
   virtual void spmv_t_axpy_compact(real_t alpha, const CsrMatrix& a,
                                    std::span<const real_t> x,
                                    std::span<real_t> y,
                                    std::span<real_t> y_J) {
-    spmv_t_axpy(alpha, a, x, y);
     const std::span<const parsgd::index_t> cols = a.column_bands().cols;
     PARSGD_CHECK(y_J.size() == cols.size());
+    for (std::size_t p = 0; p < cols.size(); ++p) y[cols[p]] = y_J[p];
+    spmv_t_axpy(alpha, a, x, y);
     for (std::size_t p = 0; p < cols.size(); ++p) y_J[p] = y[cols[p]];
   }
 

@@ -90,6 +90,19 @@ void band_products(ThreadPool& pool, const CsrMatrix& a,
   });
 }
 
+// ---- dense gemv ----
+// A task gets at least kGemvTaskElems elements of A (512 KB): below that
+// the fork/join costs more than it saves, and covtype at 1/400 scale
+// (1,452 x 54) runs on the caller. The transposed product cuts y into
+// panels of one cache line, folded into a stack accumulator of at most
+// kGemvSliceCols floats (4 KB, L1-resident) at a time. The forward
+// product at det=on takes its margins kMarginRows rows at a time (a
+// multiple of every lane count).
+constexpr std::size_t kGemvTaskElems = std::size_t{1} << 17;
+constexpr std::size_t kGemvPanelCols = 16;
+constexpr std::size_t kGemvSliceCols = 1024;
+constexpr std::size_t kMarginRows = 256;
+
 // ---- blocked GEMM ----
 // Cache-block sizes: the B panel (kKc x kNc floats = 32 KB) stays
 // L1-resident across the i loop, the accumulator tile (kMc x kNc doubles
@@ -136,8 +149,9 @@ void gemm_block_rows(const kernel::Kernels& kn, const real_t* ap,
         }
       }
       for (std::size_t i = 0; i < mc; ++i) {
+        real_t* crow = c.row(ib + i).data() + jb;
         for (std::size_t j = 0; j < nc; ++j) {
-          c.at(ib + i, jb + j) = static_cast<real_t>(acc[i * nc + j]);
+          crow[j] = static_cast<real_t>(acc[i * nc + j]);
         }
       }
     }
@@ -145,6 +159,27 @@ void gemm_block_rows(const kernel::Kernels& kn, const real_t* ap,
 }
 
 }  // namespace
+
+void dense_row_dots(const kernel::Kernels& kn, const DenseMatrix& a,
+                    std::span<const real_t> w, std::size_t lo,
+                    std::size_t hi, double* z) {
+  constexpr std::size_t kMaxLanes = 16;
+  const std::size_t lanes = kn.lanes, d = a.cols();
+  PARSGD_CHECK(w.size() == d && lo <= hi && hi <= a.rows() &&
+               lanes <= kMaxLanes);
+  // One lane is the row itself: no layout to build.
+  const DenseExampleBlocks* eb =
+      lanes > 1 && lo < hi ? &a.example_blocks(lanes) : nullptr;
+  double acc[kMaxLanes];
+  for (std::size_t k = lo / lanes; k * lanes < hi; ++k) {
+    std::fill(acc, acc + lanes, 0.0);
+    kn.block_gemm(eb != nullptr ? eb->block(k) : a.row(k).data(), w.data(),
+                  1, acc, d, 1);
+    const std::size_t first = std::max(lo, k * lanes);
+    const std::size_t last = std::min(hi, k * lanes + lanes);
+    for (std::size_t i = first; i < last; ++i) z[i - lo] = acc[i - k * lanes];
+  }
+}
 
 CpuBackend::CpuBackend(const CpuBackendOptions& opts)
     : opts_(opts),
@@ -161,7 +196,34 @@ void CpuBackend::gemv(const DenseMatrix& a, std::span<const real_t> x,
                       std::span<real_t> y, bool transpose) {
   sink().kernel_launches += 1;  // primitive invocation (fork/join unit)
   const std::size_t m = a.rows(), n = a.cols();
-  if (!transpose) {
+  // Either direction cuts its output into `units` and gives each task a
+  // run of them, of at least kGemvTaskElems elements of A.
+  const auto for_each_run = [&](std::size_t units, auto&& fn) {
+    if (units == 0) return;
+    const std::size_t tasks =
+        std::clamp<std::size_t>(m * n / kGemvTaskElems, 1, units);
+    pool().parallel_for(tasks, [&](std::size_t lo, std::size_t hi) {
+      fn(lo * units / tasks, hi * units / tasks);
+    });
+  };
+  if (!transpose && opts_.deterministic) {
+    PARSGD_CHECK(x.size() == n && y.size() == m);
+    // Scalar-order margins, examples in lanes over the cached example
+    // blocks (dense_row_dots); the units are whole blocks.
+    const std::size_t lanes = simd_->lanes;
+    for_each_run((m + lanes - 1) / lanes, [&](std::size_t b0,
+                                              std::size_t b1) {
+      double z[kMarginRows];
+      const std::size_t end = std::min(m, b1 * lanes);
+      for (std::size_t r0 = b0 * lanes; r0 < end; r0 += kMarginRows) {
+        const std::size_t r1 = std::min(end, r0 + kMarginRows);
+        dense_row_dots(*simd_, a, x, r0, r1, z);
+        for (std::size_t r = r0; r < r1; ++r) {
+          y[r] = static_cast<real_t>(z[r - r0]);
+        }
+      }
+    });
+  } else if (!transpose) {
     PARSGD_CHECK(x.size() == n && y.size() == m);
     pool().parallel_for(m, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t r = lo; r < hi; ++r) {
@@ -171,15 +233,23 @@ void CpuBackend::gemv(const DenseMatrix& a, std::span<const real_t> x,
     });
   } else {
     PARSGD_CHECK(x.size() == m && y.size() == n);
-    // Row-major A^T x, parallelized by partitioning the *output*: each
-    // task owns a disjoint column band of y and folds the rows in
-    // increasing r order, so every y[c] sees exactly the arithmetic of
-    // the sequential loop no matter how the bands are scheduled. Each
-    // matrix element is still streamed exactly once.
-    pool().parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-      std::fill(y.begin() + lo, y.begin() + hi, real_t(0));
-      simd_->gemv_t_band(a.data().data() + lo, n, m, x.data(),
-                         y.data() + lo, hi - lo);
+    // Row-major A^T x, parallelized by partitioning the *output*: the
+    // units are panels of kGemvPanelCols columns (one cache line of y).
+    // A task folds its panels into a stack accumulator one slice at a
+    // time and writes each slice of y once. Every y[c] sees the rows in
+    // increasing r order from +0, the arithmetic of the sequential loop,
+    // for every schedule; each element of A is streamed once.
+    for_each_run((n + kGemvPanelCols - 1) / kGemvPanelCols,
+                 [&](std::size_t p0, std::size_t p1) {
+      real_t acc[kGemvSliceCols];
+      const std::size_t end = std::min(n, p1 * kGemvPanelCols);
+      for (std::size_t c0 = p0 * kGemvPanelCols; c0 < end;
+           c0 += kGemvSliceCols) {
+        const std::size_t width = std::min(kGemvSliceCols, end - c0);
+        std::fill(acc, acc + width, real_t(0));
+        simd_->gemv_t_band(a.data().data() + c0, n, m, x.data(), acc, width);
+        std::copy(acc, acc + width, y.begin() + c0);
+      }
     });
   }
   sink().flops += 2.0 * static_cast<double>(m) * static_cast<double>(n);
@@ -244,8 +314,9 @@ void CpuBackend::band_axpy(real_t alpha, const CsrMatrix& a,
   PARSGD_CHECK(x.size() == m && y.size() == n);
   // y[j] += alpha * g[j] with g = A^T x (the axpy kernel's float
   // mul-then-add), written only on the touched columns J, by the task
-  // that owns j's band. With y_J, the old value comes from y_J, which
-  // equals y over J, and the new one goes to both.
+  // that owns j's band. With y_J, y over J is neither read nor written:
+  // the update goes to y_J alone, a compact array, where scattering it
+  // into y would touch one line of y per touched column.
   const std::span<const index_t> cols = a.column_bands().cols;
   if (y_J.empty()) {
     band_products(pool(), a, x,
@@ -260,7 +331,6 @@ void CpuBackend::band_axpy(real_t alpha, const CsrMatrix& a,
                     real_t* yj = y_J.data() + p0;
                     for (std::size_t q = 0; q < width; ++q) {
                       yj[q] += alpha * g[q];
-                      y[cols[p0 + q]] = yj[q];
                     }
                   });
   }

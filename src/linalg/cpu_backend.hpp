@@ -9,9 +9,14 @@
 // cache-blocked GEMM over operands resolved once per call, and
 // parallelized transposed gemv/spmv whose reduction grids depend only on
 // the problem shape, so results are bit-identical for every pool size.
-// Both transposed sparse products run through one kernel over the
-// matrix's band-blocked touched columns (CsrMatrix::column_bands): each
-// task owns whole bands and writes only their columns.
+// The transposed gemv cuts y into panels of one cache line: each task
+// owns whole panels and writes each of its columns once. Both transposed
+// sparse products run through one kernel over the matrix's band-blocked
+// touched columns (CsrMatrix::column_bands): each task owns whole bands
+// and writes only their columns. Dense margins in scalar order (the
+// forward gemv at det=on, and the linear models' margin passes) read the
+// matrix's cached example blocks (DenseMatrix::example_blocks) through
+// the block_gemm kernel, examples in lanes (dense_row_dots).
 // The innermost loops of those paths route through the dispatched SIMD
 // microkernel table (src/kernel/, DESIGN.md §14) selected once at startup
 // from CPUID. The CostBreakdown accounting is byte-for-byte the same as
@@ -28,6 +33,15 @@
 
 namespace parsgd::linalg {
 
+/// z[i - lo] = a.row(i) . w for the rows i in [lo, hi), through
+/// kn.block_gemm with n = 1 over a's example blocks of kn.lanes (built on
+/// first use; one lane reads the rows in place). Each margin folds the
+/// exact double products of the features in increasing order from +0:
+/// ExampleView::dot's value bit for bit, on every kernel variant.
+void dense_row_dots(const kernel::Kernels& kn, const DenseMatrix& a,
+                    std::span<const real_t> w, std::size_t lo,
+                    std::size_t hi, double* z);
+
 struct CpuBackendOptions {
   /// Logical threads of the modeled configuration (1 = cpu-seq, 56 =
   /// cpu-par on the paper's machine). Work is *executed* on the process
@@ -43,10 +57,12 @@ struct CpuBackendOptions {
   ThreadPool* pool = nullptr;
   /// Pin the order-sensitive reductions (dot, spmv row products) to the
   /// scalar reference kernels so trajectories are bit-identical to the
-  /// pre-SIMD arithmetic. The remaining microkernels (axpy, scale,
-  /// transposed-gemv bands, the GEMM micro-tile) stay vectorized in every
-  /// mode because their contract guarantees bit-identical results to the
-  /// scalar reference (kernel/kernels.hpp). Spec grammar: `det=on|off`.
+  /// pre-SIMD arithmetic; the forward gemv then takes its margins through
+  /// dense_row_dots, the same arithmetic. The remaining microkernels
+  /// (axpy, scale, transposed-gemv bands, the GEMM micro-tile) stay
+  /// vectorized in every mode because their contract guarantees
+  /// bit-identical results to the scalar reference (kernel/kernels.hpp).
+  /// Spec grammar: `det=on|off`.
   bool deterministic = true;
 };
 

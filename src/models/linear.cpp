@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "kernel/kernels.hpp"
+#include "linalg/cpu_backend.hpp"
 
 namespace parsgd {
 
@@ -173,92 +175,127 @@ TaskGraph::TaskId LinearModel::batch_step_graph(
       {owner[0]}, "model_update");
 }
 
-double LinearModel::sync_epoch(linalg::Backend& backend,
-                               const TrainData& data, bool use_dense,
-                               real_t alpha, std::span<real_t> w) const {
-  return sync_epoch(backend, data, use_dense, alpha, w, nullptr, nullptr);
+double LinearModel::forward_coefficients(linalg::Backend& backend,
+                                         const TrainData& data, bool dense,
+                                         std::span<const real_t> w,
+                                         std::span<real_t> coef) const {
+  // z = X w
+  std::vector<real_t> z(data.n());
+  if (dense) {
+    backend.gemv(*data.dense, w, z, /*transpose=*/false);
+  } else {
+    backend.spmv(*data.sparse, w, z, /*transpose=*/false);
+  }
+  // coef_i = dloss/dz_i; loss as by-product
+  return coefficients(backend, z, data.y, coef);
 }
 
-double LinearModel::sync_epoch(linalg::Backend& backend,
-                               const TrainData& data, bool use_dense,
-                               real_t alpha, std::span<real_t> w,
-                               EpochCarry* carry, ThreadPool* pool) const {
-  const std::size_t n = data.n();
-  const bool dense = use_dense && data.has_dense();
-  const bool carried = carry != nullptr && carry->matches(data, dense);
-  std::vector<real_t> coef;
-  double loss;
-  if (carried) {
-    // The last epoch's loss evaluation already took these margins.
-    coef = std::move(carry->coef);
-    loss = carry->loss;
-    carry->clear();
-  } else {
-    std::vector<real_t> z(n);
-    coef.resize(n);
-    // z = X w
-    if (dense) {
-      backend.gemv(*data.dense, w, z, /*transpose=*/false);
-    } else {
-      backend.spmv(*data.sparse, w, z, /*transpose=*/false);
-    }
-    // coef_i = dloss/dz_i; loss as by-product
-    loss = coefficients(backend, z, data.y, coef);
-  }
+void LinearModel::descend(linalg::Backend& backend, const TrainData& data,
+                          bool dense, real_t alpha,
+                          std::span<const real_t> coef, std::span<real_t> w,
+                          std::span<real_t> w_J) const {
   // w -= alpha/n * X^T coef  (mean gradient, matching batch_step)
-  const auto step = static_cast<real_t>(-alpha / static_cast<double>(n));
+  const auto step =
+      static_cast<real_t>(-alpha / static_cast<double>(data.n()));
   if (dense) {
     std::vector<real_t> grad(dim());
     backend.gemv(*data.dense, coef, grad, /*transpose=*/true);
     backend.axpy(step, grad, w);
-  } else if (carry != nullptr) {
-    // Fused, and w_J kept equal to w over J: it still is while the carry
-    // was valid, and is gathered from w otherwise.
-    if (!carried) {
+  } else if (!w_J.empty()) {
+    backend.spmv_t_axpy_compact(step, *data.sparse, coef, w, w_J);
+  } else {
+    // Fused: touches only the columns the data touches.
+    backend.spmv_t_axpy(step, *data.sparse, coef, w);
+  }
+}
+
+double LinearModel::sync_epoch(linalg::Backend& backend,
+                               const TrainData& data, bool use_dense,
+                               real_t alpha, std::span<real_t> w) const {
+  const bool dense = use_dense && data.has_dense();
+  std::vector<real_t> coef(data.n());
+  const double loss = forward_coefficients(backend, data, dense, w, coef);
+  descend(backend, data, dense, alpha, coef, w, {});
+  return loss;
+}
+
+void LinearModel::sync_epoch(linalg::Backend& backend, const TrainData& data,
+                             bool use_dense, real_t alpha,
+                             std::span<real_t> w, EpochCarry* carry,
+                             ThreadPool* pool) const {
+  if (carry == nullptr) {
+    sync_epoch(backend, data, use_dense, alpha, w);
+    return;
+  }
+  const std::size_t n = data.n();
+  const bool dense = use_dense && data.has_dense();
+  std::vector<real_t> coef;
+  if (carry->matches(data, dense)) {
+    // The last epoch's loss evaluation already took these margins. w_J
+    // stays ahead of w.
+    coef = std::move(carry->coef);
+    carry->sparse = nullptr;
+    carry->dense = nullptr;
+  } else {
+    carry->settle(w);
+    coef.resize(n);
+    forward_coefficients(backend, data, dense, w, coef);
+    if (!dense) {
+      // w_J is w over J: kept ahead of w while the carry is valid, and
+      // gathered from w otherwise.
       const std::span<const index_t> cols = data.sparse->column_bands().cols;
       carry->w_J.resize(cols.size());
       for (std::size_t p = 0; p < cols.size(); ++p) {
         carry->w_J[p] = w[cols[p]];
       }
     }
-    backend.spmv_t_axpy_compact(step, *data.sparse, coef, w, carry->w_J);
-  } else {
-    // Fused: touches only the columns the data touches.
-    backend.spmv_t_axpy(step, *data.sparse, coef, w);
   }
-  if (carry != nullptr) {
-    // One margin pass over the updated w: its loss, and the next epoch's
-    // coefficients. At det=on the scalar forward kernels do ExampleView::
-    // dot's arithmetic, so float(z) is the forward pass's output bit for
-    // bit. Sparse rows read w_J band by band (CsrColumnBands::row_dots),
-    // the same sums.
-    const auto loss_terms = [&](std::size_t lo, std::size_t hi,
-                                double* out) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        out[i - lo] = loss_and_coefficient(out[i - lo], data.y[i], coef[i]);
-      }
-    };
-    if (dense) {
-      carry->loss = sum_examples(
-          n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              out[i - lo] = data.example(i, true).dot(w);
-            }
-            loss_terms(lo, hi, out);
-          });
-    } else {
-      const CsrColumnBands& cb = data.sparse->column_bands();
-      carry->loss = sum_examples(
-          n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
-            cb.row_dots(carry->w_J, lo, hi, out);
-            loss_terms(lo, hi, out);
-          });
+  descend(backend, data, dense, alpha, coef, w, carry->w_J);
+  // One margin pass over the updated w: its loss, and the next epoch's
+  // coefficients. At det=on the forward kernels do ExampleView::dot's
+  // arithmetic, so float(z) is the forward pass's output bit for bit.
+  // Dense rows go examples in lanes over the cached example blocks
+  // (linalg::dense_row_dots) and sparse rows read w_J band by band
+  // (CsrColumnBands::row_dots): the same sums.
+  const auto loss_terms = [&](std::size_t lo, std::size_t hi, double* out) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      out[i - lo] = loss_and_coefficient(out[i - lo], data.y[i], coef[i]);
     }
-    carry->coef = std::move(coef);
-    carry->sparse = dense ? nullptr : data.sparse;
-    carry->dense = dense ? data.dense : nullptr;
+  };
+  if (dense) {
+    const kernel::Kernels& kn = kernel::active_kernels();
+    carry->loss = sum_examples(
+        n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
+          linalg::dense_row_dots(kn, *data.dense, w, lo, hi, out);
+          loss_terms(lo, hi, out);
+        });
+  } else {
+    const CsrColumnBands& cb = data.sparse->column_bands();
+    carry->loss = sum_examples(
+        n, pool, [&](std::size_t lo, std::size_t hi, double* out) {
+          cb.row_dots(carry->w_J, lo, hi, out);
+          loss_terms(lo, hi, out);
+        });
   }
-  return loss;
+  carry->coef = std::move(coef);
+  carry->sparse = dense ? nullptr : data.sparse;
+  carry->dense = dense ? data.dense : nullptr;
+  carry->w_lags = dense ? nullptr : data.sparse;
+}
+
+void LinearModel::example_losses(const TrainData& data, std::size_t begin,
+                                 std::size_t end, bool prefer_dense,
+                                 std::span<const real_t> w,
+                                 double* out) const {
+  if (!(prefer_dense && data.has_dense())) {
+    Model::example_losses(data, begin, end, prefer_dense, w, out);
+    return;
+  }
+  linalg::dense_row_dots(kernel::active_kernels(), *data.dense, w, begin,
+                         end, out);
+  for (std::size_t i = begin; i < end; ++i) {
+    out[i - begin] = margin_loss(out[i - begin], data.y[i]);
+  }
 }
 
 double LinearModel::step_flops(std::size_t touched_features) const {

@@ -17,6 +17,11 @@ class LinearModel : public Model {
 
   double example_loss(const ExampleView& x, real_t y,
                       std::span<const real_t> w) const override;
+  /// Dense rows take their margins examples in lanes
+  /// (linalg::dense_row_dots), the same values as example_loss's.
+  void example_losses(const TrainData& data, std::size_t begin,
+                      std::size_t end, bool prefer_dense,
+                      std::span<const real_t> w, double* out) const override;
   void example_step(const ExampleView& x, real_t y, real_t alpha,
                     std::span<const real_t> w_read,
                     std::span<real_t> w_write,
@@ -37,15 +42,16 @@ class LinearModel : public Model {
   /// sync_epoch with the loss evaluation of the updated w folded in
   /// (DESIGN.md §9). When `carry` holds the margins of this epoch's rows
   /// and layout, its coefficients replace the forward pass and the
-  /// coefficient kernel, and its loss is returned. After the update one
-  /// margin pass over the new w, on `pool` when it has workers, restages
-  /// the carry: each example's double margin and loss with
-  /// dataset_loss's arithmetic (summed in index order), and its
-  /// coefficient from the float-rounded margin. A null carry is the
-  /// plain sync_epoch.
-  double sync_epoch(linalg::Backend& backend, const TrainData& data,
-                    bool use_dense, real_t alpha, std::span<real_t> w,
-                    EpochCarry* carry, ThreadPool* pool) const;
+  /// coefficient kernel. After the update one margin pass over the new w,
+  /// on `pool` when it has workers, restages the carry: each example's
+  /// double margin and loss with dataset_loss's arithmetic (summed in
+  /// index order into carry->loss, the loss of the updated w), and its
+  /// coefficient from the float-rounded margin. On sparse rows the update
+  /// goes to carry->w_J only and w lags it over J (EpochCarry::settle).
+  /// A null carry is the plain sync_epoch, its loss dropped.
+  void sync_epoch(linalg::Backend& backend, const TrainData& data,
+                  bool use_dense, real_t alpha, std::span<real_t> w,
+                  EpochCarry* carry, ThreadPool* pool) const;
   double step_flops(std::size_t touched_features) const override;
 
  public:
@@ -68,6 +74,18 @@ class LinearModel : public Model {
                                       real_t& coef) const = 0;
 
  private:
+  /// The forward pass z = X w and the coefficient kernel: coef at w, and
+  /// the loss from the float margins.
+  double forward_coefficients(linalg::Backend& backend, const TrainData& data,
+                              bool dense, std::span<const real_t> w,
+                              std::span<real_t> coef) const;
+  /// w -= alpha / n * X^T coef, the mean gradient. For sparse rows a
+  /// non-empty w_J holds w over their touched columns and takes the
+  /// update there in place of w (Backend::spmv_t_axpy_compact).
+  void descend(linalg::Backend& backend, const TrainData& data, bool dense,
+               real_t alpha, std::span<const real_t> coef,
+               std::span<real_t> w, std::span<real_t> w_J) const;
+
   std::size_t d_;
 };
 

@@ -61,7 +61,9 @@ struct TrainData {
 /// coefficients and, for sparse rows, the compact view w_J. run_training
 /// owns one per call and hands it to the engine; only SyncEngine's
 /// full-batch epochs of a LinearModel stage one. Empty (both matrix
-/// pointers null) after clear(); whoever writes w clears it.
+/// pointers null) after clear(); whoever writes w clears it. A carried
+/// sparse epoch updates w_J only, so w lags it over J until settle():
+/// whoever reads w between epochs settles first.
 struct EpochCarry {
   /// The matrix the margins were read from: exactly one is non-null
   /// while the carry is valid.
@@ -72,12 +74,26 @@ struct EpochCarry {
   /// The current w over the touched columns J of `sparse`, in
   /// column_bands().cols order; valid while the carry is and `sparse` is
   /// set. The sparse margin pass reads it instead of w, and the update
-  /// writes it along with w. A cleared carry gathers it again.
+  /// writes it instead of w. A cleared carry gathers it again.
   std::vector<real_t> w_J;
+  /// Non-null while w over this matrix's J holds older values than w_J.
+  /// The carried update skips w: writing it would touch one cache line
+  /// of w per touched column each epoch, from whichever worker draws the
+  /// band.
+  const CsrMatrix* w_lags = nullptr;
 
+  /// Drops the margins and w_J's lead: for a w that was just rewritten.
   void clear() {
     sparse = nullptr;
     dense = nullptr;
+    w_lags = nullptr;
+  }
+  /// Brings w up to date over J (w[cols[p]] = w_J[p]) if it lags w_J.
+  void settle(std::span<real_t> w) {
+    if (w_lags == nullptr) return;
+    const std::span<const index_t> cols = w_lags->column_bands().cols;
+    for (std::size_t p = 0; p < cols.size(); ++p) w[cols[p]] = w_J[p];
+    w_lags = nullptr;
   }
   /// True when the carry holds the margins dataset_loss(data, w,
   /// prefer_dense) would compute: same rows, same layout.
@@ -169,7 +185,8 @@ class Model {
   /// sparse primitives when the data allows both. run_training instead
   /// reports dataset_loss *after* the update; for linear models SyncEngine
   /// folds that evaluation into the epoch through an EpochCarry
-  /// (LinearModel's carried overload).
+  /// (LinearModel's carried overload, which returns nothing: the loss it
+  /// computes is the updated w's, and lives in the carry).
   virtual double sync_epoch(linalg::Backend& backend, const TrainData& data,
                             bool use_dense, real_t alpha,
                             std::span<real_t> w) const = 0;

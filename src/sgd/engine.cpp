@@ -50,7 +50,8 @@ RunResult run_training(Engine& engine, const Model& model,
   ThreadPool* const pool = engine.pool();  // null: the engine runs serially
   // The last epoch's margin pass (DESIGN.md §9): it supplies that epoch's
   // loss and the next epoch's forward pass. Cleared whenever this loop
-  // writes w itself; a resumed run starts without one.
+  // writes w itself, and settled before it reads w; a resumed run starts
+  // without one.
   EpochCarry carry;
 
   RunResult res;
@@ -173,9 +174,12 @@ RunResult run_training(Engine& engine, const Model& model,
       span.arg("epoch", static_cast<double>(e));
       const double host_t0 = monotonic_seconds();
       secs = engine.run_epoch_carried(w, epoch_alpha, rng, carry);
-      loss = carry.matches(data, opts.prefer_dense)
-                 ? carry.loss
-                 : model.dataset_loss(data, w, opts.prefer_dense, pool);
+      if (carry.matches(data, opts.prefer_dense)) {
+        loss = carry.loss;
+      } else {
+        carry.settle(w);
+        loss = model.dataset_loss(data, w, opts.prefer_dense, pool);
+      }
       host_s = monotonic_seconds() - host_t0;
       span.arg("loss", loss);
       span.arg("modeled_s", secs);
@@ -251,6 +255,7 @@ RunResult run_training(Engine& engine, const Model& model,
       break;
     }
     if (guard) {
+      carry.settle(w);
       good.w = w;
       good.rng = rng.state();
       good.epoch = e + 1;
@@ -272,6 +277,7 @@ RunResult run_training(Engine& engine, const Model& model,
         ck.alpha_scale = alpha_scale;
         ck.recoveries_used = recoveries_used;
         ck.rng = rng.state();
+        carry.settle(w);
         ck.w = w;
         ck.partial = res;
         save_checkpoint(opts.checkpoint_path, ck);

@@ -49,10 +49,12 @@ class Engine {
 
   /// run_epoch that may also consume and restage `carry`, the margin
   /// pass of the updated `w` (DESIGN.md §9); run_training's epoch loop
-  /// calls this. The default clears the carry: only full-batch linear
-  /// sync epochs stage one.
+  /// calls this. A staged sparse carry leaves w lagging carry.w_J over
+  /// the touched columns until carry.settle(w). The default settles and
+  /// clears the carry: only full-batch linear sync epochs stage one.
   virtual double run_epoch_carried(std::span<real_t> w, real_t alpha,
                                    Rng& rng, EpochCarry& carry) {
+    carry.settle(w);
     carry.clear();
     return run_epoch(w, alpha, rng);
   }

@@ -126,7 +126,10 @@ double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
 double SyncEngine::run_epoch_carried(std::span<real_t> w, real_t alpha,
                                      Rng& rng, EpochCarry& carry) {
   const bool stage = opts_.minibatch == 0 && linear_ != nullptr;
-  if (!stage) carry.clear();
+  if (!stage) {
+    carry.settle(w);
+    carry.clear();
+  }
   return epoch(w, alpha, rng, stage ? &carry : nullptr);
 }
 

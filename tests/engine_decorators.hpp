@@ -12,6 +12,8 @@
 //    exists for.
 //  * CaptureWeights copies the weights after every carried epoch, so a
 //    test reads what a run's last epoch produced without a checkpoint.
+//    It settles its copy, not the run's weights, so the run goes on with
+//    w lagging the carry's w_J as it would undecorated.
 #pragma once
 
 #include <algorithm>
@@ -97,6 +99,8 @@ class CaptureWeights final : public ForwardingEngine {
     const double secs =
         ForwardingEngine::run_epoch_carried(w, alpha, rng, carry);
     w_.assign(w.begin(), w.end());
+    EpochCarry view = carry;
+    view.settle(w_);
     return secs;
   }
   const std::vector<real_t>& w() const { return w_; }

@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
+#include "kernel/kernels.hpp"
 #include "linalg/cpu_backend.hpp"
 #include "linalg/gpu_backend.hpp"
 #include "matrix/example_view.hpp"
@@ -485,12 +486,16 @@ TEST(CpuSpmvTranspose, FusedUpdateBitIdenticalToTwoCallForm) {
                 << "untouched column " << j << ", " << at;
           }
         }
-        std::vector<real_t> wc = w0;
-        std::vector<real_t> w_J = gather(wc, cols);
+        // The compact form keeps J in w_J: w there holds stale values
+        // (7) that must neither be read nor be overwritten.
+        std::vector<real_t> wc = w0, stale = want;
+        for (const index_t j : cols) wc[j] = stale[j] = real_t(7);
+        std::vector<real_t> w_J = gather(w0, cols);
         be.spmv_t_axpy_compact(alpha, a, x, wc, w_J);
-        EXPECT_EQ(testing_ref::bits(wc), testing_ref::bits(want))
+        EXPECT_EQ(testing_ref::bits(wc), testing_ref::bits(stale))
             << "compact, " << at;
-        EXPECT_EQ(testing_ref::bits(w_J), testing_ref::bits(gather(wc, cols)))
+        EXPECT_EQ(testing_ref::bits(w_J),
+                  testing_ref::bits(gather(want, cols)))
             << "compact view, " << at;
       }
     }
@@ -533,6 +538,31 @@ TEST(CpuSpmvTranspose, FusedUpdateChargesTheTwoCallCost) {
   be.axpy(real_t(-0.5), g, w);
   expect_same_cost(fused, two_call);
   expect_same_cost(compact, two_call);
+}
+
+TEST(Backend, DefaultCompactUpdateTakesJFromTheView) {
+  // GpuBackend keeps Backend's spmv_t_axpy_compact: w over J is stale on
+  // entry and comes from w_J, and the result is its own spmv_t_axpy's,
+  // charged the same.
+  Rng rng(34);
+  const CsrMatrix a = testing_ref::sparse_with_gaps(120, 900, 0.02, rng);
+  const auto x = random_vec(120, rng);
+  const auto w0 = random_vec(900, rng);
+  const std::span<const index_t> cols = a.column_bands().cols;
+  gpusim::Device dev(paper_gpu());
+  GpuBackend be(dev);
+  CostBreakdown plain, compact;
+  be.set_sink(&plain);
+  std::vector<real_t> want = w0;
+  be.spmv_t_axpy(real_t(-0.5), a, x, want);
+  be.set_sink(&compact);
+  std::vector<real_t> w = w0;
+  for (const index_t j : cols) w[j] = real_t(7);
+  std::vector<real_t> w_J = gather(w0, cols);
+  be.spmv_t_axpy_compact(real_t(-0.5), a, x, w, w_J);
+  EXPECT_EQ(testing_ref::bits(w_J), testing_ref::bits(gather(want, cols)));
+  EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(want));
+  expect_same_cost(compact, plain);
 }
 
 TEST(CsrColumnBands, BandWidthIsTheWidestGivingSixteenBands) {
@@ -636,6 +666,201 @@ TEST(CsrColumnBands, ConcurrentFirstRequestsShareOneLayout) {
   EXPECT_EQ(seen[0], seen[1]);
   EXPECT_EQ(entries[0], a.nnz());
   EXPECT_EQ(entries[1], a.nnz());
+}
+
+/// A^T x as the sequential loop: rows in increasing order, x[r] == 0
+/// (either sign) skipped, float mul then add into +0-started sums.
+std::vector<real_t> sequential_gemv_t(const DenseMatrix& a,
+                                      std::span<const real_t> x) {
+  std::vector<real_t> y(a.cols(), real_t(0));
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const real_t s = x[r];
+    if (s == real_t(0)) continue;
+    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += s * a.at(r, j);
+  }
+  return y;
+}
+
+TEST(CpuGemvTranspose, BitIdenticalToSequentialFold) {
+  // Widths around one 16-column panel and past one 1,024-column slice;
+  // the 5,000- and 16,000-row cases are wide enough in elements to run
+  // on several tasks (54 columns on 2, 500 on 19, 1,025 on 39; 17
+  // columns on 2), with panels split unevenly among them.
+  Rng rng(37);
+  for (const std::size_t rows : {300u, 5000u, 16000u}) {
+    for (const std::size_t d : {1u, 15u, 16u, 17u, 54u, 500u, 1025u}) {
+      if (rows * d > 6'000'000) continue;
+      const DenseMatrix a = random_dense(rows, d, rng);
+      const auto x = coefficients_like(rows, rng);
+      const auto ref = testing_ref::bits(sequential_gemv_t(a, x));
+      for (const std::size_t workers : {0u, 1u, 3u}) {
+        const auto pool = make_pool(workers);
+        CpuBackend be = pooled_backend(*pool);
+        CostBreakdown cost;
+        be.set_sink(&cost);
+        std::vector<real_t> y(d, real_t(7));  // overwritten entirely
+        be.gemv(a, x, y, /*transpose=*/true);
+        EXPECT_EQ(testing_ref::bits(y), ref)
+            << rows << " x " << d << ", " << workers << " workers";
+      }
+    }
+  }
+}
+
+TEST(CpuGemv, EmptyShapes) {
+  // No rows or no columns, both directions, at det=off and det=on.
+  ThreadPool pool(3);
+  CostBreakdown cost;
+  for (const bool det : {false, true}) {
+    CpuBackend b(CpuBackendOptions{.pool = &pool, .deterministic = det});
+    b.set_sink(&cost);
+    const DenseMatrix no_rows(0, 5), no_cols(5, 0);
+    std::vector<real_t> y5(5, real_t(7)), y0;
+    b.gemv(no_rows, {}, y5, /*transpose=*/true);
+    EXPECT_EQ(y5, std::vector<real_t>(5, real_t(0)));
+    b.gemv(no_rows, y5, y0, /*transpose=*/false);
+    y5.assign(5, real_t(7));
+    b.gemv(no_cols, {}, y5, /*transpose=*/false);
+    EXPECT_EQ(y5, std::vector<real_t>(5, real_t(0))) << "det " << det;
+    b.gemv(no_cols, y5, y0, /*transpose=*/true);
+  }
+}
+
+/// The kernel tables this host can run, the scalar reference included.
+std::vector<const kernel::Kernels*> runnable_kernels() {
+  std::vector<const kernel::Kernels*> out = {&kernel::scalar_kernels()};
+  for (const auto v : {kernel::KernelVariant::kAvx2,
+                       kernel::KernelVariant::kAvx512}) {
+    if (kernel::variant_available(v)) out.push_back(&kernel::kernels(v));
+  }
+  return out;
+}
+
+TEST(DenseExampleBlocks, FeatureMajorBlocksZeroPastTheLastRow) {
+  Rng rng(38);
+  const DenseMatrix a = random_dense(19, 5, rng);
+  for (const std::size_t lanes : {1u, 8u, 16u}) {
+    const DenseExampleBlocks& eb = a.example_blocks(lanes);
+    ASSERT_EQ(eb.lanes, lanes);
+    ASSERT_EQ(eb.vals.size(), (19 + lanes - 1) / lanes * lanes * 5);
+    for (std::size_t r = 0; r < eb.vals.size() / 5; ++r) {
+      for (std::size_t p = 0; p < 5; ++p) {
+        const real_t v = eb.block(r / lanes)[p * lanes + r % lanes];
+        EXPECT_EQ(v, r < 19 ? a.at(r, p) : real_t(0))
+            << lanes << " lanes, row " << r << ", feature " << p;
+      }
+    }
+  }
+  EXPECT_EQ(&a.example_blocks(8), &a.example_blocks(8));
+}
+
+TEST(DenseExampleBlocks, RowDotsMatchExampleViewDotOnEveryVariant) {
+  // Any row range, through any kernel variant's block_gemm, gives
+  // ExampleView::dot bit for bit; covtype's 54 features.
+  Rng rng(39);
+  for (const kernel::Kernels* kn : runnable_kernels()) {
+    const std::size_t lanes = kn->lanes;
+    for (const std::size_t rows :
+         {std::size_t{1}, lanes - 1, lanes, lanes + 1, std::size_t{1452}}) {
+      if (rows == 0) continue;
+      const DenseMatrix a = random_dense(rows, 54, rng);
+      const auto w = random_vec(54, rng);
+      for (const auto& [lo, hi] :
+           {std::pair<std::size_t, std::size_t>{0, rows},
+            {rows / 2, rows},
+            {rows / 3, rows - rows / 3}}) {
+        std::vector<double> z(hi - lo);
+        dense_row_dots(*kn, a, w, lo, hi, z.data());
+        for (std::size_t i = lo; i < hi; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(z[i - lo]),
+                    std::bit_cast<std::uint64_t>(
+                        ExampleView::dense(a.row(i)).dot(w)))
+              << kernel::to_string(kn->variant) << ", " << rows
+              << " rows, row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseExampleBlocks, DeterministicGemvIsExampleViewDot) {
+  // The forward gemv at det=on takes its margins from the example
+  // blocks; 5,000 rows run on two tasks.
+  Rng rng(40);
+  for (const std::size_t rows : {1u, 17u, 1452u, 5000u}) {
+    const DenseMatrix a = random_dense(rows, 54, rng);
+    const auto w = random_vec(54, rng);
+    std::vector<real_t> ref(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      ref[i] = static_cast<real_t>(ExampleView::dense(a.row(i)).dot(w));
+    }
+    for (const std::size_t workers : {0u, 1u, 3u}) {
+      const auto pool = make_pool(workers);
+      CpuBackend be = pooled_backend(*pool);
+      CostBreakdown cost;
+      be.set_sink(&cost);
+      std::vector<real_t> y(rows);
+      be.gemv(a, w, y, /*transpose=*/false);
+      EXPECT_EQ(testing_ref::bits(y), testing_ref::bits(ref))
+          << rows << " rows, " << workers << " workers";
+    }
+  }
+}
+
+TEST(DenseExampleBlocks, ConcurrentFirstRequestsShareOneLayout) {
+  // Lazily built on first use: two threads racing for it must both get
+  // the one fully built layout (the TSan lane runs this case).
+  Rng rng(41);
+  const DenseMatrix a = random_dense(300, 54, rng);
+  const DenseExampleBlocks* seen[2] = {nullptr, nullptr};
+  real_t last[2] = {0, 0};
+  const auto request = [&](int t) {
+    seen[t] = &a.example_blocks(16);
+    last[t] = seen[t]->block(18)[53 * 16 + 11];  // row 299, feature 53
+  };
+  std::thread t0(request, 0);
+  std::thread t1(request, 1);
+  t0.join();
+  t1.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(last[0], a.at(299, 53));
+  EXPECT_EQ(last[1], a.at(299, 53));
+}
+
+TEST(DenseExampleBlocks, CopiesAndWritesDropTheLayout) {
+  Rng rng(42);
+  const DenseMatrix a = random_dense(20, 3, rng);
+  DenseMatrix b = random_dense(20, 3, rng);
+  const auto block0 = [](const DenseMatrix& m) {
+    const DenseExampleBlocks& eb = m.example_blocks(8);
+    return std::vector<real_t>(eb.block(0), eb.block(0) + 8 * 3);
+  };
+  const std::vector<real_t> a0 = block0(a);
+  ASSERT_NE(block0(b), a0);
+  b = a;  // copy-assigning drops b's layout of its old rows
+  EXPECT_EQ(block0(b), a0);
+  EXPECT_NE(&b.example_blocks(8), &a.example_blocks(8));
+  const DenseMatrix c(a);  // a copy starts without one
+  EXPECT_NE(&c.example_blocks(8), &a.example_blocks(8));
+  EXPECT_EQ(block0(c), a0);
+  b.at(0, 0) = real_t(42);  // a write drops it too
+  EXPECT_EQ(b.example_blocks(8).block(0)[0], real_t(42));
+  b.fill(real_t(3));
+  EXPECT_EQ(b.example_blocks(8).block(0)[8 + 1], real_t(3));
+}
+
+TEST(DenseExampleBlocks, ConcurrentWritersDropTheLayout) {
+  // Pool workers writing disjoint rows of a matrix with a cached layout
+  // all drop it at once (the TSan lane runs this case).
+  DenseMatrix b(64, 3);
+  ASSERT_EQ(b.example_blocks(8).block(7)[7], real_t(0));
+  ThreadPool pool(3);
+  pool.parallel_for(64, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) b.row(r)[0] = real_t(r);
+  });
+  for (std::size_t r = 0; r < 64; ++r) {
+    EXPECT_EQ(b.example_blocks(8).block(r / 8)[r % 8], real_t(r));
+  }
 }
 
 TEST(CpuBackendDeterminism, GemmBlockedBitIdenticalToNaive) {

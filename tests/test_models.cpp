@@ -242,6 +242,47 @@ std::unique_ptr<ThreadPool> make_pool(std::size_t workers) {
                       : std::make_unique<ThreadPool>(workers);
 }
 
+TEST(LinearModel, DenseExampleLossesAreExampleLoss) {
+  // Dense rows take their margins examples in lanes; every loss, and so
+  // dataset_loss on any pool, is example_loss's bit for bit. The pooled
+  // loss runs first, so its workers race for the first build of the
+  // matrix's example blocks (the TSan lane runs this case).
+  Rng rng(44);
+  for (const std::size_t rows : {1u, 15u, 17u, 1452u}) {
+    DenseMatrix x(rows, 54);
+    for (auto& v : x.data()) v = static_cast<real_t>(rng.normal());
+    std::vector<real_t> y(rows);
+    for (auto& v : y) v = rng.bernoulli(0.5) ? real_t(1) : real_t(-1);
+    TrainData data;
+    data.dense = &x;
+    data.y = y;
+    const LogisticRegression lr(54);
+    const LinearSvm svm(54);
+    for (const LinearModel* m : {static_cast<const LinearModel*>(&lr),
+                                 static_cast<const LinearModel*>(&svm)}) {
+      const std::vector<real_t> w = m->init_params(5);
+      std::vector<double> ref(rows);
+      double serial = 0;
+      for (std::size_t i = 0; i < rows; ++i) {
+        ref[i] = m->example_loss(ExampleView::dense(x.row(i)), y[i], w);
+        serial += ref[i];
+      }
+      for (const std::size_t workers : {3u, 0u}) {
+        const auto pool = workers == 0
+                              ? std::make_unique<ThreadPool>(
+                                    ThreadPool::NoWorkers{})
+                              : std::make_unique<ThreadPool>(workers);
+        EXPECT_EQ(m->dataset_loss(data, w, true, pool.get()), serial)
+            << m->name() << ", " << rows << " rows, " << workers
+            << " workers";
+      }
+      std::vector<double> out(rows);
+      m->example_losses(data, 0, rows, true, w, out.data());
+      EXPECT_TRUE(out == ref) << m->name() << ", " << rows << " rows";
+    }
+  }
+}
+
 TEST(SparseSyncEpoch, BitIdenticalToScatterFormOverManyEpochs) {
   // 100 / 200 / 600 rows give 1 / 3 / 8 reduction chunks. SVM reaches
   // margins >= 1 within a few epochs, so its zero-coefficient rows are
@@ -287,16 +328,25 @@ TEST(SparseSyncEpoch, BitIdenticalToScatterFormOverManyEpochs) {
                                    " workers" +
                                    (carried ? ", carried" : "");
           for (int e = 0; e < 60; ++e) {
-            const double loss = m->sync_epoch(
-                be, data, false, real_t(2.0), w,
-                carried ? &carry : nullptr, pool.get());
-            // A carried epoch returns the carried loss, dataset_loss's
-            // double-margin sum, not the coefficient kernel's.
             if (!carried) {
-              ASSERT_EQ(loss, ref_losses[static_cast<std::size_t>(e)])
+              ASSERT_EQ(m->sync_epoch(be, data, false, real_t(2.0), w),
+                        ref_losses[static_cast<std::size_t>(e)])
                   << what << ", epoch " << e;
+              continue;
             }
+            // A carried epoch leaves the loss of the updated w in the
+            // carry: dataset_loss's double-margin sum. w lags w_J over
+            // J, so the loss is taken on a settled copy and the next
+            // epoch still runs from the lagging w.
+            m->sync_epoch(be, data, false, real_t(2.0), w, &carry,
+                          pool.get());
+            std::vector<real_t> now = w;
+            EpochCarry view = carry;
+            view.settle(now);
+            ASSERT_EQ(carry.loss, m->dataset_loss(data, now, false))
+                << what << ", epoch " << e;
           }
+          carry.settle(w);
           EXPECT_EQ(testing_ref::bits(w), testing_ref::bits(w_ref)) << what;
           for (std::size_t j = 0; j < w.size(); j += 3) {
             EXPECT_EQ(std::bit_cast<std::uint32_t>(w[j]),
