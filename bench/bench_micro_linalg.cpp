@@ -7,14 +7,12 @@
 // scalar reference (src/kernel/, DESIGN.md §14). Besides the interactive
 // google-benchmark mode, `--calibration-report[=<dir>]` runs a standalone
 // best-of-trials measurement of the same kernels and emits
-// BENCH_micro_linalg_kernels.json, whose measured GEMM-micro-tile speedup
-// feeds calibrated_cpu_kernel_efficiency (hwmodel/calibration.hpp).
+// BENCH_micro_linalg_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,7 +20,6 @@
 #include "common/rng.hpp"
 #include "data/generator.hpp"
 #include "gpusim/device.hpp"
-#include "hwmodel/calibration.hpp"
 #include "kernel/kernels.hpp"
 #include "linalg/cpu_backend.hpp"
 #include "linalg/gpu_backend.hpp"
@@ -30,7 +27,6 @@
 #include "parallel/thread_pool.hpp"
 #include "report/report.hpp"
 #include "sgd/step_path.hpp"
-#include "sgd/sync_engine.hpp"
 
 namespace parsgd::linalg {
 namespace {
@@ -742,8 +738,7 @@ BENCHMARK(BM_GpuSimGemmAnalytic)->Arg(512);
 // ---- calibration report ----
 // Standalone (non-google-benchmark) best-of-trials measurement of the
 // dispatch table vs the scalar reference, emitted as a RunReport so the
-// measured speedups are diffable (parsgd_compare) and the GEMM micro-tile
-// ratio can feed calibrated_cpu_kernel_efficiency.
+// measured speedups are diffable (parsgd_compare).
 
 /// Best-of-`trials` mean seconds per call of `fn` over `reps` calls.
 template <class Fn>
@@ -842,7 +837,6 @@ int run_calibration_report(const std::string& dir) {
   report::RunReport rep("micro_linalg_kernels");
   std::printf("SIMD microkernel calibration (%s)\n",
               rep.build.kernel_dispatch.c_str());
-  double gemm_best_speedup = 1.0;
   for (const KernelTimings& t : timings) {
     report::Entry e;
     e.label = std::string("kernel/") + t.name;
@@ -859,9 +853,6 @@ int run_calibration_report(const std::string& dir) {
     }
     const double best_speedup = t.scalar_secs / best;
     e.extras.emplace_back("best_speedup", best_speedup);
-    if (std::strcmp(t.name, "gemm_tile") == 0) {
-      gemm_best_speedup = best_speedup;
-    }
     std::printf("  %-12s scalar %8.1f ns  best %5.2fx", t.name,
                 t.scalar_secs * 1e9, best_speedup);
     if (t.avx2_secs > 0) {
@@ -874,24 +865,6 @@ int run_calibration_report(const std::string& dir) {
     std::printf("\n");
     rep.add_entry(std::move(e));
   }
-
-  // Feedback into the cost model: the GEMM micro-tile carries the dense
-  // epochs, so its measured speedup is the fraction of the ViennaCL
-  // inefficiency the dispatched kernels recover.
-  const double baseline = SyncCalibration{}.cpu_kernel_efficiency;
-  report::Entry cal;
-  cal.label = "calibration/cpu_kernel_efficiency";
-  cal.extras.emplace_back("baseline", baseline);
-  cal.extras.emplace_back("gemm_tile_speedup", gemm_best_speedup);
-  cal.extras.emplace_back(
-      "calibrated",
-      calibrated_cpu_kernel_efficiency(baseline, gemm_best_speedup));
-  std::printf("  cpu_kernel_efficiency: baseline %.3f -> calibrated %.3f "
-              "(gemm_tile %0.2fx)\n",
-              baseline, calibrated_cpu_kernel_efficiency(baseline,
-                                                         gemm_best_speedup),
-              gemm_best_speedup);
-  rep.add_entry(std::move(cal));
 
   // Step-path scheduling overhead: one mini-batch epoch on the dataflow
   // task graph, diffable across commits like the kernel speedups above.

@@ -23,6 +23,11 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 # divergence between the two runs is a kernel-equivalence bug.
 PARSGD_FORCE_SCALAR=1 \
     ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
+# The example-block layouts (the MLP driver's blocks, the dense margins)
+# are cut per lane count. An AVX-512 host runs lanes = 16 above and
+# lanes = 1 forced scalar; pin AVX2 once to cover lanes = 8 there too.
+PARSGD_KERNEL_VARIANT=avx2 "$BUILD_DIR/tests/test_models"
+PARSGD_KERNEL_VARIANT=avx2 "$BUILD_DIR/tests/test_linalg"
 
 # Resilience lane (DESIGN.md §11): the two recovery paths end to end
 # through the CLI at tier-1 speed. Dense covtype LR at alpha = 1000
@@ -104,9 +109,10 @@ rm -rf "$obs_tmp"
 # run: corrupt files through every count and payload read. The report suite joins it
 # for the report reader's seeded mutation run: forged and corrupt JSON
 # through the parser and every checked integer conversion. The model
-# suite joins both lanes for the blocked MLP driver: its block tails and
-# strided row pointers run here, and its loss blocks run on pool workers
-# with thread-local scratch under TSan. The study suite joins both lanes:
+# suite joins both lanes for the blocked MLP driver: its block tails,
+# strided row pointers and reads of a dense matrix's cached example
+# blocks run here, and its loss blocks run on pool workers with
+# thread-local scratch under TSan. The study suite joins both lanes:
 # a Study runs a group's async step searches as one concurrent batch over
 # shared group state, the GPU Hogwild warp replay memo among it.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
@@ -139,8 +145,9 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 # runs at once over one shared Model/TrainData, each on a private
 # executor with its metric log. The model suite joins it for the MLP
 # loss pass, whose blocks run on pool workers with thread-local scratch,
-# and for the linear dense loss pass, whose pool workers may all request
-# a dense matrix's example blocks before the first build is done.
+# and for the MLP and linear dense loss passes, whose pool workers may
+# all request a dense matrix's example blocks before the first build is
+# done.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
@@ -163,7 +170,8 @@ trap 'rm -rf "$tmp"' EXIT
 "$BUILD_DIR/examples/parsgd_compare" \
     "$tmp/BENCH_fig5_hwspec.json" "$tmp/BENCH_fig5_hwspec.json" \
     --require-same-sha
-echo "check.sh: tier-1 (simd + scalar) + resilience lane (watchdog" \
+echo "check.sh: tier-1 (simd + scalar) + avx2 models/linalg" \
+     "+ resilience lane (watchdog" \
      "loss-spike rollback, stop/resume round trip)" \
      "+ observability lane (overhead gate, --attribute)" \
      "+ ASan linalg/kernels/graph/attribution/telemetry" \

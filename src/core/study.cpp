@@ -32,7 +32,7 @@ bool Study::use_dense(Task task, const Dataset& ds) {
 struct Study::Group {
   Task task;
   std::string name;
-  const Dataset* data = nullptr;          ///< LR/SVM: base set
+  const Dataset* data = nullptr;  ///< LR/SVM: base set; MLP: mlp_data
   std::unique_ptr<Dataset> mlp_data;      ///< MLP: grouped view
   std::unique_ptr<Model> model;
   std::vector<real_t> w0;
@@ -51,25 +51,20 @@ struct Study::Group {
   std::map<Arch, StepSearchResult> async_runs;
   std::optional<double> optimum;
 
-  const Dataset& dataset() const { return mlp_data ? *mlp_data : *data; }
+  const Dataset& dataset() const { return *data; }
 };
 
 Study::Study(const StudyOptions& opts) : opts_(opts) {}
 Study::~Study() = default;
 
 const Dataset& Study::base_dataset(const std::string& name) {
-  return base_dataset(name, opts_.scale);
-}
-
-const Dataset& Study::base_dataset(const std::string& name, double scale) {
-  const std::string key = name + "@" + std::to_string(scale);
-  auto it = base_.find(key);
+  auto it = base_.find(name);
   if (it == base_.end()) {
     GeneratorOptions g;
     g.seed = opts_.seed;
-    g.scale = scale;
+    g.scale = opts_.scale;
     auto ds = std::make_unique<Dataset>(generate_dataset(name, g));
-    it = base_.emplace(key, std::move(ds)).first;
+    it = base_.emplace(name, std::move(ds)).first;
   }
   return *it->second;
 }
@@ -82,9 +77,6 @@ Study::Group& Study::group(Task task, const std::string& name) {
   auto g = std::make_unique<Group>();
   g->task = task;
   g->name = name;
-  double data_scale = task == Task::kMlp
-                          ? opts_.scale * opts_.mlp_extra_scale
-                          : opts_.scale;
   if (task == Task::kMlp) {
     // Keep at least ~2k examples: below that the 3k-parameter MLPs
     // memorize the training set to near-zero loss, which no paper-scale
@@ -92,12 +84,17 @@ Study::Group& Study::group(Task task, const std::string& name) {
     // thresholds degenerate.
     const double paper_n = static_cast<double>(
         profile_by_name(name).paper_n());
-    data_scale = std::min(data_scale, std::max(1.0, paper_n / 2048.0));
-  }
-  g->data = &base_dataset(name, data_scale);
-
-  if (task == Task::kMlp) {
-    g->mlp_data = std::make_unique<Dataset>(make_mlp_dataset(*g->data));
+    // The grouped view densifies its own matrix, so the base skips its
+    // dense copy (171 MB for real-sim's 2,048 x 20,958 base) and lives
+    // only while the view is built.
+    GeneratorOptions gen;
+    gen.seed = opts_.seed;
+    gen.scale = std::min(opts_.scale * opts_.mlp_extra_scale,
+                         std::max(1.0, paper_n / 2048.0));
+    gen.dense_budget_bytes = 0;
+    g->mlp_data = std::make_unique<Dataset>(
+        make_mlp_dataset(generate_dataset(name, gen)));
+    g->data = g->mlp_data.get();
     g->model = std::make_unique<Mlp>(g->data->profile.mlp_architecture());
     // Mini-batch for the scaled run: at least 64 examples so per-update
     // gradient noise stays in the same regime as the paper's B=512; the
@@ -105,7 +102,6 @@ Study::Group& Study::group(Task task, const std::string& name) {
     // the paper's in-flight *fraction* of an epoch
     // (56 workers x 512 / N_paper).
     const double n_scaled = static_cast<double>(g->data->n());
-    const double paper_n = static_cast<double>(g->data->profile.paper_n());
     g->hog_batch = std::max<std::size_t>(
         64, static_cast<std::size_t>(
                 n_scaled * static_cast<double>(opts_.hogbatch_paper_batch) /
@@ -123,6 +119,7 @@ Study::Group& Study::group(Task task, const std::string& name) {
                    static_cast<double>(g->hog_batch) +
                0.5));
   } else {
+    g->data = &base_dataset(name);
     const std::size_t d = g->data->d();
     if (task == Task::kLr) {
       g->model = std::make_unique<LogisticRegression>(d);

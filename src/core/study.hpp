@@ -119,11 +119,11 @@ class Study {
  private:
   struct Group;
   Group& group(Task task, const std::string& name);
+  /// The LR/SVM base set of `name` at opts_.scale, generated once.
   const Dataset& base_dataset(const std::string& name);
-  const Dataset& base_dataset(const std::string& name, double scale);
 
   StudyOptions opts_;
-  std::map<std::string, std::unique_ptr<Dataset>> base_;
+  std::map<std::string, std::unique_ptr<Dataset>> base_;  ///< by name
   std::map<std::string, std::unique_ptr<Group>> groups_;
 };
 

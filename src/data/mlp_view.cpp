@@ -46,15 +46,11 @@ Dataset make_mlp_dataset(const Dataset& base) {
   Dataset out;
   out.profile = base.profile;
   out.y = base.y;
-  if (groups == base.d()) {
-    // Already at the MLP input width (covtype, w8a): keep features as-is.
-    out.x = base.x;
-    out.x_dense = base.x_dense;
-    if (!out.x_dense) out.x_dense = base.x.to_dense();
-  } else {
-    out.x = normalize_rows(group_features_sparse(base.x, groups));
-    out.x_dense = out.x.to_dense();
-  }
+  // Already at the MLP input width (covtype, w8a): keep features as-is.
+  out.x = groups == base.d()
+              ? base.x
+              : normalize_rows(group_features_sparse(base.x, groups));
+  out.x_dense = out.x.to_dense();
   return out;
 }
 

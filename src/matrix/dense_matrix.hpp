@@ -15,7 +15,7 @@
 namespace parsgd {
 
 /// Feature-major example blocks of a dense matrix: the examples-in-lanes
-/// layout the MLP's input layer stages for each block, and the `xt`
+/// layout the MLP's input layer reads for each block, and the `xt`
 /// operand of kernel::Kernels::block_gemm. Block k holds rows
 /// [k * lanes, k * lanes + lanes) as a cols x lanes array: feature p of
 /// row k * lanes + b sits at block(k)[p * lanes + b]. Lanes past the last

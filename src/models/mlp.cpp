@@ -72,7 +72,7 @@ namespace {
 /// j * lanes + b.
 struct BlockScratch {
   std::vector<real_t> rows;  ///< [lanes][d] sparse rows folded dense
-  std::vector<real_t> xt;    ///< [d][lanes] the block, feature-major
+  std::vector<real_t> xt;    ///< [d][lanes] a staged block, feature-major
   std::vector<std::vector<double>> acts;  ///< acts[k]: [s_k][lanes], k >= 1
   std::vector<double> delta, next;        ///< [s_k][lanes]
   std::vector<double> grad;   ///< dim() entries: one batch's gradient
@@ -87,7 +87,30 @@ struct Block {
   std::size_t ldx;
   std::size_t nb;
   const real_t* y;
+  /// The block feature-major from the matrix's cached example blocks,
+  /// or null: run_block stages it.
+  const real_t* xt;
 };
+
+/// The cached example blocks the driver reads `data`'s dense rows from,
+/// or null where it stages every block: sparse rows, or one lane (a row
+/// is its own block). Looked up once per driver call, since the lookup
+/// locks a mutex.
+const DenseExampleBlocks* cached_blocks(const TrainData& data,
+                                        bool prefer_dense,
+                                        std::size_t lanes) {
+  return prefer_dense && data.has_dense() && lanes > 1
+             ? &data.dense->example_blocks(lanes)
+             : nullptr;
+}
+
+/// Length of the block at example i of a range that ends at `end`. Over
+/// cached example blocks a block ends at the next lane boundary, so an
+/// unaligned range pays one short staged block and then reads the cache.
+std::size_t block_len(std::size_t i, std::size_t end, std::size_t lanes,
+                      const DenseExampleBlocks* eb) {
+  return std::min(lanes - (eb != nullptr ? i % lanes : 0), end - i);
+}
 
 /// Folds sparse rows into the dense [nb][d] block buffer (CSR columns
 /// are distinct, so each nonzero lands in its own slot).
@@ -105,28 +128,35 @@ const real_t* fold_rows(std::size_t nb, std::size_t d, RowOf&& row_of) {
 }
 
 Block stage(const TrainData& data, std::size_t i, std::size_t nb,
-            bool prefer_dense) {
+            bool prefer_dense, const DenseExampleBlocks* eb) {
   const std::size_t d = data.d();
   const real_t* y = data.y.data() + i;
   if (prefer_dense && data.has_dense()) {
-    return {data.dense->row(i).data(), d, nb, y};
+    // A cached block holds rows [i, i + lanes) from an aligned i, zero
+    // past the last row: it is this block when it is full or ends there.
+    const bool cached =
+        eb != nullptr && i % eb->lanes == 0 &&
+        (nb == eb->lanes || i + nb == data.dense->rows());
+    return {data.dense->row(i).data(), d, nb, y,
+            cached ? eb->block(i / eb->lanes) : nullptr};
   }
   const real_t* rows =
       fold_rows(nb, d, [&](std::size_t b) { return data.sparse->row(i + b); });
-  return {rows, d, nb, y};
+  return {rows, d, nb, y, nullptr};
 }
 
 Block stage(const ExampleView& x, std::size_t d, const real_t& y) {
   if (x.is_dense()) {
     PARSGD_CHECK(x.dense_features().size() == d,
                  "input width " << x.dense_features().size() << " != " << d);
-    return {x.dense_features().data(), d, 1, &y};
+    return {x.dense_features().data(), d, 1, &y, nullptr};
   }
   // CSR rows are sorted: the last index is the widest.
   const SparseRowView& r = x.sparse_features();
   PARSGD_CHECK(r.nnz() == 0 || r.idx.back() < d,
                "feature " << r.idx.back() << " past input width " << d);
-  return {fold_rows(1, d, [&](std::size_t) { return r; }), d, 1, &y};
+  return {fold_rows(1, d, [&](std::size_t) { return r; }), d, 1, &y,
+          nullptr};
 }
 
 /// z[j][b] += bias[j], then the hidden activation, for lanes b < nb.
@@ -160,10 +190,11 @@ void run_block(const Mlp& m, const kernel::Kernels& kn, const Block& blk,
   const std::size_t L = m.num_layers(), lanes = kn.lanes, nb = blk.nb;
   const std::size_t d = sizes[0];
 
-  // Forward. The input layer is one block GEMM over the block staged
-  // feature-major, zero past lane nb (one lane is the row itself).
-  const real_t* xt = blk.x;
-  if (lanes > 1) {
+  // Forward. The input layer is one block GEMM over the block
+  // feature-major, zero past lane nb: cached, or staged here (one lane
+  // is the row itself).
+  const real_t* xt = blk.xt != nullptr ? blk.xt : blk.x;
+  if (lanes > 1 && blk.xt == nullptr) {
     s.xt.resize(d * lanes);
     if (nb < lanes) std::fill(s.xt.begin(), s.xt.end(), real_t(0));
     for (std::size_t b = 0; b < nb; ++b) {
@@ -253,22 +284,23 @@ void run_block(const Mlp& m, const kernel::Kernels& kn, const Block& blk,
   }
 }
 
-/// One gradient step over n examples staged block by block:
-/// w_write -= scale * (summed gradient at w_read). The input layer's
-/// weight gradient accumulates in grad0 and is copied into the gradient
-/// once per step.
+/// One gradient step over examples [begin, end) staged block by block
+/// (blocks cut by block_len over `eb`): w_write -= scale * (summed
+/// gradient at w_read). The input layer's weight gradient accumulates in
+/// grad0 and is copied into the gradient once per step.
 template <class StageBlock>
-void step_blocks(const Mlp& m, std::size_t n, StageBlock&& stage_block,
-                 double scale, std::span<const real_t> w_read,
-                 std::span<real_t> w_write) {
-  const kernel::Kernels& kn = kernel::active_kernels();
+void step_blocks(const Mlp& m, const kernel::Kernels& kn, std::size_t begin,
+                 std::size_t end, const DenseExampleBlocks* eb,
+                 StageBlock&& stage_block, double scale,
+                 std::span<const real_t> w_read, std::span<real_t> w_write) {
   BlockScratch& s = tls_scratch;
   const std::size_t d = m.layers()[0], out = m.layers()[1];
   s.grad.assign(m.dim(), 0.0);
   s.grad0.assign(out * d, 0.0);
-  for (std::size_t i = 0; i < n; i += kn.lanes) {
-    run_block(m, kn, stage_block(i, std::min(kn.lanes, n - i)), w_read,
-              nullptr, s.grad.data(), s.grad0.data());
+  for (std::size_t i = begin, nb; i < end; i += nb) {
+    nb = block_len(i, end, kn.lanes, eb);
+    run_block(m, kn, stage_block(i, nb), w_read, nullptr, s.grad.data(),
+              s.grad0.data());
   }
   double* g = s.grad.data() + m.weight_offset(0);
   for (std::size_t p = 0; p < d; ++p) {
@@ -296,9 +328,10 @@ void Mlp::example_losses(const TrainData& data, std::size_t begin,
                          std::span<const real_t> w, double* out) const {
   check_width(*this, data.d());
   const kernel::Kernels& kn = kernel::active_kernels();
-  for (std::size_t i = begin; i < end; i += kn.lanes) {
-    const std::size_t nb = std::min(kn.lanes, end - i);
-    run_block(*this, kn, stage(data, i, nb, prefer_dense), w,
+  const DenseExampleBlocks* eb = cached_blocks(data, prefer_dense, kn.lanes);
+  for (std::size_t i = begin, nb; i < end; i += nb) {
+    nb = block_len(i, end, kn.lanes, eb);
+    run_block(*this, kn, stage(data, i, nb, prefer_dense, eb), w,
               out + (i - begin), nullptr, nullptr);
   }
 }
@@ -308,8 +341,9 @@ void Mlp::example_step(const ExampleView& x, real_t y, real_t alpha,
                        std::span<real_t> w_write,
                        std::vector<index_t>* touched) const {
   const Block blk = stage(x, sizes_[0], y);
-  step_blocks(*this, 1, [&](std::size_t, std::size_t) { return blk; }, alpha,
-              w_read, w_write);
+  step_blocks(
+      *this, kernel::active_kernels(), 0, 1, nullptr,
+      [&](std::size_t, std::size_t) { return blk; }, alpha, w_read, w_write);
   if (touched != nullptr) touched->clear();  // dense update: "all"
 }
 
@@ -318,10 +352,12 @@ void Mlp::batch_step(const TrainData& data, std::size_t begin,
                      std::span<const real_t> w_read,
                      std::span<real_t> w_write) const {
   check_width(*this, data.d());
+  const kernel::Kernels& kn = kernel::active_kernels();
+  const DenseExampleBlocks* eb = cached_blocks(data, prefer_dense, kn.lanes);
   step_blocks(
-      *this, end - begin,
+      *this, kn, begin, end, eb,
       [&](std::size_t i, std::size_t nb) {
-        return stage(data, begin + i, nb, prefer_dense);
+        return stage(data, i, nb, prefer_dense, eb);
       },
       alpha / static_cast<double>(end - begin), w_read, w_write);
 }

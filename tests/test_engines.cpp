@@ -544,6 +544,30 @@ TEST(AsyncGpuEngine, MlpUsesHogbatch) {
   EXPECT_LT(r.losses.back(), r.initial_loss);
 }
 
+TEST(AsyncGpuEngine, MlpHogbatchTrajectoryIsOneWorkerCpuHogbatch) {
+  // GpuHogbatch runs its kernels one at a time, and one-worker AsyncSim
+  // runs in place: both draw one shuffle of the batches per epoch and
+  // take the same batch_step on each, so their loss series are the same
+  // bits (the Study's async MLP gpu and cpu-seq cells search one
+  // trajectory twice). The cpu-seq spec carries the Study's delay, which
+  // a single worker ignores.
+  const Dataset mlp_ds = make_mlp_dataset(
+      generate_dataset("w8a", GeneratorOptions{.seed = 5, .scale = 100}));
+  const Mlp mlp(mlp_ds.profile.mlp_architecture());
+  const EngineContext ctx = make_engine_context(mlp_ds, mlp, Layout::kDense);
+  TrainOptions t;
+  t.max_epochs = 3;
+  t.prefer_dense = true;
+  const std::vector<real_t> w0 = mlp.init_params(5);
+  const auto losses = [&](const char* spec) {
+    const std::unique_ptr<Engine> e = make_engine(parse_spec(spec), ctx);
+    return run_training(*e, mlp, ctx.data, w0, real_t(0.5), t).losses;
+  };
+  const std::vector<double> gpu = losses("async/gpu/dense:batch=70");
+  EXPECT_EQ(gpu.size(), 3u);
+  EXPECT_EQ(losses("async/cpu-seq/dense:batch=70,delay=3"), gpu);
+}
+
 // ---- convergence & step size ----
 
 /// The modeled outputs of two epochs of an async gpu engine made from

@@ -25,7 +25,6 @@
 
 #include "common/rng.hpp"
 #include "data/generator.hpp"
-#include "hwmodel/calibration.hpp"
 #include "kernel/kernels.hpp"
 #include "linalg/cpu_backend.hpp"
 #include "models/linear.hpp"
@@ -438,17 +437,6 @@ TEST(KernelDeterminism, SpecDetKeyRoundTrips) {
   // det=on is the default — the canonical string omits it.
   EXPECT_EQ(format_spec(on), "sync/cpu-par/dense");
   EXPECT_FALSE(try_parse_spec("sync/cpu-par/dense:det=maybe").has_value());
-}
-
-TEST(Calibration, KernelEfficiencyClamped) {
-  // Measured speedup scales the ViennaCL-fit baseline...
-  EXPECT_DOUBLE_EQ(calibrated_cpu_kernel_efficiency(0.12, 4.0), 0.48);
-  // ...never below the calibrated floor...
-  EXPECT_DOUBLE_EQ(calibrated_cpu_kernel_efficiency(0.12, 0.5), 0.12);
-  EXPECT_DOUBLE_EQ(calibrated_cpu_kernel_efficiency(0.12, 1.0), 0.12);
-  // ...and never past the roofline.
-  EXPECT_DOUBLE_EQ(calibrated_cpu_kernel_efficiency(0.12, 50.0), 1.0);
-  EXPECT_DOUBLE_EQ(calibrated_cpu_kernel_efficiency(1.0, 2.0), 1.0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "data/generator.hpp"
+#include "kernel/kernels.hpp"
 #include "linalg/cpu_backend.hpp"
 #include "models/gradcheck.hpp"
 #include "models/linear.hpp"
@@ -513,12 +514,37 @@ std::vector<real_t> random_weights(const Mlp& m, std::uint64_t seed) {
   return w;
 }
 
+/// The rows a case runs on: `data` itself, or with `fresh` a copy of its
+/// dense matrix, which starts without example blocks, so the call under
+/// test builds them. Pins its own address: do not copy.
+struct CaseRows {
+  DenseMatrix copy;
+  TrainData data;
+  CaseRows(const TrainData& d, bool fresh) : data(d) {
+    if (fresh && d.dense != nullptr) {
+      copy = *d.dense;
+      data.dense = &copy;
+    }
+  }
+  CaseRows(const CaseRows&) = delete;
+};
+
 TEST(Mlp, BlockedDriverBitIdenticalToPerExample) {
+  // Dense blocks that start on a lane boundary read the matrix's cached
+  // example blocks; a range that starts off one first runs a short staged
+  // block. Batches and loss ranges start on and off boundaries and cross
+  // two of them, and end mid-block and at the last row (rows is not a
+  // multiple of the lanes for lanes 8 and 16). Each dense case runs once
+  // with the example blocks already built and once on a fresh matrix.
+  const std::size_t lanes = kernel::active_kernels().lanes;
+  const std::vector<std::size_t> starts = {0, 3, lanes, lanes + 5};
+  const std::size_t max_len = std::max<std::size_t>(2 * lanes + 3, 21);
+  const std::size_t rows = starts.back() + max_len;
   const std::vector<std::vector<std::size_t>> shapes = {
       {54, 10, 5, 2}, {300, 10, 5, 2}, {13, 17, 3, 2}, {7, 2}};
-  constexpr std::size_t kBegin = 3;  // batches start mid-matrix
   for (const auto& shape : shapes) {
-    const MlpData ds(kBegin + 19 + 5, shape[0], 101 + shape[0]);
+    const MlpData ds(rows, shape[0], 101 + shape[0]);
+    (void)ds.dense.example_blocks(lanes);
     for (const Activation a :
          {Activation::kSigmoid, Activation::kRelu, Activation::kTanh}) {
       const Mlp mlp(shape, a);
@@ -528,44 +554,67 @@ TEST(Mlp, BlockedDriverBitIdenticalToPerExample) {
         const std::string where = std::to_string(shape[0]) + "-" +
                                   std::to_string(shape[1]) + " " +
                                   to_string(a) + (dense ? " dense" : " sparse");
-        for (std::size_t len = 1; len <= 19; ++len) {
-          std::vector<double> grad(mlp.dim(), 0.0);
-          for (std::size_t i = kBegin; i < kBegin + len; ++i) {
-            reference_backprop(mlp, data.example(i, dense), data.y[i], w0,
-                               &grad);
-          }
-          const real_t alpha = real_t(0.3);
-          const double scale = alpha / static_cast<double>(len);
-          std::vector<real_t> want = w0;
-          for (std::size_t j = 0; j < mlp.dim(); ++j) {
-            if (grad[j] != 0.0) {
-              want[j] -= static_cast<real_t>(scale * grad[j]);
+        std::vector<double> ref_loss(rows);
+        double want_loss = 0;
+        for (std::size_t i = 0; i < rows; ++i) {
+          ref_loss[i] = reference_backprop(mlp, data.example(i, dense),
+                                           data.y[i], w0, nullptr);
+          want_loss += ref_loss[i];
+        }
+        for (const bool fresh : {false, true}) {
+          if (fresh && !dense) continue;
+          const std::string how = where + (fresh ? " fresh" : " built");
+          for (const std::size_t begin : starts) {
+            // The gradient of [begin, begin + len), grown one example at
+            // a time in index order.
+            std::vector<double> grad(mlp.dim(), 0.0);
+            for (std::size_t len = 1; len <= max_len; ++len) {
+              const std::size_t i = begin + len - 1;
+              reference_backprop(mlp, data.example(i, dense), data.y[i], w0,
+                                 &grad);
+              const real_t alpha = real_t(0.3);
+              const double scale = alpha / static_cast<double>(len);
+              std::vector<real_t> want = w0;
+              for (std::size_t j = 0; j < mlp.dim(); ++j) {
+                if (grad[j] != 0.0) {
+                  want[j] -= static_cast<real_t>(scale * grad[j]);
+                }
+              }
+              const CaseRows c(data, fresh);
+              std::vector<real_t> got = w0;
+              mlp.batch_step(c.data, begin, begin + len, dense, alpha, w0,
+                             got);
+              ASSERT_EQ(got, want)
+                  << how << ", batch [" << begin << ", " << begin + len
+                  << ")";
+            }
+            for (const std::size_t end : {begin + max_len / 2, rows}) {
+              const CaseRows c(data, fresh);
+              std::vector<double> out(end - begin);
+              mlp.example_losses(c.data, begin, end, dense, w0, out.data());
+              EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                                     ref_loss.begin() + begin))
+                  << how << ", losses [" << begin << ", " << end << ")";
             }
           }
-          std::vector<real_t> got = w0;
-          mlp.batch_step(data, kBegin, kBegin + len, dense, alpha, w0, got);
-          ASSERT_EQ(got, want) << where << ", batch of " << len;
-        }
-
-        double want_loss = 0;
-        for (std::size_t i = 0; i < data.n(); ++i) {
-          want_loss += reference_backprop(mlp, data.example(i, dense),
-                                          data.y[i], w0, nullptr);
-        }
-        EXPECT_EQ(mlp.dataset_loss(data, w0, dense), want_loss) << where;
-        for (const std::size_t workers : {0u, 1u, 3u}) {
-          const auto pool = make_pool(workers);
-          EXPECT_EQ(mlp.dataset_loss(data, w0, dense, pool.get()), want_loss)
-              << where << ", " << workers << " workers";
+          // Pool chunks start mid-block; on a fresh matrix the workers
+          // race for the first build (the TSan lane runs this case).
+          for (const std::size_t workers : {0u, 1u, 3u}) {
+            const CaseRows c(data, fresh);
+            const auto pool = make_pool(workers);
+            EXPECT_EQ(mlp.dataset_loss(c.data, w0, dense, pool.get()),
+                      want_loss)
+                << how << ", " << workers << " workers";
+          }
+          const CaseRows c(data, fresh);
+          EXPECT_EQ(mlp.dataset_loss(c.data, w0, dense), want_loss) << how;
         }
 
         // Blocks of one: example_loss and example_step.
-        const ExampleView x = data.example(kBegin, dense);
-        EXPECT_EQ(mlp.example_loss(x, data.y[kBegin], w0),
-                  reference_backprop(mlp, x, data.y[kBegin], w0, nullptr))
-            << where;
+        const ExampleView x = data.example(3, dense);
+        EXPECT_EQ(mlp.example_loss(x, data.y[3], w0), ref_loss[3]) << where;
         std::vector<double> grad(mlp.dim(), 0.0);
-        reference_backprop(mlp, x, data.y[kBegin], w0, &grad);
+        reference_backprop(mlp, x, data.y[3], w0, &grad);
         std::vector<real_t> want = w0;
         for (std::size_t j = 0; j < mlp.dim(); ++j) {
           if (grad[j] != 0.0) {
@@ -573,7 +622,7 @@ TEST(Mlp, BlockedDriverBitIdenticalToPerExample) {
           }
         }
         std::vector<real_t> got = w0;
-        mlp.example_step(x, data.y[kBegin], real_t(0.3), w0, got, nullptr);
+        mlp.example_step(x, data.y[3], real_t(0.3), w0, got, nullptr);
         EXPECT_EQ(got, want) << where;
       }
     }
