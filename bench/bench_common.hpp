@@ -79,15 +79,16 @@ inline int bench_main(int argc, char** argv, std::vector<std::string> flags,
 ///   --heartbeat=SECS     live epoch/loss/ETA log lines (0 = off)
 ///   --telemetry=MODE     off|metrics|trace; non-off sessions land in the
 ///                        emitted report's metrics section
-///   --det                pin the order-sensitive SIMD reductions to the
-///                        scalar reference order (benches default det=off:
-///                        they measure the fully vectorized kernels;
-///                        trajectories still converge identically within
-///                        tolerance — only reduction rounding differs)
+///   --det[=BOOL]         pin the order-sensitive SIMD reductions to the
+///                        scalar reference order (default on, as in
+///                        EngineSpec and Study, so a bare run does the
+///                        arithmetic of its stored baseline; --det=false
+///                        runs the fully vectorized reductions, whose
+///                        trajectories differ only in rounding)
 inline StudyOptions study_options_from_cli(const Cli& cli) {
   StudyOptions opts;
   opts.scale = cli.get_double("scale", 200.0);
-  opts.deterministic = cli.get_bool("det", false);
+  opts.deterministic = cli.get_bool("det", true);
   if (cli.get_bool("quick", false)) {
     opts.scale = std::max(opts.scale, 400.0);
     opts.probe_epochs = 5;

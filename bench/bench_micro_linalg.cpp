@@ -300,6 +300,30 @@ std::unique_ptr<ThreadPool> bench_pool(std::int64_t workers) {
                             static_cast<std::size_t>(workers));
 }
 
+// ---- dataset generation ----
+// generate_dataset on news: Arg(0) = 1 at Study's MLP scale (paper N /
+// 2,048 = 9.76: 2,048 x 1,355,191 with about 932k nonzeros, no dense
+// copy), Arg(0) = 0 at 1/400; Arg(1) is the pool's worker count.
+//   ./bench/bench_micro_linalg --benchmark_filter=GenerateDataset
+void BM_GenerateDataset(benchmark::State& state) {
+  const auto pool = bench_pool(state.range(1));
+  GeneratorOptions g{.seed = 42, .scale = 400.0, .pool = pool.get()};
+  if (state.range(0) != 0) {
+    g.scale = static_cast<double>(profile_by_name("news").paper_n()) / 2048.0;
+    g.dense_budget_bytes = 0;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(generate_dataset("news", g));
+  }
+}
+BENCHMARK(BM_GenerateDataset)
+    ->Args({1, 0})
+    ->Args({1, 3})
+    ->Args({0, 0})
+    ->Args({0, 3})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// The gradient update w += a * A^T coef: fused (Arg(1) = 1, writes only
 /// J) or as the two calls it replaces (Arg(1) = 0: spmv^T into a d-vector,
 /// then a d-length axpy).

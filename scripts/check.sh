@@ -114,7 +114,10 @@ rm -rf "$obs_tmp"
 # blocks run here, and its loss blocks run on pool workers with
 # thread-local scratch under TSan. The study suite joins both lanes:
 # a Study runs a group's async step searches as one concurrent batch over
-# shared group state, the GPU Hogwild warp replay memo among it.
+# shared group state, the GPU Hogwild warp replay memo among it. The data,
+# CSR and transform suites join both lanes: the generator and the MLP
+# view sort, fill and label rows of shared arrays on pool workers, and
+# adopt the arrays through the validating CsrMatrix constructor.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
@@ -122,7 +125,8 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
     --target test_asyncsim --target test_gpusim \
     --target test_linalg --target test_engine_spec --target test_io \
     --target test_engines --target test_resilience --target test_report \
-    --target test_models --target test_study
+    --target test_models --target test_study \
+    --target test_data --target test_csr_matrix --target test_transform
 "$ASAN_BUILD_DIR/tests/test_linalg"
 "$ASAN_BUILD_DIR/tests/test_engine_spec"
 "$ASAN_BUILD_DIR/tests/test_io"
@@ -137,6 +141,9 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 "$ASAN_BUILD_DIR/tests/test_gpusim"
 "$ASAN_BUILD_DIR/tests/test_models"
 "$ASAN_BUILD_DIR/tests/test_study"
+"$ASAN_BUILD_DIR/tests/test_data"
+"$ASAN_BUILD_DIR/tests/test_csr_matrix"
+"$ASAN_BUILD_DIR/tests/test_transform"
 
 # The executor's concurrency (work-stealing deques, park/wake protocol,
 # atomic in-degree release) under ThreadSanitizer, plus the resilience
@@ -147,13 +154,16 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_grap
 # loss pass, whose blocks run on pool workers with thread-local scratch,
 # and for the MLP and linear dense loss passes, whose pool workers may
 # all request a dense matrix's example blocks before the first build is
-# done.
+# done. The data suite joins it for the generator's and the MLP view's
+# row passes on pools of 1 and 3 workers (with the CSR and transform
+# suites they build on).
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
     --target test_resilience \
     --target test_attribution --target test_telemetry --target test_engines \
-    --target test_linalg --target test_models --target test_study
+    --target test_linalg --target test_models --target test_study \
+    --target test_data --target test_csr_matrix --target test_transform
 "$TSAN_BUILD_DIR/tests/test_linalg"
 "$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
@@ -163,6 +173,9 @@ cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread
 "$TSAN_BUILD_DIR/tests/test_engines"
 "$TSAN_BUILD_DIR/tests/test_models"
 "$TSAN_BUILD_DIR/tests/test_study"
+"$TSAN_BUILD_DIR/tests/test_data"
+"$TSAN_BUILD_DIR/tests/test_csr_matrix"
+"$TSAN_BUILD_DIR/tests/test_transform"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -176,7 +189,7 @@ echo "check.sh: tier-1 (simd + scalar) + avx2 models/linalg" \
      "+ observability lane (overhead gate, --attribute)" \
      "+ ASan linalg/kernels/graph/attribution/telemetry" \
      "/asyncsim/gpusim/engine-spec/io/engines/resilience/report" \
-     "/models/study" \
+     "/models/study/data/csr/transform" \
      "+ TSan linalg/graph/pool/resilience/attribution/telemetry/engines" \
-     "/models/study" \
+     "/models/study/data/csr/transform" \
      "+ regression smoke OK"

@@ -13,32 +13,9 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -54,21 +31,41 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
-double Rng::normal() {
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_;
-  }
-  double u, v, s;
+double Rng::polar_pair(double& u, double& v) {
+  double s;
   do {
     u = uniform(-1.0, 1.0);
     v = uniform(-1.0, 1.0);
     s = u * u + v * v;
   } while (s >= 1.0 || s == 0.0);
+  return s;
+}
+
+double Rng::normal() {
+  if (has_spare_) {
+    has_spare_ = false;
+    return spare_;
+  }
+  double u, v;
+  const double s = polar_pair(u, v);
   const double mul = std::sqrt(-2.0 * std::log(s) / s);
   spare_ = v * mul;
   has_spare_ = true;
   return u * mul;
+}
+
+void Rng::skip_normals(std::size_t k) {
+  if (k > 0 && has_spare_) {
+    has_spare_ = false;
+    --k;
+  }
+  // Skipping a pair needs only its acceptance, not its values.
+  double u, v;
+  for (; k > 2; k -= 2) polar_pair(u, v);
+  // The last pair is drawn, so its second value is left in spare_ as
+  // drawing leaves it (whether or not it is still pending).
+  if (k > 0) normal();
+  if (k == 2) normal();
 }
 
 double Rng::normal(double mean, double stddev) {

@@ -6,6 +6,7 @@
 // Blackman & Vigna.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,10 +36,20 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of the next output.
+  double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n). Requires n > 0.
@@ -47,6 +58,9 @@ class Rng {
   double normal();
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
+  /// Advances the generator exactly as k calls of normal() would, without
+  /// computing the values it skips.
+  void skip_normals(std::size_t k);
   /// True with probability p.
   bool bernoulli(double p);
   /// Fisher–Yates shuffle of an index vector.
@@ -62,6 +76,12 @@ class Rng {
   void set_state(const RngState& st);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  /// Draws the polar method's (u, v) until it accepts; returns u² + v².
+  double polar_pair(double& u, double& v);
+
   std::uint64_t s_[4];
   double spare_ = 0.0;
   bool has_spare_ = false;

@@ -63,6 +63,7 @@ const Dataset& Study::base_dataset(const std::string& name) {
     GeneratorOptions g;
     g.seed = opts_.seed;
     g.scale = opts_.scale;
+    g.pool = opts_.pool;
     auto ds = std::make_unique<Dataset>(generate_dataset(name, g));
     it = base_.emplace(name, std::move(ds)).first;
   }
@@ -92,8 +93,9 @@ Study::Group& Study::group(Task task, const std::string& name) {
     gen.scale = std::min(opts_.scale * opts_.mlp_extra_scale,
                          std::max(1.0, paper_n / 2048.0));
     gen.dense_budget_bytes = 0;
+    gen.pool = opts_.pool;
     g->mlp_data = std::make_unique<Dataset>(
-        make_mlp_dataset(generate_dataset(name, gen)));
+        make_mlp_dataset(generate_dataset(name, gen), opts_.pool));
     g->data = g->mlp_data.get();
     g->model = std::make_unique<Mlp>(g->data->profile.mlp_architecture());
     // Mini-batch for the scaled run: at least 64 examples so per-update

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 
@@ -16,7 +16,9 @@ namespace {
 // continuous bounded Pareto approximation. s == 0 degenerates to uniform.
 class ZipfSampler {
  public:
-  ZipfSampler(std::size_t d, double s) : d_(d), s_(s) {
+  ZipfSampler(std::size_t d, double s)
+      : d_(d), s_(s), log_d_(std::log(static_cast<double>(d_))),
+        inv_exp_(1.0 / (1.0 - s_)) {
     if (s_ > 1e-9 && std::abs(s_ - 1.0) > 1e-9) {
       t_ = 1.0 - std::pow(static_cast<double>(d_), 1.0 - s_);
     }
@@ -29,9 +31,9 @@ class ZipfSampler {
       rank = 1.0 + u * static_cast<double>(d_ - 1);
     } else if (std::abs(s_ - 1.0) <= 1e-9) {
       // s == 1: log-uniform.
-      rank = std::exp(u * std::log(static_cast<double>(d_)));
+      rank = std::exp(u * log_d_);
     } else {
-      rank = std::pow(1.0 - u * t_, 1.0 / (1.0 - s_));
+      rank = std::pow(1.0 - u * t_, inv_exp_);
     }
     auto r = static_cast<std::size_t>(rank);
     return std::min<std::size_t>(std::max<std::size_t>(r, 1), d_) - 1;
@@ -40,6 +42,8 @@ class ZipfSampler {
  private:
   std::size_t d_;
   double s_;
+  double log_d_;
+  double inv_exp_;  ///< 1 / (1 - s); unused (infinite) at s == 1
   double t_ = 0;
 };
 
@@ -93,39 +97,52 @@ std::vector<std::size_t> draw_nnz_counts(std::size_t n, std::size_t lo,
   return out;
 }
 
-// Sample `k` distinct feature indices for one row.
+// Samples `k` distinct feature indices for one row into out[0, k), in
+// draw order. `seen` is a d-bit mask, all clear on entry and on return.
 void sample_row_indices(std::size_t k, std::size_t d,
                         const ZipfSampler& zipf, const RankScatter& scatter,
-                        Rng& rng, std::vector<index_t>& out) {
-  out.clear();
+                        Rng& rng, std::vector<std::uint64_t>& seen,
+                        index_t* out) {
   if (k == 0) return;
   PARSGD_CHECK(k <= d);
+  std::size_t m = 0;
   if (k * 2 >= d) {
     // Dense-ish row: choose by uniform thinning over all columns.
-    for (std::size_t c = 0; c < d && out.size() < k; ++c) {
-      const std::size_t remaining_cols = d - c;
-      const std::size_t remaining_need = k - out.size();
-      if (rng.uniform() <
-          static_cast<double>(remaining_need) / remaining_cols) {
-        out.push_back(static_cast<index_t>(c));
+    for (std::size_t c = 0; c < d && m < k; ++c) {
+      if (rng.uniform() < static_cast<double>(k - m) / (d - c)) {
+        out[m++] = static_cast<index_t>(c);
       }
     }
     return;
   }
-  std::unordered_set<index_t> seen;
-  seen.reserve(k * 2);
+  // Branch-free: a repeat is written to out[m] and then overwritten.
+  // Whether a draw repeats is unpredictable, and a mispredicted branch
+  // here would stall the next draw's pow().
+  const auto insert = [&](index_t j) {
+    const std::uint64_t bit = std::uint64_t(1) << (j % 64);
+    std::uint64_t& word = seen[j / 64];
+    out[m] = j;
+    m += (word & bit) == 0 ? 1 : 0;
+    word |= bit;
+  };
   std::size_t attempts = 0;
   const std::size_t max_attempts = 64 * k + 256;
-  while (seen.size() < k && attempts < max_attempts) {
+  while (m < k && attempts < max_attempts) {
     ++attempts;
-    seen.insert(scatter(zipf(rng)));
+    insert(scatter(zipf(rng)));
   }
   // Top up with uniform indices if the Zipf head was too collision-heavy.
-  while (seen.size() < k) {
-    seen.insert(static_cast<index_t>(rng.uniform_index(d)));
-  }
-  out.assign(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
+  while (m < k) insert(static_cast<index_t>(rng.uniform_index(d)));
+  for (std::size_t i = 0; i < k; ++i) seen[out[i] / 64] = 0;
+}
+
+// Forms a row's label from its margin: y = sign(margin + 0.1 eps), then
+// flipped with probability `noise`. Draws eps and the flip from `rng`.
+real_t draw_label(double margin, double noise, Rng& rng) {
+  const double noisy = margin + 0.1 * rng.normal();
+  real_t label = noisy >= 0 ? real_t(1) : real_t(-1);
+  if (rng.bernoulli(noise)) label = -label;
+  return label;
 }
 
 }  // namespace
@@ -152,25 +169,47 @@ Dataset generate_dataset(const DatasetProfile& paper_profile,
     for (auto& v : bucket_w) v = rng.normal(0.0, 1.0);
     const std::size_t base = d / buckets, extra = d % buckets;
     const std::size_t wide_span = extra * (base + 1);
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::size_t g = j < wide_span
-                                ? j / (base + 1)
-                                : extra + (j - wide_span) / std::max<std::size_t>(base, 1);
-      ds.ground_truth[j] = static_cast<real_t>(
-          bucket_w[std::min(g, buckets - 1)] + 0.3 * rng.normal());
+    // Each feature's jitter is drawn on the pool a block at a time: the
+    // serial part keeps the generator state at each block's start and
+    // skips the block's normals.
+    constexpr std::size_t kBlock = 4096;
+    std::vector<RngState> block_state((d + kBlock - 1) / kBlock);
+    for (std::size_t b = 0; b < block_state.size(); ++b) {
+      block_state[b] = rng.state();
+      rng.skip_normals(std::min(kBlock, d - b * kBlock));
     }
+    parallel_for_on(opts.pool, block_state.size(),
+                    [&](std::size_t lo, std::size_t hi) {
+      Rng block_rng;
+      for (std::size_t b = lo; b < hi; ++b) {
+        block_rng.set_state(block_state[b]);
+        for (std::size_t j = b * kBlock; j < std::min(d, (b + 1) * kBlock);
+             ++j) {
+          const std::size_t g =
+              j < wide_span
+                  ? j / (base + 1)
+                  : extra + (j - wide_span) / std::max<std::size_t>(base, 1);
+          ds.ground_truth[j] = static_cast<real_t>(
+              bucket_w[std::min(g, buckets - 1)] + 0.3 * block_rng.normal());
+        }
+      }
+    });
   }
 
-  CsrMatrix::Builder builder(d);
+  std::vector<offset_t> row_ptr(n + 1, 0);
+  std::vector<index_t> col_idx;
+  std::vector<real_t> values;
   ds.y.resize(n);
 
   if (profile.dense) {
     // covtype-like: every feature stored. ~10 continuous dims + binary rest.
     const std::size_t continuous = std::min<std::size_t>(10, d);
-    std::vector<real_t> row(d);
-    std::vector<index_t> idx(d);
-    for (std::size_t c = 0; c < d; ++c) idx[c] = static_cast<index_t>(c);
+    col_idx.resize(n * d);
+    values.resize(n * d);
     for (std::size_t i = 0; i < n; ++i) {
+      row_ptr[i + 1] = row_ptr[i] + d;
+      index_t* idx = col_idx.data() + row_ptr[i];
+      real_t* row = values.data() + row_ptr[i];
       double margin = 0;
       for (std::size_t c = 0; c < d; ++c) {
         double v;
@@ -182,43 +221,64 @@ Dataset generate_dataset(const DatasetProfile& paper_profile,
           v = rng.bernoulli(0.3) ? 1.0 : 0.01;
         }
         v /= std::sqrt(static_cast<double>(d));
+        idx[c] = static_cast<index_t>(c);
         row[c] = static_cast<real_t>(v);
         margin += v * ds.ground_truth[c];
       }
-      builder.add_row(idx, row);
-      const double noisy = margin + 0.1 * rng.normal();
-      real_t label = noisy >= 0 ? real_t(1) : real_t(-1);
-      if (rng.bernoulli(profile.label_noise)) label = -label;
-      ds.y[i] = label;
+      ds.y[i] = draw_label(margin, profile.label_noise, rng);
     }
   } else {
     const ZipfSampler zipf(d, profile.zipf_exponent);
     const RankScatter scatter(d);
-    auto nnz = draw_nnz_counts(n, profile.nnz_min,
-                               std::min(profile.nnz_max, d),
-                               profile.nnz_avg, rng);
-    std::vector<index_t> idx;
-    std::vector<real_t> val;
-    for (std::size_t i = 0; i < n; ++i) {
-      sample_row_indices(nnz[i], d, zipf, scatter, rng, idx);
-      val.resize(idx.size());
-      const double inv_norm =
-          idx.empty() ? 0.0 : 1.0 / std::sqrt(static_cast<double>(idx.size()));
-      double margin = 0;
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        const double v = std::abs(rng.normal()) * inv_norm;
-        val[k] = static_cast<real_t>(v);
-        margin += v * ds.ground_truth[idx[k]];
+    const auto nnz = draw_nnz_counts(n, profile.nnz_min,
+                                     std::min(profile.nnz_max, d),
+                                     profile.nnz_avg, rng);
+    for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] = row_ptr[i] + nnz[i];
+    col_idx.resize(row_ptr[n]);
+    values.resize(row_ptr[n]);
+
+    // Serial pass: every draw, in stream order. A row's indices land
+    // unsorted in its segment; its values, label noise and flip are only
+    // skipped past, from the state kept for the pooled pass.
+    std::vector<RngState> row_state(n);
+    {
+      std::vector<std::uint64_t> seen((d + 63) / 64, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        sample_row_indices(nnz[i], d, zipf, scatter, rng, seen,
+                           col_idx.data() + row_ptr[i]);
+        row_state[i] = rng.state();
+        rng.skip_normals(nnz[i] + 1);  // the values, then the label noise
+        rng.bernoulli(profile.label_noise);
       }
-      builder.add_row(idx, val);
-      const double noisy = margin + 0.1 * rng.normal();
-      real_t label = noisy >= 0 ? real_t(1) : real_t(-1);
-      if (rng.bernoulli(profile.label_noise)) label = -label;
-      ds.y[i] = label;
     }
+
+    // Pooled pass: sort each row, redraw its values from the kept state
+    // (the j-th value belongs to the j-th smallest index) and label it.
+    // No draw depends on a sort or a margin, so the output is the same
+    // for every pool.
+    parallel_for_on(opts.pool, n, [&](std::size_t lo, std::size_t hi) {
+      Rng row_rng;
+      for (std::size_t i = lo; i < hi; ++i) {
+        index_t* idx = col_idx.data() + row_ptr[i];
+        real_t* val = values.data() + row_ptr[i];
+        const std::size_t k = nnz[i];
+        std::sort(idx, idx + k);
+        row_rng.set_state(row_state[i]);
+        const double inv_norm =
+            k == 0 ? 0.0 : 1.0 / std::sqrt(static_cast<double>(k));
+        double margin = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          const double v = std::abs(row_rng.normal()) * inv_norm;
+          val[j] = static_cast<real_t>(v);
+          margin += v * ds.ground_truth[idx[j]];
+        }
+        ds.y[i] = draw_label(margin, profile.label_noise, row_rng);
+      }
+    });
   }
 
-  ds.x = std::move(builder).build();
+  ds.x = CsrMatrix(d, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
   if (ds.x.dense_bytes() <= opts.dense_budget_bytes) {
     ds.x_dense = ds.x.to_dense(opts.dense_budget_bytes);
   }

@@ -16,6 +16,18 @@
 //    O(1)); dense covtype rows mix continuous and binary features;
 //  * labels y = sign(x·w* + eps), flipped with the profile's noise
 //    probability.
+//
+// Sparse profiles are generated in two passes. A serial pass makes every
+// index draw in stream order: a row's distinct indices (deduplicated in a
+// d-bit mask) go unsorted into its exact-size segment of the CSR column
+// array, the generator state before its values is kept, and its values,
+// label noise and flip are skipped past (Rng::skip_normals). A second
+// pass, on GeneratorOptions::pool, sorts each row, draws its values again
+// from the kept state (the j-th value belongs to the j-th smallest index)
+// and forms its margin and label. The separator's per-feature jitter is
+// split the same way, in blocks of features. No draw depends on a sort or
+// a margin, and each margin sums in index order, so the dataset does not
+// depend on the pool or its size.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +37,18 @@
 
 namespace parsgd {
 
+class ThreadPool;
+
 struct GeneratorOptions {
   std::uint64_t seed = 42;
   /// Divide the paper-scale N by this factor (>=1). 1 = paper scale.
   double scale = 50.0;
   /// Materialize a dense copy when it fits within this many bytes.
   std::size_t dense_budget_bytes = std::size_t(256) << 20;
+  /// Pool for the per-row pass of sparse profiles; nullptr = the calling
+  /// thread. Execution-only: the dataset is bit-identical for every pool
+  /// and pool size.
+  ThreadPool* pool = nullptr;
 };
 
 /// Generates one dataset from a profile.

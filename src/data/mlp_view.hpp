@@ -7,8 +7,12 @@
 
 namespace parsgd {
 
+class ThreadPool;
+
 /// Returns a dataset whose features are grouped to `base.profile.mlp_input`
 /// buckets (sparse + dense materializations), sharing labels and profile.
-Dataset make_mlp_dataset(const Dataset& base);
+/// Rows are grouped on `pool` (nullptr = the calling thread); the result
+/// is the same for every pool.
+Dataset make_mlp_dataset(const Dataset& base, ThreadPool* pool = nullptr);
 
 }  // namespace parsgd

@@ -1,9 +1,33 @@
 #include "matrix/csr_matrix.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 namespace parsgd {
+
+CsrMatrix::CsrMatrix(std::size_t cols, std::vector<offset_t> row_ptr,
+                     std::vector<index_t> col_idx, std::vector<real_t> values)
+    : cols_(cols), row_ptr_(std::move(row_ptr)), col_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+  PARSGD_CHECK(!row_ptr_.empty() && row_ptr_.front() == 0 &&
+                   row_ptr_.back() == col_idx_.size(),
+               "row_ptr must run from 0 to nnz");
+  PARSGD_CHECK(col_idx_.size() == values_.size(),
+               "col_idx has " << col_idx_.size() << " entries, values "
+                              << values_.size());
+  for (std::size_t r = 0; r + 1 < row_ptr_.size(); ++r) {
+    const offset_t b = row_ptr_[r], e = row_ptr_[r + 1];
+    PARSGD_CHECK(b <= e && e <= col_idx_.size(),
+                 "row_ptr out of order at row " << r);
+    for (offset_t k = b; k < e; ++k) {
+      PARSGD_CHECK(col_idx_[k] < cols_,
+                   "column " << col_idx_[k] << " out of range");
+      PARSGD_CHECK(k == b || col_idx_[k - 1] < col_idx_[k],
+                   "row " << r << " columns not strictly increasing");
+    }
+  }
+}
 
 DenseMatrix CsrMatrix::to_dense(std::size_t max_bytes) const {
   PARSGD_CHECK(dense_bytes() <= max_bytes,
@@ -114,6 +138,15 @@ CsrMatrix CsrMatrix::from_dense(const DenseMatrix& m) {
 void CsrMatrix::Builder::add_row(std::span<const index_t> idx,
                                  std::span<const real_t> val) {
   PARSGD_CHECK(idx.size() == val.size());
+  if (std::adjacent_find(idx.begin(), idx.end(), std::greater_equal<>()) ==
+      idx.end()) {
+    PARSGD_CHECK(idx.empty() || idx.back() < cols_,
+                 "column " << idx.back() << " out of range");
+    col_idx_.insert(col_idx_.end(), idx.begin(), idx.end());
+    values_.insert(values_.end(), val.begin(), val.end());
+    row_ptr_.push_back(col_idx_.size());
+    return;
+  }
   // Sort the row by column index via an argsort so the (idx, val) pairing
   // is preserved.
   std::vector<std::size_t> order(idx.size());

@@ -75,6 +75,12 @@ struct CsrColumnBands {
 class CsrMatrix {
  public:
   CsrMatrix() = default;
+  /// Adopts whole CSR arrays. Throws CheckError unless row_ptr starts at
+  /// 0, never decreases and ends at nnz, col_idx and values have the same
+  /// length, and every row's columns are strictly increasing and below
+  /// `cols`.
+  CsrMatrix(std::size_t cols, std::vector<offset_t> row_ptr,
+            std::vector<index_t> col_idx, std::vector<real_t> values);
 
   std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   std::size_t cols() const { return cols_; }
@@ -126,7 +132,8 @@ class CsrMatrix {
   }
 
   /// Incremental row-by-row builder. Rows are appended in order; columns
-  /// within a row are sorted on append.
+  /// within a row are sorted on append (a row whose columns already
+  /// increase strictly is copied as it is).
   class Builder {
    public:
     explicit Builder(std::size_t cols) : cols_(cols) { row_ptr_.push_back(0); }

@@ -6,30 +6,25 @@
 
 namespace parsgd {
 
-namespace {
-
-// Maps column c to its bucket for `groups` buckets over `cols` columns.
-// Buckets are the contiguous ranges produced by splitting cols as evenly as
-// possible (first `cols % groups` buckets get one extra column).
-struct Bucketing {
-  std::size_t cols, groups, base, extra;
-  Bucketing(std::size_t cols_, std::size_t groups_)
-      : cols(cols_), groups(groups_), base(cols_ / groups_),
-        extra(cols_ % groups_) {}
-  std::size_t bucket_of(std::size_t c) const {
-    const std::size_t wide_span = extra * (base + 1);
-    if (c < wide_span) return c / (base + 1);
-    return extra + (c - wide_span) / base;
+std::size_t group_row(const FeatureBuckets& bk, SparseRowView row,
+                      index_t* idx, real_t* val) {
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < row.nnz();) {
+    const std::size_t g = bk.bucket_of(row.idx[k]);
+    real_t acc = 0;
+    for (; k < row.nnz() && bk.bucket_of(row.idx[k]) == g; ++k) {
+      acc += row.val[k];
+    }
+    idx[out] = static_cast<index_t>(g);
+    val[out++] = acc / static_cast<real_t>(bk.width(g));
   }
-  std::size_t width(std::size_t g) const { return base + (g < extra ? 1 : 0); }
-};
-
-}  // namespace
+  return out;
+}
 
 DenseMatrix group_features_dense(const CsrMatrix& in, std::size_t groups) {
   PARSGD_CHECK(groups > 0 && groups <= in.cols(),
                "groups=" << groups << " cols=" << in.cols());
-  const Bucketing bk(in.cols(), groups);
+  const FeatureBuckets bk(in.cols(), groups);
   DenseMatrix out(in.rows(), groups);
   for (std::size_t r = 0; r < in.rows(); ++r) {
     const auto rv = in.row(r);
@@ -47,25 +42,13 @@ DenseMatrix group_features_dense(const CsrMatrix& in, std::size_t groups) {
 
 CsrMatrix group_features_sparse(const CsrMatrix& in, std::size_t groups) {
   PARSGD_CHECK(groups > 0 && groups <= in.cols());
-  const Bucketing bk(in.cols(), groups);
+  const FeatureBuckets bk(in.cols(), groups);
   CsrMatrix::Builder b(groups);
-  std::vector<real_t> acc(groups, 0);
-  std::vector<index_t> touched;
+  std::vector<index_t> idx(groups);
+  std::vector<real_t> val(groups);
   for (std::size_t r = 0; r < in.rows(); ++r) {
-    touched.clear();
-    const auto rv = in.row(r);
-    for (std::size_t k = 0; k < rv.nnz(); ++k) {
-      const auto g = static_cast<index_t>(bk.bucket_of(rv.idx[k]));
-      if (acc[g] == real_t(0)) touched.push_back(g);
-      acc[g] += rv.val[k];
-    }
-    std::vector<real_t> vals;
-    vals.reserve(touched.size());
-    for (const index_t g : touched) {
-      vals.push_back(acc[g] / static_cast<real_t>(bk.width(g)));
-      acc[g] = 0;
-    }
-    b.add_row(touched, vals);
+    const std::size_t k = group_row(bk, in.row(r), idx.data(), val.data());
+    b.add_row({idx.data(), k}, {val.data(), k});
   }
   return std::move(b).build();
 }

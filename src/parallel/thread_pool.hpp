@@ -155,6 +155,18 @@ class ThreadPool {
   std::exception_ptr first_error_;   ///< under mutex_
 };
 
+/// pool->parallel_for(n, fn), or one call fn(0, n) on the calling thread
+/// when `pool` is null.
+inline void parallel_for_on(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+  } else if (n > 0) {
+    fn(0, n);
+  }
+}
+
 /// Scoped attachment of a telemetry session to a pool: attaches on
 /// construction, detaches on destruction, so a pool that outlives the
 /// session (e.g. ThreadPool::global()) never holds a dangling pointer.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 #include "matrix/transform.hpp"
 
@@ -68,6 +70,71 @@ TEST(CsrMatrix, OutOfRangeColumnRejected) {
   const index_t idx[] = {2};
   const real_t val[] = {1};
   EXPECT_THROW(b.add_row(idx, val), CheckError);
+}
+
+TEST(CsrMatrix, SortedRowCopiedAsIs) {
+  CsrMatrix::Builder b(5);
+  const index_t idx[] = {0, 2, 4};
+  const real_t val[] = {1, 2, 3};
+  b.add_row(idx, val);
+  b.add_row({}, {});
+  const CsrMatrix m = std::move(b).build();
+  ASSERT_EQ(m.rows(), 2u);
+  const auto r = m.row(0);
+  ASSERT_EQ(r.nnz(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(r.idx[k], idx[k]);
+    EXPECT_EQ(r.val[k], val[k]);
+  }
+  EXPECT_EQ(m.row_nnz(1), 0u);
+}
+
+TEST(CsrMatrix, BadColumnsRejectedOnBothPaths) {
+  // Increasing rows take the copy path, the others the argsort path.
+  const std::vector<std::vector<index_t>> bad = {
+      {1, 4},     // increasing, out of range
+      {4, 1},     // unsorted, out of range
+      {0, 2, 2},  // non-decreasing duplicate
+      {2, 0, 2},  // unsorted duplicate
+  };
+  for (const auto& idx : bad) {
+    CsrMatrix::Builder b(4);
+    const std::vector<real_t> val(idx.size(), 1);
+    EXPECT_THROW(b.add_row(idx, val), CheckError) << idx.size();
+  }
+  CsrMatrix::Builder b(4);
+  const index_t idx[] = {0, 1};
+  const real_t val[] = {1};
+  EXPECT_THROW(b.add_row(idx, val), CheckError);
+}
+
+TEST(CsrMatrix, AdoptsValidArrays) {
+  const CsrMatrix m(3, {0, 2, 2, 3}, {0, 2, 1}, {1, 2, 3});
+  EXPECT_TRUE(m == small());
+  const CsrMatrix empty(7, {0}, {}, {});
+  EXPECT_EQ(empty.rows(), 0u);
+  EXPECT_EQ(empty.cols(), 7u);
+}
+
+TEST(CsrMatrix, AdoptRejectsMalformedArrays) {
+  using Ptr = std::vector<offset_t>;
+  using Idx = std::vector<index_t>;
+  using Val = std::vector<real_t>;
+  // Bad row pointers.
+  EXPECT_THROW(CsrMatrix(3, Ptr{}, Idx{}, Val{}), CheckError);
+  EXPECT_THROW(CsrMatrix(3, Ptr{1, 2}, Idx{0, 1}, Val{1, 2}), CheckError);
+  EXPECT_THROW(CsrMatrix(3, Ptr{0, 1}, Idx{0, 1}, Val{1, 2}), CheckError);
+  EXPECT_THROW(CsrMatrix(3, Ptr{0, 3, 2}, Idx{0, 1}, Val{1, 2}), CheckError);
+  EXPECT_THROW(CsrMatrix(3, Ptr{0, 2, 1, 2}, Idx{0, 1}, Val{1, 2}),
+               CheckError);
+  // Values that do not match the columns.
+  EXPECT_THROW(CsrMatrix(3, Ptr{0, 2}, Idx{0, 1}, Val{1}), CheckError);
+  // Unsorted row, duplicate column, column out of range.
+  EXPECT_THROW(CsrMatrix(3, Ptr{0, 2}, Idx{1, 0}, Val{1, 2}), CheckError);
+  EXPECT_THROW(CsrMatrix(3, Ptr{0, 2}, Idx{1, 1}, Val{1, 2}), CheckError);
+  EXPECT_THROW(CsrMatrix(3, Ptr{0, 2}, Idx{0, 3}, Val{1, 2}), CheckError);
+  // A decrease between rows is fine: each row is checked on its own.
+  EXPECT_NO_THROW(CsrMatrix(3, Ptr{0, 1, 2}, Idx{2, 0}, Val{1, 2}));
 }
 
 TEST(CsrMatrix, DenseRoundTrip) {

@@ -74,6 +74,24 @@ TEST(Rng, NormalShifted) {
   EXPECT_NEAR(total / kN, 3.0, 0.03);
 }
 
+TEST(Rng, SkipNormalsMatchesDrawing) {
+  // From a state with and without a spare, skipping k normals leaves the
+  // generator where k draws do, spare included.
+  for (const bool spare : {false, true}) {
+    for (std::size_t k = 0; k <= 7; ++k) {
+      Rng drawn(99), skipped(99);
+      if (spare) {
+        drawn.normal();
+        skipped.normal();
+      }
+      for (std::size_t i = 0; i < k; ++i) drawn.normal();
+      skipped.skip_normals(k);
+      EXPECT_EQ(drawn.state(), skipped.state()) << spare << " " << k;
+      EXPECT_EQ(drawn.normal(), skipped.normal());
+    }
+  }
+}
+
 TEST(Rng, BernoulliRate) {
   Rng rng(19);
   int hits = 0;
